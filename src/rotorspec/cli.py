@@ -10,6 +10,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -25,7 +26,7 @@ from . import fitting, qubitplan, rotor, spectrum, symmetry, units
 LEVELS_CSV_HEADER = "energy_cm1,degeneracy,label,spin,ordinal"
 STICKS_CSV_HEADER = "frequency_cm1,intensity,lower,upper,activity"
 SPECTRUM_CSV_HEADER = "frequency_cm1,amplitude"
-PEAKS_CSV_HEADER = ("frequency_cm1", "intensity", "label")
+PEAKS_CSV_HEADER = "frequency_cm1,intensity,label"
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -33,10 +34,18 @@ EXIT_NOCONV = 2
 
 
 def _atomic_write(path: str, text: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    # the temp file sits next to the target so the rename stays on one file
+    # system, and carries the pid so concurrent runs never share it
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _emit(text: str, out_path: str | None):
@@ -48,6 +57,29 @@ def _emit(text: str, out_path: str | None):
 
 def _json_dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _read_csv(path: str, header: str, error: type[Exception], parse_row) -> list:
+    """`parse_row` of every non-blank row after the header.  An empty file or
+    a wrong header raises `error` naming `path`; a row that `parse_row`
+    rejects raises `error` naming `path:line`."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise error(f"{path}: empty file, expected header {header}")
+        if tuple(h.strip() for h in first) != tuple(header.split(",")):
+            raise error(f"{path}: header must be {header}, got {','.join(first)}")
+        out = []
+        for row in reader:
+            if not any(cell.strip() for cell in row):
+                continue
+            try:
+                out.append(parse_row(row))
+            except (ValueError, IndexError) as exc:
+                raise error(f"{path}:{reader.line_num}: bad row {','.join(row)!r}: "
+                            f"{exc}") from None
+    return out
 
 
 def _load_config(path: str) -> config_mod.RunConfig:
@@ -273,43 +305,21 @@ def cmd_spectrum(args) -> int:
 # fit
 # ----------------------------------------------------------------------------
 
+def _peak_row(row) -> fitting.Peak:
+    intensity = float(row[1]) if len(row) > 1 and row[1].strip() else None
+    label = row[2].strip() if len(row) > 2 and row[2].strip() else None
+    return fitting.Peak(float(row[0]), intensity, label)
+
+
 def _read_peaks_csv(path: str) -> fitting.PeakList:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise fitting.FitError(f"{path}: empty peak list") from None
-        if tuple(h.strip() for h in header) != PEAKS_CSV_HEADER:
-            raise fitting.FitError(
-                f"{path}: header must be {','.join(PEAKS_CSV_HEADER)}, "
-                f"got {','.join(header)}"
-            )
-        peaks = []
-        for row in reader:
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            freq = float(row[0])
-            intensity = float(row[1]) if len(row) > 1 and row[1].strip() else None
-            label = row[2].strip() if len(row) > 2 and row[2].strip() else None
-            peaks.append(fitting.Peak(freq, intensity, label))
+    peaks = _read_csv(path, PEAKS_CSV_HEADER, fitting.FitError, _peak_row)
     return fitting.PeakList(tuple(peaks))
 
 
 def _read_envelope_csv(path: str):
-    freqs, amps = [], []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(h.strip() for h in header) != tuple(SPECTRUM_CSV_HEADER.split(",")):
-            raise fitting.FitError(
-                f"{path}: header must be {SPECTRUM_CSV_HEADER}, got {','.join(header)}")
-        for row in reader:
-            if not row:
-                continue
-            freqs.append(float(row[0]))
-            amps.append(float(row[1]))
-    return np.array(freqs), np.array(amps)
+    rows = _read_csv(path, SPECTRUM_CSV_HEADER, fitting.FitError,
+                     lambda row: (float(row[0]), float(row[1])))
+    return np.array([f for f, _ in rows]), np.array([a for _, a in rows])
 
 
 def _fit_report_payload(report: fitting.FitReport) -> dict:
@@ -384,20 +394,13 @@ def cmd_fit(args) -> int:
 # plan
 # ----------------------------------------------------------------------------
 
+def _line_row(row) -> spectrum.Line:
+    return spectrum.Line(frequency=float(row[0]), intensity=float(row[1]),
+                         lower=row[2], upper=row[3], activity=row[4])
+
+
 def _read_lines_csv(path: str):
-    out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(h.strip() for h in header) != tuple(STICKS_CSV_HEADER.split(",")):
-            raise qubitplan.PlanError(
-                f"{path}: header must be {STICKS_CSV_HEADER}, got {','.join(header)}")
-        for row in reader:
-            if not row:
-                continue
-            out.append(spectrum.Line(frequency=float(row[0]), intensity=float(row[1]),
-                                     lower=row[2], upper=row[3], activity=row[4]))
-    return out
+    return _read_csv(path, STICKS_CSV_HEADER, qubitplan.PlanError, _line_row)
 
 
 def _plan_payload(report: qubitplan.PlanReport, mc: dict | None) -> dict:
@@ -548,7 +551,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (config_mod.ConfigError, fitting.FitError, qubitplan.PlanError,
             spectrum.SpectrumError, symmetry.GroupError, rotor.PotentialError,
-            FileNotFoundError, ValueError) as exc:
+            OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
     except rotor.RotorError as exc:

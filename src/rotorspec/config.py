@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 
 from . import qubitplan, rotor, spectrum
@@ -82,6 +83,13 @@ class RunConfig:
         return parse_config(DEFAULT_CONFIG_TEXT)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_potential(text: str):
     terms = []
     for chunk in text.split(","):
@@ -89,14 +97,14 @@ def _parse_potential(text: str):
         if not chunk:
             continue
         rank_s, _, coeff_s = chunk.partition(":")
-        terms.append((int(rank_s.strip()), float(coeff_s.strip())))
+        terms.append((int(rank_s.strip()), _finite(coeff_s.strip())))
     if not terms:
         raise ValueError("expected rank:coefficient terms like '3:-1.0'")
     return tuple(terms)
 
 
 def _parse_fractions(text: str):
-    parts = [float(p) for p in text.split(",")]
+    parts = [_finite(p) for p in text.split(",")]
     if len(parts) != 3:
         raise ValueError("expected three comma-separated fractions for A, E, F")
     return {"A": parts[0], "E": parts[1], "F": parts[2]}
@@ -104,13 +112,13 @@ def _parse_fractions(text: str):
 
 def _convert(kind: str, raw: str):
     if kind == "float":
-        return float(raw)
+        return _finite(raw)
     if kind == "int":
         return int(raw)
     if kind == "str":
         return raw.strip()
     if kind == "optfloat":
-        return float(raw) if raw.strip() else None
+        return _finite(raw) if raw.strip() else None
     if kind == "potential":
         return _parse_potential(raw)
     if kind == "fractions":

@@ -17,6 +17,10 @@ tetrahedron coincident with the site tetrahedron); the aligned-frame value is
 then the global minimum and the quarter-turn about a coordinate axis gives
 the global maximum.
 
+The potential and the rank-1/rank-2 transition operators share one table
+of 3j factors per (J', J, rank); it alone fixes the index and phase
+convention of <J'k'm'|D^l_{mu nu}|J k m> and is the only caller of wigner3j.
+
 Eigenlevels are classified by character projection over the product group
 (site rotations act on m, molecular rotations on k) and receive the cluster
 labels of symmetry.LEVEL_LABELS together with their nuclear-spin species.
@@ -127,6 +131,25 @@ def wigner3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
         ssum += -term if k % 2 else term
     sign = -1 if (j1 - j2 - m3) % 2 else 1
     return sign * math.sqrt(float(Fraction(num, den))) * float(Fraction(ssum, scale))
+
+
+@lru_cache(maxsize=None)
+def _three_j_factors(J2: int, J: int, rank: int) -> np.ndarray:
+    """F[mu + rank, m2 + J2, m + J] = (-1)^m (J2 rank J; m2 mu -m).
+
+    The one place that fixes the index and phase convention of the
+    symmetric-top elements: since the two 3j symbols of
+    <J2 k2 m2|D^rank_{mu nu}|J k m> share it, each element is
+    sqrt((2J2+1)(2J+1)) * F[nu + rank][k2 + J2, k + J] * F[mu + rank][m2 + J2, m + J].
+    """
+    F = np.zeros((2 * rank + 1, 2 * J2 + 1, 2 * J + 1))
+    for mu in range(-rank, rank + 1):
+        for m2 in range(-J2, J2 + 1):
+            m = m2 + mu
+            if abs(m) <= J:
+                F[mu + rank, m2 + J2, m + J] = (-1.0) ** m * wigner3j(J2, rank, J, m2, mu, -m)
+    F.setflags(write=False)
+    return F
 
 
 # ----------------------------------------------------------------------------
@@ -341,30 +364,15 @@ def _coupling_blocks(jmax: int, rank: int, cmat: np.ndarray) -> list:
         for J in range(jmax + 1):
             if abs(J - J2) > rank:
                 continue
-            pref = math.sqrt((2 * J2 + 1) * (2 * J + 1))
-            # shifted-diagonal factors shared by the m and k sides
-            shift = {}
-            for mu in range(-rank, rank + 1):
-                if not np.any(cmat[mu + rank, :]) and not np.any(cmat[:, mu + rank]):
-                    continue
-                S = np.zeros((2 * J2 + 1, 2 * J + 1))
-                for m2 in range(-J2, J2 + 1):
-                    m = m2 + mu
-                    if abs(m) > J:
-                        continue
-                    S[m2 + J2, m + J] = wigner3j(J2, rank, J, m2, mu, -m)
-                shift[mu] = S
-            phase_m = np.array([(-1.0) ** m for m in range(-J, J + 1)])
-            phase_k = phase_m  # same alternation on the k side
+            F = _three_j_factors(J2, J, rank)
             block = np.zeros(((2 * J2 + 1) ** 2, (2 * J + 1) ** 2))
-            for mu, Smu in shift.items():
-                for nu, Snu in shift.items():
+            for mu in range(-rank, rank + 1):
+                for nu in range(-rank, rank + 1):
                     cc = cmat[mu + rank, nu + rank]
-                    if cc == 0.0:
-                        continue
-                    block += cc * np.kron(Snu * phase_k, Smu * phase_m)
+                    if cc != 0.0:
+                        block += cc * np.kron(F[nu + rank], F[mu + rank])
             if np.any(block):
-                blocks.append((J2, J, pref * block))
+                blocks.append((J2, J, math.sqrt((2 * J2 + 1) * (2 * J + 1)) * block))
     return blocks
 
 
@@ -676,39 +684,20 @@ def barrier_height(model: RotorModel) -> float:
 @lru_cache(maxsize=4)
 def rank_operator_blocks(jmax: int, rank: int):
     """Sparse matrices of D^rank_{mu nu} over the basis, keyed (mu, nu)."""
-    basis = build_basis(jmax)
-    offsets = _j_offsets(jmax)
+    js = range(jmax + 1)
     mats = {}
     for mu in range(-rank, rank + 1):
         for nu in range(-rank, rank + 1):
-            rows, cols, vals = [], [], []
-            for J2 in range(jmax + 1):
-                for J in range(jmax + 1):
+            grid = [[None] * len(js) for _ in js]
+            for J2 in js:
+                for J in js:
                     if abs(J - J2) > rank:
                         continue
+                    F = _three_j_factors(J2, J, rank)
                     pref = math.sqrt((2 * J2 + 1) * (2 * J + 1))
-                    for k2 in range(-J2, J2 + 1):
-                        k = k2 + nu
-                        if abs(k) > J:
-                            continue
-                        w_k = wigner3j(J2, rank, J, k2, nu, -k)
-                        if w_k == 0.0:
-                            continue
-                        for m2 in range(-J2, J2 + 1):
-                            m = m2 + mu
-                            if abs(m) > J:
-                                continue
-                            w_m = wigner3j(J2, rank, J, m2, mu, -m)
-                            if w_m == 0.0:
-                                continue
-                            i = offsets[J2] + (k2 + J2) * (2 * J2 + 1) + (m2 + J2)
-                            j = offsets[J] + (k + J) * (2 * J + 1) + (m + J)
-                            rows.append(i)
-                            cols.append(j)
-                            vals.append(pref * (-1.0) ** (m - k) * w_m * w_k)
-            n = len(basis)
-            mats[(mu, nu)] = scipy.sparse.csr_matrix(
-                (vals, (rows, cols)), shape=(n, n))
+                    grid[J2][J] = scipy.sparse.kron(F[nu + rank], pref * F[mu + rank],
+                                                    format="coo")
+            mats[(mu, nu)] = scipy.sparse.bmat(grid, format="csr")
     return mats
 
 

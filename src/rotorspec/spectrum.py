@@ -385,11 +385,14 @@ def _profile(shape: str, offsets: np.ndarray, fwhm: float) -> np.ndarray:
     raise SpectrumError(f"unknown line shape {shape!r}")
 
 
+_CLIPPED_SHOWN = 5  # off-grid lines named in the warning; the rest are counted
+
+
 def synthesize(lines, config: SpectrumConfig) -> tuple[np.ndarray, np.ndarray]:
     """Sampled band envelope: sum of unit-area profiles scaled by intensity.
 
-    Lines outside the grid raise a warning naming them and still contribute
-    their (clipped) tails.
+    Lines outside the grid raise a warning giving their count and naming the
+    first few; they still contribute their (clipped) tails.
     """
     problems = config.validate()
     if problems:
@@ -399,8 +402,12 @@ def synthesize(lines, config: SpectrumConfig) -> tuple[np.ndarray, np.ndarray]:
     amps = np.zeros(n)
     clipped = [l for l in lines if not (config.start <= l.frequency <= config.stop)]
     if clipped:
-        listing = ", ".join(f"{l.lower}->{l.upper} at {l.frequency:g}" for l in clipped)
-        warnings.warn(f"lines outside the synthesis grid: {listing}", stacklevel=2)
+        listing = ", ".join(f"{l.lower}->{l.upper} at {l.frequency:g}"
+                            for l in clipped[:_CLIPPED_SHOWN])
+        if len(clipped) > _CLIPPED_SHOWN:
+            listing += ", ..."
+        warnings.warn(f"{len(clipped)} lines outside the synthesis grid: {listing}",
+                      stacklevel=2)
     for line in lines:
         amps += line.intensity * _profile(config.shape, freqs - line.frequency, config.fwhm)
     return freqs, amps

@@ -134,6 +134,21 @@ def test_fractions_parsing():
     assert cfg.population.frozen_fractions == {"A": 0.25, "E": 0.25, "F": 0.5}
 
 
+@pytest.mark.parametrize("section,line", [
+    ("model", "beta = nan"),
+    ("model", "potential = 3:inf"),
+    ("band", "dw_L1_star = -inf"),
+    ("population", "fractions = nan, 0.5, 0.5"),
+])
+def test_non_finite_value_names_section_and_key(section, line):
+    text = DEFAULT_CONFIG_TEXT.replace(f"[{section}]", f"[{section}]\n{line}")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    key = line.split(" = ")[0]
+    assert any(s == section and k == key and "finite" in m
+               for s, k, m in err.value.errors)
+
+
 # ---------------------------------------------------------------- CLI
 
 @pytest.fixture()
@@ -313,3 +328,55 @@ def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "rotorspec.cli", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode in (0, 1)
+
+
+# ---------------------------------------------------------------- bad input
+
+def _assert_rejected(workdir, capsys, rc, location):
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert location in err
+    assert "Traceback" not in err
+    assert not list(workdir.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("old,new,location", [
+    ("beta = 1.0", "beta = nan", "[model] beta"),
+    ("T = 7.0", "T = inf", "[population] T"),
+])
+def test_cli_non_finite_config_exits_1(workdir, capsys, old, new, location):
+    (workdir / "bad.cfg").write_text(FAST_CONFIG.replace(old, new))
+    rc = cli.main(["levels", "--config", "bad.cfg"])
+    _assert_rejected(workdir, capsys, rc, location)
+
+
+CSV_READERS = {
+    "peaks": (["fit", "--config", "run.cfg", "--peaks", "in.csv"],
+              "frequency_cm1,intensity,label\n3206,1,x\n"),
+    "envelope": (["fit", "--config", "run.cfg", "--mode", "envelope", "--envelope", "in.csv"],
+                 "frequency_cm1,amplitude\n3206,0.5\n"),
+    "lines": (["plan", "--config", "run.cfg", "--lines", "in.csv"],
+              "frequency_cm1,intensity,lower,upper,activity\n3206,1,(A1)1,(L1)1*,IR\n"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(CSV_READERS))
+def test_cli_empty_csv_exits_1(workdir, capsys, reader):
+    argv, _ = CSV_READERS[reader]
+    (workdir / "in.csv").write_text("")
+    _assert_rejected(workdir, capsys, cli.main(argv), "in.csv: empty file")
+
+
+@pytest.mark.parametrize("reader", sorted(CSV_READERS))
+def test_cli_bad_csv_row_names_file_and_line(workdir, capsys, reader):
+    argv, good = CSV_READERS[reader]
+    (workdir / "in.csv").write_text(good + "abc,1,x,y,IR\n")
+    _assert_rejected(workdir, capsys, cli.main(argv), "in.csv:3:")
+
+
+def test_cli_out_naming_a_directory_exits_1(workdir, capsys):
+    (workdir / "adir").mkdir()
+    rc = cli.main(["symmetry", "--out", "adir"])
+    _assert_rejected(workdir, capsys, rc, "adir")
+    assert sorted(p.name for p in workdir.iterdir()) == ["adir", "run.cfg"]
+    assert not any((workdir / "adir").iterdir())

@@ -202,6 +202,36 @@ def test_hamiltonian_commutes_with_all_144_rotations():
             assert np.abs(U @ H - H @ U).max() < 1e-10 * scale
 
 
+# ---------------------------------------------------------------- shared 3j factors
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_rank_operator_blocks_match_dense_elements(rank):
+    jmax = 3
+    basis = build_basis(jmax)
+    mats = rotor.rank_operator_blocks(jmax, rank)
+    comps = range(-rank, rank + 1)
+    assert set(mats) == {(mu, nu) for mu in comps for nu in comps}
+    for (mu, nu), M in mats.items():
+        dense = np.zeros((len(basis), len(basis)))
+        for i, bra in enumerate(basis):
+            for j, ket in enumerate(basis):
+                dense[i, j] = (math.sqrt((2 * bra.J + 1) * (2 * ket.J + 1))
+                               * (-1) ** (ket.m - ket.k)
+                               * wigner3j(bra.J, rank, ket.J, bra.m, mu, -ket.m)
+                               * wigner3j(bra.J, rank, ket.J, bra.k, nu, -ket.k))
+        np.testing.assert_allclose(M.toarray(), dense, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_potential_matrix_is_coefficient_sum_of_operators(rank):
+    jmax = 4
+    c = invariant_coefficients(rank)
+    expected = sum(c[mu + rank, nu + rank] * M.toarray()
+                   for (mu, nu), M in rotor.rank_operator_blocks(jmax, rank).items())
+    V = rotor._potential_matrix(jmax, ((rank, 1.0),))
+    np.testing.assert_allclose(V, expected, rtol=0, atol=1e-13)
+
+
 # ---------------------------------------------------------------- diagonalize
 
 def test_free_rotor_levels_and_degeneracies():

@@ -358,6 +358,13 @@ def test_clipped_lines_warn():
     lines = [Line(3206.0, 1.0, "a", "b", "IR"), Line(3235.0, 1.0, "(L1)1", "(E3)1*", "IR")]
     with pytest.warns(UserWarning, match=r"\(E3\)1"):
         synthesize(lines, cfg)
+    many = [Line(3300.0 + i, 1.0, f"(L1){i}", "(E3)1*", "IR") for i in range(200)]
+    with pytest.warns(UserWarning) as caught:
+        synthesize(many, cfg)
+    message = str(caught[0].message)
+    assert message.startswith("200 lines outside the synthesis grid")
+    assert "(L1)4->" in message and "(L1)5->" not in message
+    assert len(message) < 300
 
 
 def test_fwhm_reported_in_ghz():
