@@ -60,31 +60,41 @@ def _json_dumps(payload) -> str:
 
 
 def _read_csv(path: str, header: str, error: type[Exception], parse_row) -> list:
-    """`parse_row` of every non-blank row after the header.  An empty file or
-    a wrong header raises `error` naming `path`; a row that `parse_row`
-    rejects raises `error` naming `path:line`."""
+    """`parse_row` of every non-blank row after the header.  An empty file, a
+    wrong header or text that is not UTF-8 raises `error` naming `path`; a
+    row that `parse_row` or the CSV reader rejects raises `error` naming
+    `path:line`."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise error(f"{path}: empty file, expected header {header}")
-        if tuple(h.strip() for h in first) != tuple(header.split(",")):
-            raise error(f"{path}: header must be {header}, got {','.join(first)}")
-        out = []
-        for row in reader:
-            if not any(cell.strip() for cell in row):
-                continue
-            try:
-                out.append(parse_row(row))
-            except (ValueError, IndexError) as exc:
-                raise error(f"{path}:{reader.line_num}: bad row {','.join(row)!r}: "
-                            f"{exc}") from None
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise error(f"{path}: empty file, expected header {header}")
+            if tuple(h.strip() for h in first) != tuple(header.split(",")):
+                raise error(f"{path}: header must be {header}, got {','.join(first)}")
+            out = []
+            for row in reader:
+                if not any(cell.strip() for cell in row):
+                    continue
+                try:
+                    out.append(parse_row(row))
+                except (ValueError, IndexError) as exc:
+                    raise error(f"{path}:{reader.line_num}: bad row {','.join(row)!r}: "
+                                f"{exc}") from None
+        except csv.Error as exc:
+            raise error(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
     return out
 
 
 def _load_config(path: str) -> config_mod.RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        return config_mod.parse_config(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return config_mod.parse_config(text)
 
 
 def _fmt(x: float) -> str:

@@ -4,9 +4,12 @@ peak positions or band envelopes.
 The optimizer is a bounded Nelder-Mead simplex with deterministic seeded
 multistart; the objective passes through an eigenvalue solve, so derivative
 free search is the right tool for the handful of parameters involved.  All
-eigenvalue work is cached per beta: B only rescales the spectrum, so a fit
-that moves B, nu0 and the band offsets at fixed beta costs one
-diagonalization total.
+eigenvalue work is cached per beta (the last rotor.PER_BETA_CACHE_SIZE
+betas): B only rescales the spectrum, so a fit that moves B, nu0 and the band
+offsets at fixed beta costs one solve total.  A position fit that needs only
+the first orientation gap gets it from the lowest eigenvalues of two small
+C2x-adapted blocks of rotor.LevelGapCache (110 and 121 states at Jmax 10);
+E2 transitions and model-derived offsets solve all 16 blocks.
 
 Parameter names: B, beta, nu0, excited_scale, fwhm, scale, dw_L1_star,
 dw_LE3_star.  The entry "extra_offsets" in FitSpec.free_params stands for the
@@ -215,7 +218,7 @@ class TransitionModel:
         dw1 = params.get("dw_L1_star")
         dw2 = params.get("dw_LE3_star")
         # only reach for the spectrum pieces the requested transitions use:
-        # the cheap Lanczos gap covers omega_LA, the dense cluster table is
+        # the cheap two-block gap covers omega_LA, the dense cluster table is
         # needed for E2-referencing transitions or model-derived offsets
         needs_le2 = any("(E2)" in n for n in names)
         needs_derived = (dw1 is None and any("(L1)2*" in n or "I1I2" in n or "E4" in n
@@ -277,16 +280,17 @@ class EnvelopeModel:
         self.shape = shape
         self.max_energy_unit_b = max_energy_unit_b
         self.strength_mode = strength_mode
-        self._levels_cache: dict[float, list] = {}
+        self._levels_cache = rotor.PerBetaCache()
 
     def _unit_levels(self, beta: float):
         key = round(float(beta), 12)
-        if key not in self._levels_cache:
+
+        def classify():
             model = RotorModel(B=1.0, beta=key, potential=self.potential, Jmax=self.jmax)
-            system = rotor.diagonalize(model)
-            self._levels_cache[key] = rotor.classify_levels(
-                system, max_energy=self.max_energy_unit_b)
-        return self._levels_cache[key]
+            return rotor.classify_levels(rotor.diagonalize(model),
+                                         max_energy=self.max_energy_unit_b)
+
+        return self._levels_cache.fetch(key, classify)
 
     def lines(self, params: dict):
         b = params["B"]

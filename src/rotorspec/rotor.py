@@ -28,7 +28,9 @@ labels of symmetry.LEVEL_LABELS together with their nuclear-spin species.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -516,7 +518,7 @@ def _apply_rotation(vec_blocks, jmax, rs, rm):
             continue
         Ds = wigner_d_matrix(J, *rs)
         Dm = wigner_d_matrix(J, *rm).conj()
-        out.append(np.einsum("ab,cd,bdn->acn", Dm, Ds, Vj, optimize=True))
+        out.append(np.matmul(Ds, np.tensordot(Dm, Vj, axes=(1, 0))))
     return out
 
 
@@ -718,70 +720,99 @@ def transition_strength(lower: EnergyLevel, upper: EnergyLevel, jmax: int,
 # fast eigenvalue path for fitting
 # ----------------------------------------------------------------------------
 
-class LevelGapCache:
-    """Per-beta eigenvalues of P^2 + beta*V in units of B, with the parity
-    blocks prefactored; used by the fitting objective.
+#: entries kept by each per-beta cache; a four-band fit revisits almost every
+#: repeated beta within the last few dozen distinct ones
+PER_BETA_CACHE_SIZE = 64
 
-    The ground level and the first excited cluster both keep a component in
-    the (k even, m even) parity block at every beta (parity content of a
-    cluster does not change along beta), so gap() needs only the two lowest
-    states of that single block.  They come from a shift-invert Lanczos solve
-    with the shift placed below a Gershgorin bound of the spectrum,
-    deterministic via a fixed start vector; eigenvalues() is the dense path.
+
+class PerBetaCache(OrderedDict):
+    """Least-recently-used map holding at most PER_BETA_CACHE_SIZE entries."""
+
+    def fetch(self, key, compute):
+        """Cached value for `key`, from `compute()` on a miss."""
+        if key in self:
+            self.move_to_end(key)
+            return self[key]
+        value = self[key] = compute()
+        if len(self) > PER_BETA_CACHE_SIZE:
+            self.popitem(last=False)
+        return value
+
+
+def _c2x_blocks(jmax: int) -> dict[tuple, scipy.sparse.csc_matrix]:
+    """Orthonormal columns of the basis adapted to both C2x rotations.
+
+    C2x acts as |J k m> -> (-1)^J |J k -m> on the site frame and as
+    |J k m> -> (-1)^J |J -k m> on the molecule frame; both commute with H and
+    with the k and m parities.  Keys are (k parity, m parity, eps_site,
+    eps_mol); each column combines at most four states of one J.
+    """
+    columns: dict[tuple, list[dict[int, float]]] = {}
+    for J, ofs in enumerate(_j_offsets(jmax)):
+        sign, dim = (-1) ** J, 2 * J + 1
+        for k, m, es, em in itertools.product(range(J + 1), range(J + 1), (1, -1), (1, -1)):
+            col: dict[int, int] = {}
+            for kk, mm, c in ((k, m, 1), (k, -m, es * sign),
+                              (-k, m, em * sign), (-k, -m, es * em)):
+                i = ofs + (kk + J) * dim + mm + J
+                col[i] = col.get(i, 0) + c
+            norm = math.sqrt(sum(c * c for c in col.values()))
+            if norm:  # vanishes for one sign of eps at k = 0 or m = 0
+                columns.setdefault((k % 2, m % 2, es, em), []).append(
+                    {i: c / norm for i, c in col.items()})
+    n = len(build_basis(jmax))
+    out = {}
+    for key, cols in columns.items():
+        rows = [i for col in cols for i in col]
+        vals = [c for col in cols for c in col.values()]
+        idx = [j for j, col in enumerate(cols) for _ in col]
+        out[key] = scipy.sparse.csc_matrix((vals, (rows, idx)), shape=(n, len(cols)))
+    return out
+
+
+class LevelGapCache:
+    """Per-beta eigenvalues of P^2 + beta*V in units of B; used by the
+    fitting objective.
+
+    H is projected once onto the 16 real blocks of fixed (k parity, m
+    parity, eps_site, eps_mol), the eigenvalues of the two C2x rotations
+    (_c2x_blocks); only (K_b, V_b) of each block is kept.  In the
+    (k even, m even) blocks the (-,-) one holds only L1 states and the
+    (+,+) one holds the A1 ground state, so gap() is the lowest eigenvalue
+    of the first minus that of the second: two dense solves of 110 and 121
+    states at Jmax 10.  This equals eigenvalues()[1] as long as L1 is the
+    first excited cluster, which holds for the rank-3, rank-3+4 and rank-4
+    potentials over the fit's beta range 0.05-6.  eigenvalues() solves all
+    16 blocks.  Both keep the last PER_BETA_CACHE_SIZE betas.
     """
 
     def __init__(self, potential=DEFAULT_POTENTIAL, jmax: int = DEFAULT_JMAX):
         self.potential = tuple(potential)
         self.jmax = jmax
-        basis = build_basis(jmax)
         V = _potential_matrix(jmax, self.potential)
         K = _kinetic_diagonal(jmax)
-        self._blocks = []
-        for idx in _parity_blocks(basis):
-            self._blocks.append((K[idx], V[np.ix_(idx, idx)]))
-        kd, vb = self._blocks[0]
-        self._ee_kdiag = kd
-        self._ee_v = scipy.sparse.csr_matrix(vb)
-        vdiag = self._ee_v.diagonal()
-        self._ee_vdiag = vdiag
-        self._ee_vrow = np.asarray(np.abs(self._ee_v).sum(axis=1)).ravel() - np.abs(vdiag)
-        self._cache: dict[float, np.ndarray] = {}
-        self._gap_cache: dict[float, float] = {}
+        # each column stays inside one J, so K_b is the diagonal sum Q^2 K;
+        # V is symmetric, so (Q^T V)^T = V Q
+        self._blocks = {key: (Q.power(2).T @ K, Q.T @ (Q.T @ V).T)
+                        for key, Q in _c2x_blocks(jmax).items()}
+        self._cache = PerBetaCache()
+        self._gap_cache = PerBetaCache()
+
+    def _lowest(self, key, beta: float) -> float:
+        kdiag, vblock = self._blocks[key]
+        return float(scipy.linalg.eigvalsh(np.diag(kdiag) + beta * vblock,
+                                           subset_by_index=[0, 0])[0])
 
     def eigenvalues(self, beta: float, count: int = 40) -> np.ndarray:
-        key = round(float(beta), 12)
-        hit = self._cache.get(key)
-        if hit is None:
-            parts = []
-            for kdiag, vblock in self._blocks:
-                parts.append(np.linalg.eigvalsh(np.diag(kdiag) + beta * vblock))
-            hit = np.sort(np.concatenate(parts))
-            hit = hit - hit[0]
-            self._cache[key] = hit
-        return hit[:count]
+        def solve():
+            w = np.sort(np.concatenate([np.linalg.eigvalsh(np.diag(kdiag) + beta * vblock)
+                                        for kdiag, vblock in self._blocks.values()]))
+            return w - w[0]
+
+        return self._cache.fetch(round(float(beta), 12), solve)[:count]
 
     def gap(self, beta: float) -> float:
         """First orientation gap (A1 ground to L1 manifold) in units of B."""
-        import scipy.sparse.linalg as spl
-
-        key = round(float(beta), 12)
-        hit = self._gap_cache.get(key)
-        if hit is not None:
-            return hit
-        full = self._cache.get(key)
-        if full is not None:
-            gap = float(full[1])
-        else:
-            try:
-                bound = np.min(self._ee_kdiag + beta * self._ee_vdiag
-                               - abs(beta) * self._ee_vrow)
-                H = (scipy.sparse.diags(self._ee_kdiag) + beta * self._ee_v).tocsc()
-                v0 = np.full(H.shape[0], 1.0 / math.sqrt(H.shape[0]))
-                w = spl.eigsh(H, k=2, sigma=bound - 1.0, which="LM", v0=v0,
-                              tol=0, return_eigenvectors=False)
-                w = np.sort(w)
-                gap = float(w[1] - w[0])
-            except (spl.ArpackError, RuntimeError):
-                gap = float(self.eigenvalues(beta, count=2)[1])
-        self._gap_cache[key] = gap
-        return gap
+        return self._gap_cache.fetch(
+            round(float(beta), 12),
+            lambda: self._lowest((0, 0, -1, -1), beta) - self._lowest((0, 0, 1, 1), beta))

@@ -380,3 +380,21 @@ def test_cli_out_naming_a_directory_exits_1(workdir, capsys):
     _assert_rejected(workdir, capsys, rc, "adir")
     assert sorted(p.name for p in workdir.iterdir()) == ["adir", "run.cfg"]
     assert not any((workdir / "adir").iterdir())
+
+
+@pytest.mark.parametrize("reader", sorted(CSV_READERS))
+def test_cli_csv_reader_error_names_file_and_line(workdir, capsys, reader):
+    # a quoted field past the csv module's 131072-character limit
+    argv, good = CSV_READERS[reader]
+    (workdir / "in.csv").write_text(good + '"' + "x" * 140_000 + '",1\n')
+    _assert_rejected(workdir, capsys, cli.main(argv), "in.csv:3:")
+
+
+@pytest.mark.parametrize("target", ["config"] + sorted(CSV_READERS))
+def test_cli_non_utf8_input_names_file(workdir, capsys, target):
+    if target == "config":
+        argv, name, text = ["levels", "--config", "in.cfg"], "in.cfg", FAST_CONFIG
+    else:
+        (argv, text), name = CSV_READERS[target], "in.csv"
+    (workdir / name).write_bytes(text.encode() + b"# caf\xe9\n")
+    _assert_rejected(workdir, capsys, cli.main(argv), f"{name}: not UTF-8 text")

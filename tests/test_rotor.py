@@ -1,6 +1,7 @@
 """Eigenproblem layer: basis, 3j symbols, invariant potential, diagonalization,
 classification and tunneling frequencies."""
 
+import functools
 import math
 
 import numpy as np
@@ -347,6 +348,51 @@ def test_gap_cache_matches_dense_eigenvalues():
         dense = gaps.eigenvalues(beta + 0.0, count=2)  # dense path caches by key
         gaps._gap_cache.clear()
         assert sparse_gap == pytest.approx(dense[1], abs=1e-9)
+
+
+# the gap kernel against references that share none of its code, over the
+# beta range of fitting.PARAM_BOUNDS and the potentials the config accepts
+GAP_BETAS = (0.05, 0.1, 0.3, 1.0, 2.5, 6.0)
+GAP_POTENTIALS = (((3, -1.0),), ((3, -1.0), (4, 0.3)), ((4, -1.0),))
+
+
+@functools.lru_cache(maxsize=None)
+def _gaps_j6(potential):
+    return LevelGapCache(rotor.normalize_potential(potential), jmax=6)
+
+
+@pytest.mark.parametrize("potential", GAP_POTENTIALS)
+@pytest.mark.parametrize("beta", GAP_BETAS)
+def test_gap_matches_classified_levels(potential, beta):
+    # the two-block gap is the first excited cluster that the dense path of
+    # TransitionModel uses, and the classified (L1)1 - (A1)1
+    gaps = _gaps_j6(potential)
+    model = RotorModel.create(B=1.0, beta=beta, potential=potential, Jmax=6)
+    levels = classify_levels(diagonalize(model), max_energy=5.0)
+    expected = rotor.find_level(levels, "L1").energy - rotor.find_level(levels, "A1").energy
+    assert gaps.gap(beta) == pytest.approx(expected, abs=1e-9)
+    assert gaps.gap(beta) == pytest.approx(gaps.eigenvalues(beta, count=2)[1], abs=1e-9)
+
+
+@pytest.mark.parametrize("potential", GAP_POTENTIALS)
+@pytest.mark.parametrize("beta", GAP_BETAS)
+def test_block_eigenvalues_match_full_hamiltonian(potential, beta):
+    model = RotorModel.create(B=1.0, beta=beta, potential=potential, Jmax=6)
+    w = np.linalg.eigvalsh(hamiltonian_matrix(model))
+    got = _gaps_j6(potential).eigenvalues(beta, count=len(build_basis(6)))
+    assert np.abs(got - (w - w[0])).max() < 1e-9
+
+
+@pytest.mark.parametrize("jmax", [2, 6, 10])
+def test_c2x_blocks_partition_the_basis(jmax):
+    blocks = rotor._c2x_blocks(jmax)
+    assert len(blocks) == 16
+    assert sum(Q.shape[1] for Q in blocks.values()) == len(build_basis(jmax))
+    for Q in blocks.values():
+        assert np.abs((Q.T @ Q).toarray() - np.eye(Q.shape[1])).max() < 1e-14
+    if jmax == 10:
+        ee = [blocks[(0, 0, es, em)].shape[1] for es in (1, -1) for em in (1, -1)]
+        assert ee == [121, 110, 110, 110]
 
 
 def test_barrier_height():
