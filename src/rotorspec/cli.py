@@ -14,6 +14,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 import warnings
@@ -95,6 +96,17 @@ def _load_config(path: str) -> config_mod.RunConfig:
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return config_mod.parse_config(text)
+
+
+def _non_negative(convert):
+    """argparse type: a finite number >= 0, named after `convert` in errors."""
+    def check(text: str):
+        value = convert(text)
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a non-negative finite number, got {text!r}")
+        return value
+    check.__name__ = convert.__name__
+    return check
 
 
 def _fmt(x: float) -> str:
@@ -499,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lev.add_argument("--config", required=True)
     p_lev.add_argument("--format", default="text", choices=("text", "csv", "json"))
     p_lev.add_argument("--out")
-    p_lev.add_argument("--max-energy", type=float, default=150.0,
+    p_lev.add_argument("--max-energy", type=_non_negative(float), default=150.0,
                        help="classify levels up to this energy in cm-1")
     p_lev.set_defaults(func=cmd_levels)
 
@@ -508,7 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--sticks", default="sticks.csv")
     p_spec.add_argument("--out-spectrum", default="spectrum.csv")
     p_spec.add_argument("--svg")
-    p_spec.add_argument("--max-energy", type=float, default=150.0)
+    p_spec.add_argument("--max-energy", type=_non_negative(float), default=150.0)
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_fit = sub.add_parser("fit", help="calibrate parameters against peaks or envelope")
@@ -519,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--free", default="B,beta,nu0,extra_offsets")
     p_fit.add_argument("--starts", type=int, default=8)
     p_fit.add_argument("--max-iter", type=int, default=2000)
-    p_fit.add_argument("--tol", type=float, default=1e-10)
+    p_fit.add_argument("--tol", type=_non_negative(float), default=1e-10)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--bound", nargs=3, action="append",
                        metavar=("NAME", "LO", "HI"))
@@ -531,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--lines", required=True, help="stick-list CSV")
     p_plan.add_argument("--out", help="write the plan JSON here")
     p_plan.add_argument("--activity", default="all", choices=("all", "IR", "Raman"))
-    p_plan.add_argument("--max-pairs", type=int, default=None)
+    p_plan.add_argument("--max-pairs", type=_non_negative(int), default=None)
     p_plan.add_argument("--mc-samples", type=int, default=0,
                         help="validate the poisson mean with this many samples")
     p_plan.add_argument("--seed", type=int, default=0)

@@ -1,9 +1,10 @@
 """Sectioned key-value run configuration shared by every CLI subcommand.
 
 The format is INI-style with six required sections (model, band, population,
-synthesis, crystal, source); every key has a documented default, unknown keys
-and sections are rejected, and validation reports the complete error list
-before any computation starts.
+synthesis, crystal, source); every key has a documented default and unknown
+keys and sections are rejected.  The invariants live in the validate() of the
+model types, which return (field, message) pairs; parse_config maps them to
+[section] key and reports the complete list before any basis is built.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import qubitplan, rotor, spectrum
 
@@ -82,6 +83,23 @@ class RunConfig:
     def defaults(cls) -> "RunConfig":
         return parse_config(DEFAULT_CONFIG_TEXT)
 
+    def validate(self) -> list[tuple[str, str, str]]:
+        """Every problem of the run as (section, key, message): those of the
+        model types (a CrystalSpec is valid once built), then the rules of
+        the values no model type owns."""
+        problems = [(section, "fractions" if field == "frozen_fractions" else field, msg)
+                    for section in ("model", "band", "population", "synthesis")
+                    for field, msg in getattr(self, section).validate()]
+        for section, key, value, positive in (
+                ("band", "lattice_freq", self.lattice_freq, False),
+                ("band", "sum_band_scale", self.sum_band_scale, False),
+                ("crystal", "mu_debye", self.mu_debye, False),
+                ("source", "linewidth_ghz", self.source_linewidth_ghz, True)):
+            if value is not None and not (value > 0 if positive else value >= 0):
+                rule = "positive" if positive else "non-negative"
+                problems.append((section, key, f"must be {rule}, got {value}"))
+        return problems
+
 
 def _finite(text: str) -> float:
     value = float(text)
@@ -91,16 +109,8 @@ def _finite(text: str) -> float:
 
 
 def _parse_potential(text: str):
-    terms = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        rank_s, _, coeff_s = chunk.partition(":")
-        terms.append((int(rank_s.strip()), _finite(coeff_s.strip())))
-    if not terms:
-        raise ValueError("expected rank:coefficient terms like '3:-1.0'")
-    return tuple(terms)
+    terms = [chunk.partition(":") for chunk in text.split(",") if chunk.strip()]
+    return tuple((int(rank), _finite(coeff)) for rank, _, coeff in terms)
 
 
 def _parse_fractions(text: str):
@@ -110,20 +120,15 @@ def _parse_fractions(text: str):
     return {"A": parts[0], "E": parts[1], "F": parts[2]}
 
 
-def _convert(kind: str, raw: str):
-    if kind == "float":
-        return _finite(raw)
-    if kind == "int":
-        return int(raw)
-    if kind == "str":
-        return raw.strip()
-    if kind == "optfloat":
-        return _finite(raw) if raw.strip() else None
-    if kind == "potential":
-        return _parse_potential(raw)
-    if kind == "fractions":
-        return _parse_fractions(raw) if raw.strip() else None
-    raise AssertionError(kind)
+#: parser kind -> converter of the raw text; an empty optional value is None
+_CONVERTERS = {
+    "float": _finite,
+    "int": int,
+    "str": str.strip,
+    "optfloat": lambda raw: _finite(raw) if raw.strip() else None,
+    "potential": _parse_potential,
+    "fractions": lambda raw: _parse_fractions(raw) if raw.strip() else None,
+}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -153,82 +158,38 @@ def parse_config(text: str) -> RunConfig:
         for key, (default, kind) in keys.items():
             raw = present.get(key, default)
             try:
-                values[section][key] = _convert(kind, raw)
+                values[section][key] = _CONVERTERS[kind](raw)
             except (ValueError, TypeError) as exc:
                 errors.append((section, key, f"cannot parse {raw!r}: {exc}"))
-                values[section][key] = _convert(kind, default)
+                values[section][key] = _CONVERTERS[kind](default)
 
-    m, b, p, s, c, src = (values["model"], values["band"], values["population"],
-                          values["synthesis"], values["crystal"], values["source"])
-
-    # per-key invariants, attributed to section and key
-    if not m["B"] > 0:
-        errors.append(("model", "B", f"must be positive, got {m['B']}"))
-    if m["beta"] < 0:
-        errors.append(("model", "beta", f"must be non-negative, got {m['beta']}"))
-    if m["Jmax"] < 2:
-        errors.append(("model", "Jmax", f"must be >= 2, got {m['Jmax']}"))
-    for rank, _ in m["potential"]:
-        if rank not in rotor.SUPPORTED_RANKS:
-            errors.append(("model", "potential", f"unsupported rank {rank}"))
-    if not b["nu0"] > 0:
-        errors.append(("band", "nu0", f"must be positive, got {b['nu0']}"))
-    if not b["excited_scale"] > 0:
-        errors.append(("band", "excited_scale", f"must be positive, got {b['excited_scale']}"))
-    if b["lattice_freq"] is not None and b["lattice_freq"] < 0:
-        errors.append(("band", "lattice_freq", f"must be non-negative, got {b['lattice_freq']}"))
-    if b["sum_band_scale"] < 0:
-        errors.append(("band", "sum_band_scale", f"must be non-negative, got {b['sum_band_scale']}"))
-    if p["mode"] not in ("thermal", "spin_frozen"):
-        errors.append(("population", "mode", f"must be thermal or spin_frozen, got {p['mode']!r}"))
-    if not p["T"] > 0:
-        errors.append(("population", "T", f"must be positive, got {p['T']}"))
-    if p["fractions"] is not None:
-        if any(v < 0 for v in p["fractions"].values()):
-            errors.append(("population", "fractions", "must be non-negative"))
-        elif abs(sum(p["fractions"].values()) - 1.0) > 1e-12:
-            errors.append(("population", "fractions",
-                           f"must sum to 1, got {sum(p['fractions'].values())!r}"))
-    if not s["start"] < s["stop"]:
-        errors.append(("synthesis", "start", f"start {s['start']} must be below stop {s['stop']}"))
-    if not s["step"] > 0:
-        errors.append(("synthesis", "step", f"must be positive, got {s['step']}"))
-    if s["shape"] not in ("gaussian", "lorentzian"):
-        errors.append(("synthesis", "shape", f"must be gaussian or lorentzian, got {s['shape']!r}"))
-    if not s["fwhm"] > 0:
-        errors.append(("synthesis", "fwhm", f"must be positive, got {s['fwhm']}"))
-    if not c["a_nm"] > 0:
-        errors.append(("crystal", "a_nm", f"must be positive, got {c['a_nm']}"))
-    if not 0 < c["c"] <= 1:
-        errors.append(("crystal", "c", f"must be in (0, 1], got {c['c']}"))
-    if c["mu_debye"] < 0:
-        errors.append(("crystal", "mu_debye", f"must be non-negative, got {c['mu_debye']}"))
-    if not src["linewidth_ghz"] > 0:
-        errors.append(("source", "linewidth_ghz", f"must be positive, got {src['linewidth_ghz']}"))
-
-    if errors:
-        raise ConfigError(sorted(set(errors), key=lambda e: (e[0], e[1] or "", e[2])))
-
-    offsets = {}
-    if b["dw_L1_star"] is not None:
-        offsets["dw_L1_star"] = b["dw_L1_star"]
-    if b["dw_LE3_star"] is not None:
-        offsets["dw_LE3_star"] = b["dw_LE3_star"]
-    return RunConfig(
-        model=rotor.RotorModel.create(B=m["B"], beta=m["beta"],
-                                      potential=m["potential"], Jmax=m["Jmax"]),
-        band=spectrum.VibrationBandModel(nu0=b["nu0"], excited_scale=b["excited_scale"],
-                                         extra_offsets=offsets),
+    model = rotor.RotorModel(**values["model"])
+    if not any(field == "potential" for field, _ in model.validate()):
+        try:
+            model = replace(model, potential=rotor.normalize_potential(model.potential))
+        except rotor.PotentialError as exc:
+            errors.append(("model", "potential", str(exc)))
+    b, p, c = values["band"], values["population"], values["crystal"]
+    try:
+        crystal = qubitplan.CrystalSpec(a_nm=c["a_nm"], c=c["c"])
+    except qubitplan.PlanError as exc:
+        crystal = None  # never returned: the ConfigError below is raised first
+        errors += [("crystal", field, msg) for field, msg in exc.problems]
+    cfg = RunConfig(
+        model=model,
+        band=spectrum.VibrationBandModel(
+            nu0=b["nu0"], excited_scale=b["excited_scale"],
+            extra_offsets={k: b[k] for k in ("dw_L1_star", "dw_LE3_star") if b[k] is not None}),
         population=spectrum.PopulationModel(mode=p["mode"], T=p["T"],
                                             frozen_fractions=p["fractions"]),
-        synthesis=spectrum.SpectrumConfig(start=s["start"], stop=s["stop"],
-                                          step=s["step"], shape=s["shape"], fwhm=s["fwhm"]),
-        crystal=qubitplan.CrystalSpec(a_nm=c["a_nm"], c=c["c"]),
-        source_linewidth_ghz=src["linewidth_ghz"],
-        lattice_freq=b["lattice_freq"],
-        sum_band_scale=b["sum_band_scale"],
-        mu_debye=c["mu_debye"],
-    )
+        synthesis=spectrum.SpectrumConfig(**values["synthesis"]),
+        crystal=crystal, source_linewidth_ghz=values["source"]["linewidth_ghz"],
+        lattice_freq=b["lattice_freq"], sum_band_scale=b["sum_band_scale"],
+        mu_debye=c["mu_debye"])
+    errors += cfg.validate()
+    if errors:
+        raise ConfigError(sorted(set(errors), key=lambda e: (e[0], e[1] or "", e[2])))
+    return cfg
 
 
 DEFAULT_CONFIG_TEXT = """\

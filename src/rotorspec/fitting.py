@@ -127,7 +127,7 @@ class FitSpec:
                 f"under-determined: {n_peaks} peaks for "
                 f"{len(self.free_params)} free parameters"
             )
-        if self.max_iterations < 1 or self.n_starts < 1 or self.tolerance <= 0:
+        if self.max_iterations < 1 or self.n_starts < 1 or not self.tolerance > 0:
             problems.append("max_iterations, n_starts and tolerance must be positive")
         return problems
 

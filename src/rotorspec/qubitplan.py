@@ -34,7 +34,12 @@ __all__ = [
 
 
 class PlanError(ValueError):
-    """Invalid planning input."""
+    """Invalid planning input; `problems` holds the (field, message) pairs
+    of a rejected CrystalSpec."""
+
+    def __init__(self, message: str, problems=()):
+        super().__init__(message)
+        self.problems = tuple(problems)
 
 
 #: Gamma(4/3) * (3/(4*pi))**(1/3)
@@ -49,10 +54,17 @@ class CrystalSpec:
     c: float
 
     def __post_init__(self):
+        problems = self.validate()
+        if problems:
+            raise PlanError("; ".join(m for _, m in problems), problems)
+
+    def validate(self) -> list[tuple[str, str]]:
+        problems = []
         if not self.a_nm > 0:
-            raise PlanError(f"lattice spacing must be positive, got {self.a_nm}")
+            problems.append(("a_nm", f"lattice spacing must be positive, got {self.a_nm}"))
         if not 0 < self.c <= 1:
-            raise PlanError(f"dilution fraction must be in (0, 1], got {self.c}")
+            problems.append(("c", f"dilution fraction must be in (0, 1], got {self.c}"))
+        return problems
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -78,6 +79,8 @@ class PotentialError(ValueError):
 DEFAULT_B_CM1 = 5.9
 DEFAULT_JMAX = 10
 SUPPORTED_RANKS = (3, 4)
+#: bytes of physical memory; RotorModel.validate rejects a Jmax needing more
+_PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True, order=True)
@@ -284,13 +287,10 @@ def _potential_range_cached(potential: tuple, grid_n: int) -> tuple[float, float
 def normalize_potential(potential) -> tuple[tuple[int, float], ...]:
     """Rescale coefficients so that max V - min V = 1."""
     pot = tuple((int(r), float(w)) for r, w in potential)
-    if not pot:
-        raise PotentialError("potential must contain at least one term")
-    for rank, _ in pot:
-        if rank not in SUPPORTED_RANKS:
-            raise PotentialError(f"unsupported potential rank {rank}")
     vmin, vmax = potential_range(pot)
     span = vmax - vmin
+    if not math.isfinite(span):
+        raise PotentialError(f"potential range is {span}; use smaller coefficients")
     if span <= 1e-12:
         raise PotentialError("potential is constant; cannot normalize to unit range")
     return tuple((r, w / span) for r, w in pot)
@@ -322,26 +322,34 @@ class RotorModel:
         return cls(B=float(B), beta=float(beta),
                    potential=normalize_potential(potential), Jmax=int(Jmax))
 
-    def validate(self) -> list[str]:
+    def validate(self) -> list[tuple[str, str]]:
         problems = []
         if not self.B > 0:
-            problems.append(f"B must be positive, got {self.B}")
+            problems.append(("B", f"B must be positive, got {self.B}"))
         if self.beta < 0:
-            problems.append(f"beta must be non-negative, got {self.beta}; "
-                            "flip the potential sign instead")
+            problems.append(("beta", f"beta must be non-negative, got {self.beta}; "
+                                     "flip the potential sign instead"))
+        # estimated peak RSS: 90 MB plus 4.8 dense n x n float64 matrices (H,
+        # cached V, eigenvectors, solver work space) for the basis size n;
+        # fitted to runs at n = 1771 and 4495 (208.5 and 868 MB)
+        n = (self.Jmax + 1) * (2 * self.Jmax + 1) * (2 * self.Jmax + 3) // 3
+        need = 90e6 + 4.8 * 8 * float(n) ** 2 if n < 1e150 else math.inf
         if self.Jmax < 2:
-            problems.append(f"Jmax must be >= 2, got {self.Jmax}")
+            problems.append(("Jmax", f"Jmax must be >= 2, got {self.Jmax}"))
+        elif need > _PHYSICAL_MEMORY:
+            problems.append(("Jmax", f"Jmax {self.Jmax} needs about {need / 1e9:.3g} GB, more than "
+                                     f"the {_PHYSICAL_MEMORY / 1e9:.3g} GB of physical memory"))
         if not self.potential:
-            problems.append("potential must contain at least one term")
+            problems.append(("potential", "potential must contain at least one term"))
         for rank, _ in self.potential:
             if rank not in SUPPORTED_RANKS:
-                problems.append(f"unsupported potential rank {rank}")
+                problems.append(("potential", f"unsupported potential rank {rank}"))
         return problems
 
     def require_valid(self):
         problems = self.validate()
         if problems:
-            raise RotorError("invalid rotor model: " + "; ".join(problems))
+            raise RotorError("invalid rotor model: " + "; ".join(m for _, m in problems))
 
 
 # ----------------------------------------------------------------------------
@@ -503,10 +511,6 @@ def _cluster_slices(energies: np.ndarray, tol: float) -> list[tuple[int, int]]:
             out.append((start, i))
             start = i
     return out
-
-
-def _block_shapes(jmax: int):
-    return [(ofs, 2 * J + 1) for J, ofs in enumerate(_j_offsets(jmax))]
 
 
 def _apply_rotation(vec_blocks, jmax, rs, rm):

@@ -61,6 +61,9 @@ DEFAULT_FROZEN_FRACTIONS = {
 #: relative orientational strength below which a transition is dropped
 STRENGTH_GATE = 1e-2
 
+#: most samples a synthesis grid may have (a float64 each)
+MAX_GRID_SAMPLES = 10**7
+
 #: total dimension of the orientational levels kept as vibration-orientation
 #: finals (the J' <= 2 content: 1 + 9 + 25)
 _FINAL_DIM = 35
@@ -81,15 +84,16 @@ class VibrationBandModel:
     excited_scale: float = 1.0
     extra_offsets: dict = field(default_factory=dict)
 
-    def validate(self) -> list[str]:
+    def validate(self) -> list[tuple[str, str]]:
         problems = []
         if not self.nu0 > 0:
-            problems.append(f"nu0 must be positive, got {self.nu0}")
+            problems.append(("nu0", f"nu0 must be positive, got {self.nu0}"))
         if not self.excited_scale > 0:
-            problems.append(f"excited_scale must be positive, got {self.excited_scale}")
+            problems.append(("excited_scale",
+                             f"excited_scale must be positive, got {self.excited_scale}"))
         unknown = set(self.extra_offsets) - {"dw_L1_star", "dw_LE3_star"}
         if unknown:
-            problems.append(f"unknown extra_offsets keys: {sorted(unknown)}")
+            problems.append(("extra_offsets", f"unknown extra_offsets keys: {sorted(unknown)}"))
         return problems
 
 
@@ -106,20 +110,22 @@ class PopulationModel:
         frac = dict(self.frozen_fractions or DEFAULT_FROZEN_FRACTIONS)
         return frac
 
-    def validate(self) -> list[str]:
+    def validate(self) -> list[tuple[str, str]]:
         problems = []
         if self.mode not in ("thermal", "spin_frozen"):
-            problems.append(f"mode must be thermal or spin_frozen, got {self.mode!r}")
+            problems.append(("mode", f"mode must be thermal or spin_frozen, got {self.mode!r}"))
         if not self.T > 0:
-            problems.append(f"temperature must be positive, got {self.T}")
+            problems.append(("T", f"temperature must be positive, got {self.T}"))
         frac = self.fractions()
         if set(frac) != {"A", "E", "F"}:
-            problems.append(f"frozen fractions must be keyed A, E, F, got {sorted(frac)}")
+            problems.append(("frozen_fractions",
+                             f"frozen fractions must be keyed A, E, F, got {sorted(frac)}"))
         else:
             if any(v < 0 for v in frac.values()):
-                problems.append("frozen fractions must be non-negative")
+                problems.append(("frozen_fractions", "frozen fractions must be non-negative"))
             if abs(sum(frac.values()) - 1.0) > 1e-12:
-                problems.append(f"frozen fractions sum to {sum(frac.values())!r}, not 1")
+                problems.append(("frozen_fractions",
+                                 f"frozen fractions sum to {sum(frac.values())!r}, not 1"))
         return problems
 
 
@@ -146,16 +152,19 @@ class SpectrumConfig:
     shape: str = "gaussian"   # gaussian | lorentzian
     fwhm: float = 1.5
 
-    def validate(self) -> list[str]:
+    def validate(self) -> list[tuple[str, str]]:
         problems = []
         if not self.start < self.stop:
-            problems.append(f"grid start {self.start} must be below stop {self.stop}")
+            problems.append(("start", f"grid start {self.start} must be below stop {self.stop}"))
         if not self.step > 0:
-            problems.append(f"grid step must be positive, got {self.step}")
+            problems.append(("step", f"grid step must be positive, got {self.step}"))
+        elif self.start < self.stop and (self.stop - self.start) / self.step >= MAX_GRID_SAMPLES:
+            problems.append(("step", f"grid step {self.step} over {self.start} .. {self.stop} "
+                                     f"gives more than {MAX_GRID_SAMPLES} samples"))
         if not self.fwhm > 0:
-            problems.append(f"fwhm must be positive, got {self.fwhm}")
+            problems.append(("fwhm", f"fwhm must be positive, got {self.fwhm}"))
         if self.shape not in ("gaussian", "lorentzian"):
-            problems.append(f"shape must be gaussian or lorentzian, got {self.shape!r}")
+            problems.append(("shape", f"shape must be gaussian or lorentzian, got {self.shape!r}"))
         return problems
 
     @property
@@ -181,7 +190,7 @@ def populations(levels, pop: PopulationModel) -> dict[str, float]:
     """
     problems = pop.validate()
     if problems:
-        raise SpectrumError("; ".join(problems))
+        raise SpectrumError("; ".join(m for _, m in problems))
     missing = [lev.name for lev in levels if lev.spin_species is None]
     if missing:
         raise SpectrumError(f"levels without spin species: {missing}")
@@ -283,7 +292,7 @@ def vibration_orientation_lines(levels, band: VibrationBandModel,
     gaps scaled by excited_scale, high-band offsets overridable)."""
     problems = band.validate()
     if problems:
-        raise SpectrumError("; ".join(problems))
+        raise SpectrumError("; ".join(m for _, m in problems))
     jmax = _jmax_from_basis(levels)
     initials = []
     missing = []
@@ -396,7 +405,7 @@ def synthesize(lines, config: SpectrumConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     problems = config.validate()
     if problems:
-        raise SpectrumError("; ".join(problems))
+        raise SpectrumError("; ".join(m for _, m in problems))
     n = int(math.floor((config.stop - config.start) / config.step + 1e-9)) + 1
     freqs = config.start + config.step * np.arange(n)
     amps = np.zeros(n)

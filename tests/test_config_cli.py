@@ -7,11 +7,14 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rotorspec import cli
+from rotorspec import cli, config, rotor
 from rotorspec.config import ConfigError, DEFAULT_CONFIG_TEXT, parse_config
 
-SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+REPO = Path(__file__).resolve().parent.parent
+SCHEMA_DIR = REPO / "docs" / "schemas"
 
 FAST_CONFIG = """\
 [model]
@@ -147,6 +150,89 @@ def test_non_finite_value_names_section_and_key(section, line):
     key = line.split(" = ")[0]
     assert any(s == section and k == key and "finite" in m
                for s, k, m in err.value.errors)
+
+
+@pytest.mark.parametrize("section,line", [
+    ("model", "B = 0"), ("model", "beta = -1"), ("model", "Jmax = 1"),
+    ("model", "potential = 5:1.0, 3:-1.0"), ("model", "potential = "),
+    ("model", "potential = 3:0"), ("model", "potential = 3:-1.0, 3:1.0"),
+    ("model", "potential = 3:1e308"),
+    ("band", "nu0 = 0"), ("band", "excited_scale = 0"), ("band", "lattice_freq = -1"),
+    ("band", "sum_band_scale = -1"),
+    ("population", "mode = frozen"), ("population", "T = 0"),
+    ("population", "fractions = -0.5, 0.75, 0.75"), ("population", "fractions = 0.5, 0.2, 0.2"),
+    ("synthesis", "start = 3400"), ("synthesis", "step = 0"), ("synthesis", "shape = voigt"),
+    ("synthesis", "step = 1e-9"), ("synthesis", "fwhm = 0"),
+    ("crystal", "a_nm = 0"), ("crystal", "c = 0"), ("crystal", "mu_debye = -1"),
+    ("source", "linewidth_ghz = 0"),
+])
+def test_each_rule_names_its_section_and_key(section, line):
+    text = DEFAULT_CONFIG_TEXT.replace(f"[{section}]", f"[{section}]\n{line}")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert {(s, k) for s, k, _ in err.value.errors} == {(section, line.split(" = ")[0])}
+
+
+def test_jmax_bounded_by_memory(monkeypatch):
+    def no_basis(jmax):
+        raise AssertionError("parse_config built a basis")
+
+    monkeypatch.setattr(rotor, "build_basis", no_basis)
+    text = DEFAULT_CONFIG_TEXT.replace("[model]", "[model]\nJmax = 60")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    [(section, key, message)] = err.value.errors
+    assert (section, key) == ("model", "Jmax")
+    assert message.count("GB") == 2
+    shipped = (REPO / "configs" / "atpb.cfg").read_text()
+    assert parse_config(shipped.replace("Jmax = 10", "Jmax = 14")).model.Jmax == 14
+    with pytest.raises(rotor.RotorError, match="Jmax 60 needs about"):
+        rotor.hamiltonian_matrix(rotor.RotorModel(Jmax=60))
+
+
+_UNKNOWN_KEYS = ("mass", "b", "JMAX", "dw_L2_star")
+_ODD_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e308", "-1e308", "5e-324",
+                     "99999999999999999999", "forty", "", "3:0", "2:1", "3:-1.0, 4:0.3",
+                     "0.2, 0.3, 0.5", "0.5, 0.2, 0.2", "-1, 1, 1", "spin_frozen", "lorentzian"]),
+    st.floats().map(repr),
+    st.integers(min_value=-10**30, max_value=10**30).map(str),
+    st.builds("{}:{!r}".format, st.integers(min_value=2, max_value=5), st.floats()),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12),
+)
+_ODD_TURN = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def _config_texts(draw):
+    """All six sections; up to three keys each, one in four set to an odd
+    value and the rest to their default; in half the examples one unknown key."""
+    stray = draw(st.sampled_from([*config._SCHEMA] + [None] * 6))
+    sections = []
+    for section, keys in config._SCHEMA.items():
+        names = draw(st.lists(st.sampled_from(sorted(keys)), unique=True, max_size=3))
+        lines = [f"{n} = {draw(_ODD_VALUES) if draw(_ODD_TURN) else keys[n][0]}"
+                 for n in names]
+        if section == stray:
+            lines.append(f"{draw(st.sampled_from(_UNKNOWN_KEYS))} = {draw(_ODD_VALUES)}")
+        sections.append("\n".join([f"[{section}]"] + lines))
+    return "\n\n".join(sections) + "\n"
+
+
+@settings(max_examples=150)
+@given(_config_texts())
+def test_parse_config_returns_or_names_every_problem(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError as err:
+        assert err.errors
+        for section, key, message in err.errors:
+            assert section in config._SCHEMA
+            assert key in config._SCHEMA[section] or (key in _UNKNOWN_KEYS
+                                                      and message == "unknown key")
+    else:
+        vmin, vmax = rotor.potential_range(cfg.model.potential)
+        assert vmax - vmin == pytest.approx(1.0, abs=1e-6)
 
 
 # ---------------------------------------------------------------- CLI
@@ -398,3 +484,39 @@ def test_cli_non_utf8_input_names_file(workdir, capsys, target):
         (argv, text), name = CSV_READERS[target], "in.csv"
     (workdir / name).write_bytes(text.encode() + b"# caf\xe9\n")
     _assert_rejected(workdir, capsys, cli.main(argv), f"{name}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("potential,locations", [
+    ("potential = 3:0", ["[model] potential"]),
+    ("potential = 3:-1.0, 3:1.0", ["[model] potential"]),
+    ("beta = -1\npotential = 3:0", ["[model] beta", "[model] potential"]),
+])
+def test_cli_potential_error_names_section_and_key(workdir, capsys, potential, locations):
+    (workdir / "bad.cfg").write_text(FAST_CONFIG.replace("beta = 1.0", potential))
+    rc = cli.main(["levels", "--config", "bad.cfg"])
+    err = capsys.readouterr().err
+    assert rc == 1 and "Traceback" not in err
+    for location in locations:
+        assert location in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["plan", "--config", "run.cfg", "--lines", "lines.csv", "--max-pairs", "-3"],
+     "--max-pairs"),
+    (["levels", "--config", "run.cfg", "--max-energy", "-1"], "--max-energy"),
+    (["levels", "--config", "run.cfg", "--max-energy", "nan"], "--max-energy"),
+    (["fit", "--config", "run.cfg", "--peaks", "peaks.csv", "--tol", "nan",
+      "--starts", "1", "--max-iter", "5"], "--tol"),
+])
+def test_cli_bad_numeric_flag_exits_1(workdir, capsys, argv, flag):
+    (workdir / "lines.csv").write_text(
+        "frequency_cm1,intensity,lower,upper,activity\n"
+        "3206.0,0.14,(L1)1,(L1)1*,IR\n"
+        "3217.0,0.31,(A1)1,(L1)1*,IR\n")
+    (workdir / "peaks.csv").write_text(
+        "frequency_cm1,intensity,label\n"
+        "3206.0,1.0,(L1)1->(L1)1*\n"
+        "3217.0,9.0,(A1)1->(L1)1*\n"
+        "3230.0,0.5,(L1)1->(L1)2*\n"
+        "3235.0,0.2,(L1)1->(E3)1*\n")
+    _assert_rejected(workdir, capsys, cli.main(argv), flag)

@@ -33,6 +33,10 @@ def test_fitspec_validation():
                            FitSpec(free_params=()), TransitionModel(jmax=JMAX))
 
 
+def test_fitspec_rejects_nan_tolerance():
+    assert FitSpec(free_params=("B",), tolerance=float("nan")).validate()
+
+
 def test_underdetermined_rejected(tmodel):
     peaks = PeakList.from_frequencies([3206.0, 3217.0])
     spec = FitSpec(free_params=("B", "beta", "nu0"))

@@ -379,3 +379,11 @@ def test_bad_grid_rejected():
         synthesize([], SpectrumConfig(start=0.0, stop=5.0, step=-0.1))
     with pytest.raises(SpectrumError):
         synthesize([], SpectrumConfig(start=0.0, stop=5.0, step=0.1, shape="voigt"))
+
+
+def test_grid_sample_count_bounded():
+    with pytest.raises(SpectrumError, match="samples"):
+        synthesize([], SpectrumConfig(start=3150.0, stop=3300.0, step=1e-9))
+    n = spectrum.MAX_GRID_SAMPLES
+    assert not SpectrumConfig(start=0.0, stop=(n - 1) * 1e-3, step=1e-3).validate()
+    assert SpectrumConfig(start=0.0, stop=n * 1e-3, step=1e-3).validate()
