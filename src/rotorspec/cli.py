@@ -23,6 +23,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import fitting, qubitplan, rotor, spectrum, symmetry, units
+from .config import _finite
 
 LEVELS_CSV_HEADER = "energy_cm1,degeneracy,label,spin,ordinal"
 STICKS_CSV_HEADER = "frequency_cm1,intensity,lower,upper,activity"
@@ -89,6 +90,15 @@ def _read_csv(path: str, header: str, error: type[Exception], parse_row) -> list
     return out
 
 
+@contextlib.contextmanager
+def _blaming(path: str, error: type[Exception]):
+    """Put `path` in front of an `error` raised inside: that file's data caused it."""
+    try:
+        yield
+    except error as exc:
+        raise error(f"{path}: {exc}") from None
+
+
 def _load_config(path: str) -> config_mod.RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -98,12 +108,14 @@ def _load_config(path: str) -> config_mod.RunConfig:
     return config_mod.parse_config(text)
 
 
-def _non_negative(convert):
-    """argparse type: a finite number >= 0, named after `convert` in errors."""
+def _non_negative(convert, most=math.inf):
+    """argparse type: a finite number in [0, most], named after `convert` in errors."""
     def check(text: str):
         value = convert(text)
         if not 0 <= value < math.inf:
             raise argparse.ArgumentTypeError(f"must be a non-negative finite number, got {text!r}")
+        if value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {text!r}")
         return value
     check.__name__ = convert.__name__
     return check
@@ -328,19 +340,20 @@ def cmd_spectrum(args) -> int:
 # ----------------------------------------------------------------------------
 
 def _peak_row(row) -> fitting.Peak:
-    intensity = float(row[1]) if len(row) > 1 and row[1].strip() else None
+    intensity = _finite(row[1]) if len(row) > 1 and row[1].strip() else None
     label = row[2].strip() if len(row) > 2 and row[2].strip() else None
-    return fitting.Peak(float(row[0]), intensity, label)
+    return fitting.Peak(_finite(row[0]), intensity, label)
 
 
 def _read_peaks_csv(path: str) -> fitting.PeakList:
     peaks = _read_csv(path, PEAKS_CSV_HEADER, fitting.FitError, _peak_row)
-    return fitting.PeakList(tuple(peaks))
+    with _blaming(path, fitting.FitError):
+        return fitting.PeakList(tuple(peaks))
 
 
 def _read_envelope_csv(path: str):
     rows = _read_csv(path, SPECTRUM_CSV_HEADER, fitting.FitError,
-                     lambda row: (float(row[0]), float(row[1])))
+                     lambda row: (_finite(row[0]), _finite(row[1])))
     return np.array([f for f, _ in rows]), np.array([a for _, a in rows])
 
 
@@ -380,17 +393,24 @@ def cmd_fit(args) -> int:
     spec = fitting.FitSpec(free_params=free, bounds=bounds, initial=initial,
                            max_iterations=args.max_iter, tolerance=args.tol,
                            n_starts=args.starts)
+    # with the flags valid, a FitError of the fit is about the observed data
+    problems = spec.validate()
+    if problems:
+        raise fitting.FitError("; ".join(problems))
+    spec.resolved_bounds()
     if args.mode == "positions":
         peaks = _read_peaks_csv(args.peaks)
         model = fitting.TransitionModel(potential=cfg.model.potential,
                                         jmax=cfg.model.Jmax)
-        report = fitting.fit_line_positions(peaks, spec, model, seed=args.seed)
+        with _blaming(args.peaks, fitting.FitError):
+            report = fitting.fit_line_positions(peaks, spec, model, seed=args.seed)
     else:
         freqs, amps = _read_envelope_csv(args.envelope)
         model = fitting.EnvelopeModel(potential=cfg.model.potential,
                                       jmax=min(cfg.model.Jmax, 8),
                                       pop=cfg.population, shape=cfg.synthesis.shape)
-        report = fitting.fit_envelope(freqs, amps, spec, model, seed=args.seed)
+        with _blaming(args.envelope, fitting.FitError):
+            report = fitting.fit_envelope(freqs, amps, spec, model, seed=args.seed)
     if args.out:
         _atomic_write(args.out, _json_dumps(_fit_report_payload(report)))
     buf = io.StringIO()
@@ -417,7 +437,7 @@ def cmd_fit(args) -> int:
 # ----------------------------------------------------------------------------
 
 def _line_row(row) -> spectrum.Line:
-    return spectrum.Line(frequency=float(row[0]), intensity=float(row[1]),
+    return spectrum.Line(frequency=_finite(row[0]), intensity=_finite(row[1]),
                          lower=row[2], upper=row[3], activity=row[4])
 
 
@@ -451,10 +471,12 @@ def cmd_plan(args) -> int:
     lines = _read_lines_csv(args.lines)
     if args.activity != "all":
         lines = [l for l in lines if l.activity == args.activity]
-    report = qubitplan.build_plan_report(
-        lines, cfg.crystal, band_fwhm_cm1=cfg.synthesis.fwhm,
-        source_linewidth_ghz=cfg.source_linewidth_ghz,
-        mu_debye=cfg.mu_debye, max_pairs=args.max_pairs)
+    # the config is valid, so a PlanError here is about the lines
+    with _blaming(args.lines, qubitplan.PlanError):
+        report = qubitplan.build_plan_report(
+            lines, cfg.crystal, band_fwhm_cm1=cfg.synthesis.fwhm,
+            source_linewidth_ghz=cfg.source_linewidth_ghz,
+            mu_debye=cfg.mu_debye, max_pairs=args.max_pairs)
     mc = None
     if args.mc_samples:
         mc_mean = qubitplan.nn_distance_mc(cfg.crystal, args.mc_samples, seed=args.seed)
@@ -544,7 +566,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--out", help="write the plan JSON here")
     p_plan.add_argument("--activity", default="all", choices=("all", "IR", "Raman"))
     p_plan.add_argument("--max-pairs", type=_non_negative(int), default=None)
-    p_plan.add_argument("--mc-samples", type=int, default=0,
+    p_plan.add_argument("--mc-samples", type=_non_negative(int, qubitplan.MAX_MC_SAMPLES),
+                        default=0,
                         help="validate the poisson mean with this many samples")
     p_plan.add_argument("--seed", type=int, default=0)
     p_plan.set_defaults(func=cmd_plan)

@@ -98,6 +98,11 @@ class RunConfig:
             if value is not None and not (value > 0 if positive else value >= 0):
                 rule = "positive" if positive else "non-negative"
                 problems.append((section, key, f"must be {rule}, got {value}"))
+        if self.synthesis.fwhm > 0 and self.source_linewidth_ghz > 0:
+            try:
+                qubitplan.addressable_channels(self.synthesis.fwhm, self.source_linewidth_ghz)
+            except qubitplan.PlanError as exc:
+                problems.append(("source", "linewidth_ghz", str(exc)))
         return problems
 
 

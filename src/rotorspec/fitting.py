@@ -6,10 +6,10 @@ multistart; the objective passes through an eigenvalue solve, so derivative
 free search is the right tool for the handful of parameters involved.  All
 eigenvalue work is cached per beta (the last rotor.PER_BETA_CACHE_SIZE
 betas): B only rescales the spectrum, so a fit that moves B, nu0 and the band
-offsets at fixed beta costs one solve total.  A position fit that needs only
-the first orientation gap gets it from the lowest eigenvalues of two small
-C2x-adapted blocks of rotor.LevelGapCache (110 and 121 states at Jmax 10);
-E2 transitions and model-derived offsets solve all 16 blocks.
+offsets at fixed beta costs one solve per label.  A position fit reads each
+level by label and ordinal from the symmetry-adapted block of its label
+(rotor.LevelGapCache) and solves only the labels its transitions name: the
+four-band fit needs the A1 and L1 blocks, 17 and 110 states at Jmax 10.
 
 Parameter names: B, beta, nu0, excited_scale, fwhm, scale, dw_L1_star,
 dw_LE3_star.  The entry "extra_offsets" in FitSpec.free_params stands for the
@@ -19,6 +19,7 @@ requirement.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,10 +172,10 @@ class TransitionModel:
     """Frequencies of the vibration-orientation transitions as functions of
     the fit parameters, matching spectrum.vibration_orientation_lines.
 
-    Level identification inside the fit loop is cluster-index based (ground,
-    9-fold, first E pair, ...), valid over the hindered-rotor operating range
-    of this model family; the classified level table is authoritative
-    elsewhere.
+    A transition "(X)i->(Y)j*" reads the levels (X)i and (Y)j by label and
+    ordinal from rotor.LevelGapCache and, as the line generator, lies at
+    nu0 + offset((Y)j) - (E(X)i - E(L1)1); the offset is the band's dw
+    override for (Y)j or else excited_scale * (E(Y)j - E(L1)1).
     """
 
     def __init__(self, potential=rotor.DEFAULT_POTENTIAL, jmax: int = rotor.DEFAULT_JMAX):
@@ -194,68 +195,33 @@ class TransitionModel:
         "(L1)1->(E3)1*",
     )
 
-    def _cluster_energies(self, beta: float) -> list[float]:
-        ev = self._gaps.eigenvalues(beta, count=40)
-        tol = max(1e-6 * ev[-1], 1e-9)
-        out = [float(ev[0])]
-        for i in range(1, len(ev)):
-            if ev[i] - ev[i - 1] > tol:
-                out.append(float(ev[i]))
-        return out
-
     def frequency(self, name: str, params: dict) -> float:
         return float(self.frequencies([name], params)[0])
 
     def frequencies(self, names, params: dict) -> np.ndarray:
+        b, beta = params["B"], params["beta"]
+
+        def above_l1(label, ordinal):
+            energies = self._gaps.energies(beta, label)
+            return b * (energies[ordinal - 1] - self._gaps.energies(beta, "L1")[0])
+
+        def excited(label, ordinal):
+            override = params.get(spectrum.OFFSET_KEYS.get((label, ordinal)))
+            if override is not None:
+                return override
+            return params.get("excited_scale", 1.0) * above_l1(label, ordinal)
+
+        out = []
         for name in names:
             if name not in self.NAMES:
                 raise FitError(
                     f"unknown transition {name!r}; known: {', '.join(self.NAMES)}")
-        b = params["B"]
-        beta = params["beta"]
-        nu0 = params["nu0"]
-        es = params.get("excited_scale", 1.0)
-        dw1 = params.get("dw_L1_star")
-        dw2 = params.get("dw_LE3_star")
-        # only reach for the spectrum pieces the requested transitions use:
-        # the cheap two-block gap covers omega_LA, the dense cluster table is
-        # needed for E2-referencing transitions or model-derived offsets
-        needs_le2 = any("(E2)" in n for n in names)
-        needs_derived = (dw1 is None and any("(L1)2*" in n or "I1I2" in n or "E4" in n
-                                             for n in names)) \
-            or (dw2 is None and any("(E3)" in n for n in names))
-        needs_gap = needs_le2 or needs_derived or any(
-            "(A1)" in n for n in names)
-        w_la = w_le2 = 0.0
-        dw_mix = dw1  # the I1I2/E4 half of the near-degenerate group
-        if needs_le2 or needs_derived:
-            clusters = self._cluster_energies(beta)
-            w_la = b * (clusters[1] - clusters[0])
-            w_le2 = b * (clusters[2] - clusters[1]) if len(clusters) > 2 else 0.0
-            if dw1 is None:
-                dw1 = es * b * (clusters[3] - clusters[1]) if len(clusters) > 3 else 0.0
-                dw_mix = es * b * (clusters[4] - clusters[1]) if len(clusters) > 4 else dw1
-            if dw2 is None:
-                dw2 = es * b * (clusters[5] - clusters[1]) if len(clusters) > 5 else 0.0
-        elif needs_gap:
-            w_la = b * self._gaps.gap(beta)
-        table = {
-            "(L1)1->(L1)1*": nu0,
-            "(A1)1->(L1)1*": nu0 + w_la,
-            "(L1)1->(A1)1*": nu0 - es * w_la,
-            "(E2)1->(L1)1*": nu0 - w_le2,
-            "(L1)1->(E2)1*": nu0 + es * w_le2,
-            "(E2)1->(L1)2*": nu0 + (dw1 or 0.0) - w_le2,
-            "(L1)1->(L1)2*": nu0 + (dw1 or 0.0),
-            "(L1)1->(I1I2)1*": nu0 + (dw_mix or 0.0),
-            "(L1)1->(E4)1*": nu0 + (dw_mix or 0.0),
-            "(L1)1->(E3)1*": nu0 + (dw2 or 0.0),
-        }
-        return np.array([table[n] for n in names])
+            (lower, i), (upper, j) = re.findall(r"\((\w+)\)(\d+)", name)
+            out.append(params["nu0"] + excited(upper, int(j)) - above_l1(lower, int(i)))
+        return np.array(out)
 
     def omega_la(self, params: dict) -> float:
-        clusters = self._cluster_energies(params["beta"])
-        return params["B"] * (clusters[1] - clusters[0])
+        return params["B"] * self._gaps.gap(params["beta"])
 
 
 # ----------------------------------------------------------------------------
@@ -385,7 +351,6 @@ def _assign_peaks(observed: PeakList, model: TransitionModel, params0: dict):
     """Peak -> transition-name assignment; unlabeled peaks fall back to the
     nearest model frequency at the starting parameters and are flagged."""
     assigned, fallback = [], []
-    model_freqs = {n: model.frequency(n, params0) for n in model.NAMES}
     taken = set()
     for peak in observed.peaks:
         if peak.label:
@@ -398,6 +363,7 @@ def _assign_peaks(observed: PeakList, model: TransitionModel, params0: dict):
             taken.add(peak.label)
         else:
             fallback.append(peak)
+    model_freqs = {n: model.frequency(n, params0) for n in model.NAMES} if fallback else {}
     for peak in fallback:
         candidates = sorted(
             ((abs(peak.frequency - f), n) for n, f in model_freqs.items()

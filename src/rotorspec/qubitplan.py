@@ -99,7 +99,11 @@ def addressable_channels(band_fwhm_cm1: float, source_linewidth_ghz: float) -> i
     """Distinct probing channels a narrow source resolves within one band."""
     if not band_fwhm_cm1 > 0 or not source_linewidth_ghz > 0:
         raise PlanError("band width and source linewidth must be positive")
-    return max(1, int(math.floor(units.cm1_to_ghz(band_fwhm_cm1) / source_linewidth_ghz)))
+    ratio = units.cm1_to_ghz(band_fwhm_cm1) / source_linewidth_ghz
+    if not math.isfinite(ratio):
+        raise PlanError(f"band width {band_fwhm_cm1} cm-1 over source linewidth "
+                        f"{source_linewidth_ghz} GHz overflows the channel count")
+    return max(1, int(math.floor(ratio)))
 
 
 def nn_distance(spec: CrystalSpec, mode: str = "characteristic") -> float:
@@ -126,6 +130,10 @@ def _sorted_lattice_distances(c: float) -> np.ndarray:
     return np.sqrt(np.sort(d2))
 
 
+#: most Monte Carlo samples nn_distance_mc draws (8 bytes each)
+MAX_MC_SAMPLES = 10**7
+
+
 def nn_distance_mc(spec: CrystalSpec, n_samples: int = 100_000, seed: int = 0) -> float:
     """Monte Carlo mean nearest-neighbor distance on the randomly diluted
     lattice, in nm.
@@ -134,8 +142,8 @@ def nn_distance_mc(spec: CrystalSpec, n_samples: int = 100_000, seed: int = 0) -
     each is occupied independently with probability c, so the rank of the
     first occupied one is a geometric draw and the sample is exact.
     """
-    if n_samples < 1:
-        raise PlanError("need at least one Monte Carlo sample")
+    if not 1 <= n_samples <= MAX_MC_SAMPLES:
+        raise PlanError(f"need 1 to {MAX_MC_SAMPLES} Monte Carlo samples, got {n_samples}")
     if spec.c < 1e-4:
         raise PlanError("Monte Carlo dilution check supports c >= 1e-4")
     distances = _sorted_lattice_distances(spec.c)

@@ -24,11 +24,13 @@ convention of <J'k'm'|D^l_{mu nu}|J k m> and is the only caller of wigner3j.
 Eigenlevels are classified by character projection over the product group
 (site rotations act on m, molecular rotations on k) and receive the cluster
 labels of symmetry.LEVEL_LABELS together with their nuclear-spin species.
+The fitting path needs energies only: LevelGapCache solves one
+symmetry-adapted block per level symbol, whose eigenvalues are the energies
+of that symbol's levels in order.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from collections import OrderedDict
@@ -743,80 +745,73 @@ class PerBetaCache(OrderedDict):
         return value
 
 
-def _c2x_blocks(jmax: int) -> dict[tuple, scipy.sparse.csc_matrix]:
-    """Orthonormal columns of the basis adapted to both C2x rotations.
+_CONJUGATE = {"A": "A", "1E": "2E", "2E": "1E", "F": "F"}  # of each T irrep
 
-    C2x acts as |J k m> -> (-1)^J |J k -m> on the site frame and as
-    |J k m> -> (-1)^J |J -k m> on the molecule frame; both commute with H and
-    with the k and m parities.  Keys are (k parity, m parity, eps_site,
-    eps_mol); each column combines at most four states of one J.
-    """
-    columns: dict[tuple, list[dict[int, float]]] = {}
-    for J, ofs in enumerate(_j_offsets(jmax)):
-        sign, dim = (-1) ** J, 2 * J + 1
-        for k, m, es, em in itertools.product(range(J + 1), range(J + 1), (1, -1), (1, -1)):
-            col: dict[int, int] = {}
-            for kk, mm, c in ((k, m, 1), (k, -m, es * sign),
-                              (-k, m, em * sign), (-k, -m, es * em)):
-                i = ofs + (kk + J) * dim + mm + J
-                col[i] = col.get(i, 0) + c
-            norm = math.sqrt(sum(c * c for c in col.values()))
-            if norm:  # vanishes for one sign of eps at k = 0 or m = 0
-                columns.setdefault((k % 2, m % 2, es, em), []).append(
-                    {i: c / norm for i, c in col.items()})
-    n = len(build_basis(jmax))
-    out = {}
-    for key, cols in columns.items():
-        rows = [i for col in cols for i in col]
-        vals = [c for col in cols for c in col.values()]
-        idx = [j for j, col in enumerate(cols) for _ in col]
-        out[key] = scipy.sparse.csc_matrix((vals, (rows, idx)), shape=(n, len(cols)))
-    return out
+
+@lru_cache(maxsize=None)
+def _row_basis(J: int, irrep: str) -> np.ndarray:
+    """Orthonormal columns spanning the first-row functions of a T irrep in
+    D^J: the image of (d/12) sum_r conj(G11(r)) D^J(r).  G11 is the character
+    of A, 1E and 2E, and the (x, x) element of the rotation matrix for F.  The
+    A and F projectors are real, so their bases are too."""
+    _, dim, chars = symmetry.character_table("T").irrep(irrep)
+    P = sum(np.conj(symmetry.rotation_matrix(axis, angle)[0, 0] if irrep == "F" else chars[cls])
+            * wigner_d_matrix(J, axis, angle) for axis, angle, cls in T_ROTATIONS)
+    P = P * dim / len(T_ROTATIONS)
+    if irrep in ("A", "F"):
+        P = P.real
+    w, v = np.linalg.eigh(P)  # a projector: eigenvalues 0 or 1
+    basis = v[:, w > 0.5]
+    basis.setflags(write=False)
+    return basis
+
+
+def _label_block(jmax: int, name: str) -> np.ndarray:
+    """Orthonormal columns of the symmetry-adapted block of a level symbol:
+    for its first constituent s.m, kron(conj(row basis of conj(m)) on k,
+    row basis of s on m) per J, since molecular rotations act on k through
+    conj(D^J).  Each level of the symbol has one state in the block; the
+    block is real for A1, A3, L2 and L1.  Sizes at Jmax 10: A1 17, L1 110,
+    A3/L2 38, E4/I1I2 36, E2/E3 14, A2/E1 12."""
+    site, mol = LEVEL_LABELS[name].constituents[0].split(".")
+    return scipy.linalg.block_diag(*(
+        np.kron(_row_basis(J, _CONJUGATE[mol]).conj(), _row_basis(J, site))
+        for J in range(jmax + 1)))
 
 
 class LevelGapCache:
-    """Per-beta eigenvalues of P^2 + beta*V in units of B; used by the
-    fitting objective.
-
-    H is projected once onto the 16 real blocks of fixed (k parity, m
-    parity, eps_site, eps_mol), the eigenvalues of the two C2x rotations
-    (_c2x_blocks); only (K_b, V_b) of each block is kept.  In the
-    (k even, m even) blocks the (-,-) one holds only L1 states and the
-    (+,+) one holds the A1 ground state, so gap() is the lowest eigenvalue
-    of the first minus that of the second: two dense solves of 110 and 121
-    states at Jmax 10.  This equals eigenvalues()[1] as long as L1 is the
-    first excited cluster, which holds for the rank-3, rank-3+4 and rank-4
-    potentials over the fit's beta range 0.05-6.  eigenvalues() solves all
-    16 blocks.  Both keep the last PER_BETA_CACHE_SIZE betas.
-    """
+    """Level energies of P^2 + beta*V in units of B by level symbol, for the
+    fitting objective.  A label's block (K_b, V_b) is projected when the
+    label is first asked for; its ascending eigenvalues are the energies of
+    (label)1, (label)2, ...  energies() keeps them for the last
+    PER_BETA_CACHE_SIZE betas; gap() is (L1)1 - (A1)1."""
 
     def __init__(self, potential=DEFAULT_POTENTIAL, jmax: int = DEFAULT_JMAX):
         self.potential = tuple(potential)
         self.jmax = jmax
-        V = _potential_matrix(jmax, self.potential)
-        K = _kinetic_diagonal(jmax)
-        # each column stays inside one J, so K_b is the diagonal sum Q^2 K;
-        # V is symmetric, so (Q^T V)^T = V Q
-        self._blocks = {key: (Q.power(2).T @ K, Q.T @ (Q.T @ V).T)
-                        for key, Q in _c2x_blocks(jmax).items()}
+        self._blocks = {}
         self._cache = PerBetaCache()
-        self._gap_cache = PerBetaCache()
 
-    def _lowest(self, key, beta: float) -> float:
-        kdiag, vblock = self._blocks[key]
-        return float(scipy.linalg.eigvalsh(np.diag(kdiag) + beta * vblock,
-                                           subset_by_index=[0, 0])[0])
+    def eigenvalues(self, beta: float, label: str) -> np.ndarray:
+        """Ascending energies of every `label` level, in units of B; uncached."""
+        if label not in self._blocks:
+            V = _potential_matrix(self.jmax, self.potential)
+            Q = _label_block(self.jmax, label)
+            # V @ Q apart by real and imaginary part: a complex Q would copy V;
+            # each column stays inside one J, so K_b is diagonal
+            VQ = V @ Q.real + 1j * (V @ Q.imag) if np.iscomplexobj(Q) else V @ Q
+            self._blocks[label] = ((np.abs(Q) ** 2).T @ _kinetic_diagonal(self.jmax),
+                                   Q.conj().T @ VQ)
+        kdiag, vblock = self._blocks[label]
+        return scipy.linalg.eigvalsh(np.diag(kdiag) + beta * vblock)
 
-    def eigenvalues(self, beta: float, count: int = 40) -> np.ndarray:
-        def solve():
-            w = np.sort(np.concatenate([np.linalg.eigvalsh(np.diag(kdiag) + beta * vblock)
-                                        for kdiag, vblock in self._blocks.values()]))
-            return w - w[0]
-
-        return self._cache.fetch(round(float(beta), 12), solve)[:count]
+    def energies(self, beta: float, label: str) -> np.ndarray:
+        """eigenvalues(beta, label), solved once per beta and label."""
+        solved = self._cache.fetch(round(float(beta), 12), dict)
+        if label not in solved:
+            solved[label] = self.eigenvalues(beta, label)
+        return solved[label]
 
     def gap(self, beta: float) -> float:
         """First orientation gap (A1 ground to L1 manifold) in units of B."""
-        return self._gap_cache.fetch(
-            round(float(beta), 12),
-            lambda: self._lowest((0, 0, -1, -1), beta) - self._lowest((0, 0, 1, 1), beta))
+        return float(self.energies(beta, "L1")[0] - self.energies(beta, "A1")[0])

@@ -279,8 +279,10 @@ def _intensities(initial, gated, pop_fraction, mode, factors, upper_suffix):
 # ----------------------------------------------------------------------------
 
 _INITIAL_LEVELS = (("A1", 1), ("L1", 1), ("E2", 1))
-_HIGH_GROUP = {("L1", 2), ("I1I2", 1), ("E4", 1)}   # the nu0 + dw_L1_star band
-_E3_FINAL = ("E3", 1)
+#: excited level -> the extra_offsets key that overrides its band offset:
+#: dw_L1_star for the near-degenerate L1(2) + I1I2 + E4 group, dw_LE3_star for E3
+OFFSET_KEYS = {("L1", 2): "dw_L1_star", ("I1I2", 1): "dw_L1_star",
+               ("E4", 1): "dw_L1_star", ("E3", 1): "dw_LE3_star"}
 
 
 def vibration_orientation_lines(levels, band: VibrationBandModel,
@@ -316,11 +318,9 @@ def vibration_orientation_lines(levels, band: VibrationBandModel,
     fractions = populations(levels, pop)
 
     def excited_offset(fin: EnergyLevel) -> float:
-        key = (fin.rovib_label, fin.ordinal)
-        if key in _HIGH_GROUP and band.extra_offsets.get("dw_L1_star") is not None:
-            return float(band.extra_offsets["dw_L1_star"])
-        if key == _E3_FINAL and band.extra_offsets.get("dw_LE3_star") is not None:
-            return float(band.extra_offsets["dw_LE3_star"])
+        override = band.extra_offsets.get(OFFSET_KEYS.get((fin.rovib_label, fin.ordinal)))
+        if override is not None:
+            return float(override)
         return band.excited_scale * (fin.energy - e_l1)
 
     lines = []

@@ -1,8 +1,11 @@
 """Configuration parsing and the command-line pipeline."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
@@ -520,3 +523,74 @@ def test_cli_bad_numeric_flag_exits_1(workdir, capsys, argv, flag):
         "3230.0,0.5,(L1)1->(L1)2*\n"
         "3235.0,0.2,(L1)1->(E3)1*\n")
     _assert_rejected(workdir, capsys, cli.main(argv), flag)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("fwhm = 1.5", "fwhm = 1e308"),
+    ("linewidth_ghz = 1.0", "linewidth_ghz = 5e-324"),
+])
+def test_cli_plan_overflowing_channel_count_exits_1(workdir, capsys, old, new):
+    (workdir / "bad.cfg").write_text(FAST_CONFIG.replace(old, new))
+    (workdir / "lines.csv").write_text(CSV_READERS["lines"][1] + "3217,1,(L1)1,(L1)1*,IR\n")
+    rc = cli.main(["plan", "--config", "bad.cfg", "--lines", "lines.csv"])
+    _assert_rejected(workdir, capsys, rc, "[source] linewidth_ghz")
+
+
+def test_cli_plan_mc_samples_bounded(workdir, capsys):
+    # rejected while parsing the flag, before any sample is drawn
+    (workdir / "lines.csv").write_text(CSV_READERS["lines"][1] + "3217,1,(L1)1,(L1)1*,IR\n")
+    rc = cli.main(["plan", "--config", "run.cfg", "--lines", "lines.csv",
+                   "--mc-samples", str(10**12)])
+    _assert_rejected(workdir, capsys, rc, "--mc-samples")
+
+
+# any text in an input CSV: exit 0, 1 with the file named, or 2 (the fit's
+# documented non-convergence status, e.g. an envelope no model line reaches)
+# cells: usable values three times as often as odd ones
+_NUMBERS = st.sampled_from(["3206", "3217.5", "3230", "3235", "0.5", "0"] * 3
+                           + ["-1", "1e300", "1e400", "nan", "x", "", " ", '"'])
+_WORDS = st.sampled_from(["(L1)1->(L1)1*", "(A1)1->(L1)1*", "(L1)1", "(L1)1*", "IR", "Raman",
+                          ""] * 3 + ["(X9)1->(L1)1*", '"', ",,"])
+
+
+@st.composite
+def _csv_texts(draw, header):
+    """Mostly the right header and row shape with odd cells, at times one
+    row of any text; one file in five is any text."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(max_size=40))
+    cells = [_NUMBERS if name in ("frequency_cm1", "intensity", "amplitude") else _WORDS
+             for name in header.split(",")]
+    rows = draw(st.lists(st.tuples(*cells).map(",".join), max_size=5))
+    noise = draw(st.one_of(st.none(), st.text(max_size=12)))
+    if noise is not None:
+        rows.insert(draw(st.integers(0, len(rows))), noise)
+    head = header if draw(st.integers(0, 3)) else draw(st.text(max_size=12))
+    return "\n".join([head] + rows)
+
+
+_CSV_ARGV = {
+    "peaks": (["fit", "--free", "nu0", "--starts", "1", "--max-iter", "40", "--peaks"],
+              cli.PEAKS_CSV_HEADER),
+    "envelope": (["fit", "--mode", "envelope", "--free", "nu0", "--starts", "1",
+                  "--max-iter", "40", "--envelope"], cli.SPECTRUM_CSV_HEADER),
+    "lines": (["plan", "--lines"], cli.STICKS_CSV_HEADER),
+}
+
+
+@settings(max_examples=120)
+@given(st.sampled_from(sorted(_CSV_ARGV)).flatmap(
+    lambda reader: st.tuples(st.just(reader), _csv_texts(_CSV_ARGV[reader][1]))))
+def test_cli_any_csv_text_exits_cleanly(case):
+    reader, text = case
+    argv, _ = _CSV_ARGV[reader]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, path = Path(tmp, "run.cfg"), Path(tmp, "in.csv")
+        cfg.write_text(FAST_CONFIG.replace("Jmax = 6", "Jmax = 2"))
+        path.write_text(text, encoding="utf-8", newline="")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(argv[:1] + ["--config", str(cfg)] + argv[1:] + [str(path)])
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        assert str(path) in err.getvalue()

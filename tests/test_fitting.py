@@ -1,11 +1,13 @@
 """Peak-position and envelope calibration: round trips, determinism, bounds."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorspec import fitting, spectrum
+from rotorspec import fitting, rotor, spectrum
 from rotorspec.fitting import (EnvelopeModel, FitError, FitSpec, Peak,
                                PeakList, TransitionModel, fit_envelope,
                                fit_line_positions)
@@ -187,6 +189,31 @@ def test_transition_model_matches_line_generator(tmodel):
                 continue
             predicted = tmodel.frequency(name, params)
             assert generated[name] == pytest.approx(predicted, abs=5e-7), (name, params)
+
+
+@functools.lru_cache(maxsize=None)
+def _tmodel_for(potential):
+    return TransitionModel(rotor.normalize_potential(potential), jmax=JMAX)
+
+
+@pytest.mark.parametrize("potential", [((3, -1.0),), ((3, -1.0), (4, 0.3)), ((4, -1.0),)],
+                         ids=["3:-1", "3:-1,4:0.3", "4:-1"])
+@pytest.mark.parametrize("beta", [0.05, 0.1, 0.2, 0.3, 1.0, 3.0, 6.0])
+def test_transition_model_matches_classified_levels(potential, beta):
+    """Every modeled transition, with model-derived band offsets, is the
+    same line of the generator on the classified level table, over the beta
+    range of PARAM_BOUNDS and the potentials the config accepts; low beta
+    and a rank-4 term reorder the (L1)2, I1I2, E4 and E3 levels."""
+    params = dict(TRUTH, beta=beta, B=5.9, dw_L1_star=None, dw_LE3_star=None)
+    model = rotor.RotorModel.create(B=5.9, beta=beta, potential=potential, Jmax=JMAX)
+    levels = rotor.classify_levels(rotor.diagonalize(model), max_energy=80.0)
+    band = spectrum.VibrationBandModel(nu0=params["nu0"])
+    lines = spectrum.vibration_orientation_lines(levels, band, spectrum.PopulationModel())
+    generated = {f"{l.lower}->{l.upper}": l.frequency for l in lines}
+    tmodel = _tmodel_for(potential)
+    assert set(tmodel.NAMES) <= set(generated)
+    for name in tmodel.NAMES:
+        assert tmodel.frequency(name, params) == pytest.approx(generated[name], abs=1e-3), name
 
 
 # ---------------------------------------------------------------- envelope

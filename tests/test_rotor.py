@@ -342,16 +342,18 @@ def test_splittings_shrink_with_field_strength():
 
 
 def test_gap_cache_matches_dense_eigenvalues():
+    # the cached two-label gap is the uncached block solves and the first
+    # excited level of the full H
     gaps = LevelGapCache(jmax=6)
     for beta in (0.3, 1.7, 4.2):
-        sparse_gap = gaps.gap(beta)
-        dense = gaps.eigenvalues(beta + 0.0, count=2)  # dense path caches by key
-        gaps._gap_cache.clear()
-        assert sparse_gap == pytest.approx(dense[1], abs=1e-9)
+        w = np.linalg.eigvalsh(hamiltonian_matrix(RotorModel.create(B=1.0, beta=beta, Jmax=6)))
+        assert gaps.gap(beta) == pytest.approx(w[1] - w[0], abs=1e-9)
+        uncached = gaps.eigenvalues(beta, "L1")[0] - gaps.eigenvalues(beta, "A1")[0]
+        assert gaps.gap(beta) == pytest.approx(uncached, abs=1e-12)
 
 
-# the gap kernel against references that share none of its code, over the
-# beta range of fitting.PARAM_BOUNDS and the potentials the config accepts
+# the label blocks against references that share none of their code, over
+# the beta range of fitting.PARAM_BOUNDS and the potentials the config accepts
 GAP_BETAS = (0.05, 0.1, 0.3, 1.0, 2.5, 6.0)
 GAP_POTENTIALS = (((3, -1.0),), ((3, -1.0), (4, 0.3)), ((4, -1.0),))
 
@@ -364,35 +366,42 @@ def _gaps_j6(potential):
 @pytest.mark.parametrize("potential", GAP_POTENTIALS)
 @pytest.mark.parametrize("beta", GAP_BETAS)
 def test_gap_matches_classified_levels(potential, beta):
-    # the two-block gap is the first excited cluster that the dense path of
-    # TransitionModel uses, and the classified (L1)1 - (A1)1
+    # the gap is the classified (L1)1 - (A1)1 and the first excited level
+    # over all label blocks
     gaps = _gaps_j6(potential)
     model = RotorModel.create(B=1.0, beta=beta, potential=potential, Jmax=6)
     levels = classify_levels(diagonalize(model), max_energy=5.0)
     expected = rotor.find_level(levels, "L1").energy - rotor.find_level(levels, "A1").energy
     assert gaps.gap(beta) == pytest.approx(expected, abs=1e-9)
-    assert gaps.gap(beta) == pytest.approx(gaps.eigenvalues(beta, count=2)[1], abs=1e-9)
+    lowest = np.sort(np.concatenate([gaps.energies(beta, name) for name in symmetry.LEVEL_LABELS]))
+    assert gaps.gap(beta) == pytest.approx(lowest[1] - lowest[0], abs=1e-9)
 
 
 @pytest.mark.parametrize("potential", GAP_POTENTIALS)
 @pytest.mark.parametrize("beta", GAP_BETAS)
 def test_block_eigenvalues_match_full_hamiltonian(potential, beta):
+    # every label's energies, each repeated by the label's dimension, are
+    # the whole spectrum of H
     model = RotorModel.create(B=1.0, beta=beta, potential=potential, Jmax=6)
     w = np.linalg.eigvalsh(hamiltonian_matrix(model))
-    got = _gaps_j6(potential).eigenvalues(beta, count=len(build_basis(6)))
-    assert np.abs(got - (w - w[0])).max() < 1e-9
+    gaps = _gaps_j6(potential)
+    got = np.sort(np.concatenate([np.repeat(gaps.eigenvalues(beta, name), label.dimension)
+                                  for name, label in symmetry.LEVEL_LABELS.items()]))
+    assert np.abs(got - w).max() < 1e-9
 
 
 @pytest.mark.parametrize("jmax", [2, 6, 10])
-def test_c2x_blocks_partition_the_basis(jmax):
-    blocks = rotor._c2x_blocks(jmax)
-    assert len(blocks) == 16
-    assert sum(Q.shape[1] for Q in blocks.values()) == len(build_basis(jmax))
-    for Q in blocks.values():
-        assert np.abs((Q.T @ Q).toarray() - np.eye(Q.shape[1])).max() < 1e-14
+def test_label_blocks_partition_the_basis(jmax):
+    blocks = {name: rotor._label_block(jmax, name) for name in symmetry.LEVEL_LABELS}
+    assert sum(symmetry.LEVEL_LABELS[name].dimension * Q.shape[1]
+               for name, Q in blocks.items()) == len(build_basis(jmax))
+    for name, Q in blocks.items():  # A2 is empty at Jmax 2
+        assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), rtol=0, atol=1e-13)
+        assert np.iscomplexobj(Q) == (name not in ("A1", "A3", "L2", "L1"))
     if jmax == 10:
-        ee = [blocks[(0, 0, es, em)].shape[1] for es in (1, -1) for em in (1, -1)]
-        assert ee == [121, 110, 110, 110]
+        assert {name: Q.shape[1] for name, Q in blocks.items()} == {
+            "A1": 17, "L1": 110, "A3": 38, "L2": 38, "E4": 36, "I1I2": 36,
+            "E2": 14, "E3": 14, "A2": 12, "E1": 12}
 
 
 def test_barrier_height():
