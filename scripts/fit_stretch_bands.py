@@ -36,7 +36,7 @@ def main():
 
     print(f"converged: {report.converged} in {dt:.1f} s "
           f"({report.iterations} simplex iterations over {args.starts} starts)")
-    for name in ("B", "beta", "nu0", "dw_L1_star", "dw_LE3_star"):
+    for name in spec.scalar_free():
         print(f"  {name:12s} = {report.values[name]:.6g}")
     print(f"  omega_LA     = {model.omega_la(report.values):.4f} cm^-1")
     print("residuals:")

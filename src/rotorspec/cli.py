@@ -250,16 +250,6 @@ def cmd_levels(args) -> int:
 # spectrum
 # ----------------------------------------------------------------------------
 
-def _all_lines(cfg: config_mod.RunConfig, levels):
-    ir = spectrum.vibration_orientation_lines(levels, cfg.band, cfg.population)
-    raman = spectrum.rotational_raman_lines(levels, cfg.population)
-    lines = list(ir) + list(raman)
-    if cfg.lattice_freq is not None:
-        lines += spectrum.sum_band_lines(ir, cfg.lattice_freq, cfg.sum_band_scale)
-    lines.sort(key=lambda l: (l.frequency, l.lower, l.upper))
-    return lines
-
-
 def _sticks_csv(lines) -> str:
     buf = io.StringIO()
     buf.write(STICKS_CSV_HEADER + "\n")
@@ -313,18 +303,20 @@ def _spectrum_svg(freqs, amps, lines, synth: spectrum.SpectrumConfig) -> str:
 def cmd_spectrum(args) -> int:
     cfg = _load_config(args.config)
     levels = _classified_levels(cfg, args.max_energy)
-    lines = _all_lines(cfg, levels)
-    clip_notes: list[str] = []
+    envelope = spectrum.envelope_lines(levels, cfg.band, cfg.population,
+                                       cfg.lattice_freq, cfg.sum_band_scale)
+    sticks = sorted(envelope + spectrum.rotational_raman_lines(levels, cfg.population),
+                    key=lambda l: (l.frequency, l.lower, l.upper))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        freqs, amps = spectrum.synthesize(lines, cfg.synthesis)
+        freqs, amps = spectrum.synthesize(envelope, cfg.synthesis)
         clip_notes = [str(w.message) for w in caught]
-    _atomic_write(args.sticks, _sticks_csv(lines))
+    _atomic_write(args.sticks, _sticks_csv(sticks))
     _atomic_write(args.out_spectrum, _spectrum_csv(freqs, amps))
     if args.svg:
-        _atomic_write(args.svg, _spectrum_svg(freqs, amps, lines, cfg.synthesis))
+        _atomic_write(args.svg, _spectrum_svg(freqs, amps, envelope, cfg.synthesis))
     sys.stdout.write(
-        f"lines: {len(lines)} (sticks -> {args.sticks})\n"
+        f"lines: {len(sticks)} (sticks -> {args.sticks})\n"
         f"grid: {cfg.synthesis.start} .. {cfg.synthesis.stop} cm-1, "
         f"step {cfg.synthesis.step} (samples -> {args.out_spectrum})\n"
         f"fwhm: {_fmt(cfg.synthesis.fwhm)} cm-1 = {cfg.synthesis.fwhm_ghz:.2f} GHz "
@@ -383,10 +375,8 @@ def cmd_fit(args) -> int:
         "nu0": cfg.band.nu0,
         "excited_scale": cfg.band.excited_scale,
         "fwhm": cfg.synthesis.fwhm,
+        **cfg.band.extra_offsets,
     }
-    for key in ("dw_L1_star", "dw_LE3_star"):
-        if cfg.band.extra_offsets.get(key) is not None:
-            initial[key] = cfg.band.extra_offsets[key]
     bounds = {}
     for name, lo, hi in args.bound or ():
         bounds[name] = (float(lo), float(hi))
@@ -408,7 +398,9 @@ def cmd_fit(args) -> int:
         freqs, amps = _read_envelope_csv(args.envelope)
         model = fitting.EnvelopeModel(potential=cfg.model.potential,
                                       jmax=min(cfg.model.Jmax, 8),
-                                      pop=cfg.population, shape=cfg.synthesis.shape)
+                                      pop=cfg.population, shape=cfg.synthesis.shape,
+                                      lattice_freq=cfg.lattice_freq,
+                                      sum_band_scale=cfg.sum_band_scale)
         with _blaming(args.envelope, fitting.FitError):
             report = fitting.fit_envelope(freqs, amps, spec, model, seed=args.seed)
     if args.out:

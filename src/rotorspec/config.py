@@ -103,6 +103,16 @@ class RunConfig:
                 qubitplan.addressable_channels(self.synthesis.fwhm, self.source_linewidth_ghz)
             except qubitplan.PlanError as exc:
                 problems.append(("source", "linewidth_ghz", str(exc)))
+        if self.crystal is not None and self.mu_debye >= 0:
+            # the couplings `plan` reports; a unit dipole tells whether the
+            # distance alone is out of range
+            for key, mu in (("a_nm", 1.0), ("mu_debye", self.mu_debye)):
+                try:
+                    for mode in ("characteristic", "poisson_mean"):
+                        qubitplan.coupling_estimate(mu, qubitplan.nn_distance(self.crystal, mode))
+                except qubitplan.PlanError as exc:
+                    problems.append(("crystal", key, str(exc)))
+                    break
         return problems
 
 
@@ -184,7 +194,7 @@ def parse_config(text: str) -> RunConfig:
         model=model,
         band=spectrum.VibrationBandModel(
             nu0=b["nu0"], excited_scale=b["excited_scale"],
-            extra_offsets={k: b[k] for k in ("dw_L1_star", "dw_LE3_star") if b[k] is not None}),
+            extra_offsets={k: b[k] for k in spectrum.OFFSET_NAMES if b[k] is not None}),
         population=spectrum.PopulationModel(mode=p["mode"], T=p["T"],
                                             frozen_fractions=p["fractions"]),
         synthesis=spectrum.SpectrumConfig(**values["synthesis"]),

@@ -11,16 +11,21 @@ level by label and ordinal from the symmetry-adapted block of its label
 (rotor.LevelGapCache) and solves only the labels its transitions name: the
 four-band fit needs the A1 and L1 blocks, 17 and 110 states at Jmax 10.
 
-Parameter names: B, beta, nu0, excited_scale, fwhm, scale, dw_L1_star,
-dw_LE3_star.  The entry "extra_offsets" in FitSpec.free_params stands for the
-pair of dw parameters and counts as one name against the peaks >= parameters
-requirement.
+Both models use the band model of `spectrum` as it is: the parameters
+become a VibrationBandModel, and the envelope is spectrum.profile_sum of
+spectrum.envelope_lines, as in the `spectrum` command.
+
+Parameter names: B, beta, nu0, excited_scale, fwhm, scale and
+spectrum.OFFSET_NAMES.  The entry "extra_offsets" in FitSpec.free_params
+stands for the pair of dw parameters and counts as one name against the
+peaks >= parameters requirement.  A dw overrides the level table only when
+free or given in FitSpec.initial; PARAM_DEFAULTS holds its start value.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.optimize
@@ -53,8 +58,7 @@ PARAM_DEFAULTS = {
     "beta": 1.0,
     "nu0": 3206.0,
     "excited_scale": 1.0,
-    "dw_L1_star": 24.0,
-    "dw_LE3_star": 29.0,
+    **dict(zip(spectrum.OFFSET_NAMES, (24.0, 29.0))),
     "fwhm": 1.5,
     "scale": 1.0,
 }
@@ -64,13 +68,12 @@ PARAM_BOUNDS = {
     "beta": (0.05, 6.0),
     "nu0": (3100.0, 3300.0),
     "excited_scale": (0.5, 2.0),
-    "dw_L1_star": (5.0, 60.0),
-    "dw_LE3_star": (5.0, 60.0),
+    **dict.fromkeys(spectrum.OFFSET_NAMES, (5.0, 60.0)),
     "fwhm": (0.05, 20.0),
     "scale": (0.0, 1e3),
 }
 
-_GROUP_PARAMS = {"extra_offsets": ("dw_L1_star", "dw_LE3_star")}
+_GROUP_PARAMS = {"extra_offsets": spectrum.OFFSET_NAMES}
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,9 @@ class FitSpec:
         return out
 
     def resolved_initial(self) -> dict[str, float]:
-        values = dict(PARAM_DEFAULTS)
+        """PARAM_DEFAULTS (a dw's only when free) overlaid with `initial`."""
+        values = {k: v for k, v in PARAM_DEFAULTS.items()
+                  if k in self.scalar_free() or k not in spectrum.OFFSET_NAMES}
         values.update({k: float(v) for k, v in self.initial.items()})
         return values
 
@@ -168,14 +173,20 @@ class FitReport:
 # position model
 # ----------------------------------------------------------------------------
 
+def _band(params: dict) -> VibrationBandModel:
+    """The band model of the parameters; a dw absent or None is not an override."""
+    offsets = {k: params[k] for k in spectrum.OFFSET_NAMES if params.get(k) is not None}
+    return VibrationBandModel(params["nu0"], params.get("excited_scale", 1.0), offsets)
+
+
 class TransitionModel:
     """Frequencies of the vibration-orientation transitions as functions of
     the fit parameters, matching spectrum.vibration_orientation_lines.
 
     A transition "(X)i->(Y)j*" reads the levels (X)i and (Y)j by label and
     ordinal from rotor.LevelGapCache and, as the line generator, lies at
-    nu0 + offset((Y)j) - (E(X)i - E(L1)1); the offset is the band's dw
-    override for (Y)j or else excited_scale * (E(Y)j - E(L1)1).
+    nu0 + offset((Y)j) - (E(X)i - E(L1)1), the offset being
+    VibrationBandModel.excited_offset of (Y)j.
     """
 
     def __init__(self, potential=rotor.DEFAULT_POTENTIAL, jmax: int = rotor.DEFAULT_JMAX):
@@ -200,16 +211,11 @@ class TransitionModel:
 
     def frequencies(self, names, params: dict) -> np.ndarray:
         b, beta = params["B"], params["beta"]
+        band = _band(params)
 
         def above_l1(label, ordinal):
             energies = self._gaps.energies(beta, label)
             return b * (energies[ordinal - 1] - self._gaps.energies(beta, "L1")[0])
-
-        def excited(label, ordinal):
-            override = params.get(spectrum.OFFSET_KEYS.get((label, ordinal)))
-            if override is not None:
-                return override
-            return params.get("excited_scale", 1.0) * above_l1(label, ordinal)
 
         out = []
         for name in names:
@@ -217,7 +223,8 @@ class TransitionModel:
                 raise FitError(
                     f"unknown transition {name!r}; known: {', '.join(self.NAMES)}")
             (lower, i), (upper, j) = re.findall(r"\((\w+)\)(\d+)", name)
-            out.append(params["nu0"] + excited(upper, int(j)) - above_l1(lower, int(i)))
+            offset = band.excited_offset(upper, int(j), lambda: above_l1(upper, int(j)))
+            out.append(band.nu0 + offset - above_l1(lower, int(i)))
         return np.array(out)
 
     def omega_la(self, params: dict) -> float:
@@ -229,7 +236,8 @@ class TransitionModel:
 # ----------------------------------------------------------------------------
 
 class EnvelopeModel:
-    """Sampled IR envelope as a function of the fit parameters.
+    """Sampled envelope as a function of the fit parameters, with the lines
+    of `spectrum` and levels classified up to 15 B.
 
     Classification is cached per beta; B rescales cached unit-B level
     energies, so fits over (B, nu0, fwhm, scale, offsets) at fixed beta reuse
@@ -238,14 +246,13 @@ class EnvelopeModel:
 
     def __init__(self, potential=rotor.DEFAULT_POTENTIAL, jmax: int = 8,
                  pop: PopulationModel | None = None, shape: str = "gaussian",
-                 max_energy_unit_b: float = 15.0,
-                 strength_mode: str = "sum_rule"):
+                 lattice_freq: float | None = None, sum_band_scale: float = 0.1):
         self.potential = tuple(potential)
         self.jmax = jmax
         self.pop = pop or PopulationModel()
         self.shape = shape
-        self.max_energy_unit_b = max_energy_unit_b
-        self.strength_mode = strength_mode
+        self.lattice_freq = lattice_freq
+        self.sum_band_scale = sum_band_scale
         self._levels_cache = rotor.PerBetaCache()
 
     def _unit_levels(self, beta: float):
@@ -253,42 +260,20 @@ class EnvelopeModel:
 
         def classify():
             model = RotorModel(B=1.0, beta=key, potential=self.potential, Jmax=self.jmax)
-            return rotor.classify_levels(rotor.diagonalize(model),
-                                         max_energy=self.max_energy_unit_b)
+            return rotor.classify_levels(rotor.diagonalize(model), max_energy=15.0)
 
         return self._levels_cache.fetch(key, classify)
 
     def lines(self, params: dict):
-        b = params["B"]
-        scaled = [
-            rotor.EnergyLevel(
-                energy=lev.energy * b, degeneracy=lev.degeneracy,
-                rovib_label=lev.rovib_label, spin_species=lev.spin_species,
-                ordinal=lev.ordinal, flagged=lev.flagged, vectors=lev.vectors)
-            for lev in self._unit_levels(params["beta"])
-        ]
-        offsets = {}
-        if params.get("dw_L1_star") is not None:
-            offsets["dw_L1_star"] = params["dw_L1_star"]
-        if params.get("dw_LE3_star") is not None:
-            offsets["dw_LE3_star"] = params["dw_LE3_star"]
-        band = VibrationBandModel(nu0=params["nu0"],
-                                  excited_scale=params.get("excited_scale", 1.0),
-                                  extra_offsets=offsets)
-        return spectrum.vibration_orientation_lines(
-            scaled, band, self.pop, strength_mode=self.strength_mode)
+        scaled = [replace(lev, energy=lev.energy * params["B"])
+                  for lev in self._unit_levels(params["beta"])]
+        return spectrum.envelope_lines(scaled, _band(params), self.pop,
+                                       self.lattice_freq, self.sum_band_scale)
 
     def amplitude(self, params: dict, freqs: np.ndarray) -> np.ndarray:
-        lines = self.lines(params)
-        fwhm = params.get("fwhm", 1.5)
-        scale = params.get("scale", 1.0)
-        amps = np.zeros_like(freqs, dtype=float)
-        for line in lines:
-            amps += line.intensity * spectrum._profile(self.shape, freqs - line.frequency, fwhm)
-        return scale * amps
-
-    def line_frequencies(self, params: dict) -> np.ndarray:
-        return np.array([l.frequency for l in self.lines(params)])
+        amps = spectrum.profile_sum(self.lines(params), freqs, self.shape,
+                                    params.get("fwhm", 1.5))
+        return params.get("scale", 1.0) * amps
 
 
 # ----------------------------------------------------------------------------
@@ -436,7 +421,7 @@ def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,
         raise FitError("observed frequency grid must be strictly increasing")
 
     params0 = spec.resolved_initial()
-    line_freqs = model.line_frequencies(params0)
+    line_freqs = np.array([l.frequency for l in model.lines(params0)])
     fwhm0 = params0.get("fwhm", 1.5)
     margin = 4.0 * fwhm0
     if np.all((line_freqs < freqs[0] - margin) | (line_freqs > freqs[-1] + margin)):

@@ -154,14 +154,22 @@ def nn_distance_mc(spec: CrystalSpec, n_samples: int = 100_000, seed: int = 0) -
 
 
 def coupling_estimate(mu_debye: float, r_nm: float) -> float:
-    """Dipole-dipole coupling magnitude mu^2 / (4 pi eps0 h r^3) in Hz."""
+    """Dipole-dipole coupling magnitude mu^2 / (4 pi eps0 h r^3) in Hz; a
+    coupling that is not a finite float raises PlanError."""
     if mu_debye < 0:
         raise PlanError(f"dipole moment must be non-negative, got {mu_debye}")
-    if not r_nm > 0:
-        raise PlanError(f"distance must be positive, got {r_nm}")
+    if not 0 < r_nm < math.inf:
+        raise PlanError(f"distance must be positive and finite, got {r_nm}")
     mu = mu_debye * units.DEBYE_C_M
     r = r_nm * units.NM_M
-    return mu**2 / (4.0 * math.pi * units.VACUUM_PERMITTIVITY * units.PLANCK_J_S * r**3)
+    try:
+        hz = mu**2 / (4.0 * math.pi * units.VACUUM_PERMITTIVITY * units.PLANCK_J_S * r**3)
+    except (OverflowError, ZeroDivisionError):  # mu**2 or r**3 left the float range
+        hz = math.inf
+    if not math.isfinite(hz):
+        raise PlanError(f"dipole coupling of {mu_debye} D at {r_nm} nm "
+                        "is out of the float range")
+    return hz
 
 
 def build_plan_report(lines, crystal: CrystalSpec, band_fwhm_cm1: float,

@@ -8,6 +8,10 @@ orientation levels reuse the ground-state level table with tunneling gaps
 multiplied by `excited_scale`; the two high-frequency band offsets can be
 overridden through `extra_offsets` when calibrated values are available.
 
+The `spectrum` command and both fits share this band model: the envelope
+sums `envelope_lines` (IR lines plus lattice sum bands) with `profile_sum`;
+Raman lines lie far below the band and reach the stick lists only.
+
 Nuclear spin species are conserved strictly.  Within the ground vibrational
 state this forces equal species on both levels of a Raman line.  For a
 vibration-orientation line the excited level hosts every species contained in
@@ -44,6 +48,8 @@ __all__ = [
     "vibration_orientation_lines",
     "rotational_raman_lines",
     "sum_band_lines",
+    "envelope_lines",
+    "profile_sum",
     "synthesize",
     "DEFAULT_FROZEN_FRACTIONS",
 ]
@@ -74,10 +80,8 @@ class VibrationBandModel:
     """Band origin and excited-state offsets of the vibration-orientation
     system.  nu0 is the frequency of the (L1)1 -> (L1)1 reference transition.
 
-    extra_offsets may carry "dw_L1_star" (applied to the near-degenerate
-    L1(2) + I1I2 + E4 final group) and "dw_LE3_star" (applied to E3(1)), both
-    as offsets from nu0 in cm^-1; finals without an override use the scaled
-    ground-state level table.
+    extra_offsets maps keys of OFFSET_NAMES to offsets from nu0 in cm^-1 for
+    the finals OFFSET_KEYS names; other finals use the scaled level table.
     """
 
     nu0: float
@@ -91,10 +95,17 @@ class VibrationBandModel:
         if not self.excited_scale > 0:
             problems.append(("excited_scale",
                              f"excited_scale must be positive, got {self.excited_scale}"))
-        unknown = set(self.extra_offsets) - {"dw_L1_star", "dw_LE3_star"}
+        unknown = set(self.extra_offsets) - set(OFFSET_NAMES)
         if unknown:
             problems.append(("extra_offsets", f"unknown extra_offsets keys: {sorted(unknown)}"))
         return problems
+
+    def excited_offset(self, label: str, ordinal: int, above_l1) -> float:
+        """Offset from nu0 of (label)ordinal: its override, else excited_scale * above_l1()."""
+        override = self.extra_offsets.get(OFFSET_KEYS.get((label, ordinal)))
+        if override is not None:
+            return float(override)
+        return self.excited_scale * above_l1()
 
 
 @dataclass(frozen=True)
@@ -283,6 +294,8 @@ _INITIAL_LEVELS = (("A1", 1), ("L1", 1), ("E2", 1))
 #: dw_L1_star for the near-degenerate L1(2) + I1I2 + E4 group, dw_LE3_star for E3
 OFFSET_KEYS = {("L1", 2): "dw_L1_star", ("I1I2", 1): "dw_L1_star",
                ("E4", 1): "dw_L1_star", ("E3", 1): "dw_LE3_star"}
+#: the extra_offsets keys, in the order (dw_L1_star, dw_LE3_star)
+OFFSET_NAMES = tuple(dict.fromkeys(OFFSET_KEYS.values()))
 
 
 def vibration_orientation_lines(levels, band: VibrationBandModel,
@@ -316,13 +329,6 @@ def vibration_orientation_lines(levels, band: VibrationBandModel,
         total += lev.degeneracy
     e_l1 = find_level(levels, "L1", 1).energy
     fractions = populations(levels, pop)
-
-    def excited_offset(fin: EnergyLevel) -> float:
-        override = band.extra_offsets.get(OFFSET_KEYS.get((fin.rovib_label, fin.ordinal)))
-        if override is not None:
-            return float(override)
-        return band.excited_scale * (fin.energy - e_l1)
-
     lines = []
     for ini in initials:
         gated = _gated_finals(ini, finals, jmax, rank=1)
@@ -333,7 +339,8 @@ def vibration_orientation_lines(levels, band: VibrationBandModel,
         for fin, _ in gated:
             if ini.spin_species not in hosted_species(fin.rovib_label):
                 continue  # spin species cannot ride into this final
-            freq = band.nu0 + excited_offset(fin) - (ini.energy - e_l1)
+            freq = band.nu0 + band.excited_offset(fin.rovib_label, fin.ordinal,
+                                                  lambda: fin.energy - e_l1) - (ini.energy - e_l1)
             lines.append(Line(frequency=freq, intensity=intens[fin.name],
                               lower=ini.name, upper=fin.name + "*", activity="IR"))
     lines.sort(key=lambda l: (l.frequency, l.lower, l.upper))
@@ -380,18 +387,35 @@ def sum_band_lines(base, lattice_freq: float, intensity_scale: float = 0.1):
             for l in base]
 
 
+def envelope_lines(levels, band: VibrationBandModel, pop: PopulationModel,
+                   lattice_freq: float | None = None, sum_band_scale: float = 0.1):
+    """The lines the envelope sums: IR lines plus, with a lattice mode, their sum bands."""
+    lines = vibration_orientation_lines(levels, band, pop)
+    if lattice_freq is not None:
+        lines += sum_band_lines(lines, lattice_freq, sum_band_scale)
+    lines.sort(key=lambda l: (l.frequency, l.lower, l.upper))
+    return lines
+
+
 # ----------------------------------------------------------------------------
 # envelope synthesis
 # ----------------------------------------------------------------------------
 
-def _profile(shape: str, offsets: np.ndarray, fwhm: float) -> np.ndarray:
-    if shape == "gaussian":
-        sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        return np.exp(-0.5 * (offsets / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-    if shape == "lorentzian":
-        gamma = fwhm / 2.0
-        return (gamma / math.pi) / (offsets**2 + gamma**2)
-    raise SpectrumError(f"unknown line shape {shape!r}")
+def profile_sum(lines, freqs: np.ndarray, shape: str, fwhm: float) -> np.ndarray:
+    """Unit-area profiles scaled by intensity at `freqs`, summed in list order."""
+    sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    gamma = fwhm / 2.0
+    amps = np.zeros(len(freqs))
+    for line in lines:
+        offsets = freqs - line.frequency
+        if shape == "gaussian":
+            profile = np.exp(-0.5 * (offsets / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+        elif shape == "lorentzian":
+            profile = (gamma / math.pi) / (offsets**2 + gamma**2)
+        else:
+            raise SpectrumError(f"unknown line shape {shape!r}")
+        amps += line.intensity * profile
+    return amps
 
 
 _CLIPPED_SHOWN = 5  # off-grid lines named in the warning; the rest are counted
@@ -408,7 +432,6 @@ def synthesize(lines, config: SpectrumConfig) -> tuple[np.ndarray, np.ndarray]:
         raise SpectrumError("; ".join(m for _, m in problems))
     n = int(math.floor((config.stop - config.start) / config.step + 1e-9)) + 1
     freqs = config.start + config.step * np.arange(n)
-    amps = np.zeros(n)
     clipped = [l for l in lines if not (config.start <= l.frequency <= config.stop)]
     if clipped:
         listing = ", ".join(f"{l.lower}->{l.upper} at {l.frequency:g}"
@@ -417,6 +440,4 @@ def synthesize(lines, config: SpectrumConfig) -> tuple[np.ndarray, np.ndarray]:
             listing += ", ..."
         warnings.warn(f"{len(clipped)} lines outside the synthesis grid: {listing}",
                       stacklevel=2)
-    for line in lines:
-        amps += line.intensity * _profile(config.shape, freqs - line.frequency, config.fwhm)
-    return freqs, amps
+    return freqs, profile_sum(lines, freqs, config.shape, config.fwhm)

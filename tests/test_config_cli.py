@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorspec import cli, config, rotor
+from rotorspec import cli, config, rotor, spectrum
 from rotorspec.config import ConfigError, DEFAULT_CONFIG_TEXT, parse_config
 
 REPO = Path(__file__).resolve().parent.parent
@@ -295,7 +295,12 @@ def test_cli_levels_invalid_config_exits_1(workdir, capsys):
 
 
 def test_cli_spectrum_outputs_and_clip_warning(workdir, capsys):
-    rc = cli.main(["spectrum", "--config", "run.cfg", "--sticks", "sticks.csv",
+    # Raman lines feed the sticks only, so every line of the envelope is on grid
+    assert cli.main(["spectrum", "--config", "run.cfg", "--max-energy", "40"]) == 0
+    assert capsys.readouterr().err == ""
+    # a grid stopping at 3220 cm-1 clips the IR lines above it
+    (workdir / "short.cfg").write_text(FAST_CONFIG.replace("stop = 3300", "stop = 3220"))
+    rc = cli.main(["spectrum", "--config", "short.cfg", "--sticks", "sticks.csv",
                    "--out-spectrum", "spec.csv", "--svg", "spec.svg",
                    "--max-energy", "40"])
     assert rc == 0
@@ -398,6 +403,25 @@ def test_cli_lorentzian_shape(workdir):
     rows = (workdir / "lo.csv").read_text().splitlines()[1:]
     amps = [float(r.split(",")[1]) for r in rows]
     assert max(amps) > 0
+
+
+def test_cli_lorentzian_envelope_sums_ir_and_sum_band_lines_only(workdir):
+    # Lorentzian tails reach the grid from anywhere: the Raman sticks at
+    # 0-110 cm-1 must not enter the envelope
+    text = FAST_CONFIG.replace("fwhm = 1.5", "fwhm = 1.5\nshape = lorentzian").replace(
+        "[band]", "[band]\nlattice_freq = 66.0").replace("stop = 3300", "stop = 3320")
+    (workdir / "lor.cfg").write_text(text)
+    rc = cli.main(["spectrum", "--config", "lor.cfg", "--sticks", "ls.csv",
+                   "--out-spectrum", "lo.csv", "--max-energy", "40"])
+    assert rc == 0
+    cfg = parse_config(text)
+    levels = rotor.classify_levels(rotor.diagonalize(cfg.model), max_energy=40.0)
+    ir = spectrum.vibration_orientation_lines(levels, cfg.band, cfg.population)
+    lines = ir + spectrum.sum_band_lines(ir, 66.0, cfg.sum_band_scale)
+    lines.sort(key=lambda l: (l.frequency, l.lower, l.upper))
+    _, amps = spectrum.synthesize(lines, cfg.synthesis)
+    written = [float(r.split(",")[1]) for r in (workdir / "lo.csv").read_text().splitlines()[1:]]
+    assert written == amps.tolist()
 
 
 def test_cli_plan_deterministic(workdir):
@@ -534,6 +558,19 @@ def test_cli_plan_overflowing_channel_count_exits_1(workdir, capsys, old, new):
     (workdir / "lines.csv").write_text(CSV_READERS["lines"][1] + "3217,1,(L1)1,(L1)1*,IR\n")
     rc = cli.main(["plan", "--config", "bad.cfg", "--lines", "lines.csv"])
     _assert_rejected(workdir, capsys, rc, "[source] linewidth_ghz")
+
+
+@pytest.mark.parametrize("old,new,location", [
+    ("a_nm = 1.0", "a_nm = 1e-120", "[crystal] a_nm"),
+    ("a_nm = 1.0", "a_nm = 1e300", "[crystal] a_nm"),
+    ("c = 0.01", "c = 0.01\nmu_debye = 1e200", "[crystal] mu_debye"),
+])
+def test_cli_plan_unrepresentable_coupling_exits_1(workdir, capsys, old, new, location):
+    # finite, positive crystal values whose dipole coupling leaves the float range
+    (workdir / "bad.cfg").write_text(FAST_CONFIG.replace(old, new))
+    (workdir / "lines.csv").write_text(CSV_READERS["lines"][1] + "3217,1,(L1)1,(L1)1*,IR\n")
+    rc = cli.main(["plan", "--config", "bad.cfg", "--lines", "lines.csv"])
+    _assert_rejected(workdir, capsys, rc, location)
 
 
 def test_cli_plan_mc_samples_bounded(workdir, capsys):

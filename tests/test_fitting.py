@@ -1,13 +1,14 @@
 """Peak-position and envelope calibration: round trips, determinism, bounds."""
 
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorspec import fitting, rotor, spectrum
+from rotorspec import cli, config, fitting, rotor, spectrum
 from rotorspec.fitting import (EnvelopeModel, FitError, FitSpec, Peak,
                                PeakList, TransitionModel, fit_envelope,
                                fit_line_positions)
@@ -264,3 +265,62 @@ def test_envelope_rejects_bad_grid(emodel):
         fit_envelope(np.array([2.0, 1.0, 3.0]), np.zeros(3), spec, emodel)
     with pytest.raises(FitError, match="equal-length"):
         fit_envelope(np.array([1.0, 2.0]), np.zeros(3), spec, emodel)
+
+
+# ---------------------------------------------------------------- one band model
+
+SHIPPED = (Path(__file__).resolve().parent.parent / "configs" / "atpb.cfg").read_text() \
+    .replace("Jmax = 10", f"Jmax = {JMAX}")
+
+
+def _spectrum_run(tmp_path, text):
+    """Config, sticks and envelope CSV of a `spectrum` run on `text`."""
+    (tmp_path / "run.cfg").write_text(text)
+    sticks, envelope = tmp_path / "sticks.csv", tmp_path / "envelope.csv"
+    assert cli.main(["spectrum", "--config", str(tmp_path / "run.cfg"),
+                     "--sticks", str(sticks), "--out-spectrum", str(envelope)]) == 0
+    lines = cli._read_lines_csv(str(sticks))
+    return config.parse_config(text), lines, np.loadtxt(envelope, delimiter=",", skiprows=1)
+
+
+def _fit_models(cfg):
+    """Both fit models and the start values of `fit --free B,beta,nu0`, as
+    cmd_fit builds them from a run config."""
+    initial = {"B": cfg.model.B, "beta": cfg.model.beta, "nu0": cfg.band.nu0,
+               "excited_scale": cfg.band.excited_scale, "fwhm": cfg.synthesis.fwhm,
+               **cfg.band.extra_offsets}
+    params = FitSpec(free_params=("B", "beta", "nu0"), initial=initial).resolved_initial()
+    tmodel = TransitionModel(cfg.model.potential, jmax=cfg.model.Jmax)
+    emodel = EnvelopeModel(cfg.model.potential, jmax=min(cfg.model.Jmax, 8),
+                           pop=cfg.population, shape=cfg.synthesis.shape,
+                           lattice_freq=cfg.lattice_freq,
+                           sum_band_scale=cfg.sum_band_scale)
+    return params, tmodel, emodel
+
+
+def test_envelope_model_matches_spectrum_envelope(tmp_path):
+    """At the config's own values the envelope fit models the envelope that
+    `spectrum` writes, lattice sum bands included."""
+    cfg, _, envelope = _spectrum_run(tmp_path, SHIPPED)
+    assert cfg.lattice_freq == 66.0
+    params, _, emodel = _fit_models(cfg)
+    modeled = emodel.amplitude(params, envelope[:, 0])
+    peak = envelope[:, 1].max()
+    assert np.max(np.abs(modeled - envelope[:, 1])) <= 1e-6 * peak
+
+
+def test_fit_models_derive_unset_offsets_as_spectrum_does(tmp_path):
+    """With dw_* unset and fixed, both fit models put every line where
+    `spectrum` does instead of at the PARAM_DEFAULTS offsets."""
+    text = "\n".join(l for l in SHIPPED.splitlines() if not l.startswith("dw_"))
+    cfg, lines, _ = _spectrum_run(tmp_path, text)
+    assert cfg.band.extra_offsets == {}
+    params, tmodel, emodel = _fit_models(cfg)
+    drawn = {(l.lower, l.upper): l.frequency for l in lines if l.activity == "IR"}
+    for name in tmodel.NAMES:
+        lower, upper = name.split("->")
+        assert tmodel.frequency(name, params) == pytest.approx(drawn[lower, upper], abs=1e-6)
+    modeled = {(l.lower, l.upper): l.frequency for l in emodel.lines(params)}
+    assert modeled.keys() == drawn.keys()
+    for key, freq in modeled.items():
+        assert freq == pytest.approx(drawn[key], abs=1e-6), key

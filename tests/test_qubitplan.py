@@ -153,6 +153,13 @@ def test_coupling_zero_dipole():
         coupling_estimate(-1.0, 5.0)
 
 
+@pytest.mark.parametrize("mu,r", [(1.0, 1e-120), (1.0, 1e300), (1.0, math.inf),
+                                  (1e200, 5.0), (1e160, 5.0)])
+def test_coupling_outside_float_range_rejected(mu, r):
+    with pytest.raises(PlanError):
+        coupling_estimate(mu, r)
+
+
 # ---------------------------------------------------------------- report
 
 def test_build_plan_report():
