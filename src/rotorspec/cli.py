@@ -108,12 +108,12 @@ def _load_config(path: str) -> config_mod.RunConfig:
     return config_mod.parse_config(text)
 
 
-def _non_negative(convert, most=math.inf):
-    """argparse type: a finite number in [0, most], named after `convert` in errors."""
+def _at_least(least, convert, most=math.inf):
+    """argparse type: a finite number in [least, most], named after `convert` in errors."""
     def check(text: str):
         value = convert(text)
-        if not 0 <= value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be a non-negative finite number, got {text!r}")
+        if not least <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {least}, got {text!r}")
         if value > most:
             raise argparse.ArgumentTypeError(f"must be at most {most}, got {text!r}")
         return value
@@ -525,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lev.add_argument("--config", required=True)
     p_lev.add_argument("--format", default="text", choices=("text", "csv", "json"))
     p_lev.add_argument("--out")
-    p_lev.add_argument("--max-energy", type=_non_negative(float), default=150.0,
+    p_lev.add_argument("--max-energy", type=_at_least(0, float), default=150.0,
                        help="classify levels up to this energy in cm-1")
     p_lev.set_defaults(func=cmd_levels)
 
@@ -534,7 +534,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--sticks", default="sticks.csv")
     p_spec.add_argument("--out-spectrum", default="spectrum.csv")
     p_spec.add_argument("--svg")
-    p_spec.add_argument("--max-energy", type=_non_negative(float), default=150.0)
+    p_spec.add_argument("--max-energy", type=_at_least(0, float), default=150.0)
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_fit = sub.add_parser("fit", help="calibrate parameters against peaks or envelope")
@@ -543,10 +543,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--envelope", help="sampled spectrum CSV for mode=envelope")
     p_fit.add_argument("--mode", default="positions", choices=("positions", "envelope"))
     p_fit.add_argument("--free", default="B,beta,nu0,extra_offsets")
-    p_fit.add_argument("--starts", type=int, default=8)
-    p_fit.add_argument("--max-iter", type=int, default=2000)
-    p_fit.add_argument("--tol", type=_non_negative(float), default=1e-10)
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--starts", type=_at_least(1, int), default=8)
+    p_fit.add_argument("--max-iter", type=_at_least(1, int), default=2000)
+    p_fit.add_argument("--tol", type=_at_least(0, float), default=1e-10)
+    p_fit.add_argument("--seed", type=_at_least(0, int), default=0)
     p_fit.add_argument("--bound", nargs=3, action="append",
                        metavar=("NAME", "LO", "HI"))
     p_fit.add_argument("--out", help="write the fit report JSON here")
@@ -557,11 +557,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--lines", required=True, help="stick-list CSV")
     p_plan.add_argument("--out", help="write the plan JSON here")
     p_plan.add_argument("--activity", default="all", choices=("all", "IR", "Raman"))
-    p_plan.add_argument("--max-pairs", type=_non_negative(int), default=None)
-    p_plan.add_argument("--mc-samples", type=_non_negative(int, qubitplan.MAX_MC_SAMPLES),
+    p_plan.add_argument("--max-pairs", type=_at_least(0, int), default=None)
+    p_plan.add_argument("--mc-samples", type=_at_least(0, int, qubitplan.MAX_MC_SAMPLES),
                         default=0,
                         help="validate the poisson mean with this many samples")
-    p_plan.add_argument("--seed", type=int, default=0)
+    p_plan.add_argument("--seed", type=_at_least(0, int), default=0)
     p_plan.set_defaults(func=cmd_plan)
     return parser
 

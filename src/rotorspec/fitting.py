@@ -288,13 +288,11 @@ def _multistart_minimize(objective, spec: FitSpec, seed: int):
     hi = np.array([bounds[n][1] for n in names])
     x0 = np.clip(np.array([base[n] for n in names]), lo, hi)
     rng = np.random.default_rng(seed)
-    starts = [x0]
-    for _ in range(spec.n_starts - 1):
-        starts.append(lo + (hi - lo) * rng.random(len(names)))
-
     best = None
     total_iter = 0
-    for index, start in enumerate(starts):
+    for index in range(spec.n_starts):
+        # drawn as each start begins: n_starts may be far more than fit in memory
+        start = x0 if index == 0 else lo + (hi - lo) * rng.random(len(names))
         trace: list[float] = []
 
         def tracked(x):

@@ -21,12 +21,14 @@ The potential and the rank-1/rank-2 transition operators share one table
 of 3j factors per (J', J, rank); it alone fixes the index and phase
 convention of <J'k'm'|D^l_{mu nu}|J k m> and is the only caller of wigner3j.
 
-Eigenlevels are classified by character projection over the product group
-(site rotations act on m, molecular rotations on k) and receive the cluster
-labels of symmetry.LEVEL_LABELS together with their nuclear-spin species.
-The fitting path needs energies only: LevelGapCache solves one
-symmetry-adapted block per level symbol, whose eigenvalues are the energies
-of that symbol's levels in order.
+Both label mechanisms rest on one set of symmetry-adapted first-row blocks
+of the product group (site rotations act on m, molecular rotations on k;
+_first_row_bases).  classify_levels counts each eigencluster's product-irrep
+content as its squared norm on those blocks, splits clusters holding several
+labels by isotypic projection, and gives the levels the cluster labels of
+symmetry.LEVEL_LABELS together with their nuclear-spin species.  The fitting
+path needs energies only: LevelGapCache solves one block per level symbol,
+whose eigenvalues are the energies of that symbol's levels in order.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import scipy.optimize
 import scipy.sparse
 
 from . import symmetry
-from .symmetry import LEVEL_LABELS, T_CLASS_REPS, T_CLASS_SIZES, T_ROTATIONS
+from .symmetry import LEVEL_LABELS, T_ROTATIONS
 
 __all__ = [
     "BasisState",
@@ -486,6 +488,41 @@ def diagonalize(model: RotorModel) -> Eigensystem:
 
 
 # ----------------------------------------------------------------------------
+# symmetry-adapted first-row bases (classification and the fit's label blocks)
+# ----------------------------------------------------------------------------
+
+_CONJUGATE = {"A": "A", "1E": "2E", "2E": "1E", "F": "F"}  # of each T irrep
+
+
+@lru_cache(maxsize=None)
+def _row_basis(J: int, irrep: str) -> np.ndarray:
+    """Orthonormal columns spanning the first-row functions of a T irrep in
+    D^J: the image of (d/12) sum_r conj(G11(r)) D^J(r).  G11 is the character
+    of A, 1E and 2E, and the (x, x) element of the rotation matrix for F.  The
+    A and F projectors are real, so their bases are too."""
+    _, dim, chars = symmetry.character_table("T").irrep(irrep)
+    P = sum(np.conj(symmetry.rotation_matrix(axis, angle)[0, 0] if irrep == "F" else chars[cls])
+            * wigner_d_matrix(J, axis, angle) for axis, angle, cls in T_ROTATIONS)
+    P = P * dim / len(T_ROTATIONS)
+    if irrep in ("A", "F"):
+        P = P.real
+    w, v = np.linalg.eigh(P)  # a projector: eigenvalues 0 or 1
+    basis = v[:, w > 0.5]
+    basis.setflags(write=False)
+    return basis
+
+
+def _first_row_bases(J: int, constituent: str) -> tuple[np.ndarray, np.ndarray]:
+    """(k-side, m-side) orthonormal columns of the first-row block of the
+    product irrep `constituent` = s.m in the J manifold: conj(row basis of
+    conj(m)) on k, since molecular rotations act on k through conj(D^J), and
+    the row basis of s on m.  The block is kron(k-side, m-side) in the k-major
+    order of build_basis; it holds one state per copy of s.m."""
+    site, mol = constituent.split(".")
+    return _row_basis(J, _CONJUGATE[mol]).conj(), _row_basis(J, site)
+
+
+# ----------------------------------------------------------------------------
 # classification
 # ----------------------------------------------------------------------------
 
@@ -537,37 +574,22 @@ def _split_vector_blocks(vectors: np.ndarray, jmax: int):
     return blocks
 
 
-def _cluster_characters(vectors: np.ndarray, jmax: int) -> np.ndarray:
-    """Characters of the cluster representation over the 16 class pairs."""
-    vb = _split_vector_blocks(vectors.astype(complex), jmax)
-    chi = np.zeros((4, 4), dtype=complex)
-    for a, rs in enumerate(T_CLASS_REPS):
-        for b, rm in enumerate(T_CLASS_REPS):
-            rotated = _apply_rotation(vb, jmax, rs, rm)
-            acc = 0.0
-            for Vj, Wj in zip(vb, rotated):
-                if Vj.size:
-                    acc += np.einsum("kmn,kmn->", Vj.conj(), Wj)
-            chi[a, b] = acc
-    return chi
+#: the 16 product irreps "site.mol" with their dimensions, in TxT table order
+_CONSTITUENTS = tuple((label, dim) for label, dim, _ in symmetry.character_table("TxT").irreps)
 
 
-def _complex_multiplicities(chi: np.ndarray) -> dict[str, int]:
-    table = symmetry.character_table("T")
-    sizes = np.array(T_CLASS_SIZES, dtype=float)
-    out = {}
-    for sl, _, sch in table.irreps:
-        for ml, _, mch in table.irreps:
-            n = 0.0
-            for a in range(4):
-                for b in range(4):
-                    n += sizes[a] * sizes[b] * np.conj(sch[a] * mch[b]) * chi[a, b]
-            n /= 144.0
-            if abs(n.imag) > 1e-6 or abs(n.real - round(n.real)) > 1e-6:
-                raise RotorError(f"non-integer irrep multiplicity {n:.3e} for {sl}.{ml}")
-            if round(n.real):
-                out[f"{sl}.{ml}"] = int(round(n.real))
-    return out
+def _irrep_weights(vectors: np.ndarray, jmax: int) -> np.ndarray:
+    """W[c, i]: squared norm of column i on the first-row block of the c-th
+    product irrep of _CONSTITUENTS.  Summed over columns spanning an invariant
+    subspace, a row counts the copies of that irrep in the subspace."""
+    weights = np.zeros((len(_CONSTITUENTS), vectors.shape[1]))
+    for J, Vj in enumerate(_split_vector_blocks(vectors, jmax)):
+        for c, (constituent, _) in enumerate(_CONSTITUENTS):
+            kside, mside = _first_row_bases(J, constituent)
+            coeff = np.tensordot(np.tensordot(kside.conj(), Vj, axes=(0, 0)),
+                                 mside.conj(), axes=(1, 0))
+            weights[c] += np.sum(np.abs(coeff) ** 2, axis=(0, 2))
+    return weights
 
 
 def _group_elements():
@@ -602,35 +624,40 @@ def _project_label(vectors: np.ndarray, jmax: int, label) -> np.ndarray:
     return vectors @ u[:, :rank]
 
 
-def classify_levels(system: Eigensystem, model: RotorModel | None = None,
-                    cluster_tol: float | None = None,
+def classify_levels(system: Eigensystem, cluster_tol: float | None = None,
                     max_energy: float | None = None) -> list[EnergyLevel]:
     """Assign product-group labels and spin species to degenerate clusters.
 
-    Energy clusters holding several irreps (the model's site/molecule exchange
-    symmetry makes some pairs exactly degenerate) are split into one level per
-    label by isotypic projection.  A level is flagged when its label occurs
-    more than once within one cluster (basis choice then arbitrary) or when
-    projection fails to resolve integral content.
+    A cluster's product-irrep content is the sum of its columns' weights on
+    the first-row blocks (_irrep_weights); it is unresolved (`?`) unless every
+    count is integral and the counts times the irrep dimensions fill the
+    cluster.  Energy clusters holding several irreps (the model's
+    site/molecule exchange symmetry makes some pairs exactly degenerate) are
+    split into one level per label by isotypic projection.  A level is
+    flagged when its label occurs more than once within one cluster (basis
+    choice then arbitrary) or when its content is unresolved.
     """
-    model = model or system.model
-    jmax = model.Jmax
+    jmax = system.model.Jmax
     span = system.energies[-1] - system.energies[0] or 1.0
     tol = cluster_tol if cluster_tol is not None else 1e-6 * span
+    slices = [(a, b) for a, b in _cluster_slices(system.energies, tol)
+              if max_energy is None or system.energies[a] <= max_energy]
+    weights = _irrep_weights(system.vectors[:, :slices[-1][1] if slices else 0], jmax)
+    dims = np.array([dim for _, dim in _CONSTITUENTS])
     raw_levels = []
-    for a, b in _cluster_slices(system.energies, tol):
-        if max_energy is not None and system.energies[a] > max_energy:
-            break
+    for a, b in slices:
         vecs = system.vectors[:, a:b]
         energy = float(system.energies[a:b].mean())
-        try:
-            content = _complex_multiplicities(_cluster_characters(vecs, jmax))
-        except RotorError:
+        copies = weights[:, a:b].sum(axis=1)
+        mults = np.rint(copies)
+        if np.abs(copies - mults).max() > 1e-6 or mults @ dims != b - a:
             raw_levels.append((energy, "?", None, b - a, True, vecs))
             continue
         by_label: dict[str, int] = {}
         consistent = True
-        for irrep, mult in content.items():
+        for (irrep, _), mult in zip(_CONSTITUENTS, mults.astype(int).tolist()):
+            if not mult:
+                continue
             name = symmetry.CONSTITUENT_TO_LABEL[irrep]
             prev = by_label.setdefault(name, mult)
             if prev != mult:
@@ -745,37 +772,13 @@ class PerBetaCache(OrderedDict):
         return value
 
 
-_CONJUGATE = {"A": "A", "1E": "2E", "2E": "1E", "F": "F"}  # of each T irrep
-
-
-@lru_cache(maxsize=None)
-def _row_basis(J: int, irrep: str) -> np.ndarray:
-    """Orthonormal columns spanning the first-row functions of a T irrep in
-    D^J: the image of (d/12) sum_r conj(G11(r)) D^J(r).  G11 is the character
-    of A, 1E and 2E, and the (x, x) element of the rotation matrix for F.  The
-    A and F projectors are real, so their bases are too."""
-    _, dim, chars = symmetry.character_table("T").irrep(irrep)
-    P = sum(np.conj(symmetry.rotation_matrix(axis, angle)[0, 0] if irrep == "F" else chars[cls])
-            * wigner_d_matrix(J, axis, angle) for axis, angle, cls in T_ROTATIONS)
-    P = P * dim / len(T_ROTATIONS)
-    if irrep in ("A", "F"):
-        P = P.real
-    w, v = np.linalg.eigh(P)  # a projector: eigenvalues 0 or 1
-    basis = v[:, w > 0.5]
-    basis.setflags(write=False)
-    return basis
-
-
 def _label_block(jmax: int, name: str) -> np.ndarray:
     """Orthonormal columns of the symmetry-adapted block of a level symbol:
-    for its first constituent s.m, kron(conj(row basis of conj(m)) on k,
-    row basis of s on m) per J, since molecular rotations act on k through
-    conj(D^J).  Each level of the symbol has one state in the block; the
+    the first-row block of its first constituent, per J.  Each level of the symbol has one state in the block; the
     block is real for A1, A3, L2 and L1.  Sizes at Jmax 10: A1 17, L1 110,
     A3/L2 38, E4/I1I2 36, E2/E3 14, A2/E1 12."""
-    site, mol = LEVEL_LABELS[name].constituents[0].split(".")
     return scipy.linalg.block_diag(*(
-        np.kron(_row_basis(J, _CONJUGATE[mol]).conj(), _row_basis(J, site))
+        np.kron(*_first_row_bases(J, LEVEL_LABELS[name].constituents[0]))
         for J in range(jmax + 1)))
 
 

@@ -48,8 +48,6 @@ __all__ = [
     "LEVEL_LABELS",
     "LevelLabel",
     "T_ROTATIONS",
-    "T_CLASS_REPS",
-    "T_CLASS_SIZES",
 ]
 
 
@@ -147,15 +145,6 @@ T_ROTATIONS: tuple[tuple[tuple[int, int, int], float, int], ...] = tuple(
     + [(ax, math.pi, 3) for ax in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     + [(ax, 2 * math.pi / 3, 1) for ax in _C3_AXES]
     + [(ax, -2 * math.pi / 3, 2) for ax in _C3_AXES]
-)
-
-T_CLASS_SIZES = (1, 4, 4, 3)
-#: one representative (axis, angle) per class of T
-T_CLASS_REPS = (
-    ((0, 0, 1), 0.0),
-    ((1, 1, 1), 2 * math.pi / 3),
-    ((1, 1, 1), -2 * math.pi / 3),
-    ((0, 0, 1), math.pi),
 )
 
 
@@ -420,11 +409,6 @@ def spin_decomposition() -> list[SpinSpecies]:
     ]
     assert sum(s.total_count for s in species) == 16
     return species
-
-
-def spin_statistical_weights() -> dict[str, int]:
-    """Per-level nuclear spin weights {A: 5, E: 2, F: 3} from the projection."""
-    return {s.label: s.spin_weight for s in spin_decomposition()}
 
 
 # ----------------------------------------------------------------------------

@@ -534,6 +534,11 @@ def test_cli_potential_error_names_section_and_key(workdir, capsys, potential, l
     (["levels", "--config", "run.cfg", "--max-energy", "nan"], "--max-energy"),
     (["fit", "--config", "run.cfg", "--peaks", "peaks.csv", "--tol", "nan",
       "--starts", "1", "--max-iter", "5"], "--tol"),
+    (["fit", "--config", "run.cfg", "--peaks", "peaks.csv", "--seed", "-1"], "--seed"),
+    (["fit", "--config", "run.cfg", "--peaks", "peaks.csv", "--starts", "0"], "--starts"),
+    (["fit", "--config", "run.cfg", "--peaks", "peaks.csv", "--max-iter", "0"], "--max-iter"),
+    (["plan", "--config", "run.cfg", "--lines", "lines.csv", "--seed", "-1",
+      "--mc-samples", "10"], "--seed"),
 ])
 def test_cli_bad_numeric_flag_exits_1(workdir, capsys, argv, flag):
     (workdir / "lines.csv").write_text(

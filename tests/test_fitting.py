@@ -1,6 +1,7 @@
 """Peak-position and envelope calibration: round trips, determinism, bounds."""
 
 import functools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,25 @@ def test_fit_is_deterministic(tmodel):
     b = fit_line_positions(peaks, spec, tmodel, seed=11)
     assert a == b
     assert a.values == b.values and a.trace == b.trace
+
+
+def test_random_starts_drawn_as_each_start_begins():
+    # a million starts held up front took 160 MB before the first objective call
+    class FirstCall(Exception):
+        pass
+
+    def objective(x):
+        raise FirstCall
+
+    spec = FitSpec(free_params=("B", "beta", "nu0"), n_starts=10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstCall):
+            fitting._multistart_minimize(objective, spec, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_fitted_values_respect_bounds(tmodel):

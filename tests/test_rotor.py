@@ -305,6 +305,22 @@ def test_classify_flags_partial_clusters():
     assert any(lev.flagged for lev in levels)
 
 
+def test_classify_requires_content_to_fill_the_cluster():
+    # a 2-state fragment of an A3 triplet holding the triplet's F.A
+    # first-row state counts one whole copy of F.A, which needs 3 states;
+    # the remaining state counts no copy of anything
+    model = RotorModel.create(B=B0, beta=1.0, Jmax=4)
+    system = diagonalize(model)
+    a3 = rotor.find_level(classify_levels(system), "A3")
+    u, s, _ = np.linalg.svd(a3.vectors.T @ rotor._label_block(4, "A3"))
+    assert s[0] == pytest.approx(1.0) and s[1] < 1e-10
+    fragments = rotor.Eigensystem(energies=np.array([0.0, 0.0, 1.0]), vectors=a3.vectors @ u,
+                                  basis=system.basis, model=model)
+    levels = classify_levels(fragments)
+    assert [(lev.rovib_label, lev.degeneracy, lev.flagged) for lev in levels] == [
+        ("?", 2, True), ("?", 1, True)]
+
+
 def test_ordinals_count_per_label(levels_beta1):
     seen = {}
     for lev in levels_beta1:
@@ -375,6 +391,44 @@ def test_gap_matches_classified_levels(potential, beta):
     assert gaps.gap(beta) == pytest.approx(expected, abs=1e-9)
     lowest = np.sort(np.concatenate([gaps.energies(beta, name) for name in symmetry.LEVEL_LABELS]))
     assert gaps.gap(beta) == pytest.approx(lowest[1] - lowest[0], abs=1e-9)
+
+
+def _character_content(vectors, jmax):
+    """Product-irrep content of the span of `vectors` by character projection:
+    characters over the 16 (site, molecule) class pairs, reduced over TxT.
+    Site rotations act on m through D^J, molecular rotations on k through
+    conj(D^J)."""
+    reps = {}
+    for axis, angle, cls in symmetry.T_ROTATIONS:
+        reps.setdefault(cls, (axis, angle))
+    chi = np.zeros((4, 4), dtype=complex)
+    ofs = 0
+    for J in range(jmax + 1):
+        d = 2 * J + 1
+        Vj = vectors[ofs:ofs + d * d].reshape(d, d, -1)
+        ofs += d * d
+        for a in range(4):
+            for b in range(4):
+                rotated = np.einsum("kK,mM,KMn->kmn", wigner_d_matrix(J, *reps[b]).conj(),
+                                    wigner_d_matrix(J, *reps[a]), Vj, optimize=True)
+                chi[a, b] += np.vdot(Vj, rotated)
+    return symmetry.decompose(chi.ravel(), symmetry.character_table("TxT"), tol=1e-6)
+
+
+@pytest.mark.parametrize("potential", GAP_POTENTIALS)
+@pytest.mark.parametrize("beta", (0.05, 0.3, 1.0, 3.0))
+def test_classified_content_matches_characters(potential, beta):
+    # every labelled level spans its label's constituents, each as often as
+    # the label's multiplicity, by characters that share no code with the
+    # first-row blocks classify_levels reads
+    model = RotorModel.create(B=1.0, beta=beta, potential=potential, Jmax=6)
+    levels = classify_levels(diagonalize(model), max_energy=15.0)
+    assert all(lev.rovib_label != "?" for lev in levels)
+    for lev in levels:
+        label = symmetry.LEVEL_LABELS[lev.rovib_label]
+        mult = lev.degeneracy // label.dimension
+        assert lev.flagged == (mult > 1)
+        assert _character_content(lev.vectors, 6) == {c: mult for c in label.constituents}
 
 
 @pytest.mark.parametrize("potential", GAP_POTENTIALS)
