@@ -366,6 +366,11 @@ def _fit_report_payload(report: fitting.FitReport) -> dict:
     }
 
 
+#: FitSpec field -> the `fit` flag that sets it
+_FIT_FLAGS = {"free_params": "--free", "n_starts": "--starts", "max_iterations": "--max-iter",
+              "tolerance": "--tol", "bounds": "--bound"}
+
+
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
     free = tuple(x.strip() for x in args.free.split(",") if x.strip())
@@ -379,15 +384,19 @@ def cmd_fit(args) -> int:
     }
     bounds = {}
     for name, lo, hi in args.bound or ():
-        bounds[name] = (float(lo), float(hi))
+        if name in bounds:
+            raise fitting.FitError(f"--bound: {name} given more than once")
+        try:
+            bounds[name] = (float(lo), float(hi))
+        except ValueError as exc:
+            raise fitting.FitError(f"--bound: {name}: {exc}") from None
     spec = fitting.FitSpec(free_params=free, bounds=bounds, initial=initial,
                            max_iterations=args.max_iter, tolerance=args.tol,
                            n_starts=args.starts)
     # with the flags valid, a FitError of the fit is about the observed data
     problems = spec.validate()
     if problems:
-        raise fitting.FitError("; ".join(problems))
-    spec.resolved_bounds()
+        raise fitting.FitError("; ".join(f"{_FIT_FLAGS[f]}: {msg}" for f, msg in problems))
     if args.mode == "positions":
         peaks = _read_peaks_csv(args.peaks)
         model = fitting.TransitionModel(potential=cfg.model.potential,
@@ -543,9 +552,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--envelope", help="sampled spectrum CSV for mode=envelope")
     p_fit.add_argument("--mode", default="positions", choices=("positions", "envelope"))
     p_fit.add_argument("--free", default="B,beta,nu0,extra_offsets")
-    p_fit.add_argument("--starts", type=_at_least(1, int), default=8)
-    p_fit.add_argument("--max-iter", type=_at_least(1, int), default=2000)
-    p_fit.add_argument("--tol", type=_at_least(0, float), default=1e-10)
+    p_fit.add_argument("--starts", type=int, default=8)
+    p_fit.add_argument("--max-iter", type=int, default=2000)
+    p_fit.add_argument("--tol", type=float, default=1e-10)
     p_fit.add_argument("--seed", type=_at_least(0, int), default=0)
     p_fit.add_argument("--bound", nargs=3, action="append",
                        metavar=("NAME", "LO", "HI"))

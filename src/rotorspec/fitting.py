@@ -3,13 +3,19 @@ peak positions or band envelopes.
 
 The optimizer is a bounded Nelder-Mead simplex with deterministic seeded
 multistart; the objective passes through an eigenvalue solve, so derivative
-free search is the right tool for the handful of parameters involved.  All
-eigenvalue work is cached per beta (the last rotor.PER_BETA_CACHE_SIZE
-betas): B only rescales the spectrum, so a fit that moves B, nu0 and the band
-offsets at fixed beta costs one solve per label.  A position fit reads each
-level by label and ordinal from the symmetry-adapted block of its label
-(rotor.LevelGapCache) and solves only the labels its transitions name: the
-four-band fit needs the A1 and L1 blocks, 17 and 110 states at Jmax 10.
+free search is the right tool for the handful of parameters involved.  Both
+fits hand their residuals to one driver, _minimize, which runs the multistart
+on their sum of squares and builds the FitReport; the position fit adds its
+peak assignment and residual rows.  All eigenvalue work is cached per beta
+(the last rotor.PER_BETA_CACHE_SIZE betas): B only rescales the spectrum, so
+a fit that moves B, nu0 and the band offsets at fixed beta costs one solve
+per label.  A position fit reads each level by label and ordinal from the
+symmetry-adapted block of its label (rotor.LevelGapCache) and solves only the
+labels its transitions name: the four-band fit needs the A1 and L1 blocks, 17
+and 110 states at Jmax 10.
+
+FitSpec.validate states every rule on the fit options as (field, message)
+pairs; a bound's ends must lie where the model type owning it accepts them.
 
 Both models use the band model of `spectrum` as it is: the parameters
 become a VibrationBandModel, and the envelope is spectrum.profile_sum of
@@ -24,8 +30,9 @@ free or given in FitSpec.initial; PARAM_DEFAULTS holds its start value.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.optimize
@@ -76,6 +83,17 @@ PARAM_BOUNDS = {
 _GROUP_PARAMS = {"extra_offsets": spectrum.OFFSET_NAMES}
 
 
+def _domain_problems(name: str, value: float) -> list[str]:
+    """What the model type owning parameter `name` (the one with a field of
+    that name: RotorModel, VibrationBandModel or SpectrumConfig) says of
+    `value`; a parameter no model type owns has no domain rule."""
+    for owner in (RotorModel(), VibrationBandModel(PARAM_DEFAULTS["nu0"]),
+                  spectrum.SpectrumConfig(0.0, 1.0, 1.0)):
+        if name in {f.name for f in fields(owner)}:
+            return [msg for f, msg in replace(owner, **{name: value}).validate() if f == name]
+    return []
+
+
 @dataclass(frozen=True)
 class Peak:
     frequency: float
@@ -119,30 +137,43 @@ class FitSpec:
             out.extend(_GROUP_PARAMS.get(name, (name,)))
         return tuple(out)
 
-    def validate(self, n_peaks: int | None = None) -> list[str]:
+    def validate(self, n_peaks: int | None = None) -> list[tuple[str, str]]:
+        """Every problem of the spec as (field, message); `n_peaks` adds the
+        peaks >= named free parameters rule of a position fit."""
         problems = []
         if not self.free_params:
-            problems.append("at least one free parameter required")
+            problems.append(("free_params", "at least one free parameter required"))
         for name in self.free_params:
             if name not in PARAM_DEFAULTS and name not in _GROUP_PARAMS:
-                problems.append(f"unknown parameter {name!r}")
+                problems.append(("free_params", f"unknown parameter {name!r}"))
+        free = self.scalar_free()
+        if len(set(free)) < len(free):
+            problems.append(("free_params", f"a parameter is named twice in {', '.join(free)}"))
         if n_peaks is not None and n_peaks < len(self.free_params):
-            problems.append(
-                f"under-determined: {n_peaks} peaks for "
-                f"{len(self.free_params)} free parameters"
-            )
-        if self.max_iterations < 1 or self.n_starts < 1 or not self.tolerance > 0:
-            problems.append("max_iterations, n_starts and tolerance must be positive")
+            problems.append(("free_params", f"under-determined: {n_peaks} peaks for "
+                                            f"{len(self.free_params)} free parameters"))
+        for name, value in (("n_starts", self.n_starts), ("max_iterations", self.max_iterations)):
+            if value < 1:
+                problems.append((name, f"{name} must be at least 1, got {value}"))
+        if not 0 < self.tolerance < math.inf:
+            problems.append(("tolerance",
+                             f"tolerance must be positive and finite, got {self.tolerance}"))
+        for name, (lo, hi) in self.bounds.items():
+            if name not in free:
+                problems.append(("bounds", f"{name!r} is not a free scalar parameter "
+                                           f"({', '.join(free)})"))
+            elif not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                problems.append(("bounds", f"bounds for {name} must be finite with low < high, "
+                                           f"got ({lo}, {hi})"))
+            else:
+                problems += [("bounds", f"bounds for {name}: {msg}") for msg in
+                             _domain_problems(name, lo) or _domain_problems(name, hi)]
         return problems
 
-    def resolved_bounds(self) -> dict[str, tuple[float, float]]:
-        out = {}
-        for name in self.scalar_free():
-            lo, hi = self.bounds.get(name, PARAM_BOUNDS[name])
-            if not lo < hi:
-                raise FitError(f"empty bounds for {name}: ({lo}, {hi})")
-            out[name] = (float(lo), float(hi))
-        return out
+    def require_valid(self, n_peaks: int | None = None):
+        problems = self.validate(n_peaks)
+        if problems:
+            raise FitError("; ".join(msg for _, msg in problems))
 
     def resolved_initial(self) -> dict[str, float]:
         """PARAM_DEFAULTS (a dw's only when free) overlaid with `initial`."""
@@ -280,29 +311,31 @@ class EnvelopeModel:
 # optimizer core
 # ----------------------------------------------------------------------------
 
-def _multistart_minimize(objective, spec: FitSpec, seed: int):
+def _minimize(spec: FitSpec, seed: int, residuals) -> tuple[FitReport, dict]:
+    """Seeded multistart Nelder-Mead on sum(residuals(params)**2) over the
+    free parameters of a valid `spec`.  Start 0 is the initial values clipped
+    to the bounds; each later start is a uniform draw in the bounds, made as
+    the start begins (n_starts may be far more than fit in memory).  Returns
+    the best start's report, without residual rows, and its parameters."""
     names = spec.scalar_free()
-    bounds = spec.resolved_bounds()
     base = spec.resolved_initial()
-    lo = np.array([bounds[n][0] for n in names])
-    hi = np.array([bounds[n][1] for n in names])
+    lo, hi = np.array([spec.bounds.get(n, PARAM_BOUNDS[n]) for n in names], dtype=float).T
     x0 = np.clip(np.array([base[n] for n in names]), lo, hi)
     rng = np.random.default_rng(seed)
     best = None
     total_iter = 0
     for index in range(spec.n_starts):
-        # drawn as each start begins: n_starts may be far more than fit in memory
         start = x0 if index == 0 else lo + (hi - lo) * rng.random(len(names))
         trace: list[float] = []
 
-        def tracked(x):
-            val = objective(x)
+        def objective(x):
+            val = float(np.sum(residuals({**base, **dict(zip(names, x))}) ** 2))
             if not trace or val < trace[-1]:
                 trace.append(val)
             return val
 
         res = scipy.optimize.minimize(
-            tracked, start, method="Nelder-Mead",
+            objective, start, method="Nelder-Mead",
             bounds=list(zip(lo, hi)),
             options={
                 "maxiter": spec.max_iterations,
@@ -312,18 +345,22 @@ def _multistart_minimize(objective, spec: FitSpec, seed: int):
             },
         )
         total_iter += int(res.nit)
-        candidate = (float(res.fun), index, res, tuple(trace))
-        if best is None or candidate[0] < best[0]:
-            best = candidate
+        if best is None or float(res.fun) < best[0]:
+            best = (float(res.fun), index, res, tuple(trace))
     fun, index, res, trace = best
-    converged = bool(res.success) or fun <= spec.tolerance
-    return names, res.x, fun, total_iter, converged, index, trace, res.message
-
-
-def _merge_params(spec: FitSpec, names, x) -> dict:
-    params = spec.resolved_initial()
-    params.update(dict(zip(names, x)))
-    return params
+    params = {**base, **dict(zip(names, res.x))}
+    report = FitReport(
+        values={k: float(v) for k, v in params.items()},
+        free=spec.free_params,
+        residuals=(),
+        objective=fun,
+        iterations=total_iter,
+        converged=bool(res.success) or fun <= spec.tolerance,
+        message=str(res.message),
+        best_start=index,
+        trace=trace,
+    )
+    return report, params
 
 
 # ----------------------------------------------------------------------------
@@ -368,39 +405,15 @@ def fit_line_positions(observed: PeakList, spec: FitSpec,
                        seed: int = 0) -> FitReport:
     """Least-squares fit of transition frequencies to observed peak positions."""
     model = model or TransitionModel()
-    problems = spec.validate(n_peaks=len(observed.peaks))
-    if problems:
-        raise FitError("; ".join(problems))
-    params0 = spec.resolved_initial()
-    assignments, fallback_notes = _assign_peaks(observed, model, params0)
+    spec.require_valid(n_peaks=len(observed.peaks))
+    assignments, fallback_notes = _assign_peaks(observed, model, spec.resolved_initial())
     names = [n for _, n in assignments]
     obs = np.array([p.frequency for p, _ in assignments])
-    free_names = spec.scalar_free()
-
-    def objective(x):
-        params = _merge_params(spec, free_names, x)
-        return float(np.sum((obs - model.frequencies(names, params)) ** 2))
-
-    (_, x_best, fun, iters, converged, start_idx, trace,
-     message) = _multistart_minimize(objective, spec, seed)
-    params = _merge_params(spec, free_names, x_best)
+    report, params = _minimize(spec, seed, lambda p: obs - model.frequencies(names, p))
     modeled = model.frequencies(names, params)
-    residuals = tuple(
-        (name, float(o), float(mval), float(o - mval))
-        for (peak, name), o, mval in zip(assignments, obs, modeled)
-    )
-    return FitReport(
-        values={k: float(v) for k, v in params.items()},
-        free=spec.free_params,
-        residuals=residuals,
-        objective=fun,
-        iterations=iters,
-        converged=converged,
-        message=str(message),
-        nearest_assigned=fallback_notes,
-        best_start=start_idx,
-        trace=trace,
-    )
+    rows = tuple((name, float(o), float(m), float(o - m))
+                 for name, o, m in zip(names, obs, modeled))
+    return replace(report, residuals=rows, nearest_assigned=fallback_notes)
 
 
 def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,
@@ -408,9 +421,7 @@ def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,
     """Least-squares fit of a sampled envelope over the free parameters,
     fwhm and intensity scale included."""
     model = model or EnvelopeModel()
-    problems = spec.validate()
-    if problems:
-        raise FitError("; ".join(problems))
+    spec.require_valid()
     freqs = np.asarray(observed_freqs, dtype=float)
     amps = np.asarray(observed_amps, dtype=float)
     if freqs.ndim != 1 or freqs.shape != amps.shape or len(freqs) < 2:
@@ -420,8 +431,7 @@ def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,
 
     params0 = spec.resolved_initial()
     line_freqs = np.array([l.frequency for l in model.lines(params0)])
-    fwhm0 = params0.get("fwhm", 1.5)
-    margin = 4.0 * fwhm0
+    margin = 4.0 * params0.get("fwhm", 1.5)
     if np.all((line_freqs < freqs[0] - margin) | (line_freqs > freqs[-1] + margin)):
         return FitReport(
             values={k: float(v) for k, v in params0.items()},
@@ -433,24 +443,4 @@ def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,
                 f"{line_freqs[np.argmin(np.abs(line_freqs - freqs.mean()))]:g} cm^-1"
             ),
         )
-
-    free_names = spec.scalar_free()
-
-    def objective(x):
-        params = _merge_params(spec, free_names, x)
-        return float(np.sum((amps - model.amplitude(params, freqs)) ** 2))
-
-    (_, x_best, fun, iters, converged, start_idx, trace,
-     message) = _multistart_minimize(objective, spec, seed)
-    params = _merge_params(spec, free_names, x_best)
-    return FitReport(
-        values={k: float(v) for k, v in params.items()},
-        free=spec.free_params,
-        residuals=(),
-        objective=fun,
-        iterations=iters,
-        converged=converged,
-        message=str(message),
-        best_start=start_idx,
-        trace=trace,
-    )
+    return _minimize(spec, seed, lambda p: amps - model.amplitude(p, freqs))[0]

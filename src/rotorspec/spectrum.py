@@ -245,11 +245,7 @@ def hosted_species(final_label: str) -> frozenset[str]:
     lab = symmetry.LEVEL_LABELS[final_label]
     table = symmetry.character_table("T")
     chi = table.characters("F") * lab.mol_characters()
-    content = symmetry.decompose(chi, table)
-    species = set()
-    for irrep in content:
-        species.add({"A": "A", "1E": "E", "2E": "E", "F": "F"}[irrep])
-    return frozenset(species)
+    return frozenset(symmetry.SPIN_OF_MOL[irrep] for irrep in symmetry.decompose(chi, table))
 
 
 def _gated_finals(initial: EnergyLevel, finals, jmax: int, rank: int):

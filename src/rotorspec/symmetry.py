@@ -46,6 +46,7 @@ __all__ = [
     "spin_decomposition",
     "selection_allowed",
     "LEVEL_LABELS",
+    "SPIN_OF_MOL",
     "LevelLabel",
     "T_ROTATIONS",
 ]
@@ -382,21 +383,30 @@ def _cycle_count(perm: tuple[int, ...]) -> int:
     return cycles
 
 
+def _spin_class_sums() -> np.ndarray:
+    """Class sums over T of the permutation character of the 16 product
+    states of four spin-1/2 nuclei.  A product state is fixed by a
+    permutation iff its labels are constant on each cycle, so the character
+    is 2^(number of cycles)."""
+    sums = np.zeros(4)
+    for perm, cls in rotation_permutations():
+        sums[cls] += 2.0 ** _cycle_count(perm)
+    return sums
+
+
+_SPIN_CLASS_SUMS = _spin_class_sums()
+
+#: molecular T irrep -> the nuclear-spin species it pairs with
+SPIN_OF_MOL = {"A": "A", "1E": "E", "2E": "E", "F": "F"}
+
+
 def spin_decomposition() -> list[SpinSpecies]:
     """Decompose the 16-dim space of four spin-1/2 nuclei under the 12
-    permutation-rotations of T by character projection.
-
-    A product spin state is fixed by a permutation iff its labels are constant
-    on each cycle, so the permutation character is 2^(number of cycles).
-    """
-    chi_spin = np.zeros(4)
-    for perm, cls in rotation_permutations():
-        chi_spin[cls] += 2.0 ** _cycle_count(perm)
-    # chi_spin currently holds class sums; projection uses them directly
+    permutation-rotations of T by character projection."""
     table = character_table("T")
     mult = {}
     for label, dim, ich in table.irreps:
-        n = sum(chi_spin[c] * np.conj(ich[c]) for c in range(4)) / 12.0
+        n = sum(_SPIN_CLASS_SUMS[c] * np.conj(ich[c]) for c in range(4)) / 12.0
         ni = int(round(n.real))
         if abs(n - ni) > 1e-9:
             raise RuntimeError(f"non-integer spin multiplicity for {label}: {n}")
@@ -464,10 +474,6 @@ class LevelLabel:
         return chi
 
 
-def _spin_of_mol(mol: str) -> str:
-    return {"A": "A", "1E": "E", "2E": "E", "F": "F"}[mol]
-
-
 def _build_level_labels() -> dict[str, LevelLabel]:
     pairs = {
         "A1": ("A.A",),
@@ -481,18 +487,14 @@ def _build_level_labels() -> dict[str, LevelLabel]:
         "I1I2": ("1E.F", "2E.F"),
         "L1": ("F.F",),
     }
-    chi_spin = np.zeros(4)
-    for perm, cls in rotation_permutations():
-        chi_spin[cls] += 2.0 ** _cycle_count(perm)
     out = {}
     for name, constituents in pairs.items():
         dim = sum(_TXT_TABLE.irrep(c)[1] for c in constituents)
-        mol = constituents[0].split(".")[1]
-        spin = _spin_of_mol(mol)
+        spin = SPIN_OF_MOL[constituents[0].split(".")[1]]
         # Pauli count: invariants of (molecular action on cluster) x spin space
         tmp = LevelLabel(name, constituents, dim, spin, 0)
         chi_mol = tmp.mol_characters()
-        g = sum(chi_mol[c] * chi_spin[c] for c in range(4)) / 12.0
+        g = sum(chi_mol[c] * _SPIN_CLASS_SUMS[c] for c in range(4)) / 12.0
         gi = int(round(g.real))
         assert abs(g - gi) < 1e-9
         out[name] = LevelLabel(name, constituents, dim, spin, gi)

@@ -539,6 +539,26 @@ def test_cli_potential_error_names_section_and_key(workdir, capsys, potential, l
     (["fit", "--config", "run.cfg", "--peaks", "peaks.csv", "--max-iter", "0"], "--max-iter"),
     (["plan", "--config", "run.cfg", "--lines", "lines.csv", "--seed", "-1",
       "--mc-samples", "10"], "--seed"),
+    (["fit", "--config", "run.cfg", "--peaks", "peaks.csv", "--tol", "0"], "--tol"),
+    (["fit", "--config", "run.cfg", "--peaks", "peaks.csv", "--tol", "inf"], "--tol"),
+    (["fit", "--config", "run.cfg", "--peaks", "peaks.csv", "--bound", "Bx", "1", "2"],
+     "--bound"),
+    (["fit", "--config", "run.cfg", "--peaks", "peaks.csv", "--bound", "fwhm", "1", "2"],
+     "--bound"),
+    (["fit", "--config", "run.cfg", "--peaks", "peaks.csv", "--bound", "B", "4", "6",
+      "--bound", "B", "5", "7"], "--bound"),
+    (["fit", "--config", "run.cfg", "--peaks", "peaks.csv", "--bound", "B", "x", "3"],
+     "--bound"),
+    (["fit", "--config", "run.cfg", "--peaks", "peaks.csv", "--bound", "B", "9", "3"],
+     "--bound"),
+    (["fit", "--config", "run.cfg", "--peaks", "peaks.csv", "--bound", "B", "nan", "3"],
+     "--bound"),
+    (["fit", "--config", "run.cfg", "--peaks", "peaks.csv", "--bound", "beta", "-3", "-0.5"],
+     "--bound"),
+    (["fit", "--config", "run.cfg", "--peaks", "peaks.csv", "--free", "B,nu0",
+      "--bound", "B", "-9", "-1"], "--bound"),
+    (["fit", "--config", "run.cfg", "--peaks", "peaks.csv",
+      "--free", "B,extra_offsets,dw_L1_star"], "--free"),
 ])
 def test_cli_bad_numeric_flag_exits_1(workdir, capsys, argv, flag):
     (workdir / "lines.csv").write_text(

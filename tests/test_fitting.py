@@ -38,7 +38,8 @@ def test_fitspec_validation():
 
 
 def test_fitspec_rejects_nan_tolerance():
-    assert FitSpec(free_params=("B",), tolerance=float("nan")).validate()
+    assert [f for f, _ in FitSpec(free_params=("B",), tolerance=float("nan")).validate()] \
+        == ["tolerance"]
 
 
 def test_underdetermined_rejected(tmodel):
@@ -91,6 +92,17 @@ def test_round_trip_recovers_parameters(tmodel):
     assert report.max_abs_residual() < 1e-4
 
 
+def _envelope_fit(seed):
+    """An envelope fit at Jmax 4 with 2 starts, and its observed envelope."""
+    model = EnvelopeModel(jmax=4)
+    truth = dict(TRUTH, beta=1.0)
+    freqs = np.arange(3190.0, 3250.0, 0.5)
+    amps = model.amplitude(truth, freqs)
+    spec = FitSpec(free_params=("nu0", "fwhm"), n_starts=2, max_iterations=60,
+                   initial=dict(truth, nu0=3204.0, fwhm=1.2))
+    return fit_envelope(freqs, amps, spec, model, seed=seed), model, freqs, amps
+
+
 def test_objective_equals_sum_of_squared_residuals(tmodel):
     peaks = _synthetic_peaks(tmodel)
     spec = FitSpec(free_params=("B", "beta", "nu0"), n_starts=2,
@@ -98,6 +110,9 @@ def test_objective_equals_sum_of_squared_residuals(tmodel):
     report = fit_line_positions(peaks, spec, tmodel, seed=3)
     assert report.objective == pytest.approx(
         sum(r * r for _, _, _, r in report.residuals), abs=1e-12)
+    report, model, freqs, amps = _envelope_fit(seed=3)
+    squares = np.sum((amps - model.amplitude(report.values, freqs)) ** 2)
+    assert report.objective == pytest.approx(squares, rel=1e-12)
 
 
 def test_fit_is_deterministic(tmodel):
@@ -114,14 +129,14 @@ def test_random_starts_drawn_as_each_start_begins():
     class FirstCall(Exception):
         pass
 
-    def objective(x):
+    def residuals(params):
         raise FirstCall
 
     spec = FitSpec(free_params=("B", "beta", "nu0"), n_starts=10**6)
     tracemalloc.start()
     try:
         with pytest.raises(FirstCall):
-            fitting._multistart_minimize(objective, spec, seed=0)
+            fitting._minimize(spec, seed=0, residuals=residuals)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -140,9 +155,10 @@ def test_fitted_values_respect_bounds(tmodel):
 def test_best_objective_trace_never_increases(tmodel):
     peaks = _synthetic_peaks(tmodel)
     spec = FitSpec(free_params=("B", "beta", "nu0"), n_starts=2)
-    report = fit_line_positions(peaks, spec, tmodel, seed=5)
-    trace = report.trace
-    assert all(b <= a for a, b in zip(trace, trace[1:]))
+    for report in (fit_line_positions(peaks, spec, tmodel, seed=5), _envelope_fit(seed=5)[0]):
+        trace = report.trace
+        assert trace and all(b < a for a, b in zip(trace, trace[1:]))
+        assert report.objective == trace[-1]
 
 
 def test_shrinking_bounds_around_truth_never_worsens(tmodel):
