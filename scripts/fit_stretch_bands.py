@@ -2,20 +2,19 @@
 """Calibrate the rotor model against the four observed N-H stretching bands
 and report the tunneling frequency the fit implies.
 
+The bands are read from configs/atpb_peaks.csv, the peak file of the
+README's `fit` example, with the reader `rotorspec fit --peaks` uses.
+
 Usage: python scripts/fit_stretch_bands.py [--jmax N] [--seed N]
 """
 
 import argparse
 import time
+from pathlib import Path
 
-from rotorspec import fitting
+from rotorspec import cli, fitting
 
-OBSERVED = [
-    (3206.0, "(L1)1->(L1)1*"),
-    (3217.0, "(A1)1->(L1)1*"),
-    (3230.0, "(L1)1->(L1)2*"),
-    (3235.0, "(L1)1->(E3)1*"),
-]
+PEAKS_CSV = Path(__file__).resolve().parent.parent / "configs" / "atpb_peaks.csv"
 
 
 def main():
@@ -25,7 +24,7 @@ def main():
     ap.add_argument("--starts", type=int, default=8)
     args = ap.parse_args()
 
-    peaks = fitting.PeakList(tuple(fitting.Peak(f, None, lab) for f, lab in OBSERVED))
+    peaks = cli._read_peaks_csv(str(PEAKS_CSV))
     spec = fitting.FitSpec(free_params=("B", "beta", "nu0", "extra_offsets"),
                            n_starts=args.starts)
     model = fitting.TransitionModel(jmax=args.jmax)

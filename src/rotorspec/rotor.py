@@ -20,6 +20,10 @@ the global maximum.
 The potential and the rank-1/rank-2 transition operators share one table
 of 3j factors per (J', J, rank); it alone fixes the index and phase
 convention of <J'k'm'|D^l_{mu nu}|J k m> and is the only caller of wigner3j.
+V and the operators are assembled from the nonzero 3j products only, and
+transition_strength applies a lower level's operators once for all finals.
+Until perfbench/ref is re-recorded these kernels must stay bit-identical to
+the dense/Kronecker definitions that tests/test_rotor.py keeps as references.
 
 Both label mechanisms rest on one set of symmetry-adapted first-row blocks
 of the product group (site rotations act on m, molecular rotations on k;
@@ -123,8 +127,6 @@ def wigner3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
         return 0.0
     if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
         return 0.0
-    from fractions import Fraction
-
     f = math.factorial
     num = (f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(-j1 + j2 + j3)
            * f(j1 - m1) * f(j1 + m1) * f(j2 - m2) * f(j2 + m2)
@@ -139,7 +141,8 @@ def wigner3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
                          * f(j3 - j1 - m2 + k))
         ssum += -term if k % 2 else term
     sign = -1 if (j1 - j2 - m3) % 2 else 1
-    return sign * math.sqrt(float(Fraction(num, den))) * float(Fraction(ssum, scale))
+    # int / int is correctly rounded, so each quotient is the nearest float
+    return sign * math.sqrt(num / den) * (ssum / scale)
 
 
 @lru_cache(maxsize=None)
@@ -368,39 +371,41 @@ def _j_offsets(jmax: int) -> list[int]:
     return out
 
 
-def _coupling_blocks(jmax: int, rank: int, cmat: np.ndarray) -> list:
-    """Per (J2, J) dense blocks of sum_{mu nu} c_{mu nu} <J2 k2 m2|D^rank|J k m>.
-
-    Within a J block states are ordered k-major: index = (k+J)(2J+1) + (m+J).
-    """
-    blocks = []
+def _nonzero_elements(jmax: int, rank: int, mu: int, nu: int):
+    """Nonzero <J2 k2 m2|D^rank_{mu nu}|J k m> = s * F[nu][k2, k] * F[mu][m2, m]
+    per coupled (J2, J) block: (rows, cols, F[nu] factors, F[mu] factors, s).
+    By the 3j rule m = m2 + mu each row has at most one; states are ordered
+    k-major within a J block, so rows and cols index kron(F[nu], F[mu])."""
+    offsets = _j_offsets(jmax)
     for J2 in range(jmax + 1):
-        for J in range(jmax + 1):
-            if abs(J - J2) > rank:
-                continue
+        for J in range(max(0, J2 - rank), min(jmax, J2 + rank) + 1):
             F = _three_j_factors(J2, J, rank)
-            block = np.zeros(((2 * J2 + 1) ** 2, (2 * J + 1) ** 2))
-            for mu in range(-rank, rank + 1):
-                for nu in range(-rank, rank + 1):
-                    cc = cmat[mu + rank, nu + rank]
-                    if cc != 0.0:
-                        block += cc * np.kron(F[nu + rank], F[mu + rank])
-            if np.any(block):
-                blocks.append((J2, J, math.sqrt((2 * J2 + 1) * (2 * J + 1)) * block))
-    return blocks
+            Fnu, Fmu = F[nu + rank], F[mu + rank]
+            ra, ca = np.nonzero(Fnu)
+            rb, cb = np.nonzero(Fmu)
+            yield ((offsets[J2] + ra[:, None] * (2 * J2 + 1) + rb).ravel(),
+                   (offsets[J] + ca[:, None] * (2 * J + 1) + cb).ravel(),
+                   np.repeat(Fnu[ra, ca], len(rb)), np.tile(Fmu[rb, cb], len(ra)),
+                   math.sqrt((2 * J2 + 1) * (2 * J + 1)))
 
 
 @lru_cache(maxsize=8)
 def _potential_matrix(jmax: int, potential: tuple) -> np.ndarray:
+    """sum of weight * c_{mu nu} D^rank_{mu nu} over terms and components; an
+    entry gets one component per rank, weight * (s * (cc * (Fnu * Fmu))), the
+    value the dense sum of scaled kron(F[nu], F[mu]) blocks rounds to."""
     n = len(build_basis(jmax))
-    offsets = _j_offsets(jmax)
     V = np.zeros((n, n))
+    written = []
     for rank, weight in potential:
         cmat = invariant_coefficients(rank)
-        for J2, J, block in _coupling_blocks(jmax, rank, cmat):
-            r0, c0 = offsets[J2], offsets[J]
-            V[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] += weight * block
-    asym = np.abs(V - V.T).max()
+        for i, j in zip(*np.nonzero(cmat)):
+            for rows, cols, fnu, fmu, s in _nonzero_elements(jmax, rank, i - rank, j - rank):
+                V[rows, cols] += weight * (s * (cmat[i, j] * (fnu * fmu)))
+                written.append((rows, cols))
+    # entries never written are 0 on both sides of the diagonal
+    rows, cols = (np.concatenate(ix) for ix in zip(*written))
+    asym = np.abs(V[rows, cols] - V[cols, rows]).max()
     if asym > 1e-12:
         raise RotorError(f"potential matrix asymmetry {asym:.2e} exceeds 1e-12")
     V.setflags(write=False)
@@ -552,19 +557,6 @@ def _cluster_slices(energies: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return out
 
 
-def _apply_rotation(vec_blocks, jmax, rs, rm):
-    """Apply U(site=rs, mol=rm) to vectors given per-J as (2J+1_k, 2J+1_m, d)."""
-    out = []
-    for J, Vj in enumerate(vec_blocks):
-        if Vj.size == 0:
-            out.append(Vj)
-            continue
-        Ds = wigner_d_matrix(J, *rs)
-        Dm = wigner_d_matrix(J, *rm).conj()
-        out.append(np.matmul(Ds, np.tensordot(Dm, Vj, axes=(1, 0))))
-    return out
-
-
 def _split_vector_blocks(vectors: np.ndarray, jmax: int):
     blocks = []
     d = vectors.shape[1]
@@ -599,22 +591,28 @@ def _group_elements():
 
 
 def _project_label(vectors: np.ndarray, jmax: int, label) -> np.ndarray:
-    """Real orthonormal basis of the `label` isotypic component of the cluster."""
+    """Real orthonormal basis of the `label` isotypic component of the cluster.
+    U(site=rs, mol=rm) is D^J(rs) on m after conj(D^J(rm)) on k.  The J blocks
+    are independent, so each is summed over the group on its own, applying
+    each molecular rotation's k side once."""
     table = symmetry.character_table("T")
     chars = {row[0]: np.asarray(row[2]) for row in table.irreps}
-    vb = _split_vector_blocks(vectors.astype(complex), jmax)
-    acc = [np.zeros_like(b) for b in vb]
+    terms = []
     for (rs, cs), (rm, cm) in _group_elements():
         coef = 0.0
         for cst in label.constituents:
             s, m = cst.split(".")
             coef += np.conj(chars[s][cs] * chars[m][cm])
-        if coef == 0.0:
-            continue
-        rotated = _apply_rotation(vb, jmax, rs, rm)
-        for j, Wj in enumerate(rotated):
-            if Wj.size:
-                acc[j] += coef * Wj
+        if coef != 0.0:
+            terms.append((rs, rm, coef))
+    acc = []
+    for J, Vj in enumerate(_split_vector_blocks(vectors.astype(complex), jmax)):
+        ksides = {}
+        acc.append(np.zeros_like(Vj))
+        for rs, rm, coef in terms:
+            if rm not in ksides:
+                ksides[rm] = np.tensordot(wigner_d_matrix(J, *rm).conj(), Vj, axes=(1, 0))
+            acc[J] += coef * np.matmul(wigner_d_matrix(J, *rs), ksides[rm])
     flat = np.vstack([b.reshape(-1, vectors.shape[1]) for b in acc]) / 144.0
     # coefficients of the projected vectors in the cluster basis
     coeff = vectors.T @ flat
@@ -718,35 +716,34 @@ def barrier_height(model: RotorModel) -> float:
 
 @lru_cache(maxsize=4)
 def rank_operator_blocks(jmax: int, rank: int):
-    """Sparse matrices of D^rank_{mu nu} over the basis, keyed (mu, nu)."""
-    js = range(jmax + 1)
+    """Sparse matrices of D^rank_{mu nu} over the basis, keyed (mu, nu); each
+    entry is Fnu * (s * Fmu), as scipy.sparse.kron(F[nu], s * F[mu]) gives."""
+    n = len(build_basis(jmax))
     mats = {}
     for mu in range(-rank, rank + 1):
         for nu in range(-rank, rank + 1):
-            grid = [[None] * len(js) for _ in js]
-            for J2 in js:
-                for J in js:
-                    if abs(J - J2) > rank:
-                        continue
-                    F = _three_j_factors(J2, J, rank)
-                    pref = math.sqrt((2 * J2 + 1) * (2 * J + 1))
-                    grid[J2][J] = scipy.sparse.kron(F[nu + rank], pref * F[mu + rank],
-                                                    format="coo")
-            mats[(mu, nu)] = scipy.sparse.bmat(grid, format="csr")
+            rows, cols, vals = zip(*((r, c, fnu * (s * fmu)) for r, c, fnu, fmu, s
+                                     in _nonzero_elements(jmax, rank, mu, nu)))
+            mats[(mu, nu)] = scipy.sparse.csr_matrix(
+                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
     return mats
 
 
-def transition_strength(lower: EnergyLevel, upper: EnergyLevel, jmax: int,
-                        rank: int) -> float:
-    """Squared rank-`rank` orientational transition moment summed over all
-    cluster states and tensor components."""
-    if lower.vectors is None or upper.vectors is None:
+def transition_strength(lower: EnergyLevel, uppers, jmax: int, rank: int) -> list[float]:
+    """Squared rank-`rank` orientational transition moment from `lower` to
+    each level of `uppers`, summed over all cluster states and tensor
+    components.  Each component's image of lower.vectors is formed once."""
+    if lower.vectors is None or any(up.vectors is None for up in uppers):
         raise RotorError("levels must carry eigenvectors for strength evaluation")
-    total = 0.0
-    for M in rank_operator_blocks(jmax, rank).values():
-        X = upper.vectors.T @ (M @ lower.vectors)
-        total += float(np.sum(X * X))
-    return total
+    images = [M @ lower.vectors for M in rank_operator_blocks(jmax, rank).values()]
+    strengths = []
+    for up in uppers:
+        total = 0.0
+        for image in images:
+            X = up.vectors.T @ image
+            total += float(np.sum(X * X))
+        strengths.append(total)
+    return strengths
 
 
 # ----------------------------------------------------------------------------

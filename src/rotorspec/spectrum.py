@@ -251,10 +251,7 @@ def hosted_species(final_label: str) -> frozenset[str]:
 def _gated_finals(initial: EnergyLevel, finals, jmax: int, rank: int):
     """Finals with orientational strength above STRENGTH_GATE of the
     strongest channel from this initial level; returns [(final, S)]."""
-    strengths = []
-    for fin in finals:
-        s = rotor.transition_strength(initial, fin, jmax, rank)
-        strengths.append((fin, s))
+    strengths = list(zip(finals, rotor.transition_strength(initial, finals, jmax, rank)))
     smax = max((s for _, s in strengths), default=0.0)
     if smax <= 0.0:
         return []

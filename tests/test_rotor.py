@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -231,6 +232,128 @@ def test_potential_matrix_is_coefficient_sum_of_operators(rank):
                    for (mu, nu), M in rotor.rank_operator_blocks(jmax, rank).items())
     V = rotor._potential_matrix(jmax, ((rank, 1.0),))
     np.testing.assert_allclose(V, expected, rtol=0, atol=1e-13)
+
+
+# ---------------------------------------------------------------- bit-exact kernels
+# Until perfbench/ref is re-recorded, the roundoff spin-A Raman sticks depend
+# on the last bit of V, the operators and the projected level vectors, so the
+# sparse kernels must reproduce these dense/kron definitions exactly.
+
+def _reference_potential_matrix(jmax, potential):
+    """Dense assembly: each (J2, J) block is the c-weighted sum of
+    kron(F[nu], F[mu]), scaled by sqrt((2J2+1)(2J+1)) and the term weight."""
+    offsets = rotor._j_offsets(jmax)
+    n = len(build_basis(jmax))
+    V = np.zeros((n, n))
+    for rank, weight in potential:
+        cmat = invariant_coefficients(rank)
+        for J2 in range(jmax + 1):
+            for J in range(jmax + 1):
+                if abs(J - J2) > rank:
+                    continue
+                F = rotor._three_j_factors(J2, J, rank)
+                block = np.zeros(((2 * J2 + 1) ** 2, (2 * J + 1) ** 2))
+                for mu in range(-rank, rank + 1):
+                    for nu in range(-rank, rank + 1):
+                        cc = cmat[mu + rank, nu + rank]
+                        if cc != 0.0:
+                            block += cc * np.kron(F[nu + rank], F[mu + rank])
+                block = math.sqrt((2 * J2 + 1) * (2 * J + 1)) * block
+                r0, c0 = offsets[J2], offsets[J]
+                V[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] += weight * block
+    return V
+
+
+@pytest.mark.parametrize("potential", [((3, -1.0),), ((4, -1.0),), ((3, -1.0), (4, 0.3))])
+def test_potential_matrix_bit_equal_to_dense_assembly(potential):
+    pot = rotor.normalize_potential(potential)
+    V = rotor._potential_matrix(6, pot)
+    assert V.tobytes() == _reference_potential_matrix(6, pot).tobytes()
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_rank_operator_blocks_bit_equal_to_kron_bmat(rank):
+    jmax = 6
+    mats = rotor.rank_operator_blocks(jmax, rank)
+    for (mu, nu), M in mats.items():
+        grid = [[None] * (jmax + 1) for _ in range(jmax + 1)]
+        for J2 in range(jmax + 1):
+            for J in range(jmax + 1):
+                if abs(J - J2) <= rank:
+                    F = rotor._three_j_factors(J2, J, rank)
+                    pref = math.sqrt((2 * J2 + 1) * (2 * J + 1))
+                    grid[J2][J] = scipy.sparse.kron(F[nu + rank], pref * F[mu + rank],
+                                                    format="coo")
+        ref = scipy.sparse.bmat(grid, format="csr")
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(M, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (mu, nu, name)
+
+
+@functools.lru_cache(maxsize=None)
+def _levels_j6(beta):
+    model = RotorModel.create(B=1.0, beta=beta, Jmax=6)
+    system = diagonalize(model)
+    return system, classify_levels(system, max_energy=12.0)
+
+
+@pytest.mark.parametrize("beta", [0.1, 1.0])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_batched_strength_equals_per_pair_products(beta, rank):
+    _, levels = _levels_j6(beta)
+    mats = rotor.rank_operator_blocks(6, rank)
+
+    def per_pair(lower, upper):
+        total = 0.0
+        for M in mats.values():
+            X = upper.vectors.T @ (M @ lower.vectors)
+            total += float(np.sum(X * X))
+        return total
+
+    assert len(levels) > 10
+    for lower in levels:
+        expected = [per_pair(lower, upper) for upper in levels]
+        assert rotor.transition_strength(lower, levels, 6, rank) == expected
+    assert rotor.transition_strength(levels[0], [], 6, rank) == []
+
+
+def _reference_project_label(vectors, jmax, label):
+    """Isotypic projection applying the full U(site, mol) per group element."""
+    chars = {row[0]: np.asarray(row[2]) for row in symmetry.character_table("T").irreps}
+    vb = rotor._split_vector_blocks(vectors.astype(complex), jmax)
+    acc = [np.zeros_like(b) for b in vb]
+    for (rs, cs), (rm, cm) in rotor._group_elements():
+        coef = 0.0
+        for cst in label.constituents:
+            s, m = cst.split(".")
+            coef += np.conj(chars[s][cs] * chars[m][cm])
+        if coef == 0.0:
+            continue
+        for J, Vj in enumerate(vb):
+            Ds = wigner_d_matrix(J, *rs)
+            Dm = wigner_d_matrix(J, *rm).conj()
+            acc[J] += coef * np.matmul(Ds, np.tensordot(Dm, Vj, axes=(1, 0)))
+    flat = np.vstack([b.reshape(-1, vectors.shape[1]) for b in acc]) / 144.0
+    coeff = vectors.T @ flat
+    u, s, _ = np.linalg.svd(np.hstack([coeff.real, coeff.imag]), full_matrices=False)
+    return vectors @ u[:, :int(np.sum(s > 1e-8))]
+
+
+def test_project_label_bit_equal_to_per_element_rotation():
+    system, levels = _levels_j6(1.0)
+    by_energy = {}
+    for lev in levels:
+        by_energy.setdefault(lev.energy, []).append(lev.rovib_label)
+    energy, names = next((e, n) for e, n in by_energy.items() if len(n) > 1)
+    tol = 1e-6 * (system.energies[-1] - system.energies[0])
+    a, b = next((a, b) for a, b in rotor._cluster_slices(system.energies, tol)
+                if abs(system.energies[a:b].mean() - energy) < tol)
+    vecs = system.vectors[:, a:b]
+    for name in names:
+        lab = symmetry.LEVEL_LABELS[name]
+        got = rotor._project_label(vecs, 6, lab)
+        assert got.shape[1] == lab.dimension
+        assert got.tobytes() == _reference_project_label(vecs, 6, lab).tobytes()
 
 
 # ---------------------------------------------------------------- diagonalize
