@@ -303,8 +303,7 @@ def _spectrum_svg(freqs, amps, lines, synth: spectrum.SpectrumConfig) -> str:
 def cmd_spectrum(args) -> int:
     cfg = _load_config(args.config)
     levels = _classified_levels(cfg, args.max_energy)
-    envelope = spectrum.envelope_lines(levels, cfg.band, cfg.population,
-                                       cfg.lattice_freq, cfg.sum_band_scale)
+    envelope = spectrum.envelope_lines(levels, cfg.band, cfg.population)
     sticks = sorted(envelope + spectrum.rotational_raman_lines(levels, cfg.population),
                     key=lambda l: (l.frequency, l.lower, l.upper))
     with warnings.catch_warnings(record=True) as caught:
@@ -408,8 +407,7 @@ def cmd_fit(args) -> int:
         model = fitting.EnvelopeModel(potential=cfg.model.potential,
                                       jmax=min(cfg.model.Jmax, 8),
                                       pop=cfg.population, shape=cfg.synthesis.shape,
-                                      lattice_freq=cfg.lattice_freq,
-                                      sum_band_scale=cfg.sum_band_scale)
+                                      band=cfg.band)
         with _blaming(args.envelope, fitting.FitError):
             report = fitting.fit_envelope(freqs, amps, spec, model, seed=args.seed)
     if args.out:
@@ -476,8 +474,7 @@ def cmd_plan(args) -> int:
     with _blaming(args.lines, qubitplan.PlanError):
         report = qubitplan.build_plan_report(
             lines, cfg.crystal, band_fwhm_cm1=cfg.synthesis.fwhm,
-            source_linewidth_ghz=cfg.source_linewidth_ghz,
-            mu_debye=cfg.mu_debye, max_pairs=args.max_pairs)
+            source_linewidth_ghz=cfg.source_linewidth_ghz, max_pairs=args.max_pairs)
     mc = None
     if args.mc_samples:
         mc_mean = qubitplan.nn_distance_mc(cfg.crystal, args.mc_samples, seed=args.seed)
@@ -503,7 +500,7 @@ def cmd_plan(args) -> int:
                   f"({mc['samples']} samples, dev {100*mc['relative_deviation']:.2f}%)\n")
     for label, r, hz in report.couplings:
         buf.write(f"coupling at {label} r = {_fmt(r)} nm: {_fmt(hz/1e9)} GHz "
-                  f"(mu = {_fmt(cfg.mu_debye)} D)\n")
+                  f"(mu = {_fmt(cfg.crystal.mu_debye)} D)\n")
     buf.write("largest line separations:\n")
     for a, b, d, g in report.delta_omega_pairs[:10]:
         buf.write(f"  {_fmt(d):>8s} cm-1 = {g:10.2f} GHz   {a}  vs  {b}\n")

@@ -1,10 +1,21 @@
 """Sectioned key-value run configuration shared by every CLI subcommand.
 
-The format is INI-style with six required sections (model, band, population,
-synthesis, crystal, source); every key has a documented default and unknown
-keys and sections are rejected.  The invariants live in the validate() of the
-model types, which return (field, message) pairs; parse_config maps them to
-[section] key and reports the complete list before any basis is built.
+The format is INI-style with six required sections; every key has a
+documented default and unknown keys and sections are rejected.  Each section
+but the last is one model type, and every key of it sets a field of that type:
+
+    [model]       rotor.RotorModel
+    [band]        spectrum.VibrationBandModel  (dw_* -> extra_offsets)
+    [population]  spectrum.PopulationModel  (fractions -> frozen_fractions)
+    [synthesis]   spectrum.SpectrumConfig
+    [crystal]     qubitplan.CrystalSpec
+    [source]      linewidth_ghz, RunConfig.source_linewidth_ghz
+
+The rules live in the validate() of the model types, which return (field,
+message) pairs; parse_config maps them to [section] key and reports the
+complete list before any basis is built.  The one rule spanning two
+sections, the channel count of [synthesis] fwhm over [source] linewidth_ghz,
+is RunConfig.validate's.
 """
 
 from __future__ import annotations
@@ -69,15 +80,15 @@ _SCHEMA = {
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One model type per section, and the source linewidth, which only the
+    channel count of `plan` reads."""
+
     model: rotor.RotorModel
     band: spectrum.VibrationBandModel
     population: spectrum.PopulationModel
     synthesis: spectrum.SpectrumConfig
     crystal: qubitplan.CrystalSpec
     source_linewidth_ghz: float
-    lattice_freq: float | None
-    sum_band_scale: float
-    mu_debye: float
 
     @classmethod
     def defaults(cls) -> "RunConfig":
@@ -85,34 +96,15 @@ class RunConfig:
 
     def validate(self) -> list[tuple[str, str, str]]:
         """Every problem of the run as (section, key, message): those of the
-        model types (a CrystalSpec is valid once built), then the rules of
-        the values no model type owns."""
+        model types, then the channel count, which spans two sections."""
         problems = [(section, "fractions" if field == "frozen_fractions" else field, msg)
-                    for section in ("model", "band", "population", "synthesis")
+                    for section in ("model", "band", "population", "synthesis", "crystal")
                     for field, msg in getattr(self, section).validate()]
-        for section, key, value, positive in (
-                ("band", "lattice_freq", self.lattice_freq, False),
-                ("band", "sum_band_scale", self.sum_band_scale, False),
-                ("crystal", "mu_debye", self.mu_debye, False),
-                ("source", "linewidth_ghz", self.source_linewidth_ghz, True)):
-            if value is not None and not (value > 0 if positive else value >= 0):
-                rule = "positive" if positive else "non-negative"
-                problems.append((section, key, f"must be {rule}, got {value}"))
-        if self.synthesis.fwhm > 0 and self.source_linewidth_ghz > 0:
+        if self.synthesis.fwhm > 0:  # else [synthesis] fwhm is the problem
             try:
                 qubitplan.addressable_channels(self.synthesis.fwhm, self.source_linewidth_ghz)
             except qubitplan.PlanError as exc:
                 problems.append(("source", "linewidth_ghz", str(exc)))
-        if self.crystal is not None and self.mu_debye >= 0:
-            # the couplings `plan` reports; a unit dipole tells whether the
-            # distance alone is out of range
-            for key, mu in (("a_nm", 1.0), ("mu_debye", self.mu_debye)):
-                try:
-                    for mode in ("characteristic", "poisson_mean"):
-                        qubitplan.coupling_estimate(mu, qubitplan.nn_distance(self.crystal, mode))
-                except qubitplan.PlanError as exc:
-                    problems.append(("crystal", key, str(exc)))
-                    break
         return problems
 
 
@@ -178,33 +170,23 @@ def parse_config(text: str) -> RunConfig:
                 errors.append((section, key, f"cannot parse {raw!r}: {exc}"))
                 values[section][key] = _CONVERTERS[kind](default)
 
-    model = rotor.RotorModel(**values["model"])
-    if not any(field == "potential" for field, _ in model.validate()):
-        try:
-            model = replace(model, potential=rotor.normalize_potential(model.potential))
-        except rotor.PotentialError as exc:
-            errors.append(("model", "potential", str(exc)))
-    b, p, c = values["band"], values["population"], values["crystal"]
-    try:
-        crystal = qubitplan.CrystalSpec(a_nm=c["a_nm"], c=c["c"])
-    except qubitplan.PlanError as exc:
-        crystal = None  # never returned: the ConfigError below is raised first
-        errors += [("crystal", field, msg) for field, msg in exc.problems]
+    b, p = values["band"], values["population"]
     cfg = RunConfig(
-        model=model,
+        model=rotor.RotorModel(**values["model"]),
         band=spectrum.VibrationBandModel(
             nu0=b["nu0"], excited_scale=b["excited_scale"],
-            extra_offsets={k: b[k] for k in spectrum.OFFSET_NAMES if b[k] is not None}),
+            extra_offsets={k: b[k] for k in spectrum.OFFSET_NAMES if b[k] is not None},
+            lattice_freq=b["lattice_freq"], sum_band_scale=b["sum_band_scale"]),
         population=spectrum.PopulationModel(mode=p["mode"], T=p["T"],
                                             frozen_fractions=p["fractions"]),
         synthesis=spectrum.SpectrumConfig(**values["synthesis"]),
-        crystal=crystal, source_linewidth_ghz=values["source"]["linewidth_ghz"],
-        lattice_freq=b["lattice_freq"], sum_band_scale=b["sum_band_scale"],
-        mu_debye=c["mu_debye"])
+        crystal=qubitplan.CrystalSpec(**values["crystal"]),
+        source_linewidth_ghz=values["source"]["linewidth_ghz"])
     errors += cfg.validate()
     if errors:
         raise ConfigError(sorted(set(errors), key=lambda e: (e[0], e[1] or "", e[2])))
-    return cfg
+    return replace(cfg, model=replace(cfg.model,
+                                      potential=rotor.normalize_potential(cfg.model.potential)))
 
 
 DEFAULT_CONFIG_TEXT = """\

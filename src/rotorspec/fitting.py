@@ -83,11 +83,14 @@ PARAM_BOUNDS = {
 _GROUP_PARAMS = {"extra_offsets": spectrum.OFFSET_NAMES}
 
 
+_DEFAULT_BAND = VibrationBandModel(PARAM_DEFAULTS["nu0"])
+
+
 def _domain_problems(name: str, value: float) -> list[str]:
     """What the model type owning parameter `name` (the one with a field of
     that name: RotorModel, VibrationBandModel or SpectrumConfig) says of
     `value`; a parameter no model type owns has no domain rule."""
-    for owner in (RotorModel(), VibrationBandModel(PARAM_DEFAULTS["nu0"]),
+    for owner in (RotorModel(), _DEFAULT_BAND,
                   spectrum.SpectrumConfig(0.0, 1.0, 1.0)):
         if name in {f.name for f in fields(owner)}:
             return [msg for f, msg in replace(owner, **{name: value}).validate() if f == name]
@@ -204,10 +207,12 @@ class FitReport:
 # position model
 # ----------------------------------------------------------------------------
 
-def _band(params: dict) -> VibrationBandModel:
-    """The band model of the parameters; a dw absent or None is not an override."""
+def _band(params: dict, base: VibrationBandModel = _DEFAULT_BAND) -> VibrationBandModel:
+    """`base`, its sum bands kept, at the band parameters of `params`; a dw
+    absent or None is not an override."""
     offsets = {k: params[k] for k in spectrum.OFFSET_NAMES if params.get(k) is not None}
-    return VibrationBandModel(params["nu0"], params.get("excited_scale", 1.0), offsets)
+    return replace(base, nu0=params["nu0"], excited_scale=params.get("excited_scale", 1.0),
+                   extra_offsets=offsets)
 
 
 class TransitionModel:
@@ -268,7 +273,8 @@ class TransitionModel:
 
 class EnvelopeModel:
     """Sampled envelope as a function of the fit parameters, with the lines
-    of `spectrum` and levels classified up to 15 B.
+    of `spectrum` and levels classified up to 15 B.  `band` supplies the
+    lattice sum bands; the fit parameters supply the rest of the band.
 
     Classification is cached per beta; B rescales cached unit-B level
     energies, so fits over (B, nu0, fwhm, scale, offsets) at fixed beta reuse
@@ -277,13 +283,12 @@ class EnvelopeModel:
 
     def __init__(self, potential=rotor.DEFAULT_POTENTIAL, jmax: int = 8,
                  pop: PopulationModel | None = None, shape: str = "gaussian",
-                 lattice_freq: float | None = None, sum_band_scale: float = 0.1):
+                 band: VibrationBandModel = _DEFAULT_BAND):
         self.potential = tuple(potential)
         self.jmax = jmax
         self.pop = pop or PopulationModel()
         self.shape = shape
-        self.lattice_freq = lattice_freq
-        self.sum_band_scale = sum_band_scale
+        self.band = band
         self._levels_cache = rotor.PerBetaCache()
 
     def _unit_levels(self, beta: float):
@@ -298,8 +303,7 @@ class EnvelopeModel:
     def lines(self, params: dict):
         scaled = [replace(lev, energy=lev.energy * params["B"])
                   for lev in self._unit_levels(params["beta"])]
-        return spectrum.envelope_lines(scaled, _band(params), self.pop,
-                                       self.lattice_freq, self.sum_band_scale)
+        return spectrum.envelope_lines(scaled, _band(params, self.band), self.pop)
 
     def amplitude(self, params: dict, freqs: np.ndarray) -> np.ndarray:
         amps = spectrum.profile_sum(self.lines(params), freqs, self.shape,

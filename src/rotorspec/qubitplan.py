@@ -34,29 +34,23 @@ __all__ = [
 
 
 class PlanError(ValueError):
-    """Invalid planning input; `problems` holds the (field, message) pairs
-    of a rejected CrystalSpec."""
-
-    def __init__(self, message: str, problems=()):
-        super().__init__(message)
-        self.problems = tuple(problems)
+    """Invalid planning input."""
 
 
 #: Gamma(4/3) * (3/(4*pi))**(1/3)
 POISSON_MEAN_FACTOR = math.gamma(4.0 / 3.0) * (3.0 / (4.0 * math.pi)) ** (1.0 / 3.0)
+#: nn_distance mode -> its factor on the density scale a c^(-1/3)
+_DISTANCE_FACTORS = {"characteristic": 1.0, "poisson_mean": POISSON_MEAN_FACTOR}
 
 
 @dataclass(frozen=True)
 class CrystalSpec:
-    """Cation sublattice: site spacing at full occupancy and dilution."""
+    """Cation sublattice: site spacing at full occupancy and dilution, and
+    the dipole moment of the rotors on it."""
 
     a_nm: float
     c: float
-
-    def __post_init__(self):
-        problems = self.validate()
-        if problems:
-            raise PlanError("; ".join(m for _, m in problems), problems)
+    mu_debye: float = 1.0
 
     def validate(self) -> list[tuple[str, str]]:
         problems = []
@@ -64,7 +58,22 @@ class CrystalSpec:
             problems.append(("a_nm", f"lattice spacing must be positive, got {self.a_nm}"))
         if not 0 < self.c <= 1:
             problems.append(("c", f"dilution fraction must be in (0, 1], got {self.c}"))
+        if not problems:
+            # the couplings `plan` reports, at every distance mode; a unit
+            # dipole first tells whether the distance alone is out of range
+            for field, mu in (("a_nm", 1.0), ("mu_debye", self.mu_debye)):
+                try:
+                    for mode in _DISTANCE_FACTORS:
+                        coupling_estimate(mu, _distance(self, mode))
+                except PlanError as exc:
+                    problems.append((field, str(exc)))
+                    break
         return problems
+
+    def require_valid(self):
+        problems = self.validate()
+        if problems:
+            raise PlanError("invalid crystal: " + "; ".join(m for _, m in problems))
 
 
 @dataclass(frozen=True)
@@ -98,7 +107,8 @@ def delta_omega_table(lines) -> list[tuple[str, str, float, float]]:
 def addressable_channels(band_fwhm_cm1: float, source_linewidth_ghz: float) -> int:
     """Distinct probing channels a narrow source resolves within one band."""
     if not band_fwhm_cm1 > 0 or not source_linewidth_ghz > 0:
-        raise PlanError("band width and source linewidth must be positive")
+        raise PlanError(f"band width and source linewidth must be positive, got "
+                        f"{band_fwhm_cm1} cm-1 and {source_linewidth_ghz} GHz")
     ratio = units.cm1_to_ghz(band_fwhm_cm1) / source_linewidth_ghz
     if not math.isfinite(ratio):
         raise PlanError(f"band width {band_fwhm_cm1} cm-1 over source linewidth "
@@ -106,15 +116,18 @@ def addressable_channels(band_fwhm_cm1: float, source_linewidth_ghz: float) -> i
     return max(1, int(math.floor(ratio)))
 
 
+def _distance(spec: CrystalSpec, mode: str) -> float:
+    if mode not in _DISTANCE_FACTORS:
+        raise PlanError(f"unknown distance mode {mode!r}")
+    return _DISTANCE_FACTORS[mode] * (spec.a_nm * spec.c ** (-1.0 / 3.0))
+
+
 def nn_distance(spec: CrystalSpec, mode: str = "characteristic") -> float:
     """Nearest-neighbor distance in nm: `characteristic` is the density scale
-    a c^(-1/3); `poisson_mean` the mean of a random point process at c/a^3."""
-    scale = spec.a_nm * spec.c ** (-1.0 / 3.0)
-    if mode == "characteristic":
-        return scale
-    if mode == "poisson_mean":
-        return POISSON_MEAN_FACTOR * scale
-    raise PlanError(f"unknown distance mode {mode!r}")
+    a c^(-1/3); `poisson_mean` the mean of a random point process at c/a^3.
+    An invalid spec raises PlanError."""
+    spec.require_valid()
+    return _distance(spec, mode)
 
 
 def _sorted_lattice_distances(c: float) -> np.ndarray:
@@ -136,7 +149,7 @@ MAX_MC_SAMPLES = 10**7
 
 def nn_distance_mc(spec: CrystalSpec, n_samples: int = 100_000, seed: int = 0) -> float:
     """Monte Carlo mean nearest-neighbor distance on the randomly diluted
-    lattice, in nm.
+    lattice, in nm; an invalid spec raises PlanError.
 
     From an occupied reference site, visit the other sites in distance order;
     each is occupied independently with probability c, so the rank of the
@@ -144,6 +157,7 @@ def nn_distance_mc(spec: CrystalSpec, n_samples: int = 100_000, seed: int = 0) -
     """
     if not 1 <= n_samples <= MAX_MC_SAMPLES:
         raise PlanError(f"need 1 to {MAX_MC_SAMPLES} Monte Carlo samples, got {n_samples}")
+    spec.require_valid()
     if spec.c < 1e-4:
         raise PlanError("Monte Carlo dilution check supports c >= 1e-4")
     distances = _sorted_lattice_distances(spec.c)
@@ -173,16 +187,15 @@ def coupling_estimate(mu_debye: float, r_nm: float) -> float:
 
 
 def build_plan_report(lines, crystal: CrystalSpec, band_fwhm_cm1: float,
-                      source_linewidth_ghz: float, mu_debye: float = 1.0,
-                      max_pairs: int | None = None) -> PlanReport:
+                      source_linewidth_ghz: float, max_pairs: int | None = None) -> PlanReport:
     pairs = delta_omega_table(lines)
     if max_pairs is not None:
         pairs = pairs[:max_pairs]
     r_char = nn_distance(crystal, "characteristic")
     r_mean = nn_distance(crystal, "poisson_mean")
     couplings = (
-        ("characteristic", r_char, coupling_estimate(mu_debye, r_char)),
-        ("poisson_mean", r_mean, coupling_estimate(mu_debye, r_mean)),
+        ("characteristic", r_char, coupling_estimate(crystal.mu_debye, r_char)),
+        ("poisson_mean", r_mean, coupling_estimate(crystal.mu_debye, r_mean)),
     )
     return PlanReport(
         delta_omega_pairs=tuple(pairs),

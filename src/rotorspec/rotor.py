@@ -336,21 +336,27 @@ class RotorModel:
         if self.beta < 0:
             problems.append(("beta", f"beta must be non-negative, got {self.beta}; "
                                      "flip the potential sign instead"))
-        # estimated peak RSS: 90 MB plus 4.8 dense n x n float64 matrices (H,
+        # estimated peak RSS: 79 MB plus 4.45 dense n x n float64 matrices (H,
         # cached V, eigenvectors, solver work space) for the basis size n;
-        # fitted to runs at n = 1771 and 4495 (208.5 and 868 MB)
+        # fitted, rounded up, to `spectrum` peaks at n = 1771 and 4495 (189.8
+        # and 796.2 MB), and above the 1547 MB measured at n = 6545
         n = (self.Jmax + 1) * (2 * self.Jmax + 1) * (2 * self.Jmax + 3) // 3
-        need = 90e6 + 4.8 * 8 * float(n) ** 2 if n < 1e150 else math.inf
+        need = 79e6 + 4.45 * 8 * float(n) ** 2 if n < 1e150 else math.inf
         if self.Jmax < 2:
             problems.append(("Jmax", f"Jmax must be >= 2, got {self.Jmax}"))
         elif need > _PHYSICAL_MEMORY:
             problems.append(("Jmax", f"Jmax {self.Jmax} needs about {need / 1e9:.3g} GB, more than "
                                      f"the {_PHYSICAL_MEMORY / 1e9:.3g} GB of physical memory"))
+        ranks = [rank for rank, _ in self.potential if rank not in SUPPORTED_RANKS]
         if not self.potential:
             problems.append(("potential", "potential must contain at least one term"))
-        for rank, _ in self.potential:
-            if rank not in SUPPORTED_RANKS:
-                problems.append(("potential", f"unsupported potential rank {rank}"))
+        elif ranks:
+            problems += [("potential", f"unsupported potential rank {rank}") for rank in ranks]
+        else:
+            try:
+                normalize_potential(self.potential)
+            except PotentialError as exc:
+                problems.append(("potential", str(exc)))
         return problems
 
     def require_valid(self):

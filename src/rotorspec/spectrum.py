@@ -22,9 +22,7 @@ among them, so one gate covers both.
 Line strengths (design choice, see README): the orientational transition
 moments only gate which finals are reachable; each initial level then
 distributes unit total strength over its reachable finals proportionally to
-their degeneracy (an oscillator-strength sum rule).  Mode "matrix_element"
-uses the squared rank-1/rank-2 moments themselves instead; `strength_factors`
-rescales named transitions on top of either mode.
+their degeneracy (an oscillator-strength sum rule).
 """
 
 from __future__ import annotations
@@ -77,16 +75,21 @@ _FINAL_DIM = 35
 
 @dataclass(frozen=True)
 class VibrationBandModel:
-    """Band origin and excited-state offsets of the vibration-orientation
-    system.  nu0 is the frequency of the (L1)1 -> (L1)1 reference transition.
+    """Band origin, excited-state offsets and lattice sum bands of the
+    vibration-orientation system.  nu0 is the frequency of the (L1)1 -> (L1)1
+    reference transition.
 
     extra_offsets maps keys of OFFSET_NAMES to offsets from nu0 in cm^-1 for
     the finals OFFSET_KEYS names; other finals use the scaled level table.
+    With lattice_freq set, every IR line has a sum-band copy lattice_freq
+    higher at sum_band_scale times its intensity.
     """
 
     nu0: float
     excited_scale: float = 1.0
     extra_offsets: dict = field(default_factory=dict)
+    lattice_freq: float | None = None
+    sum_band_scale: float = 0.1
 
     def validate(self) -> list[tuple[str, str]]:
         problems = []
@@ -98,6 +101,12 @@ class VibrationBandModel:
         unknown = set(self.extra_offsets) - set(OFFSET_NAMES)
         if unknown:
             problems.append(("extra_offsets", f"unknown extra_offsets keys: {sorted(unknown)}"))
+        if self.lattice_freq is not None and not self.lattice_freq >= 0:
+            problems.append(("lattice_freq",
+                             f"lattice frequency must be non-negative, got {self.lattice_freq}"))
+        if not self.sum_band_scale >= 0:
+            problems.append(("sum_band_scale",
+                             f"sum_band_scale must be non-negative, got {self.sum_band_scale}"))
         return problems
 
     def excited_offset(self, label: str, ordinal: int, above_l1) -> float:
@@ -250,32 +259,19 @@ def hosted_species(final_label: str) -> frozenset[str]:
 
 def _gated_finals(initial: EnergyLevel, finals, jmax: int, rank: int):
     """Finals with orientational strength above STRENGTH_GATE of the
-    strongest channel from this initial level; returns [(final, S)]."""
-    strengths = list(zip(finals, rotor.transition_strength(initial, finals, jmax, rank)))
-    smax = max((s for _, s in strengths), default=0.0)
+    strongest channel from this initial level."""
+    strengths = rotor.transition_strength(initial, finals, jmax, rank)
+    smax = max(strengths, default=0.0)
     if smax <= 0.0:
         return []
-    return [(fin, s) for fin, s in strengths if s > STRENGTH_GATE * smax]
+    return [fin for fin, s in zip(finals, strengths) if s > STRENGTH_GATE * smax]
 
 
-def _intensities(initial, gated, pop_fraction, mode, factors, upper_suffix):
-    """Distribute the initial level's population over its gated finals."""
-    out = {}
-    if mode == "sum_rule":
-        denom = sum(fin.degeneracy for fin, _ in gated)
-        for fin, _ in gated:
-            out[fin.name] = pop_fraction * fin.degeneracy / denom
-    elif mode == "matrix_element":
-        for fin, s in gated:
-            out[fin.name] = pop_fraction * s / initial.degeneracy
-    else:
-        raise SpectrumError(f"unknown strength mode {mode!r}")
-    if factors:
-        for fin, _ in gated:
-            key = (initial.name, fin.name + upper_suffix)
-            if key in factors:
-                out[fin.name] *= factors[key]
-    return out
+def _intensities(gated, pop_fraction):
+    """The sum rule: the initial level's population over its gated finals,
+    in proportion to their degeneracy."""
+    denom = sum(fin.degeneracy for fin in gated)
+    return {fin.name: pop_fraction * fin.degeneracy / denom for fin in gated}
 
 
 # ----------------------------------------------------------------------------
@@ -291,10 +287,7 @@ OFFSET_KEYS = {("L1", 2): "dw_L1_star", ("I1I2", 1): "dw_L1_star",
 OFFSET_NAMES = tuple(dict.fromkeys(OFFSET_KEYS.values()))
 
 
-def vibration_orientation_lines(levels, band: VibrationBandModel,
-                                pop: PopulationModel,
-                                strength_mode: str = "sum_rule",
-                                strength_factors: dict | None = None):
+def vibration_orientation_lines(levels, band: VibrationBandModel, pop: PopulationModel):
     """IR lines from the populated ground orientation levels to the excited
     vibrational state's orientation levels (ground table reused, tunneling
     gaps scaled by excited_scale, high-band offsets overridable)."""
@@ -327,9 +320,8 @@ def vibration_orientation_lines(levels, band: VibrationBandModel,
         gated = _gated_finals(ini, finals, jmax, rank=1)
         if not gated:
             continue
-        intens = _intensities(ini, gated, fractions[ini.name], strength_mode,
-                              strength_factors, upper_suffix="*")
-        for fin, _ in gated:
+        intens = _intensities(gated, fractions[ini.name])
+        for fin in gated:
             if ini.spin_species not in hosted_species(fin.rovib_label):
                 continue  # spin species cannot ride into this final
             freq = band.nu0 + band.excited_offset(fin.rovib_label, fin.ordinal,
@@ -340,9 +332,7 @@ def vibration_orientation_lines(levels, band: VibrationBandModel,
     return lines
 
 
-def rotational_raman_lines(levels, pop: PopulationModel,
-                           strength_mode: str = "sum_rule",
-                           strength_factors: dict | None = None):
+def rotational_raman_lines(levels, pop: PopulationModel):
     """Stokes lines among the ground-vibrational orientation levels; rank-2
     selection on both frames with strict spin-species conservation."""
     jmax = _jmax_from_basis(levels)
@@ -358,9 +348,8 @@ def rotational_raman_lines(levels, pop: PopulationModel,
         gated = _gated_finals(ini, candidates, jmax, rank=2)
         if not gated:
             continue
-        intens = _intensities(ini, gated, fractions[ini.name], strength_mode,
-                              strength_factors, upper_suffix="")
-        for fin, _ in gated:
+        intens = _intensities(gated, fractions[ini.name])
+        for fin in gated:
             lines.append(Line(frequency=fin.energy - ini.energy,
                               intensity=intens[fin.name],
                               lower=ini.name, upper=fin.name, activity="Raman"))
@@ -368,24 +357,20 @@ def rotational_raman_lines(levels, pop: PopulationModel,
     return lines
 
 
-def sum_band_lines(base, lattice_freq: float, intensity_scale: float = 0.1):
-    """Copies of the base lines shifted up by one lattice-mode quantum."""
-    if lattice_freq < 0:
-        raise SpectrumError(f"lattice frequency must be non-negative, got {lattice_freq}")
-    if intensity_scale < 0:
-        raise SpectrumError(f"intensity scale must be non-negative, got {intensity_scale}")
-    return [Line(frequency=l.frequency + lattice_freq,
-                 intensity=l.intensity * intensity_scale,
+def sum_band_lines(base, band: VibrationBandModel):
+    """Copies of the base lines shifted up by the band's lattice-mode
+    quantum (band.lattice_freq set)."""
+    return [Line(frequency=l.frequency + band.lattice_freq,
+                 intensity=l.intensity * band.sum_band_scale,
                  lower=l.lower, upper=l.upper + "+lat", activity=l.activity)
             for l in base]
 
 
-def envelope_lines(levels, band: VibrationBandModel, pop: PopulationModel,
-                   lattice_freq: float | None = None, sum_band_scale: float = 0.1):
+def envelope_lines(levels, band: VibrationBandModel, pop: PopulationModel):
     """The lines the envelope sums: IR lines plus, with a lattice mode, their sum bands."""
     lines = vibration_orientation_lines(levels, band, pop)
-    if lattice_freq is not None:
-        lines += sum_band_lines(lines, lattice_freq, sum_band_scale)
+    if band.lattice_freq is not None:
+        lines += sum_band_lines(lines, band)
     lines.sort(key=lambda l: (l.frequency, l.lower, l.upper))
     return lines
 

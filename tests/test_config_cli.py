@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotorspec import cli, config, rotor, spectrum
-from rotorspec.config import ConfigError, DEFAULT_CONFIG_TEXT, parse_config
+from rotorspec.config import ConfigError, DEFAULT_CONFIG_TEXT, RunConfig, parse_config
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = REPO / "docs" / "schemas"
@@ -63,7 +64,7 @@ def test_minimal_config_echoes_defaults():
     assert cfg.population.mode == "thermal"
     assert cfg.synthesis.fwhm == 1.5
     assert cfg.crystal.c == 0.01
-    assert cfg.lattice_freq is None
+    assert cfg.band.lattice_freq is None
 
 
 def test_negative_beta_names_section_and_key():
@@ -155,7 +156,8 @@ def test_non_finite_value_names_section_and_key(section, line):
                for s, k, m in err.value.errors)
 
 
-@pytest.mark.parametrize("section,line", [
+#: one rule-breaking line per rule a config key has
+_RULE_CASES = [
     ("model", "B = 0"), ("model", "beta = -1"), ("model", "Jmax = 1"),
     ("model", "potential = 5:1.0, 3:-1.0"), ("model", "potential = "),
     ("model", "potential = 3:0"), ("model", "potential = 3:-1.0, 3:1.0"),
@@ -168,12 +170,26 @@ def test_non_finite_value_names_section_and_key(section, line):
     ("synthesis", "step = 1e-9"), ("synthesis", "fwhm = 0"),
     ("crystal", "a_nm = 0"), ("crystal", "c = 0"), ("crystal", "mu_debye = -1"),
     ("source", "linewidth_ghz = 0"),
-])
+]
+
+
+@pytest.mark.parametrize("section,line", _RULE_CASES)
 def test_each_rule_names_its_section_and_key(section, line):
     text = DEFAULT_CONFIG_TEXT.replace(f"[{section}]", f"[{section}]\n{line}")
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert {(s, k) for s, k, _ in err.value.errors} == {(section, line.split(" = ")[0])}
+
+
+@pytest.mark.parametrize("section,line", [case for case in _RULE_CASES if case[0] != "source"])
+def test_each_rule_lives_in_its_model_type(section, line):
+    """The section's model type, built with the value, names the key's field
+    in its validate(); only the source linewidth has no model type."""
+    key, _, raw = line.partition(" = ")
+    field = "frozen_fractions" if key == "fractions" else key
+    value = config._CONVERTERS[config._SCHEMA[section][key][1]](raw)
+    owner = replace(getattr(RunConfig.defaults(), section), **{field: value})
+    assert field in {f for f, _ in owner.validate()}
 
 
 def test_jmax_bounded_by_memory(monkeypatch):
@@ -417,7 +433,7 @@ def test_cli_lorentzian_envelope_sums_ir_and_sum_band_lines_only(workdir):
     cfg = parse_config(text)
     levels = rotor.classify_levels(rotor.diagonalize(cfg.model), max_energy=40.0)
     ir = spectrum.vibration_orientation_lines(levels, cfg.band, cfg.population)
-    lines = ir + spectrum.sum_band_lines(ir, 66.0, cfg.sum_band_scale)
+    lines = ir + spectrum.sum_band_lines(ir, cfg.band)
     lines.sort(key=lambda l: (l.frequency, l.lower, l.upper))
     _, amps = spectrum.synthesize(lines, cfg.synthesis)
     written = [float(r.split(",")[1]) for r in (workdir / "lo.csv").read_text().splitlines()[1:]]

@@ -328,9 +328,7 @@ def _fit_models(cfg):
     params = FitSpec(free_params=("B", "beta", "nu0"), initial=initial).resolved_initial()
     tmodel = TransitionModel(cfg.model.potential, jmax=cfg.model.Jmax)
     emodel = EnvelopeModel(cfg.model.potential, jmax=min(cfg.model.Jmax, 8),
-                           pop=cfg.population, shape=cfg.synthesis.shape,
-                           lattice_freq=cfg.lattice_freq,
-                           sum_band_scale=cfg.sum_band_scale)
+                           pop=cfg.population, shape=cfg.synthesis.shape, band=cfg.band)
     return params, tmodel, emodel
 
 
@@ -338,7 +336,7 @@ def test_envelope_model_matches_spectrum_envelope(tmp_path):
     """At the config's own values the envelope fit models the envelope that
     `spectrum` writes, lattice sum bands included."""
     cfg, _, envelope = _spectrum_run(tmp_path, SHIPPED)
-    assert cfg.lattice_freq == 66.0
+    assert cfg.band.lattice_freq == 66.0
     params, _, emodel = _fit_models(cfg)
     modeled = emodel.amplitude(params, envelope[:, 0])
     peak = envelope[:, 1].max()

@@ -106,12 +106,15 @@ def test_nn_distance_strictly_decreasing_in_c(c1, c2):
 
 
 def test_crystal_spec_validation():
-    with pytest.raises(PlanError):
-        CrystalSpec(a_nm=-1.0, c=0.5)
-    with pytest.raises(PlanError):
-        CrystalSpec(a_nm=1.0, c=0.0)
-    with pytest.raises(PlanError):
-        CrystalSpec(a_nm=1.0, c=1.5)
+    def plan(spec):
+        return build_plan_report(_lines([3206.0, 3217.0]), spec, band_fwhm_cm1=1.5,
+                                 source_linewidth_ghz=1.0)
+
+    for spec in (CrystalSpec(a_nm=-1.0, c=0.5), CrystalSpec(a_nm=1.0, c=0.0),
+                 CrystalSpec(a_nm=1.0, c=1.5)):
+        for use in (nn_distance, nn_distance_mc, plan):
+            with pytest.raises(PlanError, match="invalid crystal"):
+                use(spec)
 
 
 def test_monte_carlo_matches_poisson_mean():
@@ -164,8 +167,8 @@ def test_coupling_outside_float_range_rejected(mu, r):
 
 def test_build_plan_report():
     report = build_plan_report(_lines([3206.0, 3217.0, 3230.0, 3235.0]),
-                               CrystalSpec(1.0, 0.01), band_fwhm_cm1=1.5,
-                               source_linewidth_ghz=1.0, mu_debye=1.0)
+                               CrystalSpec(1.0, 0.01, mu_debye=1.0), band_fwhm_cm1=1.5,
+                               source_linewidth_ghz=1.0)
     assert report.channels == 44
     assert report.r12_characteristic_nm == pytest.approx(4.6416, abs=1e-4)
     assert report.delta_omega_pairs[0][2] == pytest.approx(29.0)

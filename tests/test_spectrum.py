@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,30 +207,14 @@ def test_intensities_nonnegative_and_normalized_per_initial(levels_beta1):
         assert total == pytest.approx(pops[name], abs=1e-12)
 
 
-def test_matrix_element_mode_branch_ratios(levels_beta1):
+def test_free_rotor_branch_strength_ratios(levels_beta1, model_beta1):
     """In the free-rotor regime the R(0) orientational strength per state is
     three times the Q(1) strength."""
-    pop = PopulationModel(mode="spin_frozen", T=7.0)
-    pops = populations(levels_beta1, pop)
-    lines = vibration_orientation_lines(levels_beta1, BAND, pop,
-                                        strength_mode="matrix_element")
-    by_pair = {(l.lower, l.upper): l.intensity for l in lines}
-    r0 = by_pair[("(A1)1", "(L1)1*")] / pops["(A1)1"]
-    q1 = by_pair[("(L1)1", "(L1)1*")] / pops["(L1)1"]
-    assert r0 == pytest.approx(3.0, rel=2e-3)
-    assert q1 == pytest.approx(1.0, rel=2e-3)
-
-
-def test_strength_factor_hook(levels_beta1):
-    pop = PopulationModel(mode="spin_frozen", T=7.0)
-    base = vibration_orientation_lines(levels_beta1, BAND, pop)
-    scaled = vibration_orientation_lines(
-        levels_beta1, BAND, pop,
-        strength_factors={("(L1)1", "(L1)1*"): 0.25})
-    pick = {(l.lower, l.upper): l.intensity for l in scaled}
-    ref = {(l.lower, l.upper): l.intensity for l in base}
-    assert pick[("(L1)1", "(L1)1*")] == pytest.approx(0.25 * ref[("(L1)1", "(L1)1*")])
-    assert pick[("(A1)1", "(L1)1*")] == pytest.approx(ref[("(A1)1", "(L1)1*")])
+    a1, l1 = find_level(levels_beta1, "A1", 1), find_level(levels_beta1, "L1", 1)
+    [r0] = rotor.transition_strength(a1, [l1], model_beta1.Jmax, rank=1)
+    [q1] = rotor.transition_strength(l1, [l1], model_beta1.Jmax, rank=1)
+    assert r0 / a1.degeneracy == pytest.approx(3.0, rel=2e-3)
+    assert q1 / l1.degeneracy == pytest.approx(1.0, rel=2e-3)
 
 
 def test_free_rotor_limit_spectrum():
@@ -295,18 +280,20 @@ def test_raman_thermal_vs_frozen_contrast(levels_beta1):
 
 def test_sum_band_shift():
     base = [Line(3217.0, 1.0, "(A1)1", "(L1)1*", "IR")]
-    out = sum_band_lines(base, 66.0)
+    out = sum_band_lines(base, replace(BAND, lattice_freq=66.0))
     assert out[0].frequency == pytest.approx(3283.0, abs=1e-12)
     assert out[0].intensity == pytest.approx(0.1)
     assert out[0].upper.endswith("+lat")
 
 
-def test_sum_band_zero_shift_and_zero_scale():
+def test_sum_band_zero_shift_and_zero_scale(levels_beta1):
     base = [Line(3217.0, 1.0, "(A1)1", "(L1)1*", "IR")]
-    assert sum_band_lines(base, 0.0)[0].frequency == 3217.0
-    assert sum_band_lines(base, 66.0, intensity_scale=0.0)[0].intensity == 0.0
-    with pytest.raises(SpectrumError):
-        sum_band_lines(base, -1.0)
+    assert sum_band_lines(base, replace(BAND, lattice_freq=0.0))[0].frequency == 3217.0
+    zero_scale = replace(BAND, lattice_freq=66.0, sum_band_scale=0.0)
+    assert sum_band_lines(base, zero_scale)[0].intensity == 0.0
+    with pytest.raises(SpectrumError, match="lattice"):
+        spectrum.envelope_lines(levels_beta1, replace(BAND, lattice_freq=-1.0),
+                                PopulationModel())
 
 
 # ---------------------------------------------------------------- synthesis
