@@ -22,8 +22,13 @@ of 3j factors per (J', J, rank); it alone fixes the index and phase
 convention of <J'k'm'|D^l_{mu nu}|J k m> and is the only caller of wigner3j.
 V and the operators are assembled from the nonzero 3j products only, and
 transition_strength applies a lower level's operators once for all finals.
-Until perfbench/ref is re-recorded these kernels must stay bit-identical to
-the dense/Kronecker definitions that tests/test_rotor.py keeps as references.
+V conserves the parity of k and of m, so it is assembled straight into its
+four parity blocks, and diagonalize builds and solves H one block at a time;
+the eigenvector matrix is its only dense n x n array.  The fit's label blocks
+multiply a dense V scattered from the same blocks.  Until perfbench/ref is
+re-recorded these kernels must stay bit-identical to the dense/Kronecker
+definitions (a dense H cut into parity blocks included) that
+tests/test_rotor.py keeps as references.
 
 Both label mechanisms rest on one set of symmetry-adapted first-row blocks
 of the product group (site rotations act on m, molecular rotations on k;
@@ -336,12 +341,16 @@ class RotorModel:
         if self.beta < 0:
             problems.append(("beta", f"beta must be non-negative, got {self.beta}; "
                                      "flip the potential sign instead"))
-        # estimated peak RSS: 79 MB plus 4.45 dense n x n float64 matrices (H,
-        # cached V, eigenvectors, solver work space) for the basis size n;
-        # fitted, rounded up, to `spectrum` peaks at n = 1771 and 4495 (189.8
-        # and 796.2 MB), and above the 1547 MB measured at n = 6545
+        # estimated peak RSS for the basis size n, the larger of two fits,
+        # rounded up, to peaks measured at Jmax 10, 14 and 16 (n = 1771, 4495
+        # and 6545):
+        # - `spectrum`, 130 MB + 1.53 x 8n^2 (eigenvectors, V's parity blocks,
+        #   one block's solve), above 133.8, 374.5 and 650.6 MB;
+        # - `fit --starts 1 --max-iter 20`, 93 MB + 1.27 x 8n^2 (the dense V of
+        #   the label blocks), above 124.1, 297.2 and 521.2 MB.
+        # The first is the larger at every n, so it is the bound.
         n = (self.Jmax + 1) * (2 * self.Jmax + 1) * (2 * self.Jmax + 3) // 3
-        need = 79e6 + 4.45 * 8 * float(n) ** 2 if n < 1e150 else math.inf
+        need = 130e6 + 1.53 * 8 * float(n) ** 2 if n < 1e150 else math.inf
         if self.Jmax < 2:
             problems.append(("Jmax", f"Jmax must be >= 2, got {self.Jmax}"))
         elif need > _PHYSICAL_MEMORY:
@@ -395,25 +404,69 @@ def _nonzero_elements(jmax: int, rank: int, mu: int, nu: int):
                    math.sqrt((2 * J2 + 1) * (2 * J + 1)))
 
 
+def _parity_blocks(jmax: int) -> list[np.ndarray]:
+    """Ascending basis indices of the four (k, m) parity blocks."""
+    basis = build_basis(jmax)
+    kpar = np.array([s.k % 2 for s in basis])
+    mpar = np.array([s.m % 2 for s in basis])
+    return [np.where((kpar == kp) & (mpar == mp))[0]
+            for kp in (0, 1) for mp in (0, 1)]
+
+
 @lru_cache(maxsize=8)
-def _potential_matrix(jmax: int, potential: tuple) -> np.ndarray:
-    """sum of weight * c_{mu nu} D^rank_{mu nu} over terms and components; an
-    entry gets one component per rank, weight * (s * (cc * (Fnu * Fmu))), the
-    value the dense sum of scaled kron(F[nu], F[mu]) blocks rounds to."""
-    n = len(build_basis(jmax))
-    V = np.zeros((n, n))
+def _potential_blocks(jmax: int, potential: tuple) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(basis indices, V block) for each parity block of V, the sum of weight *
+    c_{mu nu} D^rank_{mu nu} over terms and components.  By the 3j rules
+    k = k2 + nu and m = m2 + mu, and every nonzero c has even mu and nu, so V
+    couples no two blocks.  An entry gets one component per rank,
+    weight * (s * (cc * (Fnu * Fmu))), the value the dense sum of scaled
+    kron(F[nu], F[mu]) blocks rounds to."""
+    blocks = _parity_blocks(jmax)
+    ends = np.cumsum([len(idx) ** 2 for idx in blocks])
+    # the blocks lie one after another in `flat`, each row-major: basis state i
+    # has block-local index local[i] and its block row starts at row_start[i]
+    local = np.empty(sum(len(idx) for idx in blocks), dtype=np.intp)
+    row_start = np.empty_like(local)
+    for idx, end in zip(blocks, ends):
+        local[idx] = np.arange(len(idx))
+        row_start[idx] = end - len(idx) ** 2 + local[idx] * len(idx)
+    flat = np.zeros(ends[-1])
     written = []
     for rank, weight in potential:
         cmat = invariant_coefficients(rank)
         for i, j in zip(*np.nonzero(cmat)):
+            if (i - rank) % 2 or (j - rank) % 2:
+                raise RotorError(f"the rank-{rank} potential couples parity blocks")
             for rows, cols, fnu, fmu, s in _nonzero_elements(jmax, rank, i - rank, j - rank):
-                V[rows, cols] += weight * (s * (cmat[i, j] * (fnu * fmu)))
-                written.append((rows, cols))
+                at = row_start[rows] + local[cols]
+                flat[at] += weight * (s * (cmat[i, j] * (fnu * fmu)))
+                written.append((at, row_start[cols] + local[rows]))
     # entries never written are 0 on both sides of the diagonal
-    rows, cols = (np.concatenate(ix) for ix in zip(*written))
-    asym = np.abs(V[rows, cols] - V[cols, rows]).max()
+    at, mirror = (np.concatenate(ix) for ix in zip(*written))
+    asym = np.abs(flat[at] - flat[mirror]).max()
     if asym > 1e-12:
         raise RotorError(f"potential matrix asymmetry {asym:.2e} exceeds 1e-12")
+    flat.setflags(write=False)
+    parts = np.split(flat, ends[:-1])
+    return tuple((idx, part.reshape(len(idx), len(idx))) for idx, part in zip(blocks, parts))
+
+
+def _scatter(blocks) -> np.ndarray:
+    """Dense matrix holding each (indices, block) pair of a partition of the
+    basis; 0 elsewhere."""
+    n = sum(len(idx) for idx, _ in blocks)
+    dense = np.zeros((n, n))
+    for idx, block in blocks:
+        dense[np.ix_(idx, idx)] = block
+    return dense
+
+
+@lru_cache(maxsize=8)
+def _potential_matrix(jmax: int, potential: tuple) -> np.ndarray:
+    """Dense V, for the fit's label blocks, whose V @ Q must keep the dense
+    product's rounding.  Its parity blocks are assembled but not cached, so
+    the fit holds one copy of V."""
+    V = _scatter(_potential_blocks.__wrapped__(jmax, potential))
     V.setflags(write=False)
     return V
 
@@ -425,29 +478,30 @@ def _kinetic_diagonal(jmax: int) -> np.ndarray:
     return diag
 
 
-def hamiltonian_matrix(model: RotorModel) -> np.ndarray:
-    """Dense real symmetric Hamiltonian over build_basis(model.Jmax), cm^-1."""
+def _hamiltonian_blocks(model: RotorModel):
+    """(basis indices, H block) per parity block, in cm^-1, after checking
+    the model; each block is np.diag(B * kin) + (beta * B) * V_b, so it holds
+    the bits of the same entries of the dense H."""
     model.require_valid()
     vmin, vmax = potential_range(model.potential)
     if abs((vmax - vmin) - 1.0) > 1e-6:
         raise PotentialError(
             f"potential range is {vmax - vmin:.8f}, not 1 (use RotorModel.create)"
         )
-    H = np.diag(model.B * _kinetic_diagonal(model.Jmax))
-    H += (model.beta * model.B) * _potential_matrix(model.Jmax, model.potential)
-    return H
+    kin = model.B * _kinetic_diagonal(model.Jmax)
+    scale = model.beta * model.B
+    return ((idx, np.diag(kin[idx]) + scale * vb)
+            for idx, vb in _potential_blocks(model.Jmax, model.potential))
+
+
+def hamiltonian_matrix(model: RotorModel) -> np.ndarray:
+    """Dense real symmetric Hamiltonian over build_basis(model.Jmax), cm^-1."""
+    return _scatter(list(_hamiltonian_blocks(model)))
 
 
 # ----------------------------------------------------------------------------
 # diagonalization (parity blocks)
 # ----------------------------------------------------------------------------
-
-def _parity_blocks(basis) -> list[np.ndarray]:
-    kpar = np.array([s.k % 2 for s in basis])
-    mpar = np.array([s.m % 2 for s in basis])
-    return [np.where((kpar == kp) & (mpar == mp))[0]
-            for kp in (0, 1) for mp in (0, 1)]
-
 
 @dataclass(frozen=True)
 class Eigensystem:
@@ -460,26 +514,35 @@ class Eigensystem:
     model: RotorModel
 
     def residual_checks(self) -> tuple[float, float]:
-        """(orthonormality defect, relative eigen-residual) for validation."""
-        H = hamiltonian_matrix(self.model)
+        """(orthonormality defect, relative eigen-residual) for validation,
+        per parity block.  Each column of `vectors` must lie in one block, as
+        diagonalize's do; then H and the Gram matrix couple no two blocks, and
+        the dense formulas' cross-block terms are exact zeros."""
         span = self.energies[-1] - self.energies[0] or 1.0
-        ortho = np.abs(self.vectors.T @ self.vectors - np.eye(len(self.energies))).max()
-        ground = (self.vectors[:, 0] @ H @ self.vectors[:, 0])
-        resid = np.abs(H @ self.vectors - self.vectors * (self.energies + ground)).max()
+        parts = []
+        owners = np.zeros(self.vectors.shape[1], dtype=int)
+        for idx, hb in _hamiltonian_blocks(self.model):
+            rows = self.vectors[idx]
+            cols = np.flatnonzero(np.any(rows != 0.0, axis=0))
+            owners[cols] += 1
+            parts.append((hb, rows[:, cols], cols))
+        if np.any(owners != 1):
+            raise RotorError("residual checks need each eigenvector inside one parity block")
+        hb, x, _ = next(part for part in parts if 0 in part[2][:1])  # the ground's block
+        ground = x[:, 0] @ hb @ x[:, 0]
+        ortho = resid = 0.0
+        for hb, x, cols in parts:
+            ortho = max(ortho, np.abs(x.T @ x - np.eye(len(cols))).max(initial=0.0))
+            resid = max(resid, np.abs(hb @ x - x * (self.energies[cols] + ground)).max(initial=0.0))
         return float(ortho), float(resid / span)
 
 
 def diagonalize(model: RotorModel) -> Eigensystem:
     """Solve the eigenproblem per parity block; the potential conserves the
-    parity of k and of m for every supported rank."""
-    H = hamiltonian_matrix(model)
-    basis = build_basis(model.Jmax)
-    n = len(basis)
-    energies = np.empty(n)
-    vectors = np.zeros((n, n))
-    filled = 0
-    for idx in _parity_blocks(basis):
-        sub = H[np.ix_(idx, idx)]
+    parity of k and of m for every supported rank.  Each block's eigenvectors
+    are written once, into their energy-ordered columns."""
+    solved = []
+    for idx, sub in _hamiltonian_blocks(model):
         try:
             w, v = np.linalg.eigh(sub)
         except np.linalg.LinAlgError as exc:
@@ -488,14 +551,21 @@ def diagonalize(model: RotorModel) -> Eigensystem:
                 f"eigen-solver failed on a {len(idx)}-state block "
                 f"(condition number {cond:.3e}): {exc}"
             ) from exc
-        energies[filled:filled + len(idx)] = w
-        vectors[np.ix_(idx, np.arange(filled, filled + len(idx)))] = v
-        filled += len(idx)
+        solved.append((idx, w, v))
+    energies = np.concatenate([w for _, w, _ in solved])
+    n = len(energies)
     order = np.argsort(energies, kind="stable")
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)
+    vectors = np.zeros((n, n))
+    filled = 0
+    for idx, w, v in solved:
+        vectors[np.ix_(idx, column[filled:filled + len(w)])] = v
+        filled += len(w)
     energies = energies[order]
-    vectors = vectors[:, order]
     energies -= energies[0]
-    return Eigensystem(energies=energies, vectors=vectors, basis=tuple(basis), model=model)
+    return Eigensystem(energies=energies, vectors=vectors,
+                       basis=tuple(build_basis(model.Jmax)), model=model)
 
 
 # ----------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import dataclasses
 from dataclasses import replace
 from pathlib import Path
 
@@ -190,6 +191,30 @@ def test_each_rule_lives_in_its_model_type(section, line):
     value = config._CONVERTERS[config._SCHEMA[section][key][1]](raw)
     owner = replace(getattr(RunConfig.defaults(), section), **{field: value})
     assert field in {f for f, _ in owner.validate()}
+
+
+def test_schema_defaults_are_the_model_types_defaults():
+    """Each key's default in config._SCHEMA is the default of the field it
+    sets, wherever that field declares one; the potential's after
+    normalization, which is what RotorModel holds."""
+    defaults = RunConfig.defaults()
+    checked = set()
+    for section in ("model", "band", "population", "synthesis", "crystal"):
+        for field in dataclasses.fields(getattr(defaults, section)):
+            key = "fractions" if field.name == "frozen_fractions" else field.name
+            if field.default is dataclasses.MISSING or key not in config._SCHEMA[section]:
+                continue
+            text, kind = config._SCHEMA[section][key]
+            value = config._CONVERTERS[kind](text)
+            if kind == "potential":
+                [(rank, weight)] = rotor.normalize_potential(value)
+                [(want_rank, want_weight)] = field.default
+                assert rank == want_rank and weight == pytest.approx(want_weight, abs=1e-12)
+            else:
+                assert value == field.default, (section, key)
+            checked.add(key)
+    assert checked >= {"B", "beta", "Jmax", "excited_scale", "sum_band_scale", "mode", "T",
+                       "shape", "fwhm", "mu_debye"}
 
 
 def test_jmax_bounded_by_memory(monkeypatch):

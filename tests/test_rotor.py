@@ -3,6 +3,7 @@ classification and tunneling frequencies."""
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,6 +381,82 @@ def test_eigensystem_invariants(system_beta1):
     assert resid < 1e-8
     assert system_beta1.energies[0] == 0.0
     assert np.all(np.diff(system_beta1.energies) >= 0)
+
+
+# Until perfbench/ref is re-recorded, levels and strengths depend on the last
+# bit of the eigenvectors, so the per-block assembly and solve must reproduce
+# the dense-H definition exactly.
+
+def _reference_hamiltonian(model):
+    H = np.diag(model.B * rotor._kinetic_diagonal(model.Jmax))
+    H += (model.beta * model.B) * rotor._potential_matrix(model.Jmax, model.potential)
+    return H
+
+
+def _reference_diagonalize(model):
+    """Dense H, eigh per parity block, eigenvectors zero-filled in block order
+    and then permuted to energy order."""
+    H = _reference_hamiltonian(model)
+    basis = build_basis(model.Jmax)
+    n = len(basis)
+    energies = np.empty(n)
+    vectors = np.zeros((n, n))
+    filled = 0
+    for kp in (0, 1):
+        for mp in (0, 1):
+            idx = np.array([i for i, s in enumerate(basis) if (s.k % 2, s.m % 2) == (kp, mp)])
+            w, v = np.linalg.eigh(H[np.ix_(idx, idx)])
+            energies[filled:filled + len(idx)] = w
+            vectors[np.ix_(idx, np.arange(filled, filled + len(idx)))] = v
+            filled += len(idx)
+    order = np.argsort(energies, kind="stable")
+    energies = energies[order]
+    vectors = vectors[:, order]
+    energies -= energies[0]
+    return energies, vectors
+
+
+@pytest.mark.parametrize("potential", [((3, -1.0),), ((3, -1.0), (4, 0.3)), ((4, -1.0),)])
+@pytest.mark.parametrize("beta", [0.05, 1.0, 6.0])
+@pytest.mark.parametrize("jmax", [6, 8])
+def test_diagonalize_bit_equal_to_dense_hamiltonian(jmax, beta, potential):
+    model = RotorModel.create(B=B0, beta=beta, potential=potential, Jmax=jmax)
+    assert hamiltonian_matrix(model).tobytes() == _reference_hamiltonian(model).tobytes()
+    system = diagonalize(model)
+    energies, vectors = _reference_diagonalize(model)
+    assert system.energies.tobytes() == energies.tobytes()
+    assert system.vectors.tobytes() == vectors.tobytes()
+
+
+def test_residual_checks_match_dense_formulas():
+    model = RotorModel.create(B=B0, beta=1.0, potential=((3, -1.0), (4, 0.3)), Jmax=6)
+    system = diagonalize(model)
+    H, V, E = hamiltonian_matrix(model), system.vectors, system.energies
+    ortho = np.abs(V.T @ V - np.eye(len(E))).max()
+    resid = np.abs(H @ V - V * (E + V[:, 0] @ H @ V[:, 0])).max() / (E[-1] - E[0])
+    got = system.residual_checks()
+    assert got[0] == pytest.approx(ortho, rel=0, abs=1e-14)
+    assert got[1] == pytest.approx(resid, rel=0, abs=1e-14)
+    mixed = rotor.Eigensystem(energies=E, vectors=V + V[:, ::-1], basis=system.basis,
+                              model=model)
+    with pytest.raises(RotorError, match="parity block"):
+        mixed.residual_checks()
+
+
+def test_diagonalize_allocates_no_dense_matrix_but_the_vectors():
+    # the eigenvectors take 8 n^2 bytes; per-block assembly and solves add
+    # about 0.4 x that, where a dense H, its scaled V term, a zero-filled
+    # vector matrix and its column permutation take 4 x
+    model = RotorModel.create(B=B0, beta=1.0, Jmax=10)
+    diagonalize(model)  # fills the per-Jmax caches
+    n = len(build_basis(10))
+    tracemalloc.start()
+    try:
+        diagonalize(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
 
 
 # ---------------------------------------------------------------- classify
