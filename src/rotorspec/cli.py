@@ -362,6 +362,7 @@ def _fit_report_payload(report: fitting.FitReport) -> dict:
         "message": report.message,
         "nearest_assigned": list(report.nearest_assigned),
         "best_start": report.best_start,
+        "starts_run": report.starts_run,
     }
 
 
@@ -414,7 +415,8 @@ def cmd_fit(args) -> int:
         _atomic_write(args.out, _json_dumps(_fit_report_payload(report)))
     buf = io.StringIO()
     buf.write(f"converged: {report.converged} (objective {report.objective:.6e}, "
-              f"{report.iterations} iterations, best start {report.best_start})\n")
+              f"{report.iterations} iterations over {report.starts_run} of {spec.n_starts} "
+              f"starts, best start {report.best_start})\n")
     for name in sorted(report.values):
         buf.write(f"  {name:14s} = {_fmt(report.values[name])}\n")
     if report.residuals:

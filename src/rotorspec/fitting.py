@@ -6,13 +6,16 @@ multistart; the objective passes through an eigenvalue solve, so derivative
 free search is the right tool for the handful of parameters involved.  Both
 fits hand their residuals to one driver, _minimize, which runs the multistart
 on their sum of squares and builds the FitReport; the position fit adds its
-peak assignment and residual rows.  All eigenvalue work is cached per beta
-(the last rotor.PER_BETA_CACHE_SIZE betas): B only rescales the spectrum, so
-a fit that moves B, nu0 and the band offsets at fixed beta costs one solve
-per label.  A position fit reads each level by label and ordinal from the
-symmetry-adapted block of its label (rotor.LevelGapCache) and solves only the
-labels its transitions name: the four-band fit needs the A1 and L1 blocks, 17
-and 110 states at Jmax 10.
+peak assignment and residual rows.  A sum of squares is never negative, so the
+multistart stops at the first start whose objective reaches the tolerance:
+n_starts is the most starts that run, and FitReport.starts_run says how many
+did.  All eigenvalue work is cached per beta (the last
+rotor.PER_BETA_CACHE_SIZE betas): B only rescales the spectrum, so a fit that
+moves B, nu0 and the band offsets at fixed beta costs one solve per label.  A
+position fit reads each level by label and ordinal from the symmetry-adapted
+block of its label (rotor.LevelGapCache) and solves only the labels its
+transitions name: the four-band fit needs the A1 and L1 blocks, 17 and 110
+states at Jmax 10.
 
 FitSpec.validate states every rule on the fit options as (field, message)
 pairs; a bound's ends must lie where the model type owning it accepts them.
@@ -197,6 +200,7 @@ class FitReport:
     message: str = ""
     nearest_assigned: tuple[str, ...] = ()
     best_start: int = 0
+    starts_run: int = 0         # starts the multistart ran, at most n_starts
     trace: tuple = field(default=(), repr=False, compare=False)
 
     def max_abs_residual(self) -> float:
@@ -319,8 +323,14 @@ def _minimize(spec: FitSpec, seed: int, residuals) -> tuple[FitReport, dict]:
     """Seeded multistart Nelder-Mead on sum(residuals(params)**2) over the
     free parameters of a valid `spec`.  Start 0 is the initial values clipped
     to the bounds; each later start is a uniform draw in the bounds, made as
-    the start begins (n_starts may be far more than fit in memory).  Returns
-    the best start's report, without residual rows, and its parameters."""
+    the start begins (n_starts may be far more than fit in memory).
+
+    The objective is a sum of squares, never negative, so a start that ends
+    at or below spec.tolerance is a global minimum to that tolerance: the
+    multistart stops there, and the starts after it are never drawn.  When
+    no start gets there, all n_starts run and the lowest objective wins, the
+    earliest start on ties.  Returns the best start's report, without
+    residual rows, and its parameters."""
     names = spec.scalar_free()
     base = spec.resolved_initial()
     lo, hi = np.array([spec.bounds.get(n, PARAM_BOUNDS[n]) for n in names], dtype=float).T
@@ -351,6 +361,9 @@ def _minimize(spec: FitSpec, seed: int, residuals) -> tuple[FitReport, dict]:
         total_iter += int(res.nit)
         if best is None or float(res.fun) < best[0]:
             best = (float(res.fun), index, res, tuple(trace))
+        if best[0] <= spec.tolerance:
+            break
+    starts_run = index + 1
     fun, index, res, trace = best
     params = {**base, **dict(zip(names, res.x))}
     report = FitReport(
@@ -362,6 +375,7 @@ def _minimize(spec: FitSpec, seed: int, residuals) -> tuple[FitReport, dict]:
         converged=bool(res.success) or fun <= spec.tolerance,
         message=str(res.message),
         best_start=index,
+        starts_run=starts_run,
         trace=trace,
     )
     return report, params

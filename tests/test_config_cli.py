@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -394,6 +395,19 @@ def test_cli_fit_pipeline(workdir):
     jsonschema.validate(payload, _schema("fit_report.schema.json"))
     assert payload["converged"] is True
     assert max(abs(r["residual_cm1"]) for r in payload["residuals"]) < 1e-6
+
+
+def test_readme_fit_reports_starts_run(workdir):
+    # the README's `rotorspec fit` example, its shipped inputs as absolute paths
+    text = (REPO / "README.md").read_text().replace("\\\n", " ")
+    line = next(l for l in text.splitlines() if l.startswith("rotorspec fit "))
+    args = [str(REPO / a) if a.startswith("configs/") else a for a in shlex.split(line)[1:]]
+    starts = cli._build_parser().parse_args(args).starts
+    assert cli.main(args) == 0
+    payload = json.loads((workdir / "fit.json").read_text())
+    jsonschema.validate(payload, _schema("fit_report.schema.json"))
+    assert payload["converged"] is True
+    assert 1 <= payload["starts_run"] <= starts
 
 
 def test_cli_fit_bad_header_exits_1(workdir, capsys):

@@ -2,6 +2,7 @@
 
 import functools
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,33 @@ def test_extra_offsets_counts_as_one_parameter(tmodel):
     report = fit_line_positions(peaks, spec, tmodel, seed=0)
     assert report.converged
     assert report.max_abs_residual() < 1e-3
+
+
+def test_exact_fit_stops_at_first_start(tmodel):
+    # zero-noise peaks: start 0 reaches the tolerance, so no later start runs
+    names = ("(L1)1->(L1)1*", "(A1)1->(L1)1*", "(L1)1->(L1)2*", "(L1)1->(E3)1*")
+    peaks = _synthetic_peaks(tmodel, names)
+    spec = FitSpec(free_params=("B", "beta", "nu0", "extra_offsets"), n_starts=8)
+    many = fit_line_positions(peaks, spec, tmodel, seed=0)
+    one = fit_line_positions(peaks, replace(spec, n_starts=1), tmodel, seed=0)
+    assert many.objective <= spec.tolerance
+    assert many.starts_run == 1 and one.starts_run == 1
+    assert many.values == one.values and many.objective == one.objective
+    assert many.trace == one.trace
+    assert (many.best_start, many.iterations) == (one.best_start, one.iterations)
+
+
+def test_inexact_fit_runs_every_start(tmodel):
+    # one peak off by 0.5 cm-1 and only nu0 free: no start reaches the tolerance
+    freqs = [p.frequency for p in _synthetic_peaks(tmodel).peaks]
+    freqs[0] += 0.5
+    peaks = PeakList.from_frequencies(freqs, labels=list(NAMES))
+    spec = FitSpec(free_params=("nu0",), initial=dict(TRUTH), n_starts=3)
+    many = fit_line_positions(peaks, spec, tmodel, seed=0)
+    one = fit_line_positions(peaks, replace(spec, n_starts=1), tmodel, seed=0)
+    assert many.objective > spec.tolerance
+    assert many.starts_run == spec.n_starts and one.starts_run == 1
+    assert many.objective <= one.objective
 
 
 def test_transition_model_matches_line_generator(tmodel):
