@@ -21,7 +21,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--jmax", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--starts", type=int, default=8)
+    ap.add_argument("--starts", type=int, default=fitting.FitSpec(free_params=()).n_starts)
     args = ap.parse_args()
 
     peaks = cli._read_peaks_csv(str(PEAKS_CSV))

@@ -7,14 +7,19 @@ percent at liquid-helium temperatures; with the species frozen at their
 statistical fractions the secondary bands stay comparable, which is why the
 observed spectra barely change between 2.6 and 20 K.
 
-Usage: python scripts/intensity_contrast.py [--temps 2.6,7,16,20]
+The rotor and band models are those of configs/atpb.cfg, the calibrated
+config of the README, at the Jmax of --jmax.
+
+Usage: python scripts/intensity_contrast.py [--temps 2.6,7,16,20] [--jmax N]
 """
 
 import argparse
+from dataclasses import replace
+from pathlib import Path
 
-from rotorspec import rotor, spectrum
+from rotorspec import config, rotor, spectrum
 
-B_CALIBRATED = 5.503275
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "atpb.cfg"
 
 
 def main():
@@ -24,10 +29,9 @@ def main():
     args = ap.parse_args()
     temps = [float(t) for t in args.temps.split(",")]
 
-    model = rotor.RotorModel.create(B=B_CALIBRATED, beta=1.0, Jmax=args.jmax)
+    cfg = config.parse_config(CONFIG.read_text(encoding="utf-8"))
+    model = replace(cfg.model, Jmax=args.jmax)
     levels = rotor.classify_levels(rotor.diagonalize(model), max_energy=60.0)
-    band = spectrum.VibrationBandModel(
-        nu0=3206.0, extra_offsets={"dw_L1_star": 24.0, "dw_LE3_star": 29.0})
 
     for T in temps:
         print(f"\n=== T = {T} K ===")
@@ -35,7 +39,7 @@ def main():
         rows = {}
         for mode in ("thermal", "spin_frozen"):
             pop = spectrum.PopulationModel(mode=mode, T=T)
-            for line in spectrum.vibration_orientation_lines(levels, band, pop):
+            for line in spectrum.vibration_orientation_lines(levels, cfg.band, pop):
                 key = (line.lower, line.upper, line.frequency)
                 rows.setdefault(key, {})[mode] = line.intensity
         ref = {m: rows[("(A1)1", "(L1)1*",

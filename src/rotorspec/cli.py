@@ -374,14 +374,8 @@ _FIT_FLAGS = {"free_params": "--free", "n_starts": "--starts", "max_iterations":
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
     free = tuple(x.strip() for x in args.free.split(",") if x.strip())
-    initial = {
-        "B": cfg.model.B,
-        "beta": cfg.model.beta,
-        "nu0": cfg.band.nu0,
-        "excited_scale": cfg.band.excited_scale,
-        "fwhm": cfg.synthesis.fwhm,
-        **cfg.band.extra_offsets,
-    }
+    initial = {p.key: value for p in config_mod.PARAMS
+               if p.key in fitting.PARAM_DEFAULTS and (value := p.value(cfg)) is not None}
     bounds = {}
     for name, lo, hi in args.bound or ():
         if name in bounds:
@@ -551,9 +545,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--envelope", help="sampled spectrum CSV for mode=envelope")
     p_fit.add_argument("--mode", default="positions", choices=("positions", "envelope"))
     p_fit.add_argument("--free", default="B,beta,nu0,extra_offsets")
-    p_fit.add_argument("--starts", type=int, default=8)
-    p_fit.add_argument("--max-iter", type=int, default=2000)
-    p_fit.add_argument("--tol", type=float, default=1e-10)
+    fit_defaults = fitting.FitSpec(free_params=())
+    for name, kind in (("n_starts", int), ("max_iterations", int), ("tolerance", float)):
+        p_fit.add_argument(_FIT_FLAGS[name], type=kind, default=getattr(fit_defaults, name))
     p_fit.add_argument("--seed", type=_at_least(0, int), default=0)
     p_fit.add_argument("--bound", nargs=3, action="append",
                        metavar=("NAME", "LO", "HI"))

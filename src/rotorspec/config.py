@@ -11,6 +11,11 @@ but the last is one model type, and every key of it sets a field of that type:
     [crystal]     qubitplan.CrystalSpec
     [source]      linewidth_ghz, RunConfig.source_linewidth_ghz
 
+PARAMS, the registry of the keys, is read from the fields of RunConfig and
+its model types: a key takes its default from its field and its converter
+from the field's type.  Field metadata holds the rest: a "key" (and
+"section") other than the field name, and "fit_bound", `fit`'s default box.
+
 The rules live in the validate() of the model types, which return (field,
 message) pairs; parse_config maps them to [section] key and reports the
 complete list before any basis is built.  The one rule spanning two
@@ -23,11 +28,12 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from . import qubitplan, rotor, spectrum
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "DEFAULT_CONFIG_TEXT"]
+__all__ = ["RunConfig", "ConfigError", "Param", "PARAMS", "parse_config", "DEFAULT_CONFIG_TEXT"]
 
 
 class ConfigError(ValueError):
@@ -37,45 +43,6 @@ class ConfigError(ValueError):
         self.errors = tuple(errors)
         lines = [f"[{s}] {k + ': ' if k else ''}{msg}" for s, k, msg in self.errors]
         super().__init__("invalid configuration:\n  " + "\n  ".join(lines))
-
-
-#: section -> key -> (default string, parser kind)
-_SCHEMA = {
-    "model": {
-        "B": ("5.9", "float"),
-        "beta": ("1.0", "float"),
-        "Jmax": ("10", "int"),
-        "potential": ("3:-1.0", "potential"),
-    },
-    "band": {
-        "nu0": ("3206.0", "float"),
-        "excited_scale": ("1.0", "float"),
-        "dw_L1_star": ("", "optfloat"),
-        "dw_LE3_star": ("", "optfloat"),
-        "lattice_freq": ("", "optfloat"),
-        "sum_band_scale": ("0.1", "float"),
-    },
-    "population": {
-        "mode": ("thermal", "str"),
-        "T": ("7.0", "float"),
-        "fractions": ("", "fractions"),
-    },
-    "synthesis": {
-        "start": ("3150.0", "float"),
-        "stop": ("3300.0", "float"),
-        "step": ("0.05", "float"),
-        "shape": ("gaussian", "str"),
-        "fwhm": ("1.5", "float"),
-    },
-    "crystal": {
-        "a_nm": ("1.0", "float"),
-        "c": ("0.01", "float"),
-        "mu_debye": ("1.0", "float"),
-    },
-    "source": {
-        "linewidth_ghz": ("1.0", "float"),
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -88,7 +55,8 @@ class RunConfig:
     population: spectrum.PopulationModel
     synthesis: spectrum.SpectrumConfig
     crystal: qubitplan.CrystalSpec
-    source_linewidth_ghz: float
+    source_linewidth_ghz: float = field(default=1.0,
+                                        metadata={"section": "source", "key": "linewidth_ghz"})
 
     @classmethod
     def defaults(cls) -> "RunConfig":
@@ -97,9 +65,10 @@ class RunConfig:
     def validate(self) -> list[tuple[str, str, str]]:
         """Every problem of the run as (section, key, message): those of the
         model types, then the channel count, which spans two sections."""
-        problems = [(section, "fractions" if field == "frozen_fractions" else field, msg)
-                    for section in ("model", "band", "population", "synthesis", "crystal")
-                    for field, msg in getattr(self, section).validate()]
+        keys = {(p.section, p.field): p.key for p in PARAMS if p.owner is not RunConfig}
+        problems = [(section, keys[section, name], msg)
+                    for section in dict.fromkeys(section for section, _ in keys)
+                    for name, msg in getattr(self, section).validate()]
         if self.synthesis.fwhm > 0:  # else [synthesis] fwhm is the problem
             try:
                 qubitplan.addressable_channels(self.synthesis.fwhm, self.source_linewidth_ghz)
@@ -127,15 +96,56 @@ def _parse_fractions(text: str):
     return {"A": parts[0], "E": parts[1], "F": parts[2]}
 
 
-#: parser kind -> converter of the raw text; an empty optional value is None
+#: field type -> converter of the raw text; an empty optional value is None
 _CONVERTERS = {
-    "float": _finite,
-    "int": int,
-    "str": str.strip,
-    "optfloat": lambda raw: _finite(raw) if raw.strip() else None,
-    "potential": _parse_potential,
-    "fractions": lambda raw: _parse_fractions(raw) if raw.strip() else None,
+    float: _finite,
+    int: int,
+    str: str.strip,
+    float | None: lambda raw: _finite(raw) if raw.strip() else None,
+    tuple[tuple[int, float], ...]: _parse_potential,
+    dict | None: lambda raw: _parse_fractions(raw) if raw.strip() else None,
 }
+
+
+@dataclass(frozen=True)
+class Param:
+    """A config key: the field of `owner` it sets (a dw key: its entry of
+    extra_offsets), that field's default, the converter of the key's text,
+    and the default search box of `fit`, None for a key the fit cannot move."""
+
+    section: str
+    key: str
+    owner: type
+    field: str
+    default: object
+    convert: typing.Callable[[str], object]
+    fit_bound: tuple[float, float] | None = None
+
+    def value(self, cfg: RunConfig):
+        """This key's value in `cfg`; None for a dw it leaves unset."""
+        value = getattr(cfg if self.owner is RunConfig else getattr(cfg, self.section), self.field)
+        return value.get(self.key) if self.field == "extra_offsets" else value
+
+
+def _registry():
+    types = typing.get_type_hints(RunConfig)
+    for part in fields(RunConfig):
+        if is_dataclass(types[part.name]):
+            owner, section, owned = types[part.name], part.name, fields(types[part.name])
+        else:  # RunConfig's own field
+            owner, section, owned = RunConfig, part.metadata["section"], [part]
+        kinds = typing.get_type_hints(owner)
+        for f in owned:
+            if f.name == "extra_offsets":  # one optional key per entry
+                yield from (Param(section, key, owner, f.name, None, _CONVERTERS[float | None])
+                            for key in spectrum.OFFSET_NAMES)
+            else:
+                yield Param(section, f.metadata.get("key", f.name), owner, f.name, f.default,
+                            _CONVERTERS[kinds[f.name]], f.metadata.get("fit_bound"))
+
+
+#: every config key, in the order of the fields of RunConfig and its model types
+PARAMS = tuple(_registry())
 
 
 def parse_config(text: str) -> RunConfig:
@@ -148,40 +158,29 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError([("-", None, f"unparsable config: {exc}")]) from exc
 
-    for section in _SCHEMA:
-        if not parser.has_section(section):
-            errors.append((section, None, "required section missing"))
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            errors.append((section, None, "unknown section"))
+    owners = {p.section: p.owner for p in PARAMS}
+    errors += [(s, None, "required section missing") for s in owners if not parser.has_section(s)]
+    errors += [(s, None, "unknown section") for s in parser.sections() if s not in owners]
+    present = {s: dict(parser.items(s)) if parser.has_section(s) else {} for s in owners}
+    known = {(p.section, p.key) for p in PARAMS}
+    errors += [(s, key, "unknown key")
+               for s, given in present.items() for key in given if (s, key) not in known]
 
-    values: dict[str, dict] = {}
-    for section, keys in _SCHEMA.items():
-        values[section] = {}
-        present = dict(parser.items(section)) if parser.has_section(section) else {}
-        for key in present:
-            if key not in keys:
-                errors.append((section, key, "unknown key"))
-        for key, (default, kind) in keys.items():
-            raw = present.get(key, default)
-            try:
-                values[section][key] = _CONVERTERS[kind](raw)
-            except (ValueError, TypeError) as exc:
-                errors.append((section, key, f"cannot parse {raw!r}: {exc}"))
-                values[section][key] = _CONVERTERS[kind](default)
+    args: dict[str, dict] = {s: {} for s in owners}
+    for p in PARAMS:
+        raw = present[p.section].get(p.key)
+        try:
+            value = p.default if raw is None else p.convert(raw)
+        except (ValueError, TypeError) as exc:
+            errors.append((p.section, p.key, f"cannot parse {raw!r}: {exc}"))
+            value = p.default
+        if p.field != "extra_offsets":
+            args[p.section][p.field] = value
+        elif value is not None:  # an unset dw is no entry
+            args[p.section].setdefault(p.field, {})[p.key] = value
 
-    b, p = values["band"], values["population"]
-    cfg = RunConfig(
-        model=rotor.RotorModel(**values["model"]),
-        band=spectrum.VibrationBandModel(
-            nu0=b["nu0"], excited_scale=b["excited_scale"],
-            extra_offsets={k: b[k] for k in spectrum.OFFSET_NAMES if b[k] is not None},
-            lattice_freq=b["lattice_freq"], sum_band_scale=b["sum_band_scale"]),
-        population=spectrum.PopulationModel(mode=p["mode"], T=p["T"],
-                                            frozen_fractions=p["fractions"]),
-        synthesis=spectrum.SpectrumConfig(**values["synthesis"]),
-        crystal=qubitplan.CrystalSpec(**values["crystal"]),
-        source_linewidth_ghz=values["source"]["linewidth_ghz"])
+    cfg = RunConfig(**{section: owner(**args[section]) for section, owner in owners.items()
+                       if owner is not RunConfig}, **args["source"])
     errors += cfg.validate()
     if errors:
         raise ConfigError(sorted(set(errors), key=lambda e: (e[0], e[1] or "", e[2])))

@@ -25,7 +25,12 @@ become a VibrationBandModel, and the envelope is spectrum.profile_sum of
 spectrum.envelope_lines, as in the `spectrum` command.
 
 Parameter names: B, beta, nu0, excited_scale, fwhm, scale and
-spectrum.OFFSET_NAMES.  The entry "extra_offsets" in FitSpec.free_params
+spectrum.OFFSET_NAMES.  A parameter a model type owns (B, beta, nu0,
+excited_scale, fwhm) is the config key of a field with a fit bound
+(config.PARAMS): PARAM_DEFAULTS holds its field's default and PARAM_BOUNDS
+its fit bound, and its domain is what that model type's validate() accepts.
+Only the fit's own entries are written here: the dw start values and box,
+and the intensity scale.  The entry "extra_offsets" in FitSpec.free_params
 stands for the pair of dw parameters and counts as one name against the
 peaks >= parameters requirement.  A dw overrides the level table only when
 free or given in FitSpec.initial; PARAM_DEFAULTS holds its start value.
@@ -35,12 +40,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.optimize
 
-from . import rotor, spectrum
+from . import config, rotor, spectrum
 from .rotor import LevelGapCache, RotorModel
 from .spectrum import PopulationModel, VibrationBandModel
 
@@ -63,41 +68,34 @@ class FitError(ValueError):
     """Invalid fit specification or observed data."""
 
 
+#: fit parameter -> its config key, for each field with a fit bound
+_OWNED = {p.key: p for p in config.PARAMS if p.fit_bound}
+
 PARAM_DEFAULTS = {
-    "B": rotor.DEFAULT_B_CM1,
-    "beta": 1.0,
-    "nu0": 3206.0,
-    "excited_scale": 1.0,
+    **{name: p.default for name, p in _OWNED.items()},
     **dict(zip(spectrum.OFFSET_NAMES, (24.0, 29.0))),
-    "fwhm": 1.5,
     "scale": 1.0,
 }
 
 PARAM_BOUNDS = {
-    "B": (3.0, 9.0),
-    "beta": (0.05, 6.0),
-    "nu0": (3100.0, 3300.0),
-    "excited_scale": (0.5, 2.0),
+    **{name: p.fit_bound for name, p in _OWNED.items()},
     **dict.fromkeys(spectrum.OFFSET_NAMES, (5.0, 60.0)),
-    "fwhm": (0.05, 20.0),
     "scale": (0.0, 1e3),
 }
 
 _GROUP_PARAMS = {"extra_offsets": spectrum.OFFSET_NAMES}
 
 
-_DEFAULT_BAND = VibrationBandModel(PARAM_DEFAULTS["nu0"])
+_DEFAULT_BAND = VibrationBandModel()
 
 
 def _domain_problems(name: str, value: float) -> list[str]:
-    """What the model type owning parameter `name` (the one with a field of
-    that name: RotorModel, VibrationBandModel or SpectrumConfig) says of
-    `value`; a parameter no model type owns has no domain rule."""
-    for owner in (RotorModel(), _DEFAULT_BAND,
-                  spectrum.SpectrumConfig(0.0, 1.0, 1.0)):
-        if name in {f.name for f in fields(owner)}:
-            return [msg for f, msg in replace(owner, **{name: value}).validate() if f == name]
-    return []
+    """What the model type owning parameter `name` says of `value`; a
+    parameter no model type owns has no domain rule."""
+    p = _OWNED.get(name)
+    if p is None:
+        return []
+    return [msg for f, msg in replace(p.owner(), **{p.field: value}).validate() if f == p.field]
 
 
 @dataclass(frozen=True)
@@ -215,7 +213,8 @@ def _band(params: dict, base: VibrationBandModel = _DEFAULT_BAND) -> VibrationBa
     """`base`, its sum bands kept, at the band parameters of `params`; a dw
     absent or None is not an override."""
     offsets = {k: params[k] for k in spectrum.OFFSET_NAMES if params.get(k) is not None}
-    return replace(base, nu0=params["nu0"], excited_scale=params.get("excited_scale", 1.0),
+    return replace(base, nu0=params["nu0"],
+                   excited_scale=params.get("excited_scale", PARAM_DEFAULTS["excited_scale"]),
                    extra_offsets=offsets)
 
 
@@ -286,7 +285,8 @@ class EnvelopeModel:
     """
 
     def __init__(self, potential=rotor.DEFAULT_POTENTIAL, jmax: int = 8,
-                 pop: PopulationModel | None = None, shape: str = "gaussian",
+                 pop: PopulationModel | None = None,
+                 shape: str = spectrum.SpectrumConfig.shape,
                  band: VibrationBandModel = _DEFAULT_BAND):
         self.potential = tuple(potential)
         self.jmax = jmax
@@ -311,8 +311,8 @@ class EnvelopeModel:
 
     def amplitude(self, params: dict, freqs: np.ndarray) -> np.ndarray:
         amps = spectrum.profile_sum(self.lines(params), freqs, self.shape,
-                                    params.get("fwhm", 1.5))
-        return params.get("scale", 1.0) * amps
+                                    params.get("fwhm", PARAM_DEFAULTS["fwhm"]))
+        return params.get("scale", PARAM_DEFAULTS["scale"]) * amps
 
 
 # ----------------------------------------------------------------------------
@@ -449,7 +449,7 @@ def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,
 
     params0 = spec.resolved_initial()
     line_freqs = np.array([l.frequency for l in model.lines(params0)])
-    margin = 4.0 * params0.get("fwhm", 1.5)
+    margin = 4.0 * params0["fwhm"]
     if np.all((line_freqs < freqs[0] - margin) | (line_freqs > freqs[-1] + margin)):
         return FitReport(
             values={k: float(v) for k, v in params0.items()},

@@ -48,8 +48,8 @@ class CrystalSpec:
     """Cation sublattice: site spacing at full occupancy and dilution, and
     the dipole moment of the rotors on it."""
 
-    a_nm: float
-    c: float
+    a_nm: float = 1.0
+    c: float = 0.01
     mu_debye: float = 1.0
 
     def validate(self) -> list[tuple[str, str]]:

@@ -323,16 +323,18 @@ class RotorModel:
     RotorModel.create to normalize arbitrary coefficients.
     """
 
-    B: float = DEFAULT_B_CM1
-    beta: float = 1.0
+    B: float = field(default=DEFAULT_B_CM1, metadata={"fit_bound": (3.0, 9.0)})
+    beta: float = field(default=1.0, metadata={"fit_bound": (0.05, 6.0)})
     potential: tuple[tuple[int, float], ...] = DEFAULT_POTENTIAL
     Jmax: int = DEFAULT_JMAX
 
     @classmethod
-    def create(cls, B: float = DEFAULT_B_CM1, beta: float = 1.0,
-               potential=((3, -1.0),), Jmax: int = DEFAULT_JMAX) -> "RotorModel":
-        return cls(B=float(B), beta=float(beta),
-                   potential=normalize_potential(potential), Jmax=int(Jmax))
+    def create(cls, **params) -> "RotorModel":
+        """The model of `params`, the field defaults for the rest, with its
+        potential normalized."""
+        model = cls(**params)
+        return cls(B=float(model.B), beta=float(model.beta),
+                   potential=normalize_potential(model.potential), Jmax=int(model.Jmax))
 
     def validate(self) -> list[tuple[str, str]]:
         problems = []

@@ -85,8 +85,8 @@ class VibrationBandModel:
     higher at sum_band_scale times its intensity.
     """
 
-    nu0: float
-    excited_scale: float = 1.0
+    nu0: float = field(default=3206.0, metadata={"fit_bound": (3100.0, 3300.0)})
+    excited_scale: float = field(default=1.0, metadata={"fit_bound": (0.5, 2.0)})
     extra_offsets: dict = field(default_factory=dict)
     lattice_freq: float | None = None
     sum_band_scale: float = 0.1
@@ -124,7 +124,7 @@ class PopulationModel:
 
     mode: str = "thermal"           # thermal | spin_frozen
     T: float = 7.0                  # kelvin
-    frozen_fractions: dict | None = None
+    frozen_fractions: dict | None = field(default=None, metadata={"key": "fractions"})
 
     def fractions(self) -> dict[str, float]:
         frac = dict(self.frozen_fractions or DEFAULT_FROZEN_FRACTIONS)
@@ -166,11 +166,11 @@ class Line:
 
 @dataclass(frozen=True)
 class SpectrumConfig:
-    start: float
-    stop: float
-    step: float
+    start: float = 3150.0
+    stop: float = 3300.0
+    step: float = 0.05
     shape: str = "gaussian"   # gaussian | lorentzian
-    fwhm: float = 1.5
+    fwhm: float = field(default=1.5, metadata={"fit_bound": (0.05, 20.0)})
 
     def validate(self) -> list[tuple[str, str]]:
         problems = []

@@ -3,11 +3,11 @@
 import contextlib
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
 import tempfile
-import dataclasses
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorspec import cli, config, rotor, spectrum
+from rotorspec import cli, config, fitting, rotor, spectrum
 from rotorspec.config import ConfigError, DEFAULT_CONFIG_TEXT, RunConfig, parse_config
 
 REPO = Path(__file__).resolve().parent.parent
@@ -183,39 +183,48 @@ def test_each_rule_names_its_section_and_key(section, line):
     assert {(s, k) for s, k, _ in err.value.errors} == {(section, line.split(" = ")[0])}
 
 
+#: (section, key) -> the registry entry of that config key
+_PARAMS = {(p.section, p.key): p for p in config.PARAMS}
+_SECTIONS = tuple(dict.fromkeys(p.section for p in config.PARAMS))
+
+
 @pytest.mark.parametrize("section,line", [case for case in _RULE_CASES if case[0] != "source"])
 def test_each_rule_lives_in_its_model_type(section, line):
     """The section's model type, built with the value, names the key's field
     in its validate(); only the source linewidth has no model type."""
     key, _, raw = line.partition(" = ")
-    field = "frozen_fractions" if key == "fractions" else key
-    value = config._CONVERTERS[config._SCHEMA[section][key][1]](raw)
-    owner = replace(getattr(RunConfig.defaults(), section), **{field: value})
-    assert field in {f for f, _ in owner.validate()}
+    param = _PARAMS[section, key]
+    value = param.convert(raw)
+    owner = replace(getattr(RunConfig.defaults(), section), **{param.field: value})
+    assert param.field in {f for f, _ in owner.validate()}
 
 
-def test_schema_defaults_are_the_model_types_defaults():
-    """Each key's default in config._SCHEMA is the default of the field it
-    sets, wherever that field declares one; the potential's after
-    normalization, which is what RotorModel holds."""
-    defaults = RunConfig.defaults()
-    checked = set()
-    for section in ("model", "band", "population", "synthesis", "crystal"):
-        for field in dataclasses.fields(getattr(defaults, section)):
-            key = "fractions" if field.name == "frozen_fractions" else field.name
-            if field.default is dataclasses.MISSING or key not in config._SCHEMA[section]:
-                continue
-            text, kind = config._SCHEMA[section][key]
-            value = config._CONVERTERS[kind](text)
-            if kind == "potential":
-                [(rank, weight)] = rotor.normalize_potential(value)
-                [(want_rank, want_weight)] = field.default
-                assert rank == want_rank and weight == pytest.approx(want_weight, abs=1e-12)
-            else:
-                assert value == field.default, (section, key)
-            checked.add(key)
-    assert checked >= {"B", "beta", "Jmax", "excited_scale", "sum_band_scale", "mode", "T",
-                       "shape", "fwhm", "mu_debye"}
+def test_readme_agrees_with_the_registry():
+    """The README's config block names every config key, and no other, with
+    its field's default, read by the key's own converter ("unset" is None);
+    the potential is compared normalized, as RotorModel holds it.  Its fit
+    table gives PARAM_DEFAULTS and PARAM_BOUNDS."""
+    text = (REPO / "README.md").read_text()
+    shown = {}
+    for line in text.split("Config sections and keys", 1)[1].split("```")[1].splitlines():
+        if line.startswith("["):
+            section = line[1:line.index("]")]
+            continue
+        for keys, default in re.findall(r"(?<![\w.])(\w+(?:, \w+)*) \(([^)]*)\)", line):
+            for key in keys.split(", "):
+                shown[section, key] = default.split()[0]
+    assert set(shown) == set(_PARAMS)
+    for (section, key), raw in shown.items():
+        param = _PARAMS[section, key]
+        value = None if raw == "unset" else param.convert(raw)
+        if key == "potential":
+            assert rotor.normalize_potential(value) == rotor.normalize_potential(param.default)
+        else:
+            assert value == param.default, (section, key)
+
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \| ([^|]+) \.\. ([^|]+) \|$", text, re.M)
+    assert {name: float(start) for name, start, _, _ in rows} == fitting.PARAM_DEFAULTS
+    assert {name: (float(lo), float(hi)) for name, _, lo, hi in rows} == fitting.PARAM_BOUNDS
 
 
 def test_jmax_bounded_by_memory(monkeypatch):
@@ -248,15 +257,25 @@ _ODD_VALUES = st.one_of(
 _ODD_TURN = st.sampled_from([False, False, False, True])
 
 
+def _text(param) -> str:
+    """Config text of a key's default."""
+    if param.default is None:
+        return ""
+    if param.key == "potential":
+        return ", ".join(f"{rank}:{weight!r}" for rank, weight in param.default)
+    return str(param.default)
+
+
 @st.composite
 def _config_texts(draw):
     """All six sections; up to three keys each, one in four set to an odd
     value and the rest to their default; in half the examples one unknown key."""
-    stray = draw(st.sampled_from([*config._SCHEMA] + [None] * 6))
+    stray = draw(st.sampled_from([*_SECTIONS] + [None] * 6))
     sections = []
-    for section, keys in config._SCHEMA.items():
-        names = draw(st.lists(st.sampled_from(sorted(keys)), unique=True, max_size=3))
-        lines = [f"{n} = {draw(_ODD_VALUES) if draw(_ODD_TURN) else keys[n][0]}"
+    for section in _SECTIONS:
+        keys = sorted(key for s, key in _PARAMS if s == section)
+        names = draw(st.lists(st.sampled_from(keys), unique=True, max_size=3))
+        lines = [f"{n} = {draw(_ODD_VALUES) if draw(_ODD_TURN) else _text(_PARAMS[section, n])}"
                  for n in names]
         if section == stray:
             lines.append(f"{draw(st.sampled_from(_UNKNOWN_KEYS))} = {draw(_ODD_VALUES)}")
@@ -272,9 +291,9 @@ def test_parse_config_returns_or_names_every_problem(text):
     except ConfigError as err:
         assert err.errors
         for section, key, message in err.errors:
-            assert section in config._SCHEMA
-            assert key in config._SCHEMA[section] or (key in _UNKNOWN_KEYS
-                                                      and message == "unknown key")
+            assert section in _SECTIONS
+            assert (section, key) in _PARAMS or (key in _UNKNOWN_KEYS
+                                                 and message == "unknown key")
     else:
         vmin, vmax = rotor.potential_range(cfg.model.potential)
         assert vmax - vmin == pytest.approx(1.0, abs=1e-6)
@@ -395,6 +414,26 @@ def test_cli_fit_pipeline(workdir):
     jsonschema.validate(payload, _schema("fit_report.schema.json"))
     assert payload["converged"] is True
     assert max(abs(r["residual_cm1"]) for r in payload["residuals"]) < 1e-6
+
+
+def test_cli_fit_starts_from_the_config(workdir):
+    """Every parameter the config sets and the fit leaves fixed is reported
+    at the config's value, the dw pair included; the scale has no key."""
+    given = {"B": 5.6, "beta": 1.2, "excited_scale": 1.1, "fwhm": 2.0,
+             "dw_L1_star": 23.0, "dw_LE3_star": 30.0}
+    text = FAST_CONFIG
+    for old, new in (("B = 5.503275318502903", "B = 5.6"), ("beta = 1.0", "beta = 1.2"),
+                     ("nu0 = 3206.0", "nu0 = 3206.0\nexcited_scale = 1.1"),
+                     ("fwhm = 1.5", "fwhm = 2.0"), ("dw_L1_star = 24.0", "dw_L1_star = 23.0"),
+                     ("dw_LE3_star = 29.0", "dw_LE3_star = 30.0")):
+        text = text.replace(old, new)
+    (workdir / "run.cfg").write_text(text)
+    rc = cli.main(["fit", "--config", "run.cfg", "--peaks", str(REPO / "configs/atpb_peaks.csv"),
+                   "--free", "nu0", "--starts", "1", "--out", "fit.json"])
+    assert rc in (0, 2)
+    values = json.loads((workdir / "fit.json").read_text())["values"]
+    assert {k: v for k, v in values.items() if k != "nu0"} == {
+        **given, "scale": fitting.PARAM_DEFAULTS["scale"]}
 
 
 def test_readme_fit_reports_starts_run(workdir):

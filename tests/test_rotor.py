@@ -113,6 +113,17 @@ def test_default_potential_has_unit_range():
     assert vmin == pytest.approx(-0.5, abs=1e-9)
 
 
+def test_create_normalizes_the_field_defaults():
+    """create() fills unset parameters from the field defaults; the default
+    potential normalizes to the same bits as the unscaled rank-3 invariant
+    3:-1.0 that configs write."""
+    normalized = rotor.normalize_potential(((3, -1.0),))
+    assert normalized == ((3, -0.49999999999999967),)
+    assert rotor.normalize_potential(rotor.DEFAULT_POTENTIAL) == normalized
+    assert RotorModel.create() == RotorModel(potential=normalized)
+    assert RotorModel.create(beta=2, Jmax=4.0) == RotorModel(beta=2.0, potential=normalized, Jmax=4)
+
+
 def test_normalize_potential_mixed_ranks():
     pot = rotor.normalize_potential(((3, -1.0), (4, 0.3)))
     vmin, vmax = potential_range(pot)
