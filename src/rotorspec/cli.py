@@ -388,7 +388,7 @@ def cmd_fit(args) -> int:
                            max_iterations=args.max_iter, tolerance=args.tol,
                            n_starts=args.starts)
     # with the flags valid, a FitError of the fit is about the observed data
-    problems = spec.validate()
+    problems = spec.validate(positions=args.mode == "positions")
     if problems:
         raise fitting.FitError("; ".join(f"{_FIT_FLAGS[f]}: {msg}" for f, msg in problems))
     if args.mode == "positions":

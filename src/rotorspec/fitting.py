@@ -85,6 +85,9 @@ PARAM_BOUNDS = {
 
 _GROUP_PARAMS = {"extra_offsets": spectrum.OFFSET_NAMES}
 
+#: parameters that act on the envelope only, never on a peak position
+_ENVELOPE_ONLY = ("fwhm", "scale")
+
 
 _DEFAULT_BAND = VibrationBandModel()
 
@@ -141,15 +144,20 @@ class FitSpec:
             out.extend(_GROUP_PARAMS.get(name, (name,)))
         return tuple(out)
 
-    def validate(self, n_peaks: int | None = None) -> list[tuple[str, str]]:
-        """Every problem of the spec as (field, message); `n_peaks` adds the
-        peaks >= named free parameters rule of a position fit."""
+    def validate(self, n_peaks: int | None = None,
+                 positions: bool = False) -> list[tuple[str, str]]:
+        """Every problem of the spec as (field, message).  A position fit
+        (`positions`, or any `n_peaks`) frees no envelope-only parameter;
+        `n_peaks` adds its peaks >= named free parameters rule."""
         problems = []
         if not self.free_params:
             problems.append(("free_params", "at least one free parameter required"))
         for name in self.free_params:
             if name not in PARAM_DEFAULTS and name not in _GROUP_PARAMS:
                 problems.append(("free_params", f"unknown parameter {name!r}"))
+            elif name in _ENVELOPE_ONLY and (positions or n_peaks is not None):
+                problems.append(("free_params", f"{name} acts on no peak position; "
+                                                "only an envelope fit can free it"))
         free = self.scalar_free()
         if len(set(free)) < len(free):
             problems.append(("free_params", f"a parameter is named twice in {', '.join(free)}"))

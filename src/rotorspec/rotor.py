@@ -24,11 +24,11 @@ V and the operators are assembled from the nonzero 3j products only, and
 transition_strength applies a lower level's operators once for all finals.
 V conserves the parity of k and of m, so it is assembled straight into its
 four parity blocks, and diagonalize builds and solves H one block at a time;
-the eigenvector matrix is its only dense n x n array.  The fit's label blocks
-multiply a dense V scattered from the same blocks.  Until perfbench/ref is
+the eigenvector matrix is its only dense n x n array.  Until perfbench/ref is
 re-recorded these kernels must stay bit-identical to the dense/Kronecker
 definitions (a dense H cut into parity blocks included) that
-tests/test_rotor.py keeps as references.
+tests/test_rotor.py keeps as references.  The fit's label blocks are written
+from the same 3j factors per J, with no n-sized array.
 
 Both label mechanisms rest on one set of symmetry-adapted first-row blocks
 of the product group (site rotations act on m, molecular rotations on k;
@@ -238,8 +238,9 @@ def _little_d(rank: int, beta_angles: np.ndarray) -> np.ndarray:
     return np.array([wigner_d_matrix(rank, (0.0, 1.0, 0.0), b).real for b in beta_angles])
 
 
-def _potential_on_grid(potential, n: int = 32):
+def _potential_on_grid(potential):
     """Evaluate V on an Euler grid; returns (values, angle triples)."""
+    n = 32  # points per Euler angle
     alphas = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
     gammas = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
     betas = np.arccos(np.linspace(-1.0, 1.0, n + 1))
@@ -270,15 +271,15 @@ def _potential_value(potential, angles: np.ndarray) -> float:
     return v
 
 
-def potential_range(potential, grid_n: int = 32) -> tuple[float, float]:
+def potential_range(potential) -> tuple[float, float]:
     """(min, max) of V over orientations: dense grid scan plus local
     refinement from the best grid points."""
-    return _potential_range_cached(tuple((int(r), float(w)) for r, w in potential), grid_n)
+    return _potential_range_cached(tuple((int(r), float(w)) for r, w in potential))
 
 
 @lru_cache(maxsize=64)
-def _potential_range_cached(potential: tuple, grid_n: int) -> tuple[float, float]:
-    values, (alphas, betas, gammas) = _potential_on_grid(potential, grid_n)
+def _potential_range_cached(potential: tuple) -> tuple[float, float]:
+    values, (alphas, betas, gammas) = _potential_on_grid(potential)
     lo_idx = np.unravel_index(np.argmin(values), values.shape)
     hi_idx = np.unravel_index(np.argmax(values), values.shape)
 
@@ -343,14 +344,12 @@ class RotorModel:
         if self.beta < 0:
             problems.append(("beta", f"beta must be non-negative, got {self.beta}; "
                                      "flip the potential sign instead"))
-        # estimated peak RSS for the basis size n, the larger of two fits,
-        # rounded up, to peaks measured at Jmax 10, 14 and 16 (n = 1771, 4495
-        # and 6545):
-        # - `spectrum`, 130 MB + 1.53 x 8n^2 (eigenvectors, V's parity blocks,
-        #   one block's solve), above 133.8, 374.5 and 650.6 MB;
-        # - `fit --starts 1 --max-iter 20`, 93 MB + 1.27 x 8n^2 (the dense V of
-        #   the label blocks), above 124.1, 297.2 and 521.2 MB.
-        # The first is the larger at every n, so it is the bound.
+        # estimated peak RSS for the basis size n, fitted and rounded up to the
+        # `spectrum` peaks measured at Jmax 10, 14 and 16 (n = 1771, 4495 and
+        # 6545): 130 MB + 1.53 x 8n^2 (eigenvectors, V's parity blocks, one
+        # block's solve), above 133.8, 374.5 and 650.6 MB.  `fit --starts 1
+        # --max-iter 20` holds no n x n array and peaks lower, at 88.9, 91.5
+        # and 95.1 MB.
         n = (self.Jmax + 1) * (2 * self.Jmax + 1) * (2 * self.Jmax + 3) // 3
         need = 130e6 + 1.53 * 8 * float(n) ** 2 if n < 1e150 else math.inf
         if self.Jmax < 2:
@@ -453,26 +452,6 @@ def _potential_blocks(jmax: int, potential: tuple) -> tuple[tuple[np.ndarray, np
     return tuple((idx, part.reshape(len(idx), len(idx))) for idx, part in zip(blocks, parts))
 
 
-def _scatter(blocks) -> np.ndarray:
-    """Dense matrix holding each (indices, block) pair of a partition of the
-    basis; 0 elsewhere."""
-    n = sum(len(idx) for idx, _ in blocks)
-    dense = np.zeros((n, n))
-    for idx, block in blocks:
-        dense[np.ix_(idx, idx)] = block
-    return dense
-
-
-@lru_cache(maxsize=8)
-def _potential_matrix(jmax: int, potential: tuple) -> np.ndarray:
-    """Dense V, for the fit's label blocks, whose V @ Q must keep the dense
-    product's rounding.  Its parity blocks are assembled but not cached, so
-    the fit holds one copy of V."""
-    V = _scatter(_potential_blocks.__wrapped__(jmax, potential))
-    V.setflags(write=False)
-    return V
-
-
 @lru_cache(maxsize=8)
 def _kinetic_diagonal(jmax: int) -> np.ndarray:
     diag = np.array([s.J * (s.J + 1) for s in build_basis(jmax)], dtype=float)
@@ -498,7 +477,11 @@ def _hamiltonian_blocks(model: RotorModel):
 
 def hamiltonian_matrix(model: RotorModel) -> np.ndarray:
     """Dense real symmetric Hamiltonian over build_basis(model.Jmax), cm^-1."""
-    return _scatter(list(_hamiltonian_blocks(model)))
+    blocks = _hamiltonian_blocks(model)  # checks the model first
+    H = np.zeros((len(_kinetic_diagonal(model.Jmax)),) * 2)
+    for idx, hb in blocks:
+        H[np.ix_(idx, idx)] = hb
+    return H
 
 
 # ----------------------------------------------------------------------------
@@ -700,8 +683,7 @@ def _project_label(vectors: np.ndarray, jmax: int, label) -> np.ndarray:
     return vectors @ u[:, :rank]
 
 
-def classify_levels(system: Eigensystem, cluster_tol: float | None = None,
-                    max_energy: float | None = None) -> list[EnergyLevel]:
+def classify_levels(system: Eigensystem, max_energy: float | None = None) -> list[EnergyLevel]:
     """Assign product-group labels and spin species to degenerate clusters.
 
     A cluster's product-irrep content is the sum of its columns' weights on
@@ -715,8 +697,7 @@ def classify_levels(system: Eigensystem, cluster_tol: float | None = None,
     """
     jmax = system.model.Jmax
     span = system.energies[-1] - system.energies[0] or 1.0
-    tol = cluster_tol if cluster_tol is not None else 1e-6 * span
-    slices = [(a, b) for a, b in _cluster_slices(system.energies, tol)
+    slices = [(a, b) for a, b in _cluster_slices(system.energies, 1e-6 * span)
               if max_energy is None or system.energies[a] <= max_energy]
     weights = _irrep_weights(system.vectors[:, :slices[-1][1] if slices else 0], jmax)
     dims = np.array([dim for _, dim in _CONSTITUENTS])
@@ -847,14 +828,28 @@ class PerBetaCache(OrderedDict):
         return value
 
 
-def _label_block(jmax: int, name: str) -> np.ndarray:
-    """Orthonormal columns of the symmetry-adapted block of a level symbol:
-    the first-row block of its first constituent, per J.  Each level of the symbol has one state in the block; the
-    block is real for A1, A3, L2 and L1.  Sizes at Jmax 10: A1 17, L1 110,
-    A3/L2 38, E4/I1I2 36, E2/E3 14, A2/E1 12."""
-    return scipy.linalg.block_diag(*(
-        np.kron(*_first_row_bases(J, LEVEL_LABELS[name].constituents[0]))
-        for J in range(jmax + 1)))
+def _label_block(jmax: int, potential: tuple, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal of K_b, V_b): P^2 and V in units of B on the symmetry-adapted
+    block of a level symbol, whose J part is kron(K_J, M_J) =
+    kron(*_first_row_bases(J, first constituent)), columns ascending in J.  It
+    holds one state per level of the symbol and is real for A1, A3, L2 and L1.
+    Sizes at Jmax 10: A1 17, L1 110, A3/L2 38, E4/I1I2 36, E2/E3 14, A2/E1 12.
+    V_b's (J', J) part is the sum over terms and nonzero c_{mu nu} of weight *
+    c * sqrt((2J'+1)(2J+1)) * kron(K_J'^H F[nu] K_J, M_J'^H F[mu] M_J)."""
+    bases = [_first_row_bases(J, LEVEL_LABELS[name].constituents[0]) for J in range(jmax + 1)]
+    sizes = [k.shape[1] * m.shape[1] for k, m in bases]
+    ends = np.cumsum(sizes)
+    at = [slice(end - size, end) for end, size in zip(ends, sizes)]
+    vblock = np.zeros((ends[-1],) * 2, dtype=np.result_type(*(b for pair in bases for b in pair)))
+    for rank, weight in potential:
+        cmat = invariant_coefficients(rank)
+        for J2, (k2, m2) in enumerate(bases):
+            for J in range(max(0, J2 - rank), min(jmax, J2 + rank) + 1):
+                (k, m), F = bases[J], _three_j_factors(J2, J, rank)
+                part = sum(cmat[i, j] * np.kron(k2.conj().T @ F[j] @ k, m2.conj().T @ F[i] @ m)
+                           for i, j in zip(*np.nonzero(cmat)))
+                vblock[at[J2], at[J]] += weight * math.sqrt((2 * J2 + 1) * (2 * J + 1)) * part
+    return np.repeat([float(J * (J + 1)) for J in range(jmax + 1)], sizes), vblock
 
 
 class LevelGapCache:
@@ -873,13 +868,7 @@ class LevelGapCache:
     def eigenvalues(self, beta: float, label: str) -> np.ndarray:
         """Ascending energies of every `label` level, in units of B; uncached."""
         if label not in self._blocks:
-            V = _potential_matrix(self.jmax, self.potential)
-            Q = _label_block(self.jmax, label)
-            # V @ Q apart by real and imaginary part: a complex Q would copy V;
-            # each column stays inside one J, so K_b is diagonal
-            VQ = V @ Q.real + 1j * (V @ Q.imag) if np.iscomplexobj(Q) else V @ Q
-            self._blocks[label] = ((np.abs(Q) ** 2).T @ _kinetic_diagonal(self.jmax),
-                                   Q.conj().T @ VQ)
+            self._blocks[label] = _label_block(self.jmax, self.potential, label)
         kdiag, vblock = self._blocks[label]
         return scipy.linalg.eigvalsh(np.diag(kdiag) + beta * vblock)
 

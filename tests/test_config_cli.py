@@ -488,6 +488,20 @@ def test_cli_fit_nonconvergence_exits_2(workdir):
     assert rc == 2
 
 
+@pytest.mark.parametrize("name", ["fwhm", "scale"])
+def test_cli_position_fit_rejects_envelope_only_parameters(workdir, capsys, name):
+    # rejected with the flags, before the (missing) peaks file is read; an
+    # envelope fit passes the flags and fails on its missing file instead
+    rc = cli.main(["fit", "--config", "run.cfg", "--peaks", "missing.csv",
+                   "--free", f"nu0,{name}"])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith(f"error: --free: {name} ") and "missing" not in err
+    rc = cli.main(["fit", "--config", "run.cfg", "--mode", "envelope",
+                   "--envelope", "missing.csv", "--free", f"nu0,{name}"])
+    err = capsys.readouterr().err
+    assert rc == 1 and "missing.csv" in err and "--free" not in err
+
+
 def test_cli_lorentzian_shape(workdir):
     (workdir / "lor.cfg").write_text(FAST_CONFIG.replace(
         "fwhm = 1.5", "fwhm = 1.5\nshape = lorentzian"))

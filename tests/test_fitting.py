@@ -43,6 +43,18 @@ def test_fitspec_rejects_nan_tolerance():
         == ["tolerance"]
 
 
+@pytest.mark.parametrize("name", ["fwhm", "scale"])
+def test_position_fit_rejects_envelope_only_parameters(tmodel, name):
+    # no position residual reads fwhm or scale, so a position fit would
+    # report whatever value its simplex left them at
+    spec = FitSpec(free_params=("nu0", name))
+    assert spec.validate() == []
+    assert [f for f, msg in spec.validate(positions=True) if name in msg] == ["free_params"]
+    peaks = PeakList.from_frequencies([3206.0, 3217.0, 3230.0])
+    with pytest.raises(FitError, match=f"{name} acts on no peak position"):
+        fit_line_positions(peaks, spec, tmodel)
+
+
 def test_underdetermined_rejected(tmodel):
     peaks = PeakList.from_frequencies([3206.0, 3217.0])
     spec = FitSpec(free_params=("B", "beta", "nu0"))

@@ -1,12 +1,14 @@
 """Eigenproblem layer: basis, 3j symbols, invariant potential, diagonalization,
 classification and tunneling frequencies."""
 
+import dataclasses
 import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -236,13 +238,30 @@ def test_rank_operator_blocks_match_dense_elements(rank):
         np.testing.assert_allclose(M.toarray(), dense, rtol=0, atol=1e-15)
 
 
+def _dense_potential(jmax, potential):
+    """Dense V scattered from its parity blocks; 0 between blocks."""
+    n = len(build_basis(jmax))
+    V = np.zeros((n, n))
+    for idx, block in rotor._potential_blocks(jmax, potential):
+        V[np.ix_(idx, idx)] = block
+    return V
+
+
+def _dense_label_basis(jmax, name):
+    """Orthonormal columns of a level symbol's block over the whole basis:
+    kron(*_first_row_bases(J, first constituent)) on each J's rows."""
+    constituent = symmetry.LEVEL_LABELS[name].constituents[0]
+    return scipy.linalg.block_diag(*(np.kron(*rotor._first_row_bases(J, constituent))
+                                     for J in range(jmax + 1)))
+
+
 @pytest.mark.parametrize("rank", [3, 4])
 def test_potential_matrix_is_coefficient_sum_of_operators(rank):
     jmax = 4
     c = invariant_coefficients(rank)
     expected = sum(c[mu + rank, nu + rank] * M.toarray()
                    for (mu, nu), M in rotor.rank_operator_blocks(jmax, rank).items())
-    V = rotor._potential_matrix(jmax, ((rank, 1.0),))
+    V = _dense_potential(jmax, ((rank, 1.0),))
     np.testing.assert_allclose(V, expected, rtol=0, atol=1e-13)
 
 
@@ -279,7 +298,7 @@ def _reference_potential_matrix(jmax, potential):
 @pytest.mark.parametrize("potential", [((3, -1.0),), ((4, -1.0),), ((3, -1.0), (4, 0.3))])
 def test_potential_matrix_bit_equal_to_dense_assembly(potential):
     pot = rotor.normalize_potential(potential)
-    V = rotor._potential_matrix(6, pot)
+    V = _dense_potential(6, pot)
     assert V.tobytes() == _reference_potential_matrix(6, pot).tobytes()
 
 
@@ -400,7 +419,7 @@ def test_eigensystem_invariants(system_beta1):
 
 def _reference_hamiltonian(model):
     H = np.diag(model.B * rotor._kinetic_diagonal(model.Jmax))
-    H += (model.beta * model.B) * rotor._potential_matrix(model.Jmax, model.potential)
+    H += (model.beta * model.B) * _dense_potential(model.Jmax, model.potential)
     return H
 
 
@@ -508,11 +527,12 @@ def test_classify_beta1_low_level_sequence(levels_beta1):
 
 
 def test_classify_flags_partial_clusters():
-    # zero tolerance splits symmetry-degenerate clusters into fragments that
-    # cannot carry an integral label
+    # energies spread apart split symmetry-degenerate clusters into fragments
+    # that cannot carry an integral label
     model = RotorModel.create(B=B0, beta=1.0, Jmax=3)
     system = diagonalize(model)
-    levels = classify_levels(system, cluster_tol=0.0)
+    spread = dataclasses.replace(system, energies=np.arange(float(len(system.energies))))
+    levels = classify_levels(spread)
     assert any(lev.flagged for lev in levels)
 
 
@@ -523,7 +543,7 @@ def test_classify_requires_content_to_fill_the_cluster():
     model = RotorModel.create(B=B0, beta=1.0, Jmax=4)
     system = diagonalize(model)
     a3 = rotor.find_level(classify_levels(system), "A3")
-    u, s, _ = np.linalg.svd(a3.vectors.T @ rotor._label_block(4, "A3"))
+    u, s, _ = np.linalg.svd(a3.vectors.T @ _dense_label_basis(4, "A3"))
     assert s[0] == pytest.approx(1.0) and s[1] < 1e-10
     fragments = rotor.Eigensystem(energies=np.array([0.0, 0.0, 1.0]), vectors=a3.vectors @ u,
                                   basis=system.basis, model=model)
@@ -657,7 +677,7 @@ def test_block_eigenvalues_match_full_hamiltonian(potential, beta):
 
 @pytest.mark.parametrize("jmax", [2, 6, 10])
 def test_label_blocks_partition_the_basis(jmax):
-    blocks = {name: rotor._label_block(jmax, name) for name in symmetry.LEVEL_LABELS}
+    blocks = {name: _dense_label_basis(jmax, name) for name in symmetry.LEVEL_LABELS}
     assert sum(symmetry.LEVEL_LABELS[name].dimension * Q.shape[1]
                for name, Q in blocks.items()) == len(build_basis(jmax))
     for name, Q in blocks.items():  # A2 is empty at Jmax 2
@@ -667,6 +687,38 @@ def test_label_blocks_partition_the_basis(jmax):
         assert {name: Q.shape[1] for name, Q in blocks.items()} == {
             "A1": 17, "L1": 110, "A3": 38, "L2": 38, "E4": 36, "I1I2": 36,
             "E2": 14, "E3": 14, "A2": 12, "E1": 12}
+
+
+@pytest.mark.parametrize("potential", GAP_POTENTIALS)
+def test_label_block_is_the_dense_projection(potential):
+    # the block written from the 3j factors per J is Q^H K Q and Q^H V Q of
+    # the dense V and the dense label basis Q
+    pot = rotor.normalize_potential(potential)
+    V = _dense_potential(6, pot)
+    kin = rotor._kinetic_diagonal(6)
+    for name in symmetry.LEVEL_LABELS:
+        Q = _dense_label_basis(6, name)
+        kdiag, vblock = rotor._label_block(6, pot, name)
+        np.testing.assert_allclose(np.diag(kdiag), Q.conj().T @ (kin[:, None] * Q),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vblock, Q.conj().T @ V @ Q, rtol=0, atol=1e-12)
+
+
+def test_label_projection_allocates_no_dense_matrix():
+    # a first projection of the four-band fit's labels and of a complex label
+    # holds per-J factors and the blocks; a dense V alone takes 8 n^2 bytes.
+    # The potential is one no other test uses, so no cache is warm for it.
+    potential = rotor.normalize_potential(((3, -1.0), (4, 0.2)))
+    gaps = LevelGapCache(potential, jmax=10)
+    n = len(build_basis(10))
+    tracemalloc.start()
+    try:
+        for name in ("A1", "L1", "E3"):
+            gaps.eigenvalues(1.0, name)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 8 * n * n
 
 
 def test_barrier_height():
