@@ -356,6 +356,13 @@ def _minimize(spec: FitSpec, seed: int, residuals) -> tuple[FitReport, dict]:
                 trace.append(val)
             return val
 
+        if index == 0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                first = objective(start)
+            if not math.isfinite(first):
+                raise FitError(f"the fit objective at the initial values is {first}: "
+                               "an observed value is too large to fit")
+
         res = scipy.optimize.minimize(
             objective, start, method="Nelder-Mead",
             bounds=list(zip(lo, hi)),

@@ -30,14 +30,16 @@ definitions (a dense H cut into parity blocks included) that
 tests/test_rotor.py keeps as references.  The fit's label blocks are written
 from the same 3j factors per J, with no n-sized array.
 
-Both label mechanisms rest on one set of symmetry-adapted first-row blocks
-of the product group (site rotations act on m, molecular rotations on k;
-_first_row_bases).  classify_levels counts each eigencluster's product-irrep
-content as its squared norm on those blocks, splits clusters holding several
-labels by isotypic projection, and gives the levels the cluster labels of
-symmetry.LEVEL_LABELS together with their nuclear-spin species.  The fitting
-path needs energies only: LevelGapCache solves one block per level symbol,
-whose eigenvalues are the energies of that symbol's levels in order.
+Both label mechanisms rest on one projector per (J, T irrep), _row_basis,
+cached with its first-row or its whole isotypic image (site rotations act on
+m, molecular rotations on k).  classify_levels takes each eigencluster's
+coefficients on the isotypic blocks of the 16 product irreps in one pass:
+their squared norms count the cluster's content, and for a cluster holding
+several labels their Gram matrix per label splits it.  The levels get the
+cluster labels of symmetry.LEVEL_LABELS together with their nuclear-spin
+species.  The fitting path needs energies only: LevelGapCache solves one
+first-row block per level symbol (_first_row_bases), whose eigenvalues are
+the energies of that symbol's levels in order.
 """
 
 from __future__ import annotations
@@ -554,20 +556,23 @@ def diagonalize(model: RotorModel) -> Eigensystem:
 
 
 # ----------------------------------------------------------------------------
-# symmetry-adapted first-row bases (classification and the fit's label blocks)
+# symmetry-adapted bases (classification and the fit's label blocks)
 # ----------------------------------------------------------------------------
 
 _CONJUGATE = {"A": "A", "1E": "2E", "2E": "1E", "F": "F"}  # of each T irrep
 
 
 @lru_cache(maxsize=None)
-def _row_basis(J: int, irrep: str) -> np.ndarray:
+def _row_basis(J: int, irrep: str, isotypic: bool = False) -> np.ndarray:
     """Orthonormal columns spanning the first-row functions of a T irrep in
-    D^J: the image of (d/12) sum_r conj(G11(r)) D^J(r).  G11 is the character
-    of A, 1E and 2E, and the (x, x) element of the rotation matrix for F.  The
-    A and F projectors are real, so their bases are too."""
+    D^J, or with `isotypic` its whole isotypic component: the image of
+    (d/12) sum_r conj(G(r)) D^J(r).  G is the character, except for the first
+    row of F, where it is the (x, x) element of the rotation matrix; for A,
+    1E and 2E both bases are the same.  The A and F projectors are real, so
+    their bases are too."""
     _, dim, chars = symmetry.character_table("T").irrep(irrep)
-    P = sum(np.conj(symmetry.rotation_matrix(axis, angle)[0, 0] if irrep == "F" else chars[cls])
+    first_row_of_f = irrep == "F" and not isotypic
+    P = sum(np.conj(symmetry.rotation_matrix(axis, angle)[0, 0] if first_row_of_f else chars[cls])
             * wigner_d_matrix(J, axis, angle) for axis, angle, cls in T_ROTATIONS)
     P = P * dim / len(T_ROTATIONS)
     if irrep in ("A", "F"):
@@ -618,89 +623,53 @@ def _cluster_slices(energies: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return out
 
 
-def _split_vector_blocks(vectors: np.ndarray, jmax: int):
-    blocks = []
-    d = vectors.shape[1]
-    for J, ofs in enumerate(_j_offsets(jmax)):
-        dJ = 2 * J + 1
-        blocks.append(vectors[ofs:ofs + dJ * dJ, :].reshape(dJ, dJ, d))
-    return blocks
-
-
 #: the 16 product irreps "site.mol" with their dimensions, in TxT table order
 _CONSTITUENTS = tuple((label, dim) for label, dim, _ in symmetry.character_table("TxT").irreps)
+_CONSTITUENT_INDEX = {label: c for c, (label, _) in enumerate(_CONSTITUENTS)}
 
 
-def _irrep_weights(vectors: np.ndarray, jmax: int) -> np.ndarray:
-    """W[c, i]: squared norm of column i on the first-row block of the c-th
-    product irrep of _CONSTITUENTS.  Summed over columns spanning an invariant
-    subspace, a row counts the copies of that irrep in the subspace."""
-    weights = np.zeros((len(_CONSTITUENTS), vectors.shape[1]))
-    for J, Vj in enumerate(_split_vector_blocks(vectors, jmax)):
-        for c, (constituent, _) in enumerate(_CONSTITUENTS):
-            kside, mside = _first_row_bases(J, constituent)
-            coeff = np.tensordot(np.tensordot(kside.conj(), Vj, axes=(0, 0)),
-                                 mside.conj(), axes=(1, 0))
-            weights[c] += np.sum(np.abs(coeff) ** 2, axis=(0, 2))
-    return weights
-
-
-def _group_elements():
-    """All 144 (site, mol) rotation pairs with their class indices."""
-    singles = [((ax, ang), cls) for ax, ang, cls in T_ROTATIONS]
-    return [((rs, cs), (rm, cm)) for rs, cs in singles for rm, cm in singles]
-
-
-def _project_label(vectors: np.ndarray, jmax: int, label) -> np.ndarray:
-    """Real orthonormal basis of the `label` isotypic component of the cluster.
-    U(site=rs, mol=rm) is D^J(rs) on m after conj(D^J(rm)) on k.  The J blocks
-    are independent, so each is summed over the group on its own, applying
-    each molecular rotation's k side once."""
-    table = symmetry.character_table("T")
-    chars = {row[0]: np.asarray(row[2]) for row in table.irreps}
-    terms = []
-    for (rs, cs), (rm, cm) in _group_elements():
-        coef = 0.0
-        for cst in label.constituents:
-            s, m = cst.split(".")
-            coef += np.conj(chars[s][cs] * chars[m][cm])
-        if coef != 0.0:
-            terms.append((rs, rm, coef))
-    acc = []
-    for J, Vj in enumerate(_split_vector_blocks(vectors.astype(complex), jmax)):
-        ksides = {}
-        acc.append(np.zeros_like(Vj))
-        for rs, rm, coef in terms:
-            if rm not in ksides:
-                ksides[rm] = np.tensordot(wigner_d_matrix(J, *rm).conj(), Vj, axes=(1, 0))
-            acc[J] += coef * np.matmul(wigner_d_matrix(J, *rs), ksides[rm])
-    flat = np.vstack([b.reshape(-1, vectors.shape[1]) for b in acc]) / 144.0
-    # coefficients of the projected vectors in the cluster basis
-    coeff = vectors.T @ flat
-    stacked = np.hstack([coeff.real, coeff.imag])
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(s > 1e-8))
-    return vectors @ u[:, :rank]
+def _isotypic_coefficients(vectors: np.ndarray, J: int):
+    """(c, A) for each product irrep c of _CONSTITUENTS: A[:, i] holds the
+    coefficients of the J part of column i on the isotypic block of c,
+    kron(conj(K), M) with K = _row_basis(J, conj(mol), True) and M =
+    _row_basis(J, site, True).  |A[:, i]|^2 is the weight of column i on c,
+    and A^H A the Gram matrix of the columns' projections onto c.  The k side
+    is applied once per molecular irrep."""
+    d = 2 * J + 1
+    start = J * (2 * J - 1) * (2 * J + 1) // 3  # sum of (2J'+1)^2 over J' < J
+    Vj = vectors[start:start + d * d].reshape(d, d, -1)
+    for mol, conj_mol in _CONJUGATE.items():
+        kpart = np.tensordot(_row_basis(J, conj_mol, True), Vj, axes=(0, 0))
+        for site in _CONJUGATE:
+            coeff = np.tensordot(_row_basis(J, site, True).conj(), kpart, axes=(0, 1))
+            yield _CONSTITUENT_INDEX[f"{site}.{mol}"], coeff.reshape(-1, Vj.shape[2])
 
 
 def classify_levels(system: Eigensystem, max_energy: float | None = None) -> list[EnergyLevel]:
     """Assign product-group labels and spin species to degenerate clusters.
 
-    A cluster's product-irrep content is the sum of its columns' weights on
-    the first-row blocks (_irrep_weights); it is unresolved (`?`) unless every
-    count is integral and the counts times the irrep dimensions fill the
-    cluster.  Energy clusters holding several irreps (the model's
-    site/molecule exchange symmetry makes some pairs exactly degenerate) are
-    split into one level per label by isotypic projection.  A level is
-    flagged when its label occurs more than once within one cluster (basis
-    choice then arbitrary) or when its content is unresolved.
+    One pass over the isotypic blocks of the 16 product irreps
+    (_isotypic_coefficients) labels and splits every cluster.  A cluster's
+    content of irrep c is its columns' weight on c over the dimension of c;
+    it is unresolved (`?`) unless every count is integral and the counts
+    times the irrep dimensions fill the cluster.  Energy clusters holding
+    several labels (the model's site/molecule exchange symmetry makes some
+    pairs exactly degenerate) are split into one level per label: the
+    eigenvectors of eigenvalue 1 of the real part of the label's Gram matrix
+    in the cluster basis.  A level is flagged when its label occurs more than
+    once within one cluster (basis choice then arbitrary) or when its content
+    is unresolved.
     """
     jmax = system.model.Jmax
     span = system.energies[-1] - system.energies[0] or 1.0
     slices = [(a, b) for a, b in _cluster_slices(system.energies, 1e-6 * span)
               if max_energy is None or system.energies[a] <= max_energy]
-    weights = _irrep_weights(system.vectors[:, :slices[-1][1] if slices else 0], jmax)
     dims = np.array([dim for _, dim in _CONSTITUENTS])
+    columns = system.vectors[:, :slices[-1][1] if slices else 0]
+    weights = np.zeros((len(_CONSTITUENTS), columns.shape[1]))
+    for J in range(jmax + 1):
+        for c, coeff in _isotypic_coefficients(columns, J):
+            weights[c] += np.sum(np.abs(coeff) ** 2, axis=0) / dims[c]
     raw_levels = []
     for a, b in slices:
         vecs = system.vectors[:, a:b]
@@ -727,10 +696,17 @@ def classify_levels(system: Eigensystem, max_energy: float | None = None) -> lis
             lab = LEVEL_LABELS[name]
             raw_levels.append((energy, name, lab.spin, b - a, mult > 1, vecs))
             continue
+        grams = dict.fromkeys(by_label, 0.0)
+        for J in range(jmax + 1):
+            for c, coeff in _isotypic_coefficients(vecs, J):
+                name = symmetry.CONSTITUENT_TO_LABEL[_CONSTITUENTS[c][0]]
+                if name in grams:
+                    grams[name] += coeff.conj().T @ coeff
         for name in sorted(by_label):
             lab = LEVEL_LABELS[name]
             mult = by_label[name]
-            sub = _project_label(vecs, jmax, lab)
+            w, u = np.linalg.eigh(grams[name].real)  # a projector: eigenvalues 0 or 1
+            sub = vecs @ u[:, w > 0.5]
             if sub.shape[1] != mult * lab.dimension:
                 raw_levels.append((energy, "?", None, sub.shape[1], True, sub))
                 continue

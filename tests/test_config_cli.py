@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -486,6 +487,24 @@ def test_cli_fit_nonconvergence_exits_2(workdir):
     rc = cli.main(["fit", "--config", "run.cfg", "--mode", "envelope",
                    "--envelope", "flat.csv", "--free", "nu0", "--starts", "1"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("mode", ["positions", "envelope"])
+def test_cli_fit_rejects_an_overflowing_input(workdir, capsys, mode):
+    # exit 1 naming the file, before the simplex starts and without warnings
+    if mode == "positions":
+        (workdir / "obs.csv").write_text("frequency_cm1,intensity,label\n1e200,1,\n3217,1,\n")
+        args = ["--peaks", "obs.csv"]
+    else:
+        (workdir / "obs.csv").write_text("frequency_cm1,amplitude\n" + "".join(
+            f"{3200.0 + i},{1e200 if i == 17 else 0.0}\n" for i in range(40)))
+        args = ["--mode", "envelope", "--envelope", "obs.csv"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["fit", "--config", "run.cfg", *args, "--free", "nu0", "--starts", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: obs.csv: the fit objective at the initial values is inf")
+    assert "Warning" not in err
 
 
 @pytest.mark.parametrize("name", ["fwhm", "scale"])

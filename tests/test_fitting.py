@@ -2,6 +2,7 @@
 
 import functools
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -333,6 +334,21 @@ def test_envelope_grid_without_lines_flags_nonconvergence(emodel):
     report = fit_envelope(freqs, amps, spec, emodel, seed=0)
     assert not report.converged
     assert "no model line overlaps" in report.message
+
+
+@pytest.mark.parametrize("mode", ["positions", "envelope"])
+def test_fit_rejects_an_infinite_objective_at_the_start(tmodel, emodel, mode):
+    # a residual whose square overflows would run the whole simplex on an
+    # infinite objective, warning as it goes; it is rejected before start 0
+    spec = FitSpec(free_params=("nu0",), initial=dict(TRUTH, beta=1.0), n_starts=2)
+    freqs = np.arange(3190.0, 3250.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(FitError, match="objective at the initial values is inf"):
+            if mode == "positions":
+                fit_line_positions(PeakList.from_frequencies([3217.0, 1e200]), spec, tmodel)
+            else:
+                fit_envelope(freqs, np.where(freqs == 3217.0, 1e200, 0.0), spec, emodel)
 
 
 def test_envelope_rejects_bad_grid(emodel):

@@ -349,42 +349,85 @@ def test_batched_strength_equals_per_pair_products(beta, rank):
 
 
 def _reference_project_label(vectors, jmax, label):
-    """Isotypic projection applying the full U(site, mol) per group element."""
+    """Isotypic projection applying the full U(site, mol) per group element:
+    the sum over all 144 (site, mol) rotation pairs of the label's
+    characters times U, then a real orthonormal basis of the image."""
     chars = {row[0]: np.asarray(row[2]) for row in symmetry.character_table("T").irreps}
-    vb = rotor._split_vector_blocks(vectors.astype(complex), jmax)
+    vb, ofs = [], 0
+    for J in range(jmax + 1):
+        d = 2 * J + 1
+        vb.append(vectors[ofs:ofs + d * d].astype(complex).reshape(d, d, -1))
+        ofs += d * d
     acc = [np.zeros_like(b) for b in vb]
-    for (rs, cs), (rm, cm) in rotor._group_elements():
-        coef = 0.0
-        for cst in label.constituents:
-            s, m = cst.split(".")
-            coef += np.conj(chars[s][cs] * chars[m][cm])
-        if coef == 0.0:
-            continue
-        for J, Vj in enumerate(vb):
-            Ds = wigner_d_matrix(J, *rs)
-            Dm = wigner_d_matrix(J, *rm).conj()
-            acc[J] += coef * np.matmul(Ds, np.tensordot(Dm, Vj, axes=(1, 0)))
+    for rs_axis, rs_angle, cs in symmetry.T_ROTATIONS:
+        for rm_axis, rm_angle, cm in symmetry.T_ROTATIONS:
+            coef = 0.0
+            for cst in label.constituents:
+                s, m = cst.split(".")
+                coef += np.conj(chars[s][cs] * chars[m][cm])
+            if coef == 0.0:
+                continue
+            for J, Vj in enumerate(vb):
+                Ds = wigner_d_matrix(J, rs_axis, rs_angle)
+                Dm = wigner_d_matrix(J, rm_axis, rm_angle).conj()
+                acc[J] += coef * np.matmul(Ds, np.tensordot(Dm, Vj, axes=(1, 0)))
     flat = np.vstack([b.reshape(-1, vectors.shape[1]) for b in acc]) / 144.0
     coeff = vectors.T @ flat
     u, s, _ = np.linalg.svd(np.hstack([coeff.real, coeff.imag]), full_matrices=False)
     return vectors @ u[:, :int(np.sum(s > 1e-8))]
 
 
-def test_project_label_bit_equal_to_per_element_rotation():
-    system, levels = _levels_j6(1.0)
-    by_energy = {}
-    for lev in levels:
-        by_energy.setdefault(lev.energy, []).append(lev.rovib_label)
-    energy, names = next((e, n) for e, n in by_energy.items() if len(n) > 1)
-    tol = 1e-6 * (system.energies[-1] - system.energies[0])
-    a, b = next((a, b) for a, b in rotor._cluster_slices(system.energies, tol)
-                if abs(system.energies[a:b].mean() - energy) < tol)
-    vecs = system.vectors[:, a:b]
-    for name in names:
-        lab = symmetry.LEVEL_LABELS[name]
-        got = rotor._project_label(vecs, 6, lab)
-        assert got.shape[1] == lab.dimension
-        assert got.tobytes() == _reference_project_label(vecs, 6, lab).tobytes()
+def test_split_levels_span_the_reference_projection():
+    # every level of a cluster holding several labels spans that label's
+    # isotypic projection of the cluster, summed over the group element by
+    # element; the projectors agree to roundoff
+    split = 0
+    for potential in GAP_POTENTIALS:
+        for beta in (0.05, 0.3, 1.0):
+            model = RotorModel.create(B=1.0, beta=beta, potential=potential, Jmax=6)
+            system = diagonalize(model)
+            levels = classify_levels(system, max_energy=12.0)
+            tol = 1e-6 * (system.energies[-1] - system.energies[0])
+            for a, b in rotor._cluster_slices(system.energies, tol):
+                cluster = [lev for lev in levels if abs(lev.energy - system.energies[a:b].mean()) < tol]
+                if len(cluster) < 2:
+                    continue
+                split += 1
+                for lev in cluster:
+                    ref = _reference_project_label(system.vectors[:, a:b], 6,
+                                                   symmetry.LEVEL_LABELS[lev.rovib_label])
+                    assert ref.shape == lev.vectors.shape
+                    diff = lev.vectors @ lev.vectors.T - ref @ ref.T
+                    assert np.abs(diff).max() <= 1e-12
+    assert split >= 9
+
+
+def test_warm_classification_makes_no_rotation_matrix(monkeypatch):
+    # the isotypic bases are cached per (J, irrep), so a second
+    # classification sums over no group elements
+    system = diagonalize(RotorModel.create(B=1.0, beta=1.0, Jmax=8))
+    classify_levels(system)
+    calls = []
+    original = rotor.wigner_d_matrix
+    monkeypatch.setattr(rotor, "wigner_d_matrix", lambda *a: calls.append(a) or original(*a))
+    levels = classify_levels(system)
+    assert calls == []
+    assert len({lev.energy for lev in levels}) < len(levels)  # some clusters were split
+
+
+def test_classification_peak_memory():
+    # the content count holds one J block's coefficients at a time; the
+    # eigenvectors alone take 8 n^2 bytes
+    system = diagonalize(RotorModel.create(B=1.0, beta=1.0, Jmax=10))
+    classify_levels(system)  # fills the basis caches
+    n = len(system.energies)
+    tracemalloc.start()
+    try:
+        classify_levels(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0 * 8 * n * n
 
 
 # ---------------------------------------------------------------- diagonalize
@@ -537,9 +580,9 @@ def test_classify_flags_partial_clusters():
 
 
 def test_classify_requires_content_to_fill_the_cluster():
-    # a 2-state fragment of an A3 triplet holding the triplet's F.A
-    # first-row state counts one whole copy of F.A, which needs 3 states;
-    # the remaining state counts no copy of anything
+    # a 2-state fragment of an A3 triplet, holding the triplet's F.A
+    # first-row state, counts 2/3 of a copy of F.A and the remaining state
+    # 1/3: neither count is integral
     model = RotorModel.create(B=B0, beta=1.0, Jmax=4)
     system = diagonalize(model)
     a3 = rotor.find_level(classify_levels(system), "A3")
@@ -651,7 +694,7 @@ def _character_content(vectors, jmax):
 def test_classified_content_matches_characters(potential, beta):
     # every labelled level spans its label's constituents, each as often as
     # the label's multiplicity, by characters that share no code with the
-    # first-row blocks classify_levels reads
+    # isotypic blocks classify_levels reads
     model = RotorModel.create(B=1.0, beta=beta, potential=potential, Jmax=6)
     levels = classify_levels(diagonalize(model), max_energy=15.0)
     assert all(lev.rovib_label != "?" for lev in levels)
