@@ -23,8 +23,10 @@ convention of <J'k'm'|D^l_{mu nu}|J k m> and is the only caller of wigner3j.
 V and the operators are assembled from the nonzero 3j products only, and
 transition_strength applies a lower level's operators once for all finals.
 V conserves the parity of k and of m, so it is assembled straight into its
-four parity blocks, and diagonalize builds and solves H one block at a time;
-the eigenvector matrix is its only dense n x n array.  Until perfbench/ref is
+four parity blocks, and diagonalize builds and solves H one block at a time
+and keeps each block's eigenvectors; dense n-row columns are written only for
+the levels classify_levels keeps, so a cut in energy leaves no n x n array on
+the level or spectrum path.  Until perfbench/ref is
 re-recorded these kernels must stay bit-identical to the dense/Kronecker
 definitions (a dense H cut into parity blocks included) that
 tests/test_rotor.py keeps as references.  The fit's label blocks are written
@@ -70,6 +72,7 @@ __all__ = [
     "wigner_d_matrix",
     "invariant_coefficients",
     "potential_range",
+    "estimated_peak_bytes",
     "hamiltonian_matrix",
     "diagonalize",
     "classify_levels",
@@ -314,6 +317,18 @@ def normalize_potential(potential) -> tuple[tuple[int, float], ...]:
 DEFAULT_POTENTIAL = ((3, -0.5),)  # normalized rank-3 invariant, minima aligned
 
 
+def estimated_peak_bytes(jmax: int) -> float:
+    """Estimated peak RSS of a `spectrum` run at `jmax`, in bytes, for the
+    basis size n: 100 MB + 0.8 x 8n^2 (the eigenvectors' and V's parity
+    blocks and one block's solve), fitted and rounded up to the peaks
+    measured at Jmax 10, 14 and 16 (n = 1771, 4495 and 6545): 109.2, 214.9
+    and 350.8 MB.  `levels` with no energy cut writes all n columns densely
+    and peaks higher (379 MB at Jmax 14); `fit --starts 1 --max-iter 20`
+    holds no n x n array and peaks lower, at 88.9, 91.5 and 95.1 MB."""
+    n = (jmax + 1) * (2 * jmax + 1) * (2 * jmax + 3) // 3
+    return 100e6 + 0.8 * 8 * float(n) ** 2 if n < 1e150 else math.inf
+
+
 # ----------------------------------------------------------------------------
 # model
 # ----------------------------------------------------------------------------
@@ -346,14 +361,7 @@ class RotorModel:
         if self.beta < 0:
             problems.append(("beta", f"beta must be non-negative, got {self.beta}; "
                                      "flip the potential sign instead"))
-        # estimated peak RSS for the basis size n, fitted and rounded up to the
-        # `spectrum` peaks measured at Jmax 10, 14 and 16 (n = 1771, 4495 and
-        # 6545): 130 MB + 1.53 x 8n^2 (eigenvectors, V's parity blocks, one
-        # block's solve), above 133.8, 374.5 and 650.6 MB.  `fit --starts 1
-        # --max-iter 20` holds no n x n array and peaks lower, at 88.9, 91.5
-        # and 95.1 MB.
-        n = (self.Jmax + 1) * (2 * self.Jmax + 1) * (2 * self.Jmax + 3) // 3
-        need = 130e6 + 1.53 * 8 * float(n) ** 2 if n < 1e150 else math.inf
+        need = estimated_peak_bytes(self.Jmax)
         if self.Jmax < 2:
             problems.append(("Jmax", f"Jmax must be >= 2, got {self.Jmax}"))
         elif need > _PHYSICAL_MEMORY:
@@ -493,28 +501,34 @@ def hamiltonian_matrix(model: RotorModel) -> np.ndarray:
 @dataclass(frozen=True)
 class Eigensystem:
     """Eigenvalues (shifted so the ground level is 0, ascending) and the
-    orthonormal eigenvector matrix, columns ordered as `energies`."""
+    orthonormal eigenvectors, kept per parity block as eigh returned them:
+    `blocks` holds (basis rows, column numbers in `energies` order, v) with
+    each block's column numbers ascending.  columns() writes dense n-row
+    columns for the range a caller needs."""
 
     energies: np.ndarray
-    vectors: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     basis: tuple[BasisState, ...]
     model: RotorModel
 
+    def columns(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Eigenvector columns start..stop-1 over the basis, zero outside
+        their block."""
+        stop = len(self.energies) if stop is None else stop
+        out = np.zeros((len(self.basis), stop - start))
+        for rows, cols, v in self.blocks:
+            lo, hi = np.searchsorted(cols, (start, stop))
+            out[np.ix_(rows, cols[lo:hi] - start)] = v[:, lo:hi]
+        return out
+
     def residual_checks(self) -> tuple[float, float]:
         """(orthonormality defect, relative eigen-residual) for validation,
-        per parity block.  Each column of `vectors` must lie in one block, as
-        diagonalize's do; then H and the Gram matrix couple no two blocks, and
-        the dense formulas' cross-block terms are exact zeros."""
+        per parity block, `blocks` being diagonalize's.  H and the Gram
+        matrix couple no two blocks, so the dense formulas' cross-block terms
+        are exact zeros."""
         span = self.energies[-1] - self.energies[0] or 1.0
-        parts = []
-        owners = np.zeros(self.vectors.shape[1], dtype=int)
-        for idx, hb in _hamiltonian_blocks(self.model):
-            rows = self.vectors[idx]
-            cols = np.flatnonzero(np.any(rows != 0.0, axis=0))
-            owners[cols] += 1
-            parts.append((hb, rows[:, cols], cols))
-        if np.any(owners != 1):
-            raise RotorError("residual checks need each eigenvector inside one parity block")
+        parts = [(hb, v, cols) for (_, hb), (_, cols, v)
+                 in zip(_hamiltonian_blocks(self.model), self.blocks)]
         hb, x, _ = next(part for part in parts if 0 in part[2][:1])  # the ground's block
         ground = x[:, 0] @ hb @ x[:, 0]
         ortho = resid = 0.0
@@ -526,8 +540,8 @@ class Eigensystem:
 
 def diagonalize(model: RotorModel) -> Eigensystem:
     """Solve the eigenproblem per parity block; the potential conserves the
-    parity of k and of m for every supported rank.  Each block's eigenvectors
-    are written once, into their energy-ordered columns."""
+    parity of k and of m for every supported rank.  Each block keeps its
+    eigenvectors with their energy-ordered column numbers."""
     solved = []
     for idx, sub in _hamiltonian_blocks(model):
         try:
@@ -540,18 +554,14 @@ def diagonalize(model: RotorModel) -> Eigensystem:
             ) from exc
         solved.append((idx, w, v))
     energies = np.concatenate([w for _, w, _ in solved])
-    n = len(energies)
     order = np.argsort(energies, kind="stable")
-    column = np.empty(n, dtype=np.intp)
-    column[order] = np.arange(n)
-    vectors = np.zeros((n, n))
-    filled = 0
-    for idx, w, v in solved:
-        vectors[np.ix_(idx, column[filled:filled + len(w)])] = v
-        filled += len(w)
+    column = np.empty(len(energies), dtype=np.intp)
+    column[order] = np.arange(len(energies))
+    ends = np.cumsum([len(w) for _, w, _ in solved])
+    blocks = tuple((idx, column[end - len(w):end], v) for (idx, w, v), end in zip(solved, ends))
     energies = energies[order]
     energies -= energies[0]
-    return Eigensystem(energies=energies, vectors=vectors,
+    return Eigensystem(energies=energies, blocks=blocks,
                        basis=tuple(build_basis(model.Jmax)), model=model)
 
 
@@ -645,14 +655,20 @@ def _isotypic_coefficients(vectors: np.ndarray, J: int):
             yield _CONSTITUENT_INDEX[f"{site}.{mol}"], coeff.reshape(-1, Vj.shape[2])
 
 
+#: columns whose content is counted at a time; bounds the coefficient arrays
+_COUNT_CHUNK = 256
+
+
 def classify_levels(system: Eigensystem, max_energy: float | None = None) -> list[EnergyLevel]:
     """Assign product-group labels and spin species to degenerate clusters.
 
     One pass over the isotypic blocks of the 16 product irreps
     (_isotypic_coefficients) labels and splits every cluster.  A cluster's
     content of irrep c is its columns' weight on c over the dimension of c;
-    it is unresolved (`?`) unless every count is integral and the counts
-    times the irrep dimensions fill the cluster.  Energy clusters holding
+    it is unresolved (`?`) unless every count is integral.  The isotypic
+    blocks partition each J manifold, so the counts times the irrep
+    dimensions always sum to the cluster size.  Only the clusters up to
+    `max_energy` get dense eigenvector columns.  Energy clusters holding
     several labels (the model's site/molecule exchange symmetry makes some
     pairs exactly degenerate) are split into one level per label: the
     eigenvectors of eigenvalue 1 of the real part of the label's Gram matrix
@@ -665,18 +681,20 @@ def classify_levels(system: Eigensystem, max_energy: float | None = None) -> lis
     slices = [(a, b) for a, b in _cluster_slices(system.energies, 1e-6 * span)
               if max_energy is None or system.energies[a] <= max_energy]
     dims = np.array([dim for _, dim in _CONSTITUENTS])
-    columns = system.vectors[:, :slices[-1][1] if slices else 0]
+    columns = system.columns(0, slices[-1][1] if slices else 0)
     weights = np.zeros((len(_CONSTITUENTS), columns.shape[1]))
-    for J in range(jmax + 1):
-        for c, coeff in _isotypic_coefficients(columns, J):
-            weights[c] += np.sum(np.abs(coeff) ** 2, axis=0) / dims[c]
+    for lo in range(0, columns.shape[1], _COUNT_CHUNK):
+        chunk = slice(lo, lo + _COUNT_CHUNK)
+        for J in range(jmax + 1):
+            for c, coeff in _isotypic_coefficients(columns[:, chunk], J):
+                weights[c, chunk] += np.sum(np.abs(coeff) ** 2, axis=0) / dims[c]
     raw_levels = []
     for a, b in slices:
-        vecs = system.vectors[:, a:b]
+        vecs = columns[:, a:b]
         energy = float(system.energies[a:b].mean())
         copies = weights[:, a:b].sum(axis=1)
         mults = np.rint(copies)
-        if np.abs(copies - mults).max() > 1e-6 or mults @ dims != b - a:
+        if np.abs(copies - mults).max() > 1e-6:
             raw_levels.append((energy, "?", None, b - a, True, vecs))
             continue
         by_label: dict[str, int] = {}
@@ -702,11 +720,18 @@ def classify_levels(system: Eigensystem, max_energy: float | None = None) -> lis
                 name = symmetry.CONSTITUENT_TO_LABEL[_CONSTITUENTS[c][0]]
                 if name in grams:
                     grams[name] += coeff.conj().T @ coeff
+        subs = []
         for name in sorted(by_label):
+            w, u = np.linalg.eigh(grams[name].real)  # a projector: eigenvalues 0 or 1
+            subs.append((name, vecs @ u[:, w > 0.5]))
+        ends = np.cumsum([sub.shape[1] for _, sub in subs])
+        if ends[-1] == b - a:  # the levels fill the cluster: write them over its columns
+            for (_, sub), end in zip(subs, ends):
+                vecs[:, end - sub.shape[1]:end] = sub
+            subs = [(name, vecs[:, end - sub.shape[1]:end]) for (name, sub), end in zip(subs, ends)]
+        for name, sub in subs:
             lab = LEVEL_LABELS[name]
             mult = by_label[name]
-            w, u = np.linalg.eigh(grams[name].real)  # a projector: eigenvalues 0 or 1
-            sub = vecs @ u[:, w > 0.5]
             if sub.shape[1] != mult * lab.dimension:
                 raw_levels.append((energy, "?", None, sub.shape[1], True, sub))
                 continue

@@ -394,7 +394,7 @@ def test_split_levels_span_the_reference_projection():
                     continue
                 split += 1
                 for lev in cluster:
-                    ref = _reference_project_label(system.vectors[:, a:b], 6,
+                    ref = _reference_project_label(system.columns(a, b), 6,
                                                    symmetry.LEVEL_LABELS[lev.rovib_label])
                     assert ref.shape == lev.vectors.shape
                     diff = lev.vectors @ lev.vectors.T - ref @ ref.T
@@ -416,18 +416,23 @@ def test_warm_classification_makes_no_rotation_matrix(monkeypatch):
 
 
 def test_classification_peak_memory():
-    # the content count holds one J block's coefficients at a time; the
-    # eigenvectors alone take 8 n^2 bytes
-    system = diagonalize(RotorModel.create(B=1.0, beta=1.0, Jmax=10))
-    classify_levels(system)  # fills the basis caches
-    n = len(system.energies)
-    tracemalloc.start()
-    try:
-        classify_levels(system)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.0 * 8 * n * n
+    # diagonalize and classify_levels: the eigenvectors stay in their parity
+    # blocks (n^2 / 4 entries), dense columns are written only for the
+    # clusters kept, and the content count holds a chunk of columns'
+    # coefficients on one J block at a time.  With a zero-filled n x n
+    # vector matrix (8 n^2 bytes) the peaks were 1.32 and 1.80 x 8 n^2
+    model = RotorModel.create(B=5.503275, beta=1.0, Jmax=10)
+    classify_levels(diagonalize(model))  # fills the per-Jmax and basis caches
+    n = len(build_basis(10))
+    for max_energy, columns, bound in ((150.0, 165, 0.6), (None, n, 1.8)):
+        tracemalloc.start()
+        try:
+            levels = classify_levels(diagonalize(model), max_energy=max_energy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(lev.degeneracy for lev in levels) == columns
+        assert peak < bound * 8 * n * n
 
 
 # ---------------------------------------------------------------- diagonalize
@@ -498,38 +503,20 @@ def test_diagonalize_bit_equal_to_dense_hamiltonian(jmax, beta, potential):
     system = diagonalize(model)
     energies, vectors = _reference_diagonalize(model)
     assert system.energies.tobytes() == energies.tobytes()
-    assert system.vectors.tobytes() == vectors.tobytes()
+    assert system.columns().tobytes() == vectors.tobytes()
+    lead = len(energies) // 3
+    assert system.columns(0, lead).tobytes() == vectors[:, :lead].tobytes()
 
 
 def test_residual_checks_match_dense_formulas():
     model = RotorModel.create(B=B0, beta=1.0, potential=((3, -1.0), (4, 0.3)), Jmax=6)
     system = diagonalize(model)
-    H, V, E = hamiltonian_matrix(model), system.vectors, system.energies
+    H, V, E = hamiltonian_matrix(model), system.columns(), system.energies
     ortho = np.abs(V.T @ V - np.eye(len(E))).max()
     resid = np.abs(H @ V - V * (E + V[:, 0] @ H @ V[:, 0])).max() / (E[-1] - E[0])
     got = system.residual_checks()
     assert got[0] == pytest.approx(ortho, rel=0, abs=1e-14)
     assert got[1] == pytest.approx(resid, rel=0, abs=1e-14)
-    mixed = rotor.Eigensystem(energies=E, vectors=V + V[:, ::-1], basis=system.basis,
-                              model=model)
-    with pytest.raises(RotorError, match="parity block"):
-        mixed.residual_checks()
-
-
-def test_diagonalize_allocates_no_dense_matrix_but_the_vectors():
-    # the eigenvectors take 8 n^2 bytes; per-block assembly and solves add
-    # about 0.4 x that, where a dense H, its scaled V term, a zero-filled
-    # vector matrix and its column permutation take 4 x
-    model = RotorModel.create(B=B0, beta=1.0, Jmax=10)
-    diagonalize(model)  # fills the per-Jmax caches
-    n = len(build_basis(10))
-    tracemalloc.start()
-    try:
-        diagonalize(model)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 8 * n * n
 
 
 # ---------------------------------------------------------------- classify
@@ -588,11 +575,34 @@ def test_classify_requires_content_to_fill_the_cluster():
     a3 = rotor.find_level(classify_levels(system), "A3")
     u, s, _ = np.linalg.svd(a3.vectors.T @ _dense_label_basis(4, "A3"))
     assert s[0] == pytest.approx(1.0) and s[1] < 1e-10
-    fragments = rotor.Eigensystem(energies=np.array([0.0, 0.0, 1.0]), vectors=a3.vectors @ u,
+    rows = np.arange(len(system.basis))
+    fragments = rotor.Eigensystem(energies=np.array([0.0, 0.0, 1.0]),
+                                  blocks=((rows, np.arange(3), a3.vectors @ u),),
                                   basis=system.basis, model=model)
     levels = classify_levels(fragments)
     assert [(lev.rovib_label, lev.degeneracy, lev.flagged) for lev in levels] == [
         ("?", 2, True), ("?", 1, True)]
+
+
+@pytest.mark.parametrize("jmax", [4, 6, 8])
+def test_cluster_content_always_fills_the_cluster(jmax):
+    # the isotypic blocks of the 16 product irreps partition each J
+    # manifold, so the weights of orthonormal columns times the irrep
+    # dimensions sum to the cluster size: content that counts integral
+    # copies fills its cluster, and classify_levels needs no rule for the rest
+    dims = np.array([dim for _, dim in rotor._CONSTITUENTS])
+    for potential in GAP_POTENTIALS:
+        for beta in (0.05, 1.0, 6.0):
+            model = RotorModel.create(B=1.0, beta=beta, potential=potential, Jmax=jmax)
+            system = diagonalize(model)
+            columns = system.columns()
+            weights = np.zeros((len(dims), columns.shape[1]))
+            for J in range(jmax + 1):
+                for c, coeff in rotor._isotypic_coefficients(columns, J):
+                    weights[c] += np.sum(np.abs(coeff) ** 2, axis=0) / dims[c]
+            span = system.energies[-1] - system.energies[0]
+            for a, b in rotor._cluster_slices(system.energies, 1e-6 * span):
+                assert abs(dims @ weights[:, a:b].sum(axis=1) - (b - a)) < 1e-9
 
 
 def test_ordinals_count_per_label(levels_beta1):
