@@ -519,6 +519,22 @@ def test_residual_checks_match_dense_formulas():
     assert got[1] == pytest.approx(resid, rel=0, abs=1e-14)
 
 
+def test_diagonalize_allocates_no_dense_matrix_but_the_vectors():
+    # the eigenvectors stay in their parity blocks (n^2 / 4 entries, 0.25 x
+    # 8 n^2 bytes) and per-block assembly and solves add about 0.12 x; a
+    # zero-filled n x n vector matrix alone would take 1 x
+    model = RotorModel.create(B=B0, beta=1.0, Jmax=10)
+    diagonalize(model)  # fills the per-Jmax caches
+    n = len(build_basis(10))
+    tracemalloc.start()
+    try:
+        diagonalize(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * n * n
+
+
 # ---------------------------------------------------------------- classify
 
 def test_classify_free_rotor_ground_and_first_excited():
