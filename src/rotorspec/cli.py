@@ -44,9 +44,12 @@ def _atomic_write(path: str, text: str):
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            # name the output the caller gave, not the hidden temp file
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

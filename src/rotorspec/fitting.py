@@ -9,13 +9,13 @@ on their sum of squares and builds the FitReport; the position fit adds its
 peak assignment and residual rows.  A sum of squares is never negative, so the
 multistart stops at the first start whose objective reaches the tolerance:
 n_starts is the most starts that run, and FitReport.starts_run says how many
-did.  All eigenvalue work is cached per beta (the last
-rotor.PER_BETA_CACHE_SIZE betas): B only rescales the spectrum, so a fit that
-moves B, nu0 and the band offsets at fixed beta costs one solve per label.  A
-position fit reads each level by label and ordinal from the symmetry-adapted
-block of its label (rotor.LevelGapCache) and solves only the labels its
-transitions name: the four-band fit needs the A1 and L1 blocks, 17 and 110
-states at Jmax 10.
+did.  Both models keep the eigenvalue work of the last beta only: B only
+rescales the spectrum, so a fit that moves B, nu0 and the band offsets at
+fixed beta costs one solve per label, while a simplex that moves beta hardly
+ever returns to an earlier one.  A position fit reads each level by label and
+ordinal from the symmetry-adapted block of its label (rotor.LevelGapCache) and
+solves only the labels its transitions name: the four-band fit needs the A1
+and L1 blocks, 17 and 110 states at Jmax 10.
 
 FitSpec.validate states every rule on the fit options as (field, message)
 pairs; a bound's ends must lie where the model type owning it accepts them.
@@ -287,9 +287,9 @@ class EnvelopeModel:
     of `spectrum` and levels classified up to 15 B.  `band` supplies the
     lattice sum bands; the fit parameters supply the rest of the band.
 
-    Classification is cached per beta; B rescales cached unit-B level
-    energies, so fits over (B, nu0, fwhm, scale, offsets) at fixed beta reuse
-    one eigen-solve.
+    The unit-B levels of the last beta are kept; B rescales their energies,
+    so fits over (B, nu0, fwhm, scale, offsets) at fixed beta reuse one
+    eigen-solve.
     """
 
     def __init__(self, potential=rotor.DEFAULT_POTENTIAL, jmax: int = 8,
@@ -301,16 +301,15 @@ class EnvelopeModel:
         self.pop = pop or PopulationModel()
         self.shape = shape
         self.band = band
-        self._levels_cache = rotor.PerBetaCache()
+        self._beta, self._levels = None, None
 
     def _unit_levels(self, beta: float):
         key = round(float(beta), 12)
-
-        def classify():
+        if key != self._beta:
             model = RotorModel(B=1.0, beta=key, potential=self.potential, Jmax=self.jmax)
-            return rotor.classify_levels(rotor.diagonalize(model), max_energy=15.0)
-
-        return self._levels_cache.fetch(key, classify)
+            self._levels = rotor.classify_levels(rotor.diagonalize(model), max_energy=15.0)
+            self._beta = key
+        return self._levels
 
     def lines(self, params: dict):
         scaled = [replace(lev, energy=lev.energy * params["B"])

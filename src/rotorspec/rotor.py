@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -789,12 +788,20 @@ def rank_operator_blocks(jmax: int, rank: int):
     return mats
 
 
-def transition_strength(lower: EnergyLevel, uppers, jmax: int, rank: int) -> list[float]:
+def transition_strength(lower: EnergyLevel, uppers, rank: int) -> list[float]:
     """Squared rank-`rank` orientational transition moment from `lower` to
     each level of `uppers`, summed over all cluster states and tensor
-    components.  Each component's image of lower.vectors is formed once."""
+    components.  The operators are those of the Jmax whose basis has as many
+    rows as the vectors.  Each component's image of lower.vectors is formed
+    once."""
     if lower.vectors is None or any(up.vectors is None for up in uppers):
         raise RotorError("levels must carry eigenvectors for strength evaluation")
+    n, jmax, size = lower.vectors.shape[0], 0, 1
+    while size < n:
+        jmax += 1
+        size += (2 * jmax + 1) ** 2
+    if size != n:
+        raise RotorError(f"level vectors have {n} rows, which is no basis size")
     images = [M @ lower.vectors for M in rank_operator_blocks(jmax, rank).values()]
     strengths = []
     for up in uppers:
@@ -809,25 +816,6 @@ def transition_strength(lower: EnergyLevel, uppers, jmax: int, rank: int) -> lis
 # ----------------------------------------------------------------------------
 # fast eigenvalue path for fitting
 # ----------------------------------------------------------------------------
-
-#: entries kept by each per-beta cache; a four-band fit revisits almost every
-#: repeated beta within the last few dozen distinct ones
-PER_BETA_CACHE_SIZE = 64
-
-
-class PerBetaCache(OrderedDict):
-    """Least-recently-used map holding at most PER_BETA_CACHE_SIZE entries."""
-
-    def fetch(self, key, compute):
-        """Cached value for `key`, from `compute()` on a miss."""
-        if key in self:
-            self.move_to_end(key)
-            return self[key]
-        value = self[key] = compute()
-        if len(self) > PER_BETA_CACHE_SIZE:
-            self.popitem(last=False)
-        return value
-
 
 def _label_block(jmax: int, potential: tuple, name: str) -> tuple[np.ndarray, np.ndarray]:
     """(diagonal of K_b, V_b): P^2 and V in units of B on the symmetry-adapted
@@ -857,14 +845,16 @@ class LevelGapCache:
     """Level energies of P^2 + beta*V in units of B by level symbol, for the
     fitting objective.  A label's block (K_b, V_b) is projected when the
     label is first asked for; its ascending eigenvalues are the energies of
-    (label)1, (label)2, ...  energies() keeps them for the last
-    PER_BETA_CACHE_SIZE betas; gap() is (L1)1 - (A1)1."""
+    (label)1, (label)2, ...  energies() keeps those of the last beta only: a
+    simplex moves beta on nearly every step, so older betas are rarely asked
+    for again.  gap() is (L1)1 - (A1)1."""
 
     def __init__(self, potential=DEFAULT_POTENTIAL, jmax: int = DEFAULT_JMAX):
         self.potential = tuple(potential)
         self.jmax = jmax
         self._blocks = {}
-        self._cache = PerBetaCache()
+        self._beta = None
+        self._solved = {}
 
     def eigenvalues(self, beta: float, label: str) -> np.ndarray:
         """Ascending energies of every `label` level, in units of B; uncached."""
@@ -874,11 +864,13 @@ class LevelGapCache:
         return scipy.linalg.eigvalsh(np.diag(kdiag) + beta * vblock)
 
     def energies(self, beta: float, label: str) -> np.ndarray:
-        """eigenvalues(beta, label), solved once per beta and label."""
-        solved = self._cache.fetch(round(float(beta), 12), dict)
-        if label not in solved:
-            solved[label] = self.eigenvalues(beta, label)
-        return solved[label]
+        """eigenvalues(beta, label), solved once per label while beta stays."""
+        key = round(float(beta), 12)
+        if key != self._beta:
+            self._beta, self._solved = key, {}
+        if label not in self._solved:
+            self._solved[label] = self.eigenvalues(beta, label)
+        return self._solved[label]
 
     def gap(self, beta: float) -> float:
         """First orientation gap (A1 ground to L1 manifold) in units of B."""

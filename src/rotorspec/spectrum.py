@@ -238,16 +238,6 @@ def populations(levels, pop: PopulationModel) -> dict[str, float]:
 # selection and strengths
 # ----------------------------------------------------------------------------
 
-def _jmax_from_basis(levels) -> int:
-    n = next(lev.vectors.shape[0] for lev in levels if lev.vectors is not None)
-    jmax = 0
-    while (jmax + 1) * (2 * jmax + 1) * (2 * jmax + 3) // 3 != n:
-        jmax += 1
-        if jmax > 200:
-            raise SpectrumError("level vectors do not match any basis size")
-    return jmax
-
-
 def hosted_species(final_label: str) -> frozenset[str]:
     """Spin species a vibration-orientation level can host: those paired with
     the molecular content of (F vibration) x (orientational label)."""
@@ -257,10 +247,10 @@ def hosted_species(final_label: str) -> frozenset[str]:
     return frozenset(symmetry.SPIN_OF_MOL[irrep] for irrep in symmetry.decompose(chi, table))
 
 
-def _gated_finals(initial: EnergyLevel, finals, jmax: int, rank: int):
+def _gated_finals(initial: EnergyLevel, finals, rank: int):
     """Finals with orientational strength above STRENGTH_GATE of the
     strongest channel from this initial level."""
-    strengths = rotor.transition_strength(initial, finals, jmax, rank)
+    strengths = rotor.transition_strength(initial, finals, rank)
     smax = max(strengths, default=0.0)
     if smax <= 0.0:
         return []
@@ -294,7 +284,6 @@ def vibration_orientation_lines(levels, band: VibrationBandModel, pop: Populatio
     problems = band.validate()
     if problems:
         raise SpectrumError("; ".join(m for _, m in problems))
-    jmax = _jmax_from_basis(levels)
     initials = []
     missing = []
     for name, ordn in _INITIAL_LEVELS:
@@ -317,7 +306,7 @@ def vibration_orientation_lines(levels, band: VibrationBandModel, pop: Populatio
     fractions = populations(levels, pop)
     lines = []
     for ini in initials:
-        gated = _gated_finals(ini, finals, jmax, rank=1)
+        gated = _gated_finals(ini, finals, rank=1)
         if not gated:
             continue
         intens = _intensities(gated, fractions[ini.name])
@@ -335,7 +324,6 @@ def vibration_orientation_lines(levels, band: VibrationBandModel, pop: Populatio
 def rotational_raman_lines(levels, pop: PopulationModel):
     """Stokes lines among the ground-vibrational orientation levels; rank-2
     selection on both frames with strict spin-species conservation."""
-    jmax = _jmax_from_basis(levels)
     fractions = populations(levels, pop)
     ordered = sorted(levels, key=lambda lev: (lev.energy, lev.rovib_label))
     lines = []
@@ -345,7 +333,7 @@ def rotational_raman_lines(levels, pop: PopulationModel):
         candidates = [lev for lev in ordered
                       if lev.energy > ini.energy + 1e-9
                       and lev.spin_species == ini.spin_species]
-        gated = _gated_finals(ini, candidates, jmax, rank=2)
+        gated = _gated_finals(ini, candidates, rank=2)
         if not gated:
             continue
         intens = _intensities(gated, fractions[ini.name])

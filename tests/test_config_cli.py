@@ -622,6 +622,20 @@ def test_cli_out_naming_a_directory_exits_1(workdir, capsys):
     assert not any((workdir / "adir").iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["levels", "--config", "run.cfg", "--out"],
+    ["spectrum", "--config", "run.cfg", "--out-spectrum", "spec.csv", "--sticks"],
+    ["fit", "--config", "run.cfg", "--peaks", str(REPO / "configs/atpb_peaks.csv"),
+     "--free", "nu0", "--starts", "1", "--out"],
+], ids=["levels", "spectrum", "fit"])
+def test_cli_out_in_a_missing_directory_names_the_output(workdir, capsys, argv):
+    rc = cli.main([*argv, "nodir/out.txt"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: [Errno 2] No such file or directory: 'nodir/out.txt'\n"
+    assert not list(workdir.rglob("*.tmp"))
+
+
 @pytest.mark.parametrize("reader", sorted(CSV_READERS))
 def test_cli_csv_reader_error_names_file_and_line(workdir, capsys, reader):
     # a quoted field past the csv module's 131072-character limit

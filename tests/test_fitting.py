@@ -414,3 +414,40 @@ def test_fit_models_derive_unset_offsets_as_spectrum_does(tmp_path):
     assert modeled.keys() == drawn.keys()
     for key, freq in modeled.items():
         assert freq == pytest.approx(drawn[key], abs=1e-6), key
+
+
+# ---------------------------------------------------------------- fixed-beta traffic
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls; returns the count."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_fixed_beta_position_fit_solves_each_label_once(tmp_path, monkeypatch):
+    # the four-band fit reads the A1 and L1 blocks; with beta fixed the fit
+    # keeps their energies for its whole run
+    repo = Path(__file__).resolve().parent.parent
+    solves = _counting(monkeypatch, rotor.LevelGapCache, "eigenvalues")
+    rc = cli.main(["fit", "--config", str(repo / "configs" / "atpb.cfg"),
+                   "--peaks", str(repo / "configs" / "atpb_peaks.csv"),
+                   "--free", "B,nu0,extra_offsets", "--out", str(tmp_path / "fit.json")])
+    assert rc == 0
+    assert sorted(label for _, _, label in solves) == ["A1", "L1"]
+
+
+def test_fixed_beta_envelope_fit_diagonalizes_once(monkeypatch):
+    solves = _counting(monkeypatch, rotor, "diagonalize")
+    model = EnvelopeModel(jmax=4)
+    freqs = np.arange(3150.0, 3300.0, 0.5)
+    amps = model.amplitude(dict(TRUTH, beta=1.0, nu0=3206.5, fwhm=2.0), freqs)
+    spec = FitSpec(free_params=("nu0", "fwhm"), initial=dict(TRUTH, beta=1.0), n_starts=2)
+    fit_envelope(freqs, amps, spec, model, seed=0)
+    assert len(solves) == 1

@@ -344,8 +344,8 @@ def test_batched_strength_equals_per_pair_products(beta, rank):
     assert len(levels) > 10
     for lower in levels:
         expected = [per_pair(lower, upper) for upper in levels]
-        assert rotor.transition_strength(lower, levels, 6, rank) == expected
-    assert rotor.transition_strength(levels[0], [], 6, rank) == []
+        assert rotor.transition_strength(lower, levels, rank) == expected
+    assert rotor.transition_strength(levels[0], [], rank) == []
 
 
 def _reference_project_label(vectors, jmax, label):
@@ -742,6 +742,21 @@ def test_block_eigenvalues_match_full_hamiltonian(potential, beta):
     got = np.sort(np.concatenate([np.repeat(gaps.eigenvalues(beta, name), label.dimension)
                                   for name, label in symmetry.LEVEL_LABELS.items()]))
     assert np.abs(got - w).max() < 1e-9
+
+
+@pytest.mark.parametrize("potential", GAP_POTENTIALS + (((3, 0.7),),))
+@pytest.mark.parametrize("jmax", [4, 6, 8])
+def test_site_molecule_exchange_pairs_share_energies(potential, jmax):
+    # exchanging the site and molecular frames maps A2 to E1, A3 to L2 and
+    # E4 to I1I2, so each pair has one spectrum (largest difference measured
+    # 1.3e-13 B); E2 and E3 pair up only for a potential of rank 4 alone
+    gaps = LevelGapCache(rotor.normalize_potential(potential), jmax=jmax)
+    for beta in (0.05, 1.0, 6.0):
+        for a, b in (("A2", "E1"), ("A3", "L2"), ("E4", "I1I2")):
+            np.testing.assert_allclose(gaps.eigenvalues(beta, a), gaps.eigenvalues(beta, b),
+                                       rtol=0, atol=1e-12)
+        diff = np.abs(gaps.eigenvalues(beta, "E2") - gaps.eigenvalues(beta, "E3")).max()
+        assert (diff < 1e-12) == (potential == ((4, -1.0),))
 
 
 @pytest.mark.parametrize("jmax", [2, 6, 10])

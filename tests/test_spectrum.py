@@ -207,14 +207,29 @@ def test_intensities_nonnegative_and_normalized_per_initial(levels_beta1):
         assert total == pytest.approx(pops[name], abs=1e-12)
 
 
-def test_free_rotor_branch_strength_ratios(levels_beta1, model_beta1):
+def test_free_rotor_branch_strength_ratios(levels_beta1):
     """In the free-rotor regime the R(0) orientational strength per state is
     three times the Q(1) strength."""
     a1, l1 = find_level(levels_beta1, "A1", 1), find_level(levels_beta1, "L1", 1)
-    [r0] = rotor.transition_strength(a1, [l1], model_beta1.Jmax, rank=1)
-    [q1] = rotor.transition_strength(l1, [l1], model_beta1.Jmax, rank=1)
+    [r0] = rotor.transition_strength(a1, [l1], rank=1)
+    [q1] = rotor.transition_strength(l1, [l1], rank=1)
     assert r0 / a1.degeneracy == pytest.approx(3.0, rel=2e-3)
     assert q1 / l1.degeneracy == pytest.approx(1.0, rel=2e-3)
+
+
+def test_lines_of_levels_without_vectors_raise_rotor_error(levels_beta1):
+    bare = [replace(lev, vectors=None) for lev in levels_beta1]
+    with pytest.raises(rotor.RotorError, match="eigenvectors"):
+        vibration_orientation_lines(bare, BAND, PopulationModel())
+    with pytest.raises(rotor.RotorError, match="eigenvectors"):
+        rotational_raman_lines(bare, PopulationModel())
+
+
+def test_strength_of_vectors_matching_no_basis_size_raises(levels_beta1):
+    a1 = find_level(levels_beta1, "A1", 1)
+    cut = replace(a1, vectors=a1.vectors[:-1])
+    with pytest.raises(rotor.RotorError, match="no basis size"):
+        rotor.transition_strength(cut, [cut], rank=1)
 
 
 def test_free_rotor_limit_spectrum():
