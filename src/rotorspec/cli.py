@@ -220,7 +220,7 @@ def _classified_levels(cfg: config_mod.RunConfig, max_energy: float):
 def cmd_levels(args) -> int:
     cfg = _load_config(args.config)
     levels = _classified_levels(cfg, args.max_energy)
-    rows = [(lev.energy, lev.degeneracy, lev.rovib_label, lev.spin_species or "?",
+    rows = [(lev.energy, lev.degeneracy, lev.rovib_label, lev.spin_species,
              lev.ordinal) for lev in levels]
     if args.format == "csv":
         buf = io.StringIO()

@@ -608,12 +608,14 @@ def _first_row_bases(J: int, constituent: str) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class EnergyLevel:
-    """Labeled eigenlevel; `vectors` spans the cluster in basis order."""
+    """Labeled eigenlevel; `vectors` spans the cluster in basis order.
+    `flagged` marks a label that occurs more than once in its cluster, so the
+    level holds several copies of it."""
 
     energy: float
     degeneracy: int
     rovib_label: str
-    spin_species: str | None
+    spin_species: str
     ordinal: int
     flagged: bool = False
     vectors: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -664,16 +666,17 @@ def classify_levels(system: Eigensystem, max_energy: float | None = None) -> lis
     One pass over the isotypic blocks of the 16 product irreps
     (_isotypic_coefficients) labels and splits every cluster.  A cluster's
     content of irrep c is its columns' weight on c over the dimension of c;
-    it is unresolved (`?`) unless every count is integral.  The isotypic
-    blocks partition each J manifold, so the counts times the irrep
-    dimensions always sum to the cluster size.  Only the clusters up to
-    `max_energy` get dense eigenvector columns.  Energy clusters holding
-    several labels (the model's site/molecule exchange symmetry makes some
-    pairs exactly degenerate) are split into one level per label: the
-    eigenvectors of eigenvalue 1 of the real part of the label's Gram matrix
-    in the cluster basis.  A level is flagged when its label occurs more than
-    once within one cluster (basis choice then arbitrary) or when its content
-    is unresolved.
+    a cluster whose counts are not whole numbers (to 1e-6) raises RotorError.
+    No cluster of a diagonalize() eigensystem has one: each is a union of
+    eigenspaces of H, which commutes with the group.  The isotypic blocks
+    partition each J manifold, so the counts times the irrep dimensions
+    always sum to the cluster size.  Only the clusters up to `max_energy`
+    get dense eigenvector columns.  Energy clusters holding several labels
+    (the model's site/molecule exchange symmetry makes some pairs exactly
+    degenerate) are split into one level per label: the eigenvectors of
+    eigenvalue 1 of the real part of the label's Gram matrix in the cluster
+    basis.  A level is flagged when its label occurs more than once within
+    one cluster (basis choice then arbitrary).
     """
     jmax = system.model.Jmax
     span = system.energies[-1] - system.energies[0] or 1.0
@@ -693,25 +696,17 @@ def classify_levels(system: Eigensystem, max_energy: float | None = None) -> lis
         energy = float(system.energies[a:b].mean())
         copies = weights[:, a:b].sum(axis=1)
         mults = np.rint(copies)
-        if np.abs(copies - mults).max() > 1e-6:
-            raw_levels.append((energy, "?", None, b - a, True, vecs))
-            continue
-        by_label: dict[str, int] = {}
-        consistent = True
-        for (irrep, _), mult in zip(_CONSTITUENTS, mults.astype(int).tolist()):
-            if not mult:
-                continue
-            name = symmetry.CONSTITUENT_TO_LABEL[irrep]
-            prev = by_label.setdefault(name, mult)
-            if prev != mult:
-                consistent = False
-        if not consistent:
-            raw_levels.append((energy, "?", None, b - a, True, vecs))
-            continue
+        deviation = np.abs(copies - mults).max()
+        if deviation > 1e-6:
+            raise RotorError(f"the {b - a}-state cluster at {energy:.9g} cm^-1 has non-integral "
+                             f"irrep content (largest deviation {deviation:.3g} from a whole count)")
+        # real columns weigh each irrep and its conjugate alike, so every
+        # constituent of a label carries the label's multiplicity
+        by_label = {symmetry.CONSTITUENT_TO_LABEL[irrep]: mult
+                    for (irrep, _), mult in zip(_CONSTITUENTS, mults.astype(int).tolist()) if mult}
         if len(by_label) == 1:
             name, mult = next(iter(by_label.items()))
-            lab = LEVEL_LABELS[name]
-            raw_levels.append((energy, name, lab.spin, b - a, mult > 1, vecs))
+            raw_levels.append((energy, name, b - a, mult > 1, vecs))
             continue
         grams = dict.fromkeys(by_label, 0.0)
         for J in range(jmax + 1):
@@ -719,30 +714,29 @@ def classify_levels(system: Eigensystem, max_energy: float | None = None) -> lis
                 name = symmetry.CONSTITUENT_TO_LABEL[_CONSTITUENTS[c][0]]
                 if name in grams:
                     grams[name] += coeff.conj().T @ coeff
+        # the cluster is a union of eigenspaces, so each Gram matrix is a
+        # projector of rank mult * dimension and the levels fill the cluster:
+        # they are written over its columns
+        names = sorted(by_label)
         subs = []
-        for name in sorted(by_label):
-            w, u = np.linalg.eigh(grams[name].real)  # a projector: eigenvalues 0 or 1
-            subs.append((name, vecs @ u[:, w > 0.5]))
-        ends = np.cumsum([sub.shape[1] for _, sub in subs])
-        if ends[-1] == b - a:  # the levels fill the cluster: write them over its columns
-            for (_, sub), end in zip(subs, ends):
-                vecs[:, end - sub.shape[1]:end] = sub
-            subs = [(name, vecs[:, end - sub.shape[1]:end]) for (name, sub), end in zip(subs, ends)]
-        for name, sub in subs:
-            lab = LEVEL_LABELS[name]
-            mult = by_label[name]
-            if sub.shape[1] != mult * lab.dimension:
-                raw_levels.append((energy, "?", None, sub.shape[1], True, sub))
-                continue
-            raw_levels.append((energy, name, lab.spin, sub.shape[1], mult > 1, sub))
+        for name in names:
+            w, u = np.linalg.eigh(grams[name].real)
+            subs.append(vecs @ u[:, w > 0.5])
+        vecs[:] = np.hstack(subs)
+        end = 0
+        for name, sub in zip(names, subs):
+            end += sub.shape[1]
+            raw_levels.append((energy, name, sub.shape[1], by_label[name] > 1,
+                               vecs[:, end - sub.shape[1]:end]))
     raw_levels.sort(key=lambda r: (r[0], r[1]))
     counts: dict[str, int] = {}
     levels = []
-    for energy, name, spin, deg, flagged, vecs in raw_levels:
+    for energy, name, deg, flagged, vecs in raw_levels:
         counts[name] = counts.get(name, 0) + 1
         levels.append(EnergyLevel(
-            energy=energy, degeneracy=deg, rovib_label=name, spin_species=spin,
-            ordinal=counts[name], flagged=flagged, vectors=vecs,
+            energy=energy, degeneracy=deg, rovib_label=name,
+            spin_species=LEVEL_LABELS[name].spin, ordinal=counts[name], flagged=flagged,
+            vectors=vecs,
         ))
     return levels
 

@@ -211,9 +211,6 @@ def populations(levels, pop: PopulationModel) -> dict[str, float]:
     problems = pop.validate()
     if problems:
         raise SpectrumError("; ".join(m for _, m in problems))
-    missing = [lev.name for lev in levels if lev.spin_species is None]
-    if missing:
-        raise SpectrumError(f"levels without spin species: {missing}")
     kt = units.thermal_energy_cm1(pop.T)
     weights = {lev.name: _pauli_count(lev) * math.exp(-lev.energy / kt) for lev in levels}
     if pop.mode == "thermal":
@@ -296,8 +293,6 @@ def vibration_orientation_lines(levels, band: VibrationBandModel, pop: Populatio
     ordered = sorted(levels, key=lambda lev: (lev.energy, lev.rovib_label))
     finals, total = [], 0
     for lev in ordered:
-        if lev.rovib_label not in symmetry.LEVEL_LABELS:
-            continue  # unresolved cluster; populations already guard initials
         if total + lev.degeneracy > _FINAL_DIM:
             break
         finals.append(lev)

@@ -13,6 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -354,6 +355,17 @@ def test_cli_levels_invalid_config_exits_1(workdir, capsys):
     (workdir / "bad.cfg").write_text(FAST_CONFIG.replace("beta = 1.0", "beta = -1"))
     assert cli.main(["levels", "--config", "bad.cfg"]) == 1
     assert "beta" in capsys.readouterr().err
+
+
+def test_cli_levels_non_integral_cluster_exits_2(workdir, capsys, monkeypatch):
+    # eigenvalues spread one apart cut each degenerate cluster into single
+    # columns with fractional irrep content: a numerical failure, exit 2
+    diagonalize = rotor.diagonalize
+    monkeypatch.setattr(rotor, "diagonalize", lambda model: replace(
+        diagonalize(model), energies=np.arange(float(len(rotor.build_basis(model.Jmax))))))
+    assert cli.main(["levels", "--config", "run.cfg", "--max-energy", "40"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the 1-state cluster at 1 cm^-1 has non-integral")
 
 
 def test_cli_spectrum_outputs_and_clip_warning(workdir, capsys):

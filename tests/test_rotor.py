@@ -559,7 +559,6 @@ def test_classify_label_completeness_full_basis():
     model = RotorModel.create(B=B0, beta=1.0, Jmax=4)
     levels = classify_levels(diagonalize(model))
     assert sum(lev.degeneracy for lev in levels) == len(build_basis(4))
-    assert all(lev.rovib_label != "?" for lev in levels)
     for lev in levels:
         if not lev.flagged:
             assert lev.degeneracy == symmetry.LEVEL_LABELS[lev.rovib_label].dimension
@@ -574,18 +573,20 @@ def test_classify_beta1_low_level_sequence(levels_beta1):
 
 def test_classify_flags_partial_clusters():
     # energies spread apart split symmetry-degenerate clusters into fragments
-    # that cannot carry an integral label
+    # that cannot carry an integral label: classification raises instead of
+    # labelling them
     model = RotorModel.create(B=B0, beta=1.0, Jmax=3)
     system = diagonalize(model)
     spread = dataclasses.replace(system, energies=np.arange(float(len(system.energies))))
-    levels = classify_levels(spread)
-    assert any(lev.flagged for lev in levels)
+    with pytest.raises(RotorError, match="non-integral irrep content"):
+        classify_levels(spread)
 
 
 def test_classify_requires_content_to_fill_the_cluster():
     # a 2-state fragment of an A3 triplet, holding the triplet's F.A
     # first-row state, counts 2/3 of a copy of F.A and the remaining state
-    # 1/3: neither count is integral
+    # 1/3: neither count is integral, and the error names the first
+    # fragment's energy and deviation
     model = RotorModel.create(B=B0, beta=1.0, Jmax=4)
     system = diagonalize(model)
     a3 = rotor.find_level(classify_levels(system), "A3")
@@ -595,30 +596,56 @@ def test_classify_requires_content_to_fill_the_cluster():
     fragments = rotor.Eigensystem(energies=np.array([0.0, 0.0, 1.0]),
                                   blocks=((rows, np.arange(3), a3.vectors @ u),),
                                   basis=system.basis, model=model)
-    levels = classify_levels(fragments)
-    assert [(lev.rovib_label, lev.degeneracy, lev.flagged) for lev in levels] == [
-        ("?", 2, True), ("?", 1, True)]
+    with pytest.raises(RotorError, match=r"2-state cluster at 0 cm\^-1 .* deviation 0\.333"):
+        classify_levels(fragments)
 
 
-@pytest.mark.parametrize("jmax", [4, 6, 8])
+#: potentials and betas on which classify_levels' assumptions are checked
+CLUSTER_POTENTIALS = (((3, -1.0),), ((3, 0.7),), ((4, -1.0),), ((4, 1.0),), ((3, -1.0), (4, 0.3)))
+CLUSTER_BETAS = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0, 1.5, 2.5, 4.0, 6.0)
+
+
+@pytest.mark.parametrize("jmax", [4, 6, 8, 10])
 def test_cluster_content_always_fills_the_cluster(jmax):
-    # the isotypic blocks of the 16 product irreps partition each J
-    # manifold, so the weights of orthonormal columns times the irrep
-    # dimensions sum to the cluster size: content that counts integral
-    # copies fills its cluster, and classify_levels needs no rule for the rest
+    # why classify_levels needs no rule for an unlabeled cluster, on every
+    # cluster of every eigensystem of the grid: the isotypic blocks of the 16
+    # product irreps partition each J manifold, so the weights of
+    # orthonormal columns times the irrep dimensions sum to the cluster size;
+    # a cluster is a union of eigenspaces, so its counts are whole numbers;
+    # real columns weigh each irrep and its conjugate alike, so every
+    # constituent of a label carries one multiplicity; and each label's Gram
+    # matrix in a cluster is a projector of rank mult * dimension, so the
+    # split levels fill the cluster
     dims = np.array([dim for _, dim in rotor._CONSTITUENTS])
-    for potential in GAP_POTENTIALS:
-        for beta in (0.05, 1.0, 6.0):
+    labels = [symmetry.CONSTITUENT_TO_LABEL[c] for c, _ in rotor._CONSTITUENTS]
+    conjugate = [rotor._CONSTITUENT_INDEX[".".join(rotor._CONJUGATE[part] for part in c.split("."))]
+                 for c, _ in rotor._CONSTITUENTS]
+    for potential in CLUSTER_POTENTIALS:
+        for beta in CLUSTER_BETAS:
             model = RotorModel.create(B=1.0, beta=beta, potential=potential, Jmax=jmax)
             system = diagonalize(model)
             columns = system.columns()
+            by_label = {name: [] for name in symmetry.LEVEL_LABELS}
             weights = np.zeros((len(dims), columns.shape[1]))
             for J in range(jmax + 1):
                 for c, coeff in rotor._isotypic_coefficients(columns, J):
+                    by_label[labels[c]].append(coeff)
                     weights[c] += np.sum(np.abs(coeff) ** 2, axis=0) / dims[c]
+            assert np.abs(weights - weights[conjugate]).max() < 1e-12
+            by_label = {name: np.vstack(parts) for name, parts in by_label.items() if parts}
             span = system.energies[-1] - system.energies[0]
             for a, b in rotor._cluster_slices(system.energies, 1e-6 * span):
-                assert abs(dims @ weights[:, a:b].sum(axis=1) - (b - a)) < 1e-9
+                copies = weights[:, a:b].sum(axis=1)
+                assert abs(dims @ copies - (b - a)) < 1e-9
+                assert np.abs(copies - np.rint(copies)).max() < 1e-9
+                mults = {labels[c]: round(n) for c, n in enumerate(copies) if round(n)}
+                if len(mults) == 1:
+                    continue
+                for name, mult in mults.items():
+                    coeff = by_label[name][:, a:b]
+                    w = np.linalg.eigvalsh((coeff.conj().T @ coeff).real)
+                    assert np.minimum(np.abs(w), np.abs(w - 1.0)).max() < 1e-9
+                    assert np.sum(w > 0.5) == mult * symmetry.LEVEL_LABELS[name].dimension
 
 
 def test_ordinals_count_per_label(levels_beta1):
@@ -723,7 +750,6 @@ def test_classified_content_matches_characters(potential, beta):
     # isotypic blocks classify_levels reads
     model = RotorModel.create(B=1.0, beta=beta, potential=potential, Jmax=6)
     levels = classify_levels(diagonalize(model), max_energy=15.0)
-    assert all(lev.rovib_label != "?" for lev in levels)
     for lev in levels:
         label = symmetry.LEVEL_LABELS[lev.rovib_label]
         mult = lev.degeneracy // label.dimension
