@@ -204,30 +204,37 @@ def _pauli_count(level: EnergyLevel) -> float:
 def populations(levels, pop: PopulationModel) -> dict[str, float]:
     """Fraction of molecules in each level, keyed by level name "(L1)1".
 
-    Thermal mode: p ~ g * exp(-E/kT) with g the Pauli-allowed state count of
-    the level (site degeneracy times nuclear-spin pairing).  Spin-frozen mode
-    fixes each species' share and equilibrates inside the species only.
+    p ~ g * exp(-E/kT) with g the Pauli-allowed state count of the level
+    (site degeneracy times nuclear-spin pairing), normalized over a group of
+    levels that holds a fixed share of the molecules: in thermal mode one
+    group of every level with share 1; in spin-frozen mode one group per
+    species with its frozen fraction, so each species equilibrates inside
+    itself only.  E is taken from the group's lowest level, so the factors
+    of a species far above the ground do not underflow at low T.
     """
     problems = pop.validate()
     if problems:
         raise SpectrumError("; ".join(m for _, m in problems))
-    kt = units.thermal_energy_cm1(pop.T)
-    weights = {lev.name: _pauli_count(lev) * math.exp(-lev.energy / kt) for lev in levels}
     if pop.mode == "thermal":
-        total = sum(weights.values())
-        return {name: w / total for name, w in weights.items()}
-    fractions = pop.fractions()
+        groups = [(1.0, list(levels))]
+    else:
+        groups = []
+        for species, share in pop.fractions().items():
+            members = [lev for lev in levels if lev.spin_species == species]
+            if not members:
+                if share > 0:
+                    raise SpectrumError(f"no levels of species {species} to carry "
+                                        f"its frozen fraction {share}")
+                continue
+            groups.append((share, members))
+    kt = units.thermal_energy_cm1(pop.T)
     out = {}
-    for species, share in fractions.items():
-        members = [lev for lev in levels if lev.spin_species == species]
-        if not members:
-            if share > 0:
-                raise SpectrumError(f"no levels of species {species} to carry "
-                                    f"its frozen fraction {share}")
-            continue
-        norm = sum(weights[lev.name] for lev in members)
-        for lev in members:
-            out[lev.name] = share * weights[lev.name] / norm
+    for share, members in groups:
+        lowest = min(lev.energy for lev in members)
+        weights = [_pauli_count(lev) * math.exp(-(lev.energy - lowest) / kt) for lev in members]
+        norm = sum(weights)
+        for lev, weight in zip(members, weights):
+            out[lev.name] = share * weight / norm
     return out
 
 

@@ -389,6 +389,16 @@ def test_cli_spectrum_outputs_and_clip_warning(workdir, capsys):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+def test_cli_spectrum_at_sub_kelvin_spin_frozen_temperature(workdir):
+    # only the lowest level of each frozen species is populated at 0.05 K
+    (workdir / "cold.cfg").write_text(FAST_CONFIG.replace("T = 7.0", "T = 0.05"))
+    rc = cli.main(["spectrum", "--config", "cold.cfg", "--sticks", "cold.csv",
+                   "--out-spectrum", "cold_spec.csv", "--max-energy", "40"])
+    assert rc == 0
+    rows = (workdir / "cold.csv").read_text().splitlines()[1:]
+    assert rows and {r.split(",")[2] for r in rows} == {"(A1)1", "(L1)1", "(E2)1"}
+
+
 def test_cli_spectrum_emits_lattice_sum_bands(workdir):
     cfg = FAST_CONFIG.replace("[band]", "[band]\nlattice_freq = 66.0")
     (workdir / "lat.cfg").write_text(cfg)

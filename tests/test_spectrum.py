@@ -59,6 +59,17 @@ def test_frozen_retains_species_share(levels_beta1):
     assert pops["(L1)1"] == pytest.approx(9 / 16, rel=2e-2)
 
 
+def test_frozen_populations_at_sub_kelvin_temperature(levels_beta1):
+    # at 0.05 K exp(-E/kT) underflows to 0 for every E and F level; each
+    # species' factors are taken from its own lowest level, so its share
+    # sits whole in that level
+    pops = populations(levels_beta1, PopulationModel(mode="spin_frozen", T=0.05))
+    assert (pops["(A1)1"], pops["(L1)1"]) == (5 / 16, 9 / 16)
+    # (E4)1, 0.99 cm^-1 above (E2)1, keeps 1.8e-13 of the E share
+    assert pops["(E2)1"] == pytest.approx(2 / 16, abs=1e-12)
+    assert sum(pops.values()) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_thermal_share_suppressed_relative_to_frozen(levels_beta1):
     """The L1 population at 7 K: Boltzmann-suppressed in equilibrium, pinned
     at its species share when the spin species are frozen."""
