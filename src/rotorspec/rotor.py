@@ -189,8 +189,9 @@ def _angular_momentum(j: int):
     return jx, jy, jz
 
 
-@lru_cache(maxsize=None)
-def _wigner_d_cached(j: int, axis: tuple, angle: float) -> np.ndarray:
+def _wigner_d(j: int, axis: tuple, angle: float) -> np.ndarray:
+    """D^j, uncached: the potential's range scan visits a new angle on
+    nearly every call."""
     jx, jy, jz = _angular_momentum(j)
     n = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(n)
@@ -201,9 +202,12 @@ def _wigner_d_cached(j: int, axis: tuple, angle: float) -> np.ndarray:
     return D
 
 
+_wigner_d_cached = lru_cache(maxsize=None)(_wigner_d)
+
+
 def wigner_d_matrix(j: int, axis, angle: float) -> np.ndarray:
     """D^j for the active rotation by `angle` about `axis`, rows/cols ordered
-    m = -j..j."""
+    m = -j..j; cached, for the group's rotations."""
     return _wigner_d_cached(j, tuple(axis), float(angle))
 
 
@@ -239,7 +243,7 @@ def invariant_coefficients(rank: int) -> np.ndarray:
 
 def _little_d(rank: int, beta_angles: np.ndarray) -> np.ndarray:
     """Stack of real d^rank(beta) matrices for an array of angles."""
-    return np.array([wigner_d_matrix(rank, (0.0, 1.0, 0.0), b).real for b in beta_angles])
+    return np.array([_wigner_d(rank, (0.0, 1.0, 0.0), float(b)).real for b in beta_angles])
 
 
 def _potential_on_grid(potential):
@@ -268,7 +272,7 @@ def _potential_value(potential, angles: np.ndarray) -> float:
     v = 0.0
     for rank, weight in potential:
         c = invariant_coefficients(rank)
-        d = wigner_d_matrix(rank, (0.0, 1.0, 0.0), b).real
+        d = _wigner_d(rank, (0.0, 1.0, 0.0), float(b)).real
         ms = np.arange(-rank, rank + 1)
         phase = np.cos(np.add.outer(ms * a, ms * g))
         v += weight * float(np.sum(c * d * phase))
@@ -468,16 +472,21 @@ def _kinetic_diagonal(jmax: int) -> np.ndarray:
     return diag
 
 
+def _require_unit_range(potential):
+    """Raise PotentialError unless max V - min V = 1 (to 1e-6)."""
+    vmin, vmax = potential_range(potential)
+    if abs((vmax - vmin) - 1.0) > 1e-6:
+        raise PotentialError(
+            f"potential range is {vmax - vmin:.8f}, not 1 (use RotorModel.create)"
+        )
+
+
 def _hamiltonian_blocks(model: RotorModel):
     """(basis indices, H block) per parity block, in cm^-1, after checking
     the model; each block is np.diag(B * kin) + (beta * B) * V_b, so it holds
     the bits of the same entries of the dense H."""
     model.require_valid()
-    vmin, vmax = potential_range(model.potential)
-    if abs((vmax - vmin) - 1.0) > 1e-6:
-        raise PotentialError(
-            f"potential range is {vmax - vmin:.8f}, not 1 (use RotorModel.create)"
-        )
+    _require_unit_range(model.potential)
     kin = model.B * _kinetic_diagonal(model.Jmax)
     scale = model.beta * model.B
     return ((idx, np.diag(kin[idx]) + scale * vb)
@@ -844,6 +853,7 @@ class LevelGapCache:
     for again.  gap() is (L1)1 - (A1)1."""
 
     def __init__(self, potential=DEFAULT_POTENTIAL, jmax: int = DEFAULT_JMAX):
+        _require_unit_range(potential)
         self.potential = tuple(potential)
         self.jmax = jmax
         self._blocks = {}

@@ -241,6 +241,13 @@ def test_inexact_fit_runs_every_start(tmodel):
     assert many.objective <= one.objective
 
 
+def test_transition_model_rejects_unnormalized_potential():
+    # unnormalized, the potential would shift omega_LA silently (10.974 for
+    # 10.993 cm^-1 at B 5.5 and beta 1); diagonalize rejects it the same way
+    with pytest.raises(rotor.PotentialError, match="not 1"):
+        TransitionModel(potential=((3, -1.0),), jmax=JMAX)
+
+
 def test_transition_model_matches_line_generator(tmodel):
     """The fit-side frequency table and the spectrum-side line generator are
     two encodings of the same transitions; they must agree, both with fixed

@@ -180,6 +180,21 @@ def test_unnormalized_potential_rejected():
         hamiltonian_matrix(bad)
 
 
+def test_gap_cache_rejects_unnormalized_potential():
+    # the fit's level source checks the unit range as diagonalize does
+    with pytest.raises(PotentialError, match="range is 2.00000000, not 1"):
+        LevelGapCache(((3, -1.0),), jmax=6)
+
+
+def test_potential_range_caches_no_rotation_matrix():
+    # the range scan's grid and simplex visit a new angle on nearly every
+    # evaluation, so only the group's rotation matrices are cached
+    rotor.normalize_potential(((3, -1.0), (4, 0.3)))  # the coefficient tensors' rotations
+    before = rotor._wigner_d_cached.cache_info().currsize
+    rotor.normalize_potential(((3, -0.61), (4, 0.17)))
+    assert rotor._wigner_d_cached.cache_info().currsize == before
+
+
 def test_invalid_model_rejected():
     with pytest.raises(RotorError, match="beta"):
         hamiltonian_matrix(RotorModel(B=B0, beta=-1.0, Jmax=4))
