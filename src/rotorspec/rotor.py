@@ -189,9 +189,8 @@ def _angular_momentum(j: int):
     return jx, jy, jz
 
 
-def _wigner_d(j: int, axis: tuple, angle: float) -> np.ndarray:
-    """D^j, uncached: the potential's range scan visits a new angle on
-    nearly every call."""
+@lru_cache(maxsize=None)
+def _wigner_d_cached(j: int, axis: tuple, angle: float) -> np.ndarray:
     jx, jy, jz = _angular_momentum(j)
     n = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(n)
@@ -202,12 +201,9 @@ def _wigner_d(j: int, axis: tuple, angle: float) -> np.ndarray:
     return D
 
 
-_wigner_d_cached = lru_cache(maxsize=None)(_wigner_d)
-
-
 def wigner_d_matrix(j: int, axis, angle: float) -> np.ndarray:
     """D^j for the active rotation by `angle` about `axis`, rows/cols ordered
-    m = -j..j; cached, for the group's rotations."""
+    m = -j..j."""
     return _wigner_d_cached(j, tuple(axis), float(angle))
 
 
@@ -241,9 +237,16 @@ def invariant_coefficients(rank: int) -> np.ndarray:
     return c
 
 
+@lru_cache(maxsize=1024)
+def _scan_d(rank: int, beta: float) -> np.ndarray:
+    """Real d^rank(beta) for the range scan, which visits new angles; the scan
+    of a normalized potential mostly retraces the raw one's (<= 900 entries)."""
+    return _wigner_d_cached.__wrapped__(rank, (0.0, 1.0, 0.0), beta).real
+
+
 def _little_d(rank: int, beta_angles: np.ndarray) -> np.ndarray:
     """Stack of real d^rank(beta) matrices for an array of angles."""
-    return np.array([_wigner_d(rank, (0.0, 1.0, 0.0), float(b)).real for b in beta_angles])
+    return np.array([_scan_d(rank, float(b)) for b in beta_angles])
 
 
 def _potential_on_grid(potential):
@@ -272,7 +275,7 @@ def _potential_value(potential, angles: np.ndarray) -> float:
     v = 0.0
     for rank, weight in potential:
         c = invariant_coefficients(rank)
-        d = _wigner_d(rank, (0.0, 1.0, 0.0), float(b)).real
+        d = _scan_d(rank, float(b))
         ms = np.arange(-rank, rank + 1)
         phase = np.cos(np.add.outer(ms * a, ms * g))
         v += weight * float(np.sum(c * d * phase))
@@ -618,8 +621,7 @@ def _first_row_bases(J: int, constituent: str) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class EnergyLevel:
     """Labeled eigenlevel; `vectors` spans the cluster in basis order.
-    `flagged` marks a label that occurs more than once in its cluster, so the
-    level holds several copies of it."""
+    `flagged` marks a label that occurs more than once in its cluster."""
 
     energy: float
     degeneracy: int
@@ -708,7 +710,7 @@ def classify_levels(system: Eigensystem, max_energy: float | None = None) -> lis
         deviation = np.abs(copies - mults).max()
         if deviation > 1e-6:
             raise RotorError(f"the {b - a}-state cluster at {energy:.9g} cm^-1 has non-integral "
-                             f"irrep content (largest deviation {deviation:.3g} from a whole count)")
+                             f"irrep content (largest deviation {deviation:.3g})")
         # real columns weigh each irrep and its conjugate alike, so every
         # constituent of a label carries the label's multiplicity
         by_label = {symmetry.CONSTITUENT_TO_LABEL[irrep]: mult
@@ -724,28 +726,23 @@ def classify_levels(system: Eigensystem, max_energy: float | None = None) -> lis
                 if name in grams:
                     grams[name] += coeff.conj().T @ coeff
         # the cluster is a union of eigenspaces, so each Gram matrix is a
-        # projector of rank mult * dimension and the levels fill the cluster:
-        # they are written over its columns
-        names = sorted(by_label)
-        subs = []
-        for name in names:
-            w, u = np.linalg.eigh(grams[name].real)
-            subs.append(vecs @ u[:, w > 0.5])
-        vecs[:] = np.hstack(subs)
-        end = 0
-        for name, sub in zip(names, subs):
-            end += sub.shape[1]
-            raw_levels.append((energy, name, sub.shape[1], by_label[name] > 1,
-                               vecs[:, end - sub.shape[1]:end]))
+        # projector of rank mult * dimension and the split levels fill the
+        # cluster: they are written over its columns
+        splits = [(name, *np.linalg.eigh(grams[name].real)) for name in sorted(by_label)]
+        vecs[:] = np.hstack([vecs @ u[:, w > 0.5] for _, w, u in splits])
+        start = 0
+        for name, w, _ in splits:
+            deg = int(np.count_nonzero(w > 0.5))
+            raw_levels.append((energy, name, deg, by_label[name] > 1, vecs[:, start:start + deg]))
+            start += deg
     raw_levels.sort(key=lambda r: (r[0], r[1]))
     counts: dict[str, int] = {}
     levels = []
     for energy, name, deg, flagged, vecs in raw_levels:
         counts[name] = counts.get(name, 0) + 1
         levels.append(EnergyLevel(
-            energy=energy, degeneracy=deg, rovib_label=name,
-            spin_species=LEVEL_LABELS[name].spin, ordinal=counts[name], flagged=flagged,
-            vectors=vecs,
+            energy=energy, degeneracy=deg, rovib_label=name, spin_species=LEVEL_LABELS[name].spin,
+            ordinal=counts[name], flagged=flagged, vectors=vecs,
         ))
     return levels
 

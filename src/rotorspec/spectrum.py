@@ -205,31 +205,24 @@ def populations(levels, pop: PopulationModel) -> dict[str, float]:
     """Fraction of molecules in each level, keyed by level name "(L1)1".
 
     p ~ g * exp(-E/kT) with g the Pauli-allowed state count of the level
-    (site degeneracy times nuclear-spin pairing), normalized over a group of
-    levels that holds a fixed share of the molecules: in thermal mode one
-    group of every level with share 1; in spin-frozen mode one group per
-    species with its frozen fraction, so each species equilibrates inside
-    itself only.  E is taken from the group's lowest level, so the factors
-    of a species far above the ground do not underflow at low T.
+    (site degeneracy times nuclear-spin pairing), normalized within a group
+    holding a fixed share: all levels with share 1 in thermal mode, each
+    species with its frozen fraction in spin-frozen mode.  E counts from the
+    group's lowest level, so no group's factors underflow at low T.
     """
     problems = pop.validate()
     if problems:
         raise SpectrumError("; ".join(m for _, m in problems))
-    if pop.mode == "thermal":
-        groups = [(1.0, list(levels))]
-    else:
-        groups = []
-        for species, share in pop.fractions().items():
-            members = [lev for lev in levels if lev.spin_species == species]
-            if not members:
-                if share > 0:
-                    raise SpectrumError(f"no levels of species {species} to carry "
-                                        f"its frozen fraction {share}")
-                continue
-            groups.append((share, members))
     kt = units.thermal_energy_cm1(pop.T)
+    shares = pop.fractions() if pop.mode == "spin_frozen" else {None: 1.0}  # None: every level
     out = {}
-    for share, members in groups:
+    for species, share in shares.items():
+        members = [lev for lev in levels if species in (None, lev.spin_species)]
+        if not members:
+            if share > 0:
+                raise SpectrumError(f"no levels of species {species} to carry "
+                                    f"its frozen fraction {share}")
+            continue
         lowest = min(lev.energy for lev in members)
         weights = [_pauli_count(lev) * math.exp(-(lev.energy - lowest) / kt) for lev in members]
         norm = sum(weights)

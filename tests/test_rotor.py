@@ -188,11 +188,14 @@ def test_gap_cache_rejects_unnormalized_potential():
 
 def test_potential_range_caches_no_rotation_matrix():
     # the range scan's grid and simplex visit a new angle on nearly every
-    # evaluation, so only the group's rotation matrices are cached
+    # evaluation: the rotation-matrix cache keeps the group's rotations only,
+    # and the scan's own cache is bounded
     rotor.normalize_potential(((3, -1.0), (4, 0.3)))  # the coefficient tensors' rotations
     before = rotor._wigner_d_cached.cache_info().currsize
-    rotor.normalize_potential(((3, -0.61), (4, 0.17)))
+    for weight in (0.17, 0.29, -0.41):
+        rotor.normalize_potential(((3, -0.61), (4, weight)))
     assert rotor._wigner_d_cached.cache_info().currsize == before
+    assert rotor._scan_d.cache_info().currsize <= rotor._scan_d.cache_info().maxsize == 1024
 
 
 def test_invalid_model_rejected():
