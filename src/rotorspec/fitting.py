@@ -3,13 +3,15 @@ peak positions or band envelopes.
 
 The optimizer is a bounded Nelder-Mead simplex with deterministic seeded
 multistart; the objective passes through an eigenvalue solve, so derivative
-free search is the right tool for the handful of parameters involved.  Both
-fits hand their residuals to one driver, _minimize, which runs the multistart
-on their sum of squares and builds the FitReport; the position fit adds its
-peak assignment and residual rows.  A sum of squares is never negative, so the
-multistart stops at the first start whose objective reaches the tolerance:
-n_starts is the most starts that run, and FitReport.starts_run says how many
-did.  Both models keep the eigenvalue work of the last beta only: B only
+free search is the right tool for the handful of parameters involved.  The
+simplex is simplex.nelder_mead, which takes scipy's Nelder-Mead steps
+(adaptive=False) bit for bit, so the fit does not depend on scipy's version.
+Both fits hand their residuals to one driver, _minimize, which runs the
+multistart on their sum of squares and builds the FitReport; the position fit
+adds its peak assignment and residual rows.  A sum of squares is never
+negative, so the multistart stops at the first start whose objective reaches
+the tolerance: n_starts is the most starts that run, and FitReport.starts_run
+says how many did.  Both models keep the eigenvalue work of the last beta only: B only
 rescales the spectrum, so a fit that moves B, nu0 and the band offsets at
 fixed beta costs one solve per label, while a simplex that moves beta hardly
 ever returns to an earlier one.  A position fit reads each level by label and
@@ -43,10 +45,10 @@ import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize
 
 from . import config, rotor, spectrum
 from .rotor import LevelGapCache, RotorModel
+from .simplex import nelder_mead
 from .spectrum import PopulationModel, VibrationBandModel
 
 __all__ = [
@@ -362,16 +364,8 @@ def _minimize(spec: FitSpec, seed: int, residuals) -> tuple[FitReport, dict]:
                 raise FitError(f"the fit objective at the initial values is {first}: "
                                "an observed value is too large to fit")
 
-        res = scipy.optimize.minimize(
-            objective, start, method="Nelder-Mead",
-            bounds=list(zip(lo, hi)),
-            options={
-                "maxiter": spec.max_iterations,
-                "fatol": spec.tolerance,
-                "xatol": 1e-7,
-                "adaptive": False,
-            },
-        )
+        res = nelder_mead(objective, start, bounds=(lo, hi), maxiter=spec.max_iterations,
+                          fatol=spec.tolerance, xatol=1e-7)
         total_iter += int(res.nit)
         if best is None or float(res.fun) < best[0]:
             best = (float(res.fun), index, res, tuple(trace))

@@ -53,10 +53,10 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse
 
 from . import symmetry
+from .simplex import nelder_mead
 from .symmetry import LEVEL_LABELS, T_ROTATIONS
 
 __all__ = [
@@ -296,11 +296,8 @@ def _potential_range_cached(potential: tuple) -> tuple[float, float]:
 
     def refine(idx, sign):
         x0 = np.array([alphas[idx[1]], betas[idx[0]], gammas[idx[2]]])
-        res = scipy.optimize.minimize(
-            lambda x: sign * _potential_value(potential, x), x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400},
-        )
+        res = nelder_mead(lambda x: sign * _potential_value(potential, x), x0,
+                          xatol=1e-10, fatol=1e-12, maxiter=400)
         return sign * res.fun
 
     vmin = min(values.min(), refine(lo_idx, +1.0))
@@ -327,10 +324,12 @@ def estimated_peak_bytes(jmax: int) -> float:
     """Estimated peak RSS of a `spectrum` run at `jmax`, in bytes, for the
     basis size n: 100 MB + 0.8 x 8n^2 (the eigenvectors' and V's parity
     blocks and one block's solve), fitted and rounded up to the peaks
-    measured at Jmax 10, 14 and 16 (n = 1771, 4495 and 6545): 109.2, 214.9
-    and 350.8 MB.  `levels` with no energy cut writes all n columns densely
-    and peaks higher (379 MB at Jmax 14); `fit --starts 1 --max-iter 20`
-    holds no n x n array and peaks lower, at 88.9, 91.5 and 95.1 MB."""
+    measured at Jmax 10, 14 and 16 (n = 1771, 4495 and 6545) before
+    scipy.optimize left the import: 109.2, 214.9 and 350.8 MB, now 89.5,
+    195.1 and 330.9 MB.  `levels` with no energy cut writes all n columns
+    densely and peaks higher (359 MB at Jmax 14); `fit --starts 1
+    --max-iter 20` holds no n x n array and peaks lower, at 68.1, 71.7 and
+    75.5 MB."""
     n = (jmax + 1) * (2 * jmax + 1) * (2 * jmax + 3) // 3
     return 100e6 + 0.8 * 8 * float(n) ** 2 if n < 1e150 else math.inf
 
