@@ -20,8 +20,12 @@ the global maximum.
 The potential and the rank-1/rank-2 transition operators share one table
 of 3j factors per (J', J, rank); it alone fixes the index and phase
 convention of <J'k'm'|D^l_{mu nu}|J k m> and is the only caller of wigner3j.
-V and the operators are assembled from the nonzero 3j products only, and
-transition_strength applies a lower level's operators once for all finals.
+V and the operators are assembled from the nonzero 3j products only.
+transition_strength stacks the operators of one mu over nu (_operator_rows),
+so a lower level takes one sparse product per mu, and each final projects
+that mu's images in one batched matmul; the stack keeps each row's entries
+in order and the batch makes one BLAS call per image on the same operands,
+so the strengths are those of one product per component, bit for bit.
 V conserves the parity of k and of m, so it is assembled straight into its
 four parity blocks, and diagonalize builds and solves H one block at a time
 and keeps each block's eigenvectors; dense n-row columns are written only for
@@ -37,11 +41,12 @@ cached with its first-row or its whole isotypic image (site rotations act on
 m, molecular rotations on k).  classify_levels takes each eigencluster's
 coefficients on the isotypic blocks of the 16 product irreps in one pass:
 their squared norms count the cluster's content, and for a cluster holding
-several labels their Gram matrix per label splits it.  The levels get the
-cluster labels of symmetry.LEVEL_LABELS together with their nuclear-spin
-species.  The fitting path needs energies only: LevelGapCache solves one
-first-row block per level symbol (_first_row_bases), whose eigenvalues are
-the energies of that symbol's levels in order.
+several labels their Gram matrix per label splits it, the split projecting
+onto those labels' irreps only.  The levels get the cluster labels of
+symmetry.LEVEL_LABELS together with their nuclear-spin species.  The
+fitting path needs energies only: LevelGapCache solves one first-row block
+per level symbol (_first_row_bases), whose eigenvalues are the energies of
+that symbol's levels in order.
 """
 
 from __future__ import annotations
@@ -649,19 +654,24 @@ _CONSTITUENTS = tuple((label, dim) for label, dim, _ in symmetry.character_table
 _CONSTITUENT_INDEX = {label: c for c, (label, _) in enumerate(_CONSTITUENTS)}
 
 
-def _isotypic_coefficients(vectors: np.ndarray, J: int):
-    """(c, A) for each product irrep c of _CONSTITUENTS: A[:, i] holds the
-    coefficients of the J part of column i on the isotypic block of c,
-    kron(conj(K), M) with K = _row_basis(J, conj(mol), True) and M =
-    _row_basis(J, site, True).  |A[:, i]|^2 is the weight of column i on c,
-    and A^H A the Gram matrix of the columns' projections onto c.  The k side
-    is applied once per molecular irrep."""
+def _isotypic_coefficients(vectors: np.ndarray, J: int, labels=None):
+    """(c, A) for each product irrep c of _CONSTITUENTS, or only for those of
+    the level symbols in `labels`: A[:, i] holds the coefficients of the J
+    part of column i on the isotypic block of c, kron(conj(K), M) with K =
+    _row_basis(J, conj(mol), True) and M = _row_basis(J, site, True).
+    |A[:, i]|^2 is the weight of column i on c, and A^H A the Gram matrix of
+    the columns' projections onto c.  The k side is applied once per
+    molecular irrep that has a wanted constituent."""
     d = 2 * J + 1
     start = J * (2 * J - 1) * (2 * J + 1) // 3  # sum of (2J'+1)^2 over J' < J
     Vj = vectors[start:start + d * d].reshape(d, d, -1)
     for mol, conj_mol in _CONJUGATE.items():
+        sites = [site for site in _CONJUGATE if labels is None
+                 or symmetry.CONSTITUENT_TO_LABEL[f"{site}.{mol}"] in labels]
+        if not sites:
+            continue
         kpart = np.tensordot(_row_basis(J, conj_mol, True), Vj, axes=(0, 0))
-        for site in _CONJUGATE:
+        for site in sites:
             coeff = np.tensordot(_row_basis(J, site, True).conj(), kpart, axes=(0, 1))
             yield _CONSTITUENT_INDEX[f"{site}.{mol}"], coeff.reshape(-1, Vj.shape[2])
 
@@ -720,10 +730,8 @@ def classify_levels(system: Eigensystem, max_energy: float | None = None) -> lis
             continue
         grams = dict.fromkeys(by_label, 0.0)
         for J in range(jmax + 1):
-            for c, coeff in _isotypic_coefficients(vecs, J):
-                name = symmetry.CONSTITUENT_TO_LABEL[_CONSTITUENTS[c][0]]
-                if name in grams:
-                    grams[name] += coeff.conj().T @ coeff
+            for c, coeff in _isotypic_coefficients(vecs, J, grams):
+                grams[symmetry.CONSTITUENT_TO_LABEL[_CONSTITUENTS[c][0]]] += coeff.conj().T @ coeff
         # the cluster is a union of eigenspaces, so each Gram matrix is a
         # projector of rank mult * dimension and the split levels fill the
         # cluster: they are written over its columns
@@ -772,10 +780,10 @@ def barrier_height(model: RotorModel) -> float:
 # rank-l transition operator matrices (for line strengths)
 # ----------------------------------------------------------------------------
 
-@lru_cache(maxsize=4)
 def rank_operator_blocks(jmax: int, rank: int):
     """Sparse matrices of D^rank_{mu nu} over the basis, keyed (mu, nu); each
-    entry is Fnu * (s * Fmu), as scipy.sparse.kron(F[nu], s * F[mu]) gives."""
+    entry is Fnu * (s * Fmu), as scipy.sparse.kron(F[nu], s * F[mu]) gives.
+    Uncached: transition_strength reads them stacked by _operator_rows."""
     n = len(build_basis(jmax))
     mats = {}
     for mu in range(-rank, rank + 1):
@@ -787,12 +795,25 @@ def rank_operator_blocks(jmax: int, rank: int):
     return mats
 
 
+@lru_cache(maxsize=4)
+def _operator_rows(jmax: int, rank: int) -> tuple[scipy.sparse.csr_matrix, ...]:
+    """One CSR matrix per mu, ascending: the D^rank_{mu nu} of
+    rank_operator_blocks stacked over ascending nu, (2 rank + 1) n x n.  The
+    stack keeps each row's entries and their order, so a product with it
+    sums every output row as the product with that row's block does."""
+    mats = rank_operator_blocks(jmax, rank)
+    comps = range(-rank, rank + 1)
+    return tuple(scipy.sparse.vstack([mats[(mu, nu)] for nu in comps], format="csr")
+                 for mu in comps)
+
+
 def transition_strength(lower: EnergyLevel, uppers, rank: int) -> list[float]:
     """Squared rank-`rank` orientational transition moment from `lower` to
     each level of `uppers`, summed over all cluster states and tensor
     components.  The operators are those of the Jmax whose basis has as many
-    rows as the vectors.  Each component's image of lower.vectors is formed
-    once."""
+    rows as the vectors.  Per mu, one sparse product forms the images of
+    lower.vectors under all D_{mu nu}, and one batched product per final
+    projects them; each final's total adds the components in (mu, nu) order."""
     if lower.vectors is None or any(up.vectors is None for up in uppers):
         raise RotorError("levels must carry eigenvectors for strength evaluation")
     n, jmax, size = lower.vectors.shape[0], 0, 1
@@ -801,15 +822,15 @@ def transition_strength(lower: EnergyLevel, uppers, rank: int) -> list[float]:
         size += (2 * jmax + 1) ** 2
     if size != n:
         raise RotorError(f"level vectors have {n} rows, which is no basis size")
-    images = [M @ lower.vectors for M in rank_operator_blocks(jmax, rank).values()]
-    strengths = []
-    for up in uppers:
-        total = 0.0
-        for image in images:
-            X = up.vectors.T @ image
-            total += float(np.sum(X * X))
-        strengths.append(total)
-    return strengths
+    totals = [0.0] * len(uppers)
+    for row in _operator_rows(jmax, rank):
+        images = (row @ lower.vectors).reshape(2 * rank + 1, n, lower.vectors.shape[1])
+        for i, up in enumerate(uppers):
+            X = up.vectors.T @ images
+            for part in np.sum(X * X, axis=(1, 2)).tolist():
+                totals[i] += part
+        del images  # else the next row's images would be formed beside these
+    return totals
 
 
 # ----------------------------------------------------------------------------

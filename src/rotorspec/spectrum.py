@@ -183,6 +183,9 @@ class SpectrumConfig:
                                      f"gives more than {MAX_GRID_SAMPLES} samples"))
         if not self.fwhm > 0:
             problems.append(("fwhm", f"fwhm must be positive, got {self.fwhm}"))
+        elif self.step > 0 and self.fwhm < self.step:
+            problems.append(("fwhm", f"fwhm {self.fwhm} is below the grid step {self.step}; "
+                                     "the samples would miss most of each line"))
         if self.shape not in ("gaussian", "lorentzian"):
             problems.append(("shape", f"shape must be gaussian or lorentzian, got {self.shape!r}"))
         return problems
@@ -370,7 +373,9 @@ def profile_sum(lines, freqs: np.ndarray, shape: str, fwhm: float) -> np.ndarray
     for line in lines:
         offsets = freqs - line.frequency
         if shape == "gaussian":
-            profile = np.exp(-0.5 * (offsets / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+            # far from a narrow line the square overflows and exp(-inf) is 0
+            with np.errstate(over="ignore"):
+                profile = np.exp(-0.5 * (offsets / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
         elif shape == "lorentzian":
             profile = (gamma / math.pi) / (offsets**2 + gamma**2)
         else:

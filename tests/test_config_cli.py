@@ -171,7 +171,7 @@ _RULE_CASES = [
     ("population", "mode = frozen"), ("population", "T = 0"),
     ("population", "fractions = -0.5, 0.75, 0.75"), ("population", "fractions = 0.5, 0.2, 0.2"),
     ("synthesis", "start = 3400"), ("synthesis", "step = 0"), ("synthesis", "shape = voigt"),
-    ("synthesis", "step = 1e-9"), ("synthesis", "fwhm = 0"),
+    ("synthesis", "step = 1e-9"), ("synthesis", "fwhm = 0"), ("synthesis", "fwhm = 0.01"),
     ("crystal", "a_nm = 0"), ("crystal", "c = 0"), ("crystal", "mu_debye = -1"),
     ("source", "linewidth_ghz = 0"),
 ]
@@ -610,6 +610,18 @@ def test_cli_non_finite_config_exits_1(workdir, capsys, old, new, location):
     (workdir / "bad.cfg").write_text(FAST_CONFIG.replace(old, new))
     rc = cli.main(["levels", "--config", "bad.cfg"])
     _assert_rejected(workdir, capsys, rc, location)
+
+
+@pytest.mark.parametrize("fwhm", ["1e-160", "0.001"])
+def test_cli_spectrum_fwhm_below_grid_step_exits_1(workdir, capsys, fwhm):
+    # a profile narrower than the 0.2 cm^-1 step falls between the samples:
+    # 1e-160 overflowed the Gaussian's square once per line, 0.001 left the
+    # envelope zero almost everywhere, and both exited 0
+    (workdir / "narrow.cfg").write_text(FAST_CONFIG.replace("fwhm = 1.5", f"fwhm = {fwhm}"))
+    rc = cli.main(["spectrum", "--config", "narrow.cfg", "--sticks", "sticks.csv",
+                   "--out-spectrum", "spectrum.csv"])
+    _assert_rejected(workdir, capsys, rc, "[synthesis] fwhm")
+    assert not (workdir / "spectrum.csv").exists()
 
 
 CSV_READERS = {

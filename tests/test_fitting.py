@@ -44,6 +44,14 @@ def test_fitspec_rejects_nan_tolerance():
         == ["tolerance"]
 
 
+def test_fwhm_bound_below_default_grid_step_rejected():
+    # a bound reaches only the values a config accepts, and a config rejects
+    # a fwhm below its grid step (default 0.05)
+    assert FitSpec(free_params=("nu0", "fwhm"), bounds={"fwhm": (0.05, 2.0)}).validate() == []
+    [(name, msg)] = FitSpec(free_params=("nu0", "fwhm"), bounds={"fwhm": (0.01, 2.0)}).validate()
+    assert name == "bounds" and "below the grid step" in msg
+
+
 @pytest.mark.parametrize("name", ["fwhm", "scale"])
 def test_position_fit_rejects_envelope_only_parameters(tmodel, name):
     # no position residual reads fwhm or scale, so a position fit would

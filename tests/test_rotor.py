@@ -340,17 +340,21 @@ def test_rank_operator_blocks_bit_equal_to_kron_bmat(rank):
 
 
 @functools.lru_cache(maxsize=None)
-def _levels_j6(beta):
-    model = RotorModel.create(B=1.0, beta=beta, Jmax=6)
-    system = diagonalize(model)
-    return system, classify_levels(system, max_energy=12.0)
+def _strength_levels(jmax, beta):
+    """Levels up to 25.4 B: at Jmax 8 and beta 0.05 they reach 18-fold, and
+    some energy clusters hold several labels."""
+    model = RotorModel.create(B=1.0, beta=beta, Jmax=jmax)
+    return classify_levels(diagonalize(model), max_energy=25.4)
 
 
-@pytest.mark.parametrize("beta", [0.1, 1.0])
+@pytest.mark.parametrize("jmax,beta", [(6, 0.1), (6, 1.0), (8, 0.05)],
+                         ids=["0.1", "1.0", "jmax8-0.05"])
 @pytest.mark.parametrize("rank", [1, 2])
-def test_batched_strength_equals_per_pair_products(beta, rank):
-    _, levels = _levels_j6(beta)
-    mats = rotor.rank_operator_blocks(6, rank)
+def test_batched_strength_equals_per_pair_products(jmax, beta, rank):
+    # the per-mu row products and the batched product per final make the
+    # BLAS calls of one (d_up x n) @ (n x d_low) product per component
+    levels = _strength_levels(jmax, beta)
+    mats = rotor.rank_operator_blocks(jmax, rank)
 
     def per_pair(lower, upper):
         total = 0.0
@@ -360,10 +364,31 @@ def test_batched_strength_equals_per_pair_products(beta, rank):
         return total
 
     assert len(levels) > 10
+    if jmax == 8:
+        assert max(lev.degeneracy for lev in levels) == 18
+        assert len({lev.energy for lev in levels}) < len(levels)  # split clusters
     for lower in levels:
         expected = [per_pair(lower, upper) for upper in levels]
         assert rotor.transition_strength(lower, levels, rank) == expected
     assert rotor.transition_strength(levels[0], [], rank) == []
+
+
+def test_strength_peak_memory():
+    # one mu's images at a time: 2l+1 n x d_low arrays, and scipy's
+    # contiguous copy of the lower vectors; all 25 rank-2 images at once
+    # took 26 such arrays (3.63 MB for this 18-fold level)
+    levels = _strength_levels(8, 0.05)
+    lower = max(levels, key=lambda lev: lev.degeneracy)
+    image_bytes = lower.vectors.nbytes
+    for rank, bound in ((1, 6), (2, 10)):
+        rotor.transition_strength(lower, levels, rank)  # fills the operator cache
+        tracemalloc.start()
+        try:
+            rotor.transition_strength(lower, levels, rank)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * image_bytes, (rank, peak)
 
 
 def _reference_project_label(vectors, jmax, label):
@@ -418,6 +443,49 @@ def test_split_levels_span_the_reference_projection():
                     diff = lev.vectors @ lev.vectors.T - ref @ ref.T
                     assert np.abs(diff).max() <= 1e-12
     assert split >= 9
+
+
+def _reference_split(columns, a, b, names, jmax):
+    """The split pass of classify_levels over the Gram matrices of all 16
+    product irreps, kept for `names`: columns a..b-1 onto the eigenvalue-1
+    eigenvectors of each label's real Gram matrix, labels in name order,
+    written over those columns as classify_levels writes them."""
+    vecs = columns[:, a:b]
+    grams = dict.fromkeys(names, 0.0)
+    for J in range(jmax + 1):
+        for c, coeff in rotor._isotypic_coefficients(vecs, J):
+            name = symmetry.CONSTITUENT_TO_LABEL[rotor._CONSTITUENTS[c][0]]
+            if name in grams:
+                grams[name] += coeff.conj().T @ coeff
+    splits = [np.linalg.eigh(grams[name].real) for name in sorted(names)]
+    vecs[:] = np.hstack([vecs @ u[:, w > 0.5] for w, u in splits])
+    return vecs
+
+
+def test_split_levels_bit_equal_to_all_irrep_split():
+    # the split pass projects a cluster onto its own labels' irreps only;
+    # the tensordots it keeps, and so the split vectors, are the same bits
+    split = 0
+    for potential in CLUSTER_POTENTIALS:
+        for beta in CLUSTER_BETAS:
+            system = diagonalize(RotorModel.create(B=1.0, beta=beta, potential=potential, Jmax=6))
+            levels = classify_levels(system)
+            columns = system.columns()
+            span = system.energies[-1] - system.energies[0] or 1.0
+            for a, b in rotor._cluster_slices(system.energies, 1e-6 * span):
+                energy = float(system.energies[a:b].mean())
+                cluster = [lev for lev in levels if lev.energy == energy]
+                if len(cluster) < 2:
+                    continue
+                split += 1
+                ref = _reference_split(columns, a, b, {lev.rovib_label for lev in cluster}, 6)
+                assert sum(lev.degeneracy for lev in cluster) == ref.shape[1]
+                start = 0
+                for lev in cluster:  # name order, as the split
+                    want = ref[:, start:start + lev.degeneracy]
+                    assert lev.vectors.tobytes() == want.tobytes()
+                    start += lev.degeneracy
+    assert split > 1000, split
 
 
 def test_warm_classification_makes_no_rotation_matrix(monkeypatch):

@@ -380,6 +380,19 @@ def test_clipped_lines_warn():
     assert len(message) < 300
 
 
+def test_narrow_gaussian_is_silent_and_finite():
+    # a width far below the grid step (as an envelope fit's trial width may
+    # be) overflows the square away from the line; exp(-inf) is 0 there
+    freqs = 3150.0 + 0.05 * np.arange(3001)
+    lines = [Line(3200.0, 2.0, "a", "b", "IR"), Line(3200.01, 1.0, "c", "d", "IR")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        amps = spectrum.profile_sum(lines, freqs, "gaussian", 1e-160)
+    sigma = 1e-160 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    assert np.flatnonzero(amps).tolist() == [1000]
+    assert amps[1000] == 2.0 * (1.0 / (sigma * math.sqrt(2 * math.pi)))
+
+
 def test_fwhm_reported_in_ghz():
     cfg = SpectrumConfig(start=0.0, stop=10.0, step=1.0, fwhm=1.5)
     assert cfg.fwhm_ghz == pytest.approx(44.97, abs=0.005)
