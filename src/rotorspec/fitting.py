@@ -298,7 +298,7 @@ class EnvelopeModel:
                  pop: PopulationModel | None = None,
                  shape: str = spectrum.SpectrumConfig.shape,
                  band: VibrationBandModel = _DEFAULT_BAND):
-        self.potential = tuple(potential)
+        self.potential = potential
         self.jmax = jmax
         self.pop = pop or PopulationModel()
         self.shape = shape
@@ -454,6 +454,13 @@ def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,
         raise FitError("observed envelope must be two equal-length 1-d arrays")
     if np.any(np.diff(freqs) <= 0):
         raise FitError("observed frequency grid must be strictly increasing")
+    if "fwhm" in spec.scalar_free():
+        # a narrower trial profile falls between the samples; the relative
+        # tolerance lets a grid read back from CSV keep its own step
+        low, spacing = spec.bounds.get("fwhm", PARAM_BOUNDS["fwhm"])[0], np.diff(freqs).max()
+        if low < spacing * (1.0 - 1e-9):
+            raise FitError(f"--bound fwhm: the low end {low:g} is below the observed grid's "
+                           f"largest spacing {spacing:.6g} cm^-1")
 
     params0 = spec.resolved_initial()
     line_freqs = np.array([l.frequency for l in model.lines(params0)])

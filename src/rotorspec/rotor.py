@@ -11,11 +11,13 @@ D^l, so invariance under all 144 site x molecule rotations holds by
 construction and the matrix is real symmetric.
 
 Potential normalization fixes max V - min V = 1 over orientation space, so
-the barrier height is exactly beta*B.  With the default negative rank-3
-coefficient the potential minima sit at the aligned orientations (molecular
-tetrahedron coincident with the site tetrahedron); the aligned-frame value is
-then the global minimum and the quarter-turn about a coordinate axis gives
-the global maximum.
+the barrier height is exactly beta*B.  normalize_potential scans the range
+once and returns a NormalizedPotential, the only potential the solvers
+accept, so the unit range is an invariant of the type and is never rescanned.
+With the default negative rank-3 coefficient the potential minima sit at the
+aligned orientations (molecular tetrahedron coincident with the site
+tetrahedron); the aligned-frame value is then the global minimum and the
+quarter-turn about a coordinate axis gives the global maximum.
 
 The potential and the rank-1/rank-2 transition operators share one table
 of 3j factors per (J', J, rank); it alone fixes the index and phase
@@ -76,12 +78,13 @@ __all__ = [
     "wigner_d_matrix",
     "invariant_coefficients",
     "potential_range",
+    "NormalizedPotential",
+    "normalize_potential",
     "estimated_peak_bytes",
     "hamiltonian_matrix",
     "diagonalize",
     "classify_levels",
     "tunneling_frequencies",
-    "barrier_height",
     "rank_operator_blocks",
     "LevelGapCache",
     "DEFAULT_POTENTIAL",
@@ -194,14 +197,18 @@ def _angular_momentum(j: int):
     return jx, jy, jz
 
 
-@lru_cache(maxsize=None)
-def _wigner_d_cached(j: int, axis: tuple, angle: float) -> np.ndarray:
+def _rotation_d(j: int, axis: tuple, angle: float) -> np.ndarray:
     jx, jy, jz = _angular_momentum(j)
     n = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(n)
     if norm > 0:
         n = n / norm
-    D = scipy.linalg.expm(-1j * angle * (n[0] * jx + n[1] * jy + n[2] * jz))
+    return scipy.linalg.expm(-1j * angle * (n[0] * jx + n[1] * jy + n[2] * jz))
+
+
+@lru_cache(maxsize=None)
+def _wigner_d_cached(j: int, axis: tuple, angle: float) -> np.ndarray:
+    D = _rotation_d(j, axis, angle)
     D.setflags(write=False)
     return D
 
@@ -242,16 +249,10 @@ def invariant_coefficients(rank: int) -> np.ndarray:
     return c
 
 
-@lru_cache(maxsize=1024)
-def _scan_d(rank: int, beta: float) -> np.ndarray:
-    """Real d^rank(beta) for the range scan, which visits new angles; the scan
-    of a normalized potential mostly retraces the raw one's (<= 900 entries)."""
-    return _wigner_d_cached.__wrapped__(rank, (0.0, 1.0, 0.0), beta).real
-
-
-def _little_d(rank: int, beta_angles: np.ndarray) -> np.ndarray:
-    """Stack of real d^rank(beta) matrices for an array of angles."""
-    return np.array([_scan_d(rank, float(b)) for b in beta_angles])
+def _little_d(rank: int, beta: float) -> np.ndarray:
+    """Real d^rank(beta), uncached: the range scan visits a new angle on
+    nearly every evaluation, and each process scans once."""
+    return _rotation_d(rank, (0.0, 1.0, 0.0), beta).real
 
 
 def _potential_on_grid(potential):
@@ -264,7 +265,7 @@ def _potential_on_grid(potential):
     values = np.zeros((len(betas), n, n))
     for rank, weight in potential:
         c = invariant_coefficients(rank)
-        dstack = _little_d(rank, betas)
+        dstack = np.array([_little_d(rank, float(b)) for b in betas])
         ms = np.arange(-rank, rank + 1)
         for i, mu in enumerate(ms):
             for j_, nu in enumerate(ms):
@@ -280,7 +281,7 @@ def _potential_value(potential, angles: np.ndarray) -> float:
     v = 0.0
     for rank, weight in potential:
         c = invariant_coefficients(rank)
-        d = _scan_d(rank, float(b))
+        d = _little_d(rank, float(b))
         ms = np.arange(-rank, rank + 1)
         phase = np.cos(np.add.outer(ms * a, ms * g))
         v += weight * float(np.sum(c * d * phase))
@@ -310,8 +311,22 @@ def _potential_range_cached(potential: tuple) -> tuple[float, float]:
     return float(vmin), float(vmax)
 
 
-def normalize_potential(potential) -> tuple[tuple[int, float], ...]:
-    """Rescale coefficients so that max V - min V = 1."""
+class NormalizedPotential(tuple):
+    """(rank, weight) terms scaled so that max V - min V = 1 over orientations.
+
+    normalize_potential builds one (DEFAULT_POTENTIAL is a literal of its
+    output), and the solvers accept no other potential, so the unit range is
+    an invariant of the type and is never scanned again.  A tuple, it equals,
+    hashes and serializes as its terms."""
+
+    __slots__ = ()
+
+
+def normalize_potential(potential) -> NormalizedPotential:
+    """Rescale coefficients so that max V - min V = 1; a NormalizedPotential
+    is returned as it is, with no scan."""
+    if isinstance(potential, NormalizedPotential):
+        return potential
     pot = tuple((int(r), float(w)) for r, w in potential)
     vmin, vmax = potential_range(pot)
     span = vmax - vmin
@@ -319,10 +334,12 @@ def normalize_potential(potential) -> tuple[tuple[int, float], ...]:
         raise PotentialError(f"potential range is {span}; use smaller coefficients")
     if span <= 1e-12:
         raise PotentialError("potential is constant; cannot normalize to unit range")
-    return tuple((r, w / span) for r, w in pot)
+    return NormalizedPotential((r, w / span) for r, w in pot)
 
 
-DEFAULT_POTENTIAL = ((3, -0.5),)  # normalized rank-3 invariant, minima aligned
+#: normalize_potential(((3, -1.0),)), the rank-3 invariant with its minima
+#: aligned, written out so that importing the module scans nothing
+DEFAULT_POTENTIAL = NormalizedPotential(((3, -0.49999999999999967),))
 
 
 def estimated_peak_bytes(jmax: int) -> float:
@@ -347,8 +364,9 @@ def estimated_peak_bytes(jmax: int) -> float:
 class RotorModel:
     """Physical parameters of H = B*P^2 + beta*B*V(omega).
 
-    `potential` holds normalized (rank, coefficient) pairs; use
-    RotorModel.create to normalize arbitrary coefficients.
+    `potential` holds (rank, coefficient) pairs.  A model is solved only
+    with a NormalizedPotential; RotorModel.create normalizes raw
+    coefficients, such as a config's, and validate() scans only those.
     """
 
     B: float = field(default=DEFAULT_B_CM1, metadata={"fit_bound": (3.0, 9.0)})
@@ -382,7 +400,7 @@ class RotorModel:
             problems.append(("potential", "potential must contain at least one term"))
         elif ranks:
             problems += [("potential", f"unsupported potential rank {rank}") for rank in ranks]
-        else:
+        elif not isinstance(self.potential, NormalizedPotential):  # constant or non-finite
             try:
                 normalize_potential(self.potential)
             except PotentialError as exc:
@@ -479,13 +497,12 @@ def _kinetic_diagonal(jmax: int) -> np.ndarray:
     return diag
 
 
-def _require_unit_range(potential):
-    """Raise PotentialError unless max V - min V = 1 (to 1e-6)."""
-    vmin, vmax = potential_range(potential)
-    if abs((vmax - vmin) - 1.0) > 1e-6:
-        raise PotentialError(
-            f"potential range is {vmax - vmin:.8f}, not 1 (use RotorModel.create)"
-        )
+def _require_normalized(potential):
+    """Raise PotentialError unless `potential` is a NormalizedPotential, even
+    for a plain tuple whose range happens to be 1: no scan is made here."""
+    if not isinstance(potential, NormalizedPotential):
+        raise PotentialError(f"potential {tuple(potential)} is not normalized, so its range "
+                             "is not known to be 1 (use RotorModel.create)")
 
 
 def _hamiltonian_blocks(model: RotorModel):
@@ -493,7 +510,7 @@ def _hamiltonian_blocks(model: RotorModel):
     the model; each block is np.diag(B * kin) + (beta * B) * V_b, so it holds
     the bits of the same entries of the dense H."""
     model.require_valid()
-    _require_unit_range(model.potential)
+    _require_normalized(model.potential)
     kin = model.B * _kinetic_diagonal(model.Jmax)
     scale = model.beta * model.B
     return ((idx, np.diag(kin[idx]) + scale * vb)
@@ -769,13 +786,6 @@ def tunneling_frequencies(levels) -> tuple[float, float]:
     return l1.energy - a1.energy, e2.energy - l1.energy
 
 
-def barrier_height(model: RotorModel) -> float:
-    """beta*B*(max V - min V); the normalization makes this beta*B."""
-    model.require_valid()
-    vmin, vmax = potential_range(model.potential)
-    return model.beta * model.B * (vmax - vmin)
-
-
 # ----------------------------------------------------------------------------
 # rank-l transition operator matrices (for line strengths)
 # ----------------------------------------------------------------------------
@@ -870,8 +880,8 @@ class LevelGapCache:
     for again.  gap() is (L1)1 - (A1)1."""
 
     def __init__(self, potential=DEFAULT_POTENTIAL, jmax: int = DEFAULT_JMAX):
-        _require_unit_range(potential)
-        self.potential = tuple(potential)
+        _require_normalized(potential)
+        self.potential = potential
         self.jmax = jmax
         self._blocks = {}
         self._beta = None

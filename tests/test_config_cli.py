@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -529,6 +530,17 @@ def test_cli_fit_rejects_an_overflowing_input(workdir, capsys, mode):
     assert "Warning" not in err
 
 
+def test_cli_envelope_fit_rejects_fwhm_box_below_sample_spacing(workdir, capsys):
+    # the default box starts at 0.05, between the samples of a 0.5 grid
+    (workdir / "obs.csv").write_text("frequency_cm1,amplitude\n" + "".join(
+        f"{3190.0 + 0.5 * i},{1.0 if i == 32 else 0.0}\n" for i in range(120)))
+    rc = cli.main(["fit", "--config", "run.cfg", "--mode", "envelope", "--envelope", "obs.csv",
+                   "--free", "nu0,fwhm", "--starts", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: obs.csv: --bound fwhm: the low end 0.05 is below")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", ["fwhm", "scale"])
 def test_cli_position_fit_rejects_envelope_only_parameters(workdir, capsys, name):
     # rejected with the flags, before the (missing) peaks file is read; an
@@ -584,6 +596,50 @@ def test_cli_plan_deterministic(workdir):
                        "--out", out, "--mc-samples", "5000", "--seed", "3"])
         assert rc == 0
     assert (workdir / "p1.json").read_bytes() == (workdir / "p2.json").read_bytes()
+
+
+#: run in a fresh process: the rotorspec command of argv[2:], then its exit
+#: code and the number of potential range scans it made, written to argv[1]
+_COUNT_SCANS = """\
+import sys
+from rotorspec import cli, rotor
+scan, scans = rotor._potential_on_grid, []
+def counted(potential):
+    scans.append(potential)
+    return scan(potential)
+rotor._potential_on_grid = counted
+rc = cli.main(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    fh.write(f"{rc} {len(scans)}")
+"""
+
+
+def test_each_command_scans_the_potential_once(tmp_path):
+    """The config's raw potential is scanned once, to normalize it; nothing
+    rescans the normalized one, which carries its unit range in its type."""
+    text, n = re.subn(r"(?m)^Jmax = 10$", "Jmax = 4", (REPO / "configs" / "atpb.cfg").read_text())
+    assert n == 1
+    cfg = tmp_path / "atpb_j4.cfg"
+    cfg.write_text(text)
+    sticks, envelope = tmp_path / "sticks.csv", tmp_path / "spectrum.csv"
+    commands = {
+        "levels": ["levels", "--config", cfg, "--format", "csv", "--out", tmp_path / "levels.csv"],
+        "spectrum": ["spectrum", "--config", cfg, "--sticks", sticks, "--out-spectrum", envelope],
+        "fit positions": ["fit", "--config", cfg, "--peaks", REPO / "configs" / "atpb_peaks.csv",
+                          "--starts", "1", "--max-iter", "20"],
+        "fit envelope": ["fit", "--config", cfg, "--mode", "envelope", "--envelope", envelope,
+                         "--free", "nu0,fwhm", "--starts", "1", "--max-iter", "5"],
+        "plan": ["plan", "--config", cfg, "--lines", sticks, "--mc-samples", "0"],
+    }
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    counts = {}
+    for name, args in commands.items():
+        out = tmp_path / "scans.txt"
+        subprocess.run([sys.executable, "-c", _COUNT_SCANS, out, *args], cwd=tmp_path, check=True,
+                       capture_output=True, env=dict(os.environ, PYTHONPATH=path))
+        rc, scans = map(int, out.read_text().split())
+        counts[name] = (rc in (0, 2), scans)  # 2: the short fits need not converge
+    assert counts == dict.fromkeys(commands, (True, 1))
 
 
 def test_console_script_installed():

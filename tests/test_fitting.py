@@ -120,8 +120,8 @@ def _envelope_fit(seed):
     truth = dict(TRUTH, beta=1.0)
     freqs = np.arange(3190.0, 3250.0, 0.5)
     amps = model.amplitude(truth, freqs)
-    spec = FitSpec(free_params=("nu0", "fwhm"), n_starts=2, max_iterations=60,
-                   initial=dict(truth, nu0=3204.0, fwhm=1.2))
+    spec = FitSpec(free_params=("nu0", "fwhm"), bounds={"fwhm": (0.5, 20.0)}, n_starts=2,
+                   max_iterations=60, initial=dict(truth, nu0=3204.0, fwhm=1.2))
     return fit_envelope(freqs, amps, spec, model, seed=seed), model, freqs, amps
 
 
@@ -252,8 +252,17 @@ def test_inexact_fit_runs_every_start(tmodel):
 def test_transition_model_rejects_unnormalized_potential():
     # unnormalized, the potential would shift omega_LA silently (10.974 for
     # 10.993 cm^-1 at B 5.5 and beta 1); diagonalize rejects it the same way
-    with pytest.raises(rotor.PotentialError, match="not 1"):
+    with pytest.raises(rotor.PotentialError, match="not normalized.*RotorModel.create"):
         TransitionModel(potential=((3, -1.0),), jmax=JMAX)
+
+
+def test_fit_models_keep_the_normalized_potential():
+    # a copy into a plain tuple would lose the type and be rejected
+    pot = rotor.normalize_potential(((3, -1.0), (4, 0.3)))
+    assert TransitionModel(pot, jmax=4)._gaps.potential is pot
+    emodel = EnvelopeModel(pot, jmax=4)
+    assert emodel.potential is pot
+    assert emodel.lines(dict(TRUTH, beta=1.0))
 
 
 def test_transition_model_matches_line_generator(tmodel):
@@ -374,6 +383,24 @@ def test_envelope_rejects_bad_grid(emodel):
         fit_envelope(np.array([1.0, 2.0]), np.zeros(3), spec, emodel)
 
 
+def test_envelope_fwhm_box_below_observed_spacing_rejected(emodel):
+    # a trial width below the sample spacing falls between the samples; the
+    # default box starts at the default grid step, 0.05
+    freqs = np.arange(3190.0, 3250.0, 0.5)
+    amps = emodel.amplitude(dict(TRUTH, beta=1.0), freqs)
+    spec = FitSpec(free_params=("nu0", "fwhm"), initial=dict(TRUTH, beta=1.0),
+                   n_starts=1, max_iterations=2)
+    for bounds in ({}, {"fwhm": (0.499, 5.0)}):
+        with pytest.raises(FitError, match=r"^--bound fwhm: the low end .* below the observed "
+                                           r"grid's largest spacing 0\.5 cm\^-1$"):
+            fit_envelope(freqs, amps, replace(spec, bounds=bounds), emodel)
+    fit_envelope(freqs, amps, replace(spec, bounds={"fwhm": (0.5, 5.0)}), emodel)
+    # a grid read back from a `spectrum` CSV at step 0.05 keeps the default box
+    written = np.array([float(f"{3190.0 + 0.05 * i:.2f}") for i in range(1200)])
+    assert np.diff(written).max() > 0.05
+    fit_envelope(written, emodel.amplitude(dict(TRUTH, beta=1.0), written), spec, emodel)
+
+
 # ---------------------------------------------------------------- one band model
 
 SHIPPED = (Path(__file__).resolve().parent.parent / "configs" / "atpb.cfg").read_text() \
@@ -463,6 +490,7 @@ def test_fixed_beta_envelope_fit_diagonalizes_once(monkeypatch):
     model = EnvelopeModel(jmax=4)
     freqs = np.arange(3150.0, 3300.0, 0.5)
     amps = model.amplitude(dict(TRUTH, beta=1.0, nu0=3206.5, fwhm=2.0), freqs)
-    spec = FitSpec(free_params=("nu0", "fwhm"), initial=dict(TRUTH, beta=1.0), n_starts=2)
+    spec = FitSpec(free_params=("nu0", "fwhm"), bounds={"fwhm": (0.5, 20.0)},
+                   initial=dict(TRUTH, beta=1.0), n_starts=2)
     fit_envelope(freqs, amps, spec, model, seed=0)
     assert len(solves) == 1

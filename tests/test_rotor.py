@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from rotorspec import rotor, symmetry
 from rotorspec.rotor import (BasisState, LevelGapCache, PotentialError,
-                             RotorError, RotorModel, barrier_height,
-                             build_basis, classify_levels, diagonalize,
+                             RotorError, RotorModel, build_basis,
+                             classify_levels, diagonalize,
                              hamiltonian_matrix, invariant_coefficients,
                              potential_range, tunneling_frequencies,
                              wigner3j, wigner_d_matrix)
@@ -121,8 +121,10 @@ def test_create_normalizes_the_field_defaults():
     3:-1.0 that configs write."""
     normalized = rotor.normalize_potential(((3, -1.0),))
     assert normalized == ((3, -0.49999999999999967),)
-    assert rotor.normalize_potential(rotor.DEFAULT_POTENTIAL) == normalized
-    assert RotorModel.create() == RotorModel(potential=normalized)
+    # the default is that literal, and the old default 3:-0.5 scans to it too
+    assert rotor.DEFAULT_POTENTIAL == normalized == rotor.normalize_potential(((3, -0.5),))
+    assert rotor.normalize_potential(rotor.DEFAULT_POTENTIAL) is rotor.DEFAULT_POTENTIAL
+    assert RotorModel.create() == RotorModel() == RotorModel(potential=normalized)
     assert RotorModel.create(beta=2, Jmax=4.0) == RotorModel(beta=2.0, potential=normalized, Jmax=4)
 
 
@@ -130,6 +132,39 @@ def test_normalize_potential_mixed_ranks():
     pot = rotor.normalize_potential(((3, -1.0), (4, 0.3)))
     vmin, vmax = potential_range(pot)
     assert vmax - vmin == pytest.approx(1.0, abs=1e-8)
+
+
+def _no_scan(monkeypatch):
+    def scan(potential):
+        raise AssertionError(f"scanned {potential}")
+    monkeypatch.setattr(rotor, "_potential_on_grid", scan)
+
+
+def test_normalized_potential_is_returned_unscanned(monkeypatch):
+    # a rescan of the normalized terms moves their last bits for this
+    # potential; the type keeps the first normalization's bits
+    once = rotor.normalize_potential(((3, -0.61), (4, 0.2)))
+    assert isinstance(once, rotor.NormalizedPotential)
+    # it equals, hashes (the cache keys of V) and prints as its plain terms
+    plain = tuple(once)
+    assert once == plain and hash(once) == hash(plain) and repr(once) == repr(plain)
+    _no_scan(monkeypatch)
+    assert rotor.normalize_potential(once) is once
+    model = RotorModel.create(B=B0, beta=1.0, potential=once, Jmax=4)
+    assert model.potential is once and model.validate() == []
+    assert LevelGapCache(once, jmax=4).potential is once
+
+
+def test_raw_unit_range_tuple_rejected(monkeypatch):
+    # ((3, -0.5),) has range 1 to the last bits, but only the type vouches
+    # for the range, so it is rejected as any raw tuple is
+    raw = ((3, -0.5),)
+    assert potential_range(raw)[1] - potential_range(raw)[0] == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(PotentialError, match="range is not known to be 1.*RotorModel.create"):
+        diagonalize(RotorModel(B=B0, beta=1.0, potential=raw, Jmax=4))
+    _no_scan(monkeypatch)
+    with pytest.raises(PotentialError, match="range is not known to be 1.*RotorModel.create"):
+        LevelGapCache(raw, jmax=4)
 
 
 def test_invariant_vectors_fixed_by_all_rotations():
@@ -182,20 +217,18 @@ def test_unnormalized_potential_rejected():
 
 def test_gap_cache_rejects_unnormalized_potential():
     # the fit's level source checks the unit range as diagonalize does
-    with pytest.raises(PotentialError, match="range is 2.00000000, not 1"):
+    with pytest.raises(PotentialError, match="range is not known to be 1"):
         LevelGapCache(((3, -1.0),), jmax=6)
 
 
 def test_potential_range_caches_no_rotation_matrix():
     # the range scan's grid and simplex visit a new angle on nearly every
-    # evaluation: the rotation-matrix cache keeps the group's rotations only,
-    # and the scan's own cache is bounded
+    # evaluation: the rotation-matrix cache keeps the group's rotations only
     rotor.normalize_potential(((3, -1.0), (4, 0.3)))  # the coefficient tensors' rotations
     before = rotor._wigner_d_cached.cache_info().currsize
     for weight in (0.17, 0.29, -0.41):
         rotor.normalize_potential(((3, -0.61), (4, weight)))
     assert rotor._wigner_d_cached.cache_info().currsize == before
-    assert rotor._scan_d.cache_info().currsize <= rotor._scan_d.cache_info().maxsize == 1024
 
 
 def test_invalid_model_rejected():
@@ -915,13 +948,6 @@ def test_label_projection_allocates_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * 8 * n * n
-
-
-def test_barrier_height():
-    assert barrier_height(RotorModel.create(B=B0, beta=0.0, Jmax=4)) == 0.0
-    assert barrier_height(RotorModel.create(B=B0, beta=1.0, Jmax=4)) == pytest.approx(B0, abs=1e-8)
-    beta280 = 280.0 / B0
-    assert barrier_height(RotorModel.create(B=B0, beta=beta280, Jmax=4)) == pytest.approx(280.0, abs=1e-6)
 
 
 def test_rank4_potential_full_pipeline():
