@@ -161,7 +161,7 @@ def cmd_symmetry(args) -> int:
     groups = ["T", "Td", "D2d", "C3v", "TxT"]
     species = symmetry.spin_decomposition()
     correlations = {
-        label: symmetry.correlate(symmetry.irrep_label("Td", label))
+        label: symmetry.correlate(label)
         for label, _, _ in symmetry.character_table("Td").irreps
     }
     raman_count = None

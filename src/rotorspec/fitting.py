@@ -454,15 +454,18 @@ def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,
         raise FitError("observed envelope must be two equal-length 1-d arrays")
     if np.any(np.diff(freqs) <= 0):
         raise FitError("observed frequency grid must be strictly increasing")
-    if "fwhm" in spec.scalar_free():
-        # a narrower trial profile falls between the samples; the relative
-        # tolerance lets a grid read back from CSV keep its own step
-        low, spacing = spec.bounds.get("fwhm", PARAM_BOUNDS["fwhm"])[0], np.diff(freqs).max()
-        if low < spacing * (1.0 - 1e-9):
-            raise FitError(f"--bound fwhm: the low end {low:g} is below the observed grid's "
-                           f"largest spacing {spacing:.6g} cm^-1")
-
     params0 = spec.resolved_initial()
+    # a profile narrower than the samples' spacing falls between them; the
+    # relative tolerance lets a grid read back from CSV keep its own step
+    if "fwhm" in spec.scalar_free():
+        what, low = "--bound fwhm: the low end", spec.bounds.get("fwhm", PARAM_BOUNDS["fwhm"])[0]
+    else:
+        what, low = "fwhm: the fixed width", params0["fwhm"]
+    spacing = np.diff(freqs).max()
+    if low < spacing * (1.0 - 1e-9):
+        raise FitError(f"{what} {low:g} is below the observed grid's largest spacing "
+                       f"{spacing:.6g} cm^-1")
+
     line_freqs = np.array([l.frequency for l in model.lines(params0)])
     margin = 4.0 * params0["fwhm"]
     if np.all((line_freqs < freqs[0] - margin) | (line_freqs > freqs[-1] + margin)):

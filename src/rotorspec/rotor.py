@@ -19,15 +19,20 @@ aligned orientations (molecular tetrahedron coincident with the site
 tetrahedron); the aligned-frame value is then the global minimum and the
 quarter-turn about a coordinate axis gives the global maximum.
 
+The basis layout (J ascending, then k, then m) is written once, in
+_basis_size and the J/k/m arrays of _basis_layout; the solves read those,
+and only build_basis makes BasisState objects.
+
 The potential and the rank-1/rank-2 transition operators share one table
 of 3j factors per (J', J, rank); it alone fixes the index and phase
 convention of <J'k'm'|D^l_{mu nu}|J k m> and is the only caller of wigner3j.
 V and the operators are assembled from the nonzero 3j products only.
-transition_strength stacks the operators of one mu over nu (_operator_rows),
-so a lower level takes one sparse product per mu, and each final projects
-that mu's images in one batched matmul; the stack keeps each row's entries
-in order and the batch makes one BLAS call per image on the same operands,
-so the strengths are those of one product per component, bit for bit.
+rank_operator_blocks builds each rank's operators once, one CSR matrix per
+mu with the D_{mu nu} stacked over nu, so a lower level takes one sparse
+product per mu in transition_strength, and each final projects that mu's
+images in one batched matmul; the stack keeps each row's entries in order
+and the batch makes one BLAS call per image on the same operands, so the
+strengths are those of one product per component, bit for bit.
 V conserves the parity of k and of m, so it is assembled straight into its
 four parity blocks, and diagonalize builds and solves H one block at a time
 and keeps each block's eigenvectors; dense n-row columns are written only for
@@ -53,6 +58,7 @@ that symbol's levels in order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -119,17 +125,28 @@ class BasisState:
             raise ValueError(f"invalid |J k m> = |{self.J} {self.k} {self.m}>")
 
 
+def _basis_size(jmax: int) -> int:
+    """Basis states with J <= jmax, sum_J (2J+1)^2; 0 for jmax = -1, so
+    _basis_size(J - 1) is the first row of the J manifold."""
+    return (jmax + 1) * (2 * jmax + 1) * (2 * jmax + 3) // 3
+
+
+@lru_cache(maxsize=8)
+def _basis_layout(jmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only J, k and m of every basis state: J ascending, then k, then m."""
+    J = np.repeat(np.arange(jmax + 1), (2 * np.arange(jmax + 1) + 1) ** 2)
+    k, m = np.divmod(np.arange(len(J)) - _basis_size(J - 1), 2 * J + 1)
+    layout = (J, k - J, m - J)
+    for a in layout:
+        a.setflags(write=False)
+    return layout
+
+
 def build_basis(jmax: int) -> list[BasisState]:
-    """All |J k m> with J <= jmax; J ascending, then k, then m.
-    Count is sum_J (2J+1)^2 = (jmax+1)(2jmax+1)(2jmax+3)/3."""
+    """All |J k m> with J <= jmax, in the order of _basis_layout."""
     if jmax < 0:
         raise ValueError("jmax must be >= 0")
-    return [
-        BasisState(J, k, m)
-        for J in range(jmax + 1)
-        for k in range(-J, J + 1)
-        for m in range(-J, J + 1)
-    ]
+    return [BasisState(*state) for state in zip(*(a.tolist() for a in _basis_layout(jmax)))]
 
 
 # ----------------------------------------------------------------------------
@@ -352,7 +369,7 @@ def estimated_peak_bytes(jmax: int) -> float:
     densely and peaks higher (359 MB at Jmax 14); `fit --starts 1
     --max-iter 20` holds no n x n array and peaks lower, at 68.1, 71.7 and
     75.5 MB."""
-    n = (jmax + 1) * (2 * jmax + 1) * (2 * jmax + 3) // 3
+    n = _basis_size(jmax)
     return 100e6 + 0.8 * 8 * float(n) ** 2 if n < 1e150 else math.inf
 
 
@@ -417,39 +434,27 @@ class RotorModel:
 # Hamiltonian assembly
 # ----------------------------------------------------------------------------
 
-def _j_offsets(jmax: int) -> list[int]:
-    out, ofs = [], 0
-    for J in range(jmax + 1):
-        out.append(ofs)
-        ofs += (2 * J + 1) ** 2
-    return out
-
-
 def _nonzero_elements(jmax: int, rank: int, mu: int, nu: int):
     """Nonzero <J2 k2 m2|D^rank_{mu nu}|J k m> = s * F[nu][k2, k] * F[mu][m2, m]
     per coupled (J2, J) block: (rows, cols, F[nu] factors, F[mu] factors, s).
     By the 3j rule m = m2 + mu each row has at most one; states are ordered
     k-major within a J block, so rows and cols index kron(F[nu], F[mu])."""
-    offsets = _j_offsets(jmax)
     for J2 in range(jmax + 1):
         for J in range(max(0, J2 - rank), min(jmax, J2 + rank) + 1):
             F = _three_j_factors(J2, J, rank)
             Fnu, Fmu = F[nu + rank], F[mu + rank]
             ra, ca = np.nonzero(Fnu)
             rb, cb = np.nonzero(Fmu)
-            yield ((offsets[J2] + ra[:, None] * (2 * J2 + 1) + rb).ravel(),
-                   (offsets[J] + ca[:, None] * (2 * J + 1) + cb).ravel(),
+            yield ((_basis_size(J2 - 1) + ra[:, None] * (2 * J2 + 1) + rb).ravel(),
+                   (_basis_size(J - 1) + ca[:, None] * (2 * J + 1) + cb).ravel(),
                    np.repeat(Fnu[ra, ca], len(rb)), np.tile(Fmu[rb, cb], len(ra)),
                    math.sqrt((2 * J2 + 1) * (2 * J + 1)))
 
 
 def _parity_blocks(jmax: int) -> list[np.ndarray]:
     """Ascending basis indices of the four (k, m) parity blocks."""
-    basis = build_basis(jmax)
-    kpar = np.array([s.k % 2 for s in basis])
-    mpar = np.array([s.m % 2 for s in basis])
-    return [np.where((kpar == kp) & (mpar == mp))[0]
-            for kp in (0, 1) for mp in (0, 1)]
+    _, k, m = _basis_layout(jmax)
+    return [np.where((k % 2 == kp) & (m % 2 == mp))[0] for kp in (0, 1) for mp in (0, 1)]
 
 
 @lru_cache(maxsize=8)
@@ -464,7 +469,7 @@ def _potential_blocks(jmax: int, potential: tuple) -> tuple[tuple[np.ndarray, np
     ends = np.cumsum([len(idx) ** 2 for idx in blocks])
     # the blocks lie one after another in `flat`, each row-major: basis state i
     # has block-local index local[i] and its block row starts at row_start[i]
-    local = np.empty(sum(len(idx) for idx in blocks), dtype=np.intp)
+    local = np.empty(_basis_size(jmax), dtype=np.intp)
     row_start = np.empty_like(local)
     for idx, end in zip(blocks, ends):
         local[idx] = np.arange(len(idx))
@@ -492,7 +497,8 @@ def _potential_blocks(jmax: int, potential: tuple) -> tuple[tuple[np.ndarray, np
 
 @lru_cache(maxsize=8)
 def _kinetic_diagonal(jmax: int) -> np.ndarray:
-    diag = np.array([s.J * (s.J + 1) for s in build_basis(jmax)], dtype=float)
+    J = _basis_layout(jmax)[0]
+    diag = (J * (J + 1)).astype(float)
     diag.setflags(write=False)
     return diag
 
@@ -520,7 +526,7 @@ def _hamiltonian_blocks(model: RotorModel):
 def hamiltonian_matrix(model: RotorModel) -> np.ndarray:
     """Dense real symmetric Hamiltonian over build_basis(model.Jmax), cm^-1."""
     blocks = _hamiltonian_blocks(model)  # checks the model first
-    H = np.zeros((len(_kinetic_diagonal(model.Jmax)),) * 2)
+    H = np.zeros((_basis_size(model.Jmax),) * 2)
     for idx, hb in blocks:
         H[np.ix_(idx, idx)] = hb
     return H
@@ -535,19 +541,25 @@ class Eigensystem:
     """Eigenvalues (shifted so the ground level is 0, ascending) and the
     orthonormal eigenvectors, kept per parity block as eigh returned them:
     `blocks` holds (basis rows, column numbers in `energies` order, v) with
-    each block's column numbers ascending.  columns() writes dense n-row
+    each block's column numbers ascending.  The rows are the basis of
+    model.Jmax in the order of _basis_layout.  columns() writes dense n-row
     columns for the range a caller needs."""
 
     energies: np.ndarray
     blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    basis: tuple[BasisState, ...]
     model: RotorModel
+
+    @property
+    def basis(self) -> tuple[BasisState, ...]:
+        """The basis states of the rows, built on each call; no solve step
+        reads them."""
+        return tuple(build_basis(self.model.Jmax))
 
     def columns(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Eigenvector columns start..stop-1 over the basis, zero outside
         their block."""
         stop = len(self.energies) if stop is None else stop
-        out = np.zeros((len(self.basis), stop - start))
+        out = np.zeros((_basis_size(self.model.Jmax), stop - start))
         for rows, cols, v in self.blocks:
             lo, hi = np.searchsorted(cols, (start, stop))
             out[np.ix_(rows, cols[lo:hi] - start)] = v[:, lo:hi]
@@ -593,8 +605,7 @@ def diagonalize(model: RotorModel) -> Eigensystem:
     blocks = tuple((idx, column[end - len(w):end], v) for (idx, w, v), end in zip(solved, ends))
     energies = energies[order]
     energies -= energies[0]
-    return Eigensystem(energies=energies, blocks=blocks,
-                       basis=tuple(build_basis(model.Jmax)), model=model)
+    return Eigensystem(energies=energies, blocks=blocks, model=model)
 
 
 # ----------------------------------------------------------------------------
@@ -680,7 +691,7 @@ def _isotypic_coefficients(vectors: np.ndarray, J: int, labels=None):
     the columns' projections onto c.  The k side is applied once per
     molecular irrep that has a wanted constituent."""
     d = 2 * J + 1
-    start = J * (2 * J - 1) * (2 * J + 1) // 3  # sum of (2J'+1)^2 over J' < J
+    start = _basis_size(J - 1)
     Vj = vectors[start:start + d * d].reshape(d, d, -1)
     for mol, conj_mol in _CONJUGATE.items():
         sites = [site for site in _CONJUGATE if labels is None
@@ -790,31 +801,25 @@ def tunneling_frequencies(levels) -> tuple[float, float]:
 # rank-l transition operator matrices (for line strengths)
 # ----------------------------------------------------------------------------
 
-def rank_operator_blocks(jmax: int, rank: int):
-    """Sparse matrices of D^rank_{mu nu} over the basis, keyed (mu, nu); each
-    entry is Fnu * (s * Fmu), as scipy.sparse.kron(F[nu], s * F[mu]) gives.
-    Uncached: transition_strength reads them stacked by _operator_rows."""
-    n = len(build_basis(jmax))
-    mats = {}
-    for mu in range(-rank, rank + 1):
-        for nu in range(-rank, rank + 1):
-            rows, cols, vals = zip(*((r, c, fnu * (s * fmu)) for r, c, fnu, fmu, s
-                                     in _nonzero_elements(jmax, rank, mu, nu)))
-            mats[(mu, nu)] = scipy.sparse.csr_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-    return mats
-
-
 @lru_cache(maxsize=4)
-def _operator_rows(jmax: int, rank: int) -> tuple[scipy.sparse.csr_matrix, ...]:
-    """One CSR matrix per mu, ascending: the D^rank_{mu nu} of
-    rank_operator_blocks stacked over ascending nu, (2 rank + 1) n x n.  The
-    stack keeps each row's entries and their order, so a product with it
-    sums every output row as the product with that row's block does."""
-    mats = rank_operator_blocks(jmax, rank)
+def rank_operator_blocks(jmax: int, rank: int) -> dict[int, scipy.sparse.csr_matrix]:
+    """{mu: the D^rank_{mu nu} over the basis stacked over ascending nu}, mu
+    ascending: rows i n .. (i + 1) n - 1 of a stack are the i-th nu's block.
+    Each entry is Fnu * (s * Fmu), as scipy.sparse.kron(F[nu], s * F[mu])
+    gives, and each row keeps its entries in column order, as its block's
+    own CSR matrix does, so a product with a stack sums every output row as
+    the product with that block does."""
+    n = _basis_size(jmax)
     comps = range(-rank, rank + 1)
-    return tuple(scipy.sparse.vstack([mats[(mu, nu)] for nu in comps], format="csr")
-                 for mu in comps)
+    stacks = {}
+    for mu in comps:
+        rows, cols, vals = zip(*((i * n + r, c, fnu * (s * fmu))
+                                 for i, nu in enumerate(comps) for r, c, fnu, fmu, s
+                                 in _nonzero_elements(jmax, rank, mu, nu)))
+        stacks[mu] = scipy.sparse.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(len(comps) * n, n))
+    return stacks
 
 
 def transition_strength(lower: EnergyLevel, uppers, rank: int) -> list[float]:
@@ -826,14 +831,12 @@ def transition_strength(lower: EnergyLevel, uppers, rank: int) -> list[float]:
     projects them; each final's total adds the components in (mu, nu) order."""
     if lower.vectors is None or any(up.vectors is None for up in uppers):
         raise RotorError("levels must carry eigenvectors for strength evaluation")
-    n, jmax, size = lower.vectors.shape[0], 0, 1
-    while size < n:
-        jmax += 1
-        size += (2 * jmax + 1) ** 2
-    if size != n:
+    n = lower.vectors.shape[0]
+    jmax = next(j for j in itertools.count() if _basis_size(j) >= n)
+    if _basis_size(jmax) != n:
         raise RotorError(f"level vectors have {n} rows, which is no basis size")
     totals = [0.0] * len(uppers)
-    for row in _operator_rows(jmax, rank):
+    for row in rank_operator_blocks(jmax, rank).values():
         images = (row @ lower.vectors).reshape(2 * rank + 1, n, lower.vectors.shape[1])
         for i, up in enumerate(uppers):
             X = up.vectors.T @ images

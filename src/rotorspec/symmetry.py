@@ -36,7 +36,6 @@ import numpy as np
 
 __all__ = [
     "GroupTable",
-    "IrrepLabel",
     "SpinSpecies",
     "GroupError",
     "character_table",
@@ -102,26 +101,6 @@ class GroupTable:
             if dim == 1 and all(abs(c - 1) < 1e-12 for c in ch):
                 return label
         raise GroupError(f"{self.name}: no totally symmetric irrep found")
-
-
-@dataclass(frozen=True)
-class IrrepLabel:
-    group: str
-    label: str
-    dimension: int
-
-    def __post_init__(self):
-        table = character_table(self.group)
-        _, dim, _ = table.irrep(self.label)
-        if dim != self.dimension:
-            raise GroupError(
-                f"irrep {self.label} of {self.group} has dimension {dim}, not {self.dimension}"
-            )
-
-
-def irrep_label(group: str, label: str) -> IrrepLabel:
-    table = character_table(group)
-    return IrrepLabel(group, label, table.irrep(label)[1])
 
 
 @dataclass(frozen=True)
@@ -311,15 +290,13 @@ def compose(content: dict[str, int], table: GroupTable) -> np.ndarray:
 _TD_TO_D2D_CLASS = (0, 3, 2, 2, 4)
 
 
-def correlate(irrep: IrrepLabel) -> dict[str, int]:
-    """Descent-in-symmetry correlation of a Td irrep into D2d.
+def correlate(label: str) -> dict[str, int]:
+    """Descent-in-symmetry correlation of the Td irrep `label` into D2d.
 
     Any S4 axis of Td gives a conjugate subgroup and hence the same result;
     the z axis is fixed here by convention.
     """
-    if irrep.group != "Td":
-        raise GroupError(f"correlate expects a Td irrep, got group {irrep.group!r}")
-    chi = character_table("Td").characters(irrep.label)
+    chi = character_table("Td").characters(label)
     restricted = np.array([chi[i] for i in _TD_TO_D2D_CLASS])
     return decompose(restricted, character_table("D2d"))
 
@@ -425,17 +402,13 @@ def spin_decomposition() -> list[SpinSpecies]:
 # selection rules
 # ----------------------------------------------------------------------------
 
-def selection_allowed(initial: IrrepLabel, final: IrrepLabel, operator: IrrepLabel) -> bool:
+def selection_allowed(group: str, initial: str, final: str, operator: str) -> bool:
     """True iff conj(final) x operator x initial contains the totally
-    symmetric irrep of the shared group."""
-    if not (initial.group == final.group == operator.group):
-        raise GroupError(
-            f"mixed groups in selection rule: {initial.group}, {final.group}, {operator.group}"
-        )
-    table = character_table(initial.group)
-    chi = (np.conj(table.characters(final.label))
-           * table.characters(operator.label)
-           * table.characters(initial.label))
+    symmetric irrep of `group`, the three being irrep labels of it."""
+    table = character_table(group)
+    chi = (np.conj(table.characters(final))
+           * table.characters(operator)
+           * table.characters(initial))
     n = np.sum(table.class_sizes * chi) / table.order
     ni = round(n.real)
     if abs(n - ni) > 1e-9:

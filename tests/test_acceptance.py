@@ -134,7 +134,7 @@ def test_criterion_6_descent_correlation(capsys):
     pullback = [0, 3, 2, 2, 4]
     ok = True
     for label, dim, _ in td.irreps:
-        image = symmetry.correlate(symmetry.irrep_label("Td", label))
+        image = symmetry.correlate(label)
         ok &= sum(d2d.irrep(l)[1] * n for l, n in image.items()) == dim
         chi = np.array([td.characters(label)[i] for i in pullback])
         oracle = np.linalg.solve(

@@ -234,7 +234,7 @@ def test_jmax_bounded_by_memory(monkeypatch):
     def no_basis(jmax):
         raise AssertionError("parse_config built a basis")
 
-    monkeypatch.setattr(rotor, "build_basis", no_basis)
+    monkeypatch.setattr(rotor, "_basis_layout", no_basis)
     text = DEFAULT_CONFIG_TEXT.replace("[model]", "[model]\nJmax = 60")
     with pytest.raises(ConfigError) as err:
         parse_config(text)
@@ -539,6 +539,25 @@ def test_cli_envelope_fit_rejects_fwhm_box_below_sample_spacing(workdir, capsys)
     err = capsys.readouterr().err
     assert rc == 1 and err.startswith("error: obs.csv: --bound fwhm: the low end 0.05 is below")
     assert "Traceback" not in err
+
+
+def test_cli_envelope_fit_rejects_fixed_fwhm_below_sample_spacing(workdir, capsys):
+    # the config's 0.1-wide lines fall between the samples of its own
+    # envelope taken at every fifth 0.1 step
+    (workdir / "narrow.cfg").write_text((REPO / "configs" / "atpb.cfg").read_text()
+                                        .replace("Jmax = 10", "Jmax = 4")
+                                        .replace("step = 0.05", "step = 0.1")
+                                        .replace("fwhm = 1.5", "fwhm = 0.1"))
+    assert cli.main(["spectrum", "--config", "narrow.cfg", "--out-spectrum", "env.csv"]) == 0
+    header, *rows = (workdir / "env.csv").read_text().splitlines()
+    (workdir / "obs.csv").write_text("\n".join([header, *rows[::5]]) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["fit", "--config", "narrow.cfg", "--mode", "envelope", "--envelope", "obs.csv",
+                   "--free", "nu0"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("error: obs.csv: fwhm: the fixed width 0.1 is below the observed grid's "
+                   "largest spacing 0.5 cm^-1\n")
 
 
 @pytest.mark.parametrize("name", ["fwhm", "scale"])

@@ -401,6 +401,19 @@ def test_envelope_fwhm_box_below_observed_spacing_rejected(emodel):
     fit_envelope(written, emodel.amplitude(dict(TRUTH, beta=1.0), written), spec, emodel)
 
 
+def test_envelope_fixed_fwhm_below_observed_spacing_rejected(emodel):
+    # a fixed width is the narrowest the fit tries, so it takes the check
+    # that the box's low end takes when fwhm is free
+    freqs = np.arange(3190.0, 3250.0, 0.5)
+    amps = emodel.amplitude(dict(TRUTH, beta=1.0, fwhm=0.1), freqs)
+    spec = FitSpec(free_params=("nu0",), initial=dict(TRUTH, beta=1.0, fwhm=0.1),
+                   n_starts=1, max_iterations=2)
+    with pytest.raises(FitError, match=r"^fwhm: the fixed width 0\.1 is below the observed "
+                                       r"grid's largest spacing 0\.5 cm\^-1$"):
+        fit_envelope(freqs, amps, spec, emodel)
+    fit_envelope(freqs, amps, replace(spec, initial=dict(TRUTH, beta=1.0, fwhm=0.5)), emodel)
+
+
 # ---------------------------------------------------------------- one band model
 
 SHIPPED = (Path(__file__).resolve().parent.parent / "configs" / "atpb.cfg").read_text() \

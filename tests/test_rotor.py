@@ -3,8 +3,11 @@ classification and tunneling frequencies."""
 
 import dataclasses
 import functools
+import importlib
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +38,35 @@ def test_basis_counts():
 @given(st.integers(min_value=0, max_value=14))
 def test_basis_count_closed_form(jmax):
     assert len(build_basis(jmax)) == (jmax + 1) * (2 * jmax + 1) * (2 * jmax + 3) // 3
+
+
+def test_basis_layout_bit_equal_to_build_basis_and_unread_by_solves(monkeypatch):
+    # the layout arrays give the order of the nested loops, and the parity
+    # blocks and kinetic diagonal built from them are those of the states
+    for jmax in range(7):
+        states = [(J, k, m) for J in range(jmax + 1)
+                  for k in range(-J, J + 1) for m in range(-J, J + 1)]
+        assert [(s.J, s.k, s.m) for s in build_basis(jmax)] == states
+        assert list(zip(*(a.tolist() for a in rotor._basis_layout(jmax)))) == states
+        assert rotor._basis_size(jmax) == len(states)
+        blocks = rotor._parity_blocks(jmax)
+        for (kp, mp), idx in zip([(0, 0), (0, 1), (1, 0), (1, 1)], blocks):
+            want = np.array([i for i, (_, k, m) in enumerate(states)
+                             if (k % 2, m % 2) == (kp, mp)], dtype=np.intp)
+            assert idx.dtype == want.dtype and idx.tobytes() == want.tobytes()
+        kin = np.array([J * (J + 1) for J, _, _ in states], dtype=float)
+        assert rotor._kinetic_diagonal(jmax).tobytes() == kin.tobytes()
+
+    def no_state(self):
+        raise AssertionError("a solve built a BasisState")
+
+    for cached in (rotor._basis_layout, rotor._kinetic_diagonal, rotor._potential_blocks,
+                   rotor.rank_operator_blocks):
+        cached.cache_clear()
+    monkeypatch.setattr(BasisState, "__post_init__", no_state)
+    levels = classify_levels(diagonalize(RotorModel.create(B=B0, beta=1.0, Jmax=4)))
+    for rank in (1, 2):
+        rotor.transition_strength(levels[0], levels, rank)
 
 
 def test_basis_state_validation():
@@ -275,11 +307,12 @@ def test_hamiltonian_commutes_with_all_144_rotations():
 def test_rank_operator_blocks_match_dense_elements(rank):
     jmax = 3
     basis = build_basis(jmax)
-    mats = rotor.rank_operator_blocks(jmax, rank)
+    n = len(basis)
+    ops = rotor.rank_operator_blocks(jmax, rank)
     comps = range(-rank, rank + 1)
-    assert set(mats) == {(mu, nu) for mu in comps for nu in comps}
-    for (mu, nu), M in mats.items():
-        dense = np.zeros((len(basis), len(basis)))
+    assert list(ops) == list(comps)
+    for (mu, nu), M in _operator_blocks(ops, n).items():
+        dense = np.zeros((n, n))
         for i, bra in enumerate(basis):
             for j, ket in enumerate(basis):
                 dense[i, j] = (math.sqrt((2 * bra.J + 1) * (2 * ket.J + 1))
@@ -287,6 +320,13 @@ def test_rank_operator_blocks_match_dense_elements(rank):
                                * wigner3j(bra.J, rank, ket.J, bra.m, mu, -ket.m)
                                * wigner3j(bra.J, rank, ket.J, bra.k, nu, -ket.k))
         np.testing.assert_allclose(M.toarray(), dense, rtol=0, atol=1e-15)
+
+
+def _operator_blocks(ops, n):
+    """{(mu, nu): D_{mu nu}}: the row slices of rank_operator_blocks' stacks."""
+    rank = len(ops) // 2
+    return {(mu, nu): M[i * n:(i + 1) * n] for mu, M in ops.items()
+            for i, nu in enumerate(range(-rank, rank + 1))}
 
 
 def _dense_potential(jmax, potential):
@@ -310,8 +350,8 @@ def _dense_label_basis(jmax, name):
 def test_potential_matrix_is_coefficient_sum_of_operators(rank):
     jmax = 4
     c = invariant_coefficients(rank)
-    expected = sum(c[mu + rank, nu + rank] * M.toarray()
-                   for (mu, nu), M in rotor.rank_operator_blocks(jmax, rank).items())
+    blocks = _operator_blocks(rotor.rank_operator_blocks(jmax, rank), len(build_basis(jmax)))
+    expected = sum(c[mu + rank, nu + rank] * M.toarray() for (mu, nu), M in blocks.items())
     V = _dense_potential(jmax, ((rank, 1.0),))
     np.testing.assert_allclose(V, expected, rtol=0, atol=1e-13)
 
@@ -324,9 +364,8 @@ def test_potential_matrix_is_coefficient_sum_of_operators(rank):
 def _reference_potential_matrix(jmax, potential):
     """Dense assembly: each (J2, J) block is the c-weighted sum of
     kron(F[nu], F[mu]), scaled by sqrt((2J2+1)(2J+1)) and the term weight."""
-    offsets = rotor._j_offsets(jmax)
-    n = len(build_basis(jmax))
-    V = np.zeros((n, n))
+    offsets = np.cumsum([0] + [(2 * J + 1) ** 2 for J in range(jmax + 1)])
+    V = np.zeros((offsets[-1], offsets[-1]))
     for rank, weight in potential:
         cmat = invariant_coefficients(rank)
         for J2 in range(jmax + 1):
@@ -356,8 +395,8 @@ def test_potential_matrix_bit_equal_to_dense_assembly(potential):
 @pytest.mark.parametrize("rank", [1, 2])
 def test_rank_operator_blocks_bit_equal_to_kron_bmat(rank):
     jmax = 6
-    mats = rotor.rank_operator_blocks(jmax, rank)
-    for (mu, nu), M in mats.items():
+    ops = rotor.rank_operator_blocks(jmax, rank)
+    for (mu, nu), M in _operator_blocks(ops, len(build_basis(jmax))).items():
         grid = [[None] * (jmax + 1) for _ in range(jmax + 1)]
         for J2 in range(jmax + 1):
             for J in range(jmax + 1):
@@ -387,7 +426,7 @@ def test_batched_strength_equals_per_pair_products(jmax, beta, rank):
     # the per-mu row products and the batched product per final make the
     # BLAS calls of one (d_up x n) @ (n x d_low) product per component
     levels = _strength_levels(jmax, beta)
-    mats = rotor.rank_operator_blocks(jmax, rank)
+    mats = _operator_blocks(rotor.rank_operator_blocks(jmax, rank), len(build_basis(jmax)))
 
     def per_pair(lower, upper):
         total = 0.0
@@ -422,6 +461,30 @@ def test_strength_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak < bound * image_bytes, (rank, peak)
+
+
+def test_benchmark_tracer_times_each_operator_build_once(monkeypatch):
+    # perfbench's tracer wraps rotor.rank_operator_blocks by name and times
+    # only the calls that miss its cache
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    tracing = importlib.import_module("tracing")
+    levels = classify_levels(diagonalize(RotorModel.create(B=1.0, beta=1.0, Jmax=4)))
+    rotor.rank_operator_blocks.cache_clear()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for rank in (1, 2):
+            for _ in range(2):
+                rotor.transition_strength(levels[0], levels, rank)
+            spans = [span for span in tracer.spans if span[0] == "rotor.rank_operator_blocks"]
+            assert len(spans) == rank
+            nnz = sum(M.nnz for r in range(1, rank + 1)
+                      for M in rotor.rank_operator_blocks(4, r).values())
+            assert tracer.counts["rotor.rank_operator_blocks.nnz"] == nnz
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["rotor.transition_strength.calls"] == 4
 
 
 def _reference_project_label(vectors, jmax, label):
@@ -714,7 +777,7 @@ def test_classify_requires_content_to_fill_the_cluster():
     rows = np.arange(len(system.basis))
     fragments = rotor.Eigensystem(energies=np.array([0.0, 0.0, 1.0]),
                                   blocks=((rows, np.arange(3), a3.vectors @ u),),
-                                  basis=system.basis, model=model)
+                                  model=model)
     with pytest.raises(RotorError, match=r"2-state cluster at 0 cm\^-1 .* deviation 0\.333"):
         classify_levels(fragments)
 
