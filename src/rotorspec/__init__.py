@@ -2,5 +2,3 @@
 tetrahedral rotors in crystalline fields."""
 
 __version__ = "0.1.0"
-
-from . import config, fitting, qubitplan, rotor, spectrum, symmetry, units  # noqa: F401

@@ -591,9 +591,7 @@ def main(argv=None) -> int:
             return EXIT_INVALID
     try:
         return args.func(args)
-    except (config_mod.ConfigError, fitting.FitError, qubitplan.PlanError,
-            spectrum.SpectrumError, symmetry.GroupError, rotor.PotentialError,
-            OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every input error type is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
     except rotor.RotorError as exc:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from . import qubitplan, rotor, spectrum
 
-__all__ = ["RunConfig", "ConfigError", "Param", "PARAMS", "parse_config", "DEFAULT_CONFIG_TEXT"]
+__all__ = ["RunConfig", "ConfigError", "Param", "PARAMS", "parse_config"]
 
 
 class ConfigError(ValueError):
@@ -57,10 +57,6 @@ class RunConfig:
     crystal: qubitplan.CrystalSpec
     source_linewidth_ghz: float = field(default=1.0,
                                         metadata={"section": "source", "key": "linewidth_ghz"})
-
-    @classmethod
-    def defaults(cls) -> "RunConfig":
-        return parse_config(DEFAULT_CONFIG_TEXT)
 
     def validate(self) -> list[tuple[str, str, str]]:
         """Every problem of the run as (section, key, message): those of the
@@ -186,13 +182,3 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(sorted(set(errors), key=lambda e: (e[0], e[1] or "", e[2])))
     return replace(cfg, model=replace(cfg.model,
                                       potential=rotor.normalize_potential(cfg.model.potential)))
-
-
-DEFAULT_CONFIG_TEXT = """\
-[model]
-[band]
-[population]
-[synthesis]
-[crystal]
-[source]
-"""

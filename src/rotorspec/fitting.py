@@ -121,11 +121,6 @@ class PeakList:
         if len(set(freqs)) != len(freqs):
             raise FitError("duplicate peak frequencies rejected")
 
-    @classmethod
-    def from_frequencies(cls, freqs, labels=None):
-        labels = labels or [None] * len(freqs)
-        return cls(tuple(Peak(float(f), None, l) for f, l in zip(freqs, labels)))
-
 
 @dataclass(frozen=True)
 class FitSpec:
@@ -211,9 +206,6 @@ class FitReport:
     starts_run: int = 0         # starts the multistart ran, at most n_starts
     trace: tuple = field(default=(), repr=False, compare=False)
 
-    def max_abs_residual(self) -> float:
-        return max((abs(r[3]) for r in self.residuals), default=0.0)
-
 
 # ----------------------------------------------------------------------------
 # position model
@@ -254,9 +246,6 @@ class TransitionModel:
         "(L1)1->(E4)1*",
         "(L1)1->(E3)1*",
     )
-
-    def frequency(self, name: str, params: dict) -> float:
-        return float(self.frequencies([name], params)[0])
 
     def frequencies(self, names, params: dict) -> np.ndarray:
         b, beta = params["B"], params["beta"]
@@ -409,7 +398,8 @@ def _assign_peaks(observed: PeakList, model: TransitionModel, params0: dict):
             taken.add(peak.label)
         else:
             fallback.append(peak)
-    model_freqs = {n: model.frequency(n, params0) for n in model.NAMES} if fallback else {}
+    model_freqs = (dict(zip(model.NAMES, model.frequencies(model.NAMES, params0).tolist()))
+                   if fallback else {})
     for peak in fallback:
         candidates = sorted(
             ((abs(peak.frequency - f), n) for n, f in model_freqs.items()

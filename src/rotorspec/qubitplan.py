@@ -12,6 +12,7 @@ in c, so the sampling is exact and cheap).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ __all__ = [
     "coupling_estimate",
     "build_plan_report",
     "POISSON_MEAN_FACTOR",
+    "MAX_PAIRS",
 ]
 
 
@@ -85,23 +87,40 @@ class PlanReport:
     couplings: tuple           # (label, r_nm, coupling_hz)
 
 
-def delta_omega_table(lines) -> list[tuple[str, str, float, float]]:
-    """All unordered line pairs with separations in cm^-1 and GHz, sorted by
-    separation descending.  Needs at least two lines."""
+#: most pairs a full separation table holds (plan without --max-pairs)
+MAX_PAIRS = 100_000
+
+
+def _pairs(lines):
+    """Every unordered line pair as (upper line, lower line, cm^-1, GHz)."""
+    names = [f"{l.lower}->{l.upper}" for l in lines]
+    for i, li in enumerate(lines):
+        for j in range(i + 1, len(lines)):
+            lj = lines[j]
+            d = abs(li.frequency - lj.frequency)
+            a, b = (names[j], names[i]) if lj.frequency > li.frequency else (names[i], names[j])
+            yield a, b, d, units.cm1_to_ghz(d)
+
+
+def _widest_first(pair):
+    return -pair[2], pair[0], pair[1]
+
+
+def delta_omega_table(lines, max_pairs: int | None = None) -> list[tuple[str, str, float, float]]:
+    """Unordered line pairs with separations in cm^-1 and GHz, widest first.
+    With `max_pairs`, heapq.nsmallest keeps the first max_pairs as the pairs
+    are made (the same rows as sorted(...)[:max_pairs]), so memory stays
+    O(max_pairs).  Without it every pair is kept, and more than MAX_PAIRS
+    pairs are rejected before any is made.  Needs at least two lines."""
     if len(lines) < 2:
         raise PlanError(f"need at least two lines for a separation table, got {len(lines)}")
-    pairs = []
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            li, lj = lines[i], lines[j]
-            d = abs(li.frequency - lj.frequency)
-            a = f"{li.lower}->{li.upper}"
-            b = f"{lj.lower}->{lj.upper}"
-            if lj.frequency > li.frequency:
-                a, b = b, a
-            pairs.append((a, b, d, units.cm1_to_ghz(d)))
-    pairs.sort(key=lambda p: (-p[2], p[0], p[1]))
-    return pairs
+    if max_pairs is not None:
+        return heapq.nsmallest(max_pairs, _pairs(lines), key=_widest_first)
+    count = len(lines) * (len(lines) - 1) // 2
+    if count > MAX_PAIRS:
+        raise PlanError(f"{len(lines)} lines make {count} pairs, more than the {MAX_PAIRS} "
+                        "of a full table; keep the widest with --max-pairs")
+    return sorted(_pairs(lines), key=_widest_first)
 
 
 def addressable_channels(band_fwhm_cm1: float, source_linewidth_ghz: float) -> int:
@@ -188,9 +207,7 @@ def coupling_estimate(mu_debye: float, r_nm: float) -> float:
 
 def build_plan_report(lines, crystal: CrystalSpec, band_fwhm_cm1: float,
                       source_linewidth_ghz: float, max_pairs: int | None = None) -> PlanReport:
-    pairs = delta_omega_table(lines)
-    if max_pairs is not None:
-        pairs = pairs[:max_pairs]
+    pairs = delta_omega_table(lines, max_pairs)
     r_char = nn_distance(crystal, "characteristic")
     r_mean = nn_distance(crystal, "poisson_mean")
     couplings = (

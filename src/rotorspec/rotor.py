@@ -37,11 +37,11 @@ V conserves the parity of k and of m, so it is assembled straight into its
 four parity blocks, and diagonalize builds and solves H one block at a time
 and keeps each block's eigenvectors; dense n-row columns are written only for
 the levels classify_levels keeps, so a cut in energy leaves no n x n array on
-the level or spectrum path.  Until perfbench/ref is
-re-recorded these kernels must stay bit-identical to the dense/Kronecker
-definitions (a dense H cut into parity blocks included) that
-tests/test_rotor.py keeps as references.  The fit's label blocks are written
-from the same 3j factors per J, with no n-sized array.
+the level or spectrum path.  Until perfbench/ref is re-recorded these
+kernels must stay bit-identical to the dense/Kronecker definitions (a dense
+H cut into parity blocks included) that tests/reference.py keeps.  The
+fit's label blocks are written from the same 3j factors per J, with no
+n-sized array.
 
 Both label mechanisms rest on one projector per (J, T irrep), _row_basis,
 cached with its first-row or its whole isotypic image (site rotations act on
@@ -90,7 +90,6 @@ __all__ = [
     "hamiltonian_matrix",
     "diagonalize",
     "classify_levels",
-    "tunneling_frequencies",
     "rank_operator_blocks",
     "LevelGapCache",
     "DEFAULT_POTENTIAL",
@@ -131,15 +130,11 @@ def _basis_size(jmax: int) -> int:
     return (jmax + 1) * (2 * jmax + 1) * (2 * jmax + 3) // 3
 
 
-@lru_cache(maxsize=8)
 def _basis_layout(jmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only J, k and m of every basis state: J ascending, then k, then m."""
+    """J, k and m of every basis state: J ascending, then k, then m."""
     J = np.repeat(np.arange(jmax + 1), (2 * np.arange(jmax + 1) + 1) ** 2)
     k, m = np.divmod(np.arange(len(J)) - _basis_size(J - 1), 2 * J + 1)
-    layout = (J, k - J, m - J)
-    for a in layout:
-        a.setflags(write=False)
-    return layout
+    return J, k - J, m - J
 
 
 def build_basis(jmax: int) -> list[BasisState]:
@@ -401,9 +396,11 @@ class RotorModel:
 
     def validate(self) -> list[tuple[str, str]]:
         problems = []
-        if not self.B > 0:
-            problems.append(("B", f"B must be positive, got {self.B}"))
-        if self.beta < 0:
+        if not 0 < self.B < math.inf:
+            problems.append(("B", f"B must be positive and finite, got {self.B}"))
+        if not math.isfinite(self.beta):
+            problems.append(("beta", f"beta must be finite, got {self.beta}"))
+        elif self.beta < 0:
             problems.append(("beta", f"beta must be non-negative, got {self.beta}; "
                                      "flip the potential sign instead"))
         need = estimated_peak_bytes(self.Jmax)
@@ -495,12 +492,9 @@ def _potential_blocks(jmax: int, potential: tuple) -> tuple[tuple[np.ndarray, np
     return tuple((idx, part.reshape(len(idx), len(idx))) for idx, part in zip(blocks, parts))
 
 
-@lru_cache(maxsize=8)
 def _kinetic_diagonal(jmax: int) -> np.ndarray:
     J = _basis_layout(jmax)[0]
-    diag = (J * (J + 1)).astype(float)
-    diag.setflags(write=False)
-    return diag
+    return (J * (J + 1)).astype(float)
 
 
 def _require_normalized(potential):
@@ -543,7 +537,7 @@ class Eigensystem:
     `blocks` holds (basis rows, column numbers in `energies` order, v) with
     each block's column numbers ascending.  The rows are the basis of
     model.Jmax in the order of _basis_layout.  columns() writes dense n-row
-    columns for the range a caller needs."""
+    columns for the lowest levels a caller needs."""
 
     energies: np.ndarray
     blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
@@ -555,14 +549,14 @@ class Eigensystem:
         reads them."""
         return tuple(build_basis(self.model.Jmax))
 
-    def columns(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Eigenvector columns start..stop-1 over the basis, zero outside
-        their block."""
+    def columns(self, stop: int | None = None) -> np.ndarray:
+        """Eigenvector columns 0..stop-1 over the basis, zero outside their
+        block."""
         stop = len(self.energies) if stop is None else stop
-        out = np.zeros((_basis_size(self.model.Jmax), stop - start))
+        out = np.zeros((_basis_size(self.model.Jmax), stop))
         for rows, cols, v in self.blocks:
-            lo, hi = np.searchsorted(cols, (start, stop))
-            out[np.ix_(rows, cols[lo:hi] - start)] = v[:, lo:hi]
+            hi = np.searchsorted(cols, stop)
+            out[np.ix_(rows, cols[:hi])] = v[:, :hi]
         return out
 
     def residual_checks(self) -> tuple[float, float]:
@@ -731,7 +725,7 @@ def classify_levels(system: Eigensystem, max_energy: float | None = None) -> lis
     slices = [(a, b) for a, b in _cluster_slices(system.energies, 1e-6 * span)
               if max_energy is None or system.energies[a] <= max_energy]
     dims = np.array([dim for _, dim in _CONSTITUENTS])
-    columns = system.columns(0, slices[-1][1] if slices else 0)
+    columns = system.columns(slices[-1][1] if slices else 0)
     weights = np.zeros((len(_CONSTITUENTS), columns.shape[1]))
     for lo in range(0, columns.shape[1], _COUNT_CHUNK):
         chunk = slice(lo, lo + _COUNT_CHUNK)
@@ -787,14 +781,6 @@ def find_level(levels, label: str, ordinal: int = 1) -> EnergyLevel:
         if lev.rovib_label == label and lev.ordinal == ordinal:
             return lev
     raise RotorError(f"no level ({label}){ordinal} in the classified set")
-
-
-def tunneling_frequencies(levels) -> tuple[float, float]:
-    """(omega_LA, omega_LE2): the A1(1)-L1(1) and L1(1)-E2(1) gaps in cm^-1."""
-    a1 = find_level(levels, "A1", 1)
-    l1 = find_level(levels, "L1", 1)
-    e2 = find_level(levels, "E2", 1)
-    return l1.energy - a1.energy, e2.energy - l1.energy
 
 
 # ----------------------------------------------------------------------------

@@ -95,13 +95,6 @@ class GroupTable:
     def characters(self, label: str) -> np.ndarray:
         return np.array(self.irrep(label)[2], dtype=complex)
 
-    @property
-    def trivial_label(self) -> str:
-        for label, dim, ch in self.irreps:
-            if dim == 1 and all(abs(c - 1) < 1e-12 for c in ch):
-                return label
-        raise GroupError(f"{self.name}: no totally symmetric irrep found")
-
 
 @dataclass(frozen=True)
 class SpinSpecies:
@@ -228,25 +221,12 @@ _TABLES = {
     "TxT": _TXT_TABLE,
 }
 
-_ALIASES = {
-    "T": "T",
-    "TD": "Td",
-    "D2D": "D2d",
-    "C3V": "C3v",
-    "TXT": "TxT",
-    "TXTBAR": "TxT",
-    "T X T": "TxT",
-}
-
 
 def character_table(group: str) -> GroupTable:
     """Return the built-in table for T, Td, D2d, C3v or the product TxT."""
-    key = _ALIASES.get(str(group).upper().replace("*", "X"))
-    if key is None:
-        raise GroupError(
-            f"unknown group {group!r}; expected one of T, Td, D2d, C3v, TxT"
-        )
-    return _TABLES[key]
+    if group not in _TABLES:
+        raise GroupError(f"unknown group {group!r}; expected one of {', '.join(_TABLES)}")
+    return _TABLES[group]
 
 
 # ----------------------------------------------------------------------------
@@ -275,14 +255,6 @@ def decompose(rep_characters, table: GroupTable, tol: float = 1e-9) -> dict[str,
         if m:
             out[label] = m
     return out
-
-
-def compose(content: dict[str, int], table: GroupTable) -> np.ndarray:
-    """Characters of a direct sum of irreps (inverse of decompose)."""
-    chi = np.zeros(len(table.classes), dtype=complex)
-    for label, mult in content.items():
-        chi += mult * table.characters(label)
-    return chi
 
 
 # class restriction Td -> D2d fixing the z-axis S4:
@@ -431,15 +403,9 @@ class LevelLabel:
     spin: str                       # A, E or F
     pauli_count: int = field(default=0)
 
-    def site_characters(self) -> np.ndarray:
-        """Characters over T classes of the site factor (mol factor traced)."""
-        chi = np.zeros(4, dtype=complex)
-        for c in self.constituents:
-            s, m = c.split(".")
-            chi += _T_TABLE.characters(s) * _T_TABLE.irrep(m)[1]
-        return chi
-
     def mol_characters(self) -> np.ndarray:
+        """Characters over T classes of the molecular factor (site factor
+        traced)."""
         chi = np.zeros(4, dtype=complex)
         for c in self.constituents:
             s, m = c.split(".")

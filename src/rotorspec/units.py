@@ -21,10 +21,6 @@ def cm1_to_ghz(value_cm1: float) -> float:
     return value_cm1 * GHZ_PER_INV_CM
 
 
-def ghz_to_cm1(value_ghz: float) -> float:
-    return value_ghz / GHZ_PER_INV_CM
-
-
 def thermal_energy_cm1(temperature_k: float) -> float:
     """kT in cm^-1."""
     return KB_CM1_PER_K * temperature_k

@@ -19,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorspec import cli, config, fitting, rotor, spectrum
-from rotorspec.config import ConfigError, DEFAULT_CONFIG_TEXT, RunConfig, parse_config
+from rotorspec import cli, config, fitting, qubitplan, rotor, spectrum
+from reference import DEFAULT_CONFIG_TEXT
+from rotorspec.config import ConfigError, parse_config
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = REPO / "docs" / "schemas"
@@ -198,7 +199,7 @@ def test_each_rule_lives_in_its_model_type(section, line):
     key, _, raw = line.partition(" = ")
     param = _PARAMS[section, key]
     value = param.convert(raw)
-    owner = replace(getattr(RunConfig.defaults(), section), **{param.field: value})
+    owner = replace(getattr(parse_config(DEFAULT_CONFIG_TEXT), section), **{param.field: value})
     assert param.field in {f for f, _ in owner.validate()}
 
 
@@ -854,6 +855,58 @@ def test_cli_plan_mc_samples_bounded(workdir, capsys):
     rc = cli.main(["plan", "--config", "run.cfg", "--lines", "lines.csv",
                    "--mc-samples", str(10**12)])
     _assert_rejected(workdir, capsys, rc, "--mc-samples")
+
+
+def _stick_rows(count):
+    """A stick-list CSV of `count` distinct lines."""
+    return cli.STICKS_CSV_HEADER + "\n" + "".join(
+        f"{3150 + 170 * i / count!r},1.0,(L1){i + 1},(L1){i + 1}*,IR\n" for i in range(count))
+
+
+def test_cli_plan_pair_table_bounded(workdir, capsys, monkeypatch):
+    # without --max-pairs a list of more than MAX_PAIRS pairs is rejected
+    # before any pair is made, naming the file and the flag
+    count = next(n for n in range(2, 10**4) if n * (n - 1) // 2 > qubitplan.MAX_PAIRS)
+    (workdir / "lines.csv").write_text(_stick_rows(count))
+    pairs, made = qubitplan._pairs, []
+    monkeypatch.setattr(qubitplan, "_pairs", lambda lines: made.append(len(lines)) or pairs(lines))
+    rc = cli.main(["plan", "--config", "run.cfg", "--lines", "lines.csv"])
+    err = capsys.readouterr().err
+    assert rc == 1 and made == []
+    assert "lines.csv" in err and "--max-pairs" in err and "Traceback" not in err
+    assert cli.main(["plan", "--config", "run.cfg", "--lines", "lines.csv",
+                     "--max-pairs", "3", "--out", "plan.json"]) == 0
+    assert len(json.loads((workdir / "plan.json").read_text())["delta_omega_pairs"]) == 3
+    assert made == [count]
+
+
+#: run in a fresh process: the rotorspec command of argv[1:], then print its
+#: exit code and the process's peak RSS in kB (VmHWM, which starts afresh at
+#: exec, where the ru_maxrss of a child of this test process would not)
+_PEAK_RSS = """\
+import re, sys
+from rotorspec import cli
+rc = cli.main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(rc, re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+"""
+
+
+def test_cli_plan_max_pairs_bounds_memory(tmp_path):
+    # 2000 lines make 1999000 pairs, and with --max-pairs 10 ten are held.
+    # Measured on a 2-vCPU Linux machine: a table of all pairs before the
+    # cut peaked at 872 MB; now the run peaks at 64 MB, as the import does
+    (tmp_path / "run.cfg").write_text(FAST_CONFIG)
+    (tmp_path / "lines.csv").write_text(_stick_rows(2000))
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, "plan", "--config", "run.cfg",
+                           "--lines", "lines.csv", "--max-pairs", "10", "--out", "plan.json"],
+                          cwd=tmp_path, capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    rc, peak_kb = map(int, proc.stdout.split()[-2:])
+    assert rc == 0
+    assert len(json.loads((tmp_path / "plan.json").read_text())["delta_omega_pairs"]) == 10
+    assert peak_kb * 1024 < 120e6
 
 
 # any text in an input CSV: exit 0, 1 with the file named, or 2 (the fit's

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rotorspec import units
+from rotorspec import qubitplan, units
 from rotorspec.qubitplan import (POISSON_MEAN_FACTOR, CrystalSpec, PlanError,
                                  addressable_channels, build_plan_report,
                                  coupling_estimate, delta_omega_table,
@@ -54,6 +54,23 @@ def test_delta_omega_permutation_invariant(freqs, rnd):
     shuffled = _lines(freqs)
     rnd.shuffle(shuffled)
     assert delta_omega_table(shuffled) == base
+
+
+@given(st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=9),
+       st.integers(min_value=0, max_value=40))
+def test_max_pairs_keeps_the_first_rows_of_the_full_table(freqs, k):
+    # few distinct frequencies, so separations tie and the names decide
+    lines = _lines([3200.0 + f for f in freqs])
+    assert delta_omega_table(lines, max_pairs=k) == delta_omega_table(lines)[:k]
+
+
+def test_full_table_bounded_before_any_pair_is_made(monkeypatch):
+    count = next(n for n in range(2, 10**4) if n * (n - 1) // 2 > qubitplan.MAX_PAIRS)
+    lines = _lines([3000.0 + i for i in range(count)])
+    monkeypatch.setattr(qubitplan, "_pairs", lambda lines: pytest.fail("a pair was made"))
+    with pytest.raises(PlanError, match=f"{count} lines make .* more than the {qubitplan.MAX_PAIRS}"):
+        delta_omega_table(lines)
+    assert qubitplan.MAX_PAIRS >= 5 * 186 * 185 // 2  # the shipped config's stick list
 
 
 def test_ghz_conversion_single_constant():

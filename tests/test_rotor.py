@@ -11,18 +11,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
+from reference import tunneling_frequencies
 from rotorspec import rotor, symmetry
 from rotorspec.rotor import (BasisState, LevelGapCache, PotentialError,
                              RotorError, RotorModel, build_basis,
                              classify_levels, diagonalize,
                              hamiltonian_matrix, invariant_coefficients,
-                             potential_range, tunneling_frequencies,
-                             wigner3j, wigner_d_matrix)
+                             potential_range, wigner3j, wigner_d_matrix)
 
 B0 = 5.9
 
@@ -60,8 +60,7 @@ def test_basis_layout_bit_equal_to_build_basis_and_unread_by_solves(monkeypatch)
     def no_state(self):
         raise AssertionError("a solve built a BasisState")
 
-    for cached in (rotor._basis_layout, rotor._kinetic_diagonal, rotor._potential_blocks,
-                   rotor.rank_operator_blocks):
+    for cached in (rotor._potential_blocks, rotor.rank_operator_blocks):
         cached.cache_clear()
     monkeypatch.setattr(BasisState, "__post_init__", no_state)
     levels = classify_levels(diagonalize(RotorModel.create(B=B0, beta=1.0, Jmax=4)))
@@ -270,23 +269,11 @@ def test_invalid_model_rejected():
         hamiltonian_matrix(RotorModel(B=B0, Jmax=1))
     with pytest.raises(RotorError, match="B must"):
         hamiltonian_matrix(RotorModel(B=-2.0, Jmax=4))
-
-
-def _site_mol_operator(jmax, rs, rm):
-    """Independent product-group representation built from dense Kronecker
-    blocks (k-major within each J block)."""
-    blocks = []
-    for J in range(jmax + 1):
-        Ds = wigner_d_matrix(J, *rs)
-        Dm = wigner_d_matrix(J, *rm).conj()
-        blocks.append(np.kron(Dm, Ds))
-    n = sum(b.shape[0] for b in blocks)
-    U = np.zeros((n, n), dtype=complex)
-    ofs = 0
-    for b in blocks:
-        U[ofs:ofs + b.shape[0], ofs:ofs + b.shape[0]] = b
-        ofs += b.shape[0]
-    return U
+    # non-finite values used to reach the solver and return NaN energies
+    with pytest.raises(RotorError, match="beta must be finite"):
+        diagonalize(RotorModel.create(beta=float("nan"), Jmax=4))
+    with pytest.raises(RotorError, match="B must be positive and finite"):
+        diagonalize(RotorModel.create(B=float("inf"), Jmax=4))
 
 
 def test_hamiltonian_commutes_with_all_144_rotations():
@@ -297,7 +284,7 @@ def test_hamiltonian_commutes_with_all_144_rotations():
     scale = np.abs(H).max()
     for rs in rots:
         for rm in rots:
-            U = _site_mol_operator(jmax, rs, rm)
+            U = reference.site_mol_operator(jmax, rs, rm)
             assert np.abs(U @ H - H @ U).max() < 1e-10 * scale
 
 
@@ -311,7 +298,7 @@ def test_rank_operator_blocks_match_dense_elements(rank):
     ops = rotor.rank_operator_blocks(jmax, rank)
     comps = range(-rank, rank + 1)
     assert list(ops) == list(comps)
-    for (mu, nu), M in _operator_blocks(ops, n).items():
+    for (mu, nu), M in reference.operator_blocks(ops, n).items():
         dense = np.zeros((n, n))
         for i, bra in enumerate(basis):
             for j, ket in enumerate(basis):
@@ -322,81 +309,35 @@ def test_rank_operator_blocks_match_dense_elements(rank):
         np.testing.assert_allclose(M.toarray(), dense, rtol=0, atol=1e-15)
 
 
-def _operator_blocks(ops, n):
-    """{(mu, nu): D_{mu nu}}: the row slices of rank_operator_blocks' stacks."""
-    rank = len(ops) // 2
-    return {(mu, nu): M[i * n:(i + 1) * n] for mu, M in ops.items()
-            for i, nu in enumerate(range(-rank, rank + 1))}
-
-
-def _dense_potential(jmax, potential):
-    """Dense V scattered from its parity blocks; 0 between blocks."""
-    n = len(build_basis(jmax))
-    V = np.zeros((n, n))
-    for idx, block in rotor._potential_blocks(jmax, potential):
-        V[np.ix_(idx, idx)] = block
-    return V
-
-
-def _dense_label_basis(jmax, name):
-    """Orthonormal columns of a level symbol's block over the whole basis:
-    kron(*_first_row_bases(J, first constituent)) on each J's rows."""
-    constituent = symmetry.LEVEL_LABELS[name].constituents[0]
-    return scipy.linalg.block_diag(*(np.kron(*rotor._first_row_bases(J, constituent))
-                                     for J in range(jmax + 1)))
-
-
 @pytest.mark.parametrize("rank", [3, 4])
 def test_potential_matrix_is_coefficient_sum_of_operators(rank):
     jmax = 4
     c = invariant_coefficients(rank)
-    blocks = _operator_blocks(rotor.rank_operator_blocks(jmax, rank), len(build_basis(jmax)))
+    n = len(build_basis(jmax))
+    blocks = reference.operator_blocks(rotor.rank_operator_blocks(jmax, rank), n)
     expected = sum(c[mu + rank, nu + rank] * M.toarray() for (mu, nu), M in blocks.items())
-    V = _dense_potential(jmax, ((rank, 1.0),))
+    V = reference.dense_potential(jmax, ((rank, 1.0),))
     np.testing.assert_allclose(V, expected, rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------- bit-exact kernels
 # Until perfbench/ref is re-recorded, the roundoff spin-A Raman sticks depend
 # on the last bit of V, the operators and the projected level vectors, so the
-# sparse kernels must reproduce these dense/kron definitions exactly.
-
-def _reference_potential_matrix(jmax, potential):
-    """Dense assembly: each (J2, J) block is the c-weighted sum of
-    kron(F[nu], F[mu]), scaled by sqrt((2J2+1)(2J+1)) and the term weight."""
-    offsets = np.cumsum([0] + [(2 * J + 1) ** 2 for J in range(jmax + 1)])
-    V = np.zeros((offsets[-1], offsets[-1]))
-    for rank, weight in potential:
-        cmat = invariant_coefficients(rank)
-        for J2 in range(jmax + 1):
-            for J in range(jmax + 1):
-                if abs(J - J2) > rank:
-                    continue
-                F = rotor._three_j_factors(J2, J, rank)
-                block = np.zeros(((2 * J2 + 1) ** 2, (2 * J + 1) ** 2))
-                for mu in range(-rank, rank + 1):
-                    for nu in range(-rank, rank + 1):
-                        cc = cmat[mu + rank, nu + rank]
-                        if cc != 0.0:
-                            block += cc * np.kron(F[nu + rank], F[mu + rank])
-                block = math.sqrt((2 * J2 + 1) * (2 * J + 1)) * block
-                r0, c0 = offsets[J2], offsets[J]
-                V[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] += weight * block
-    return V
-
+# sparse kernels must reproduce the dense/kron definitions of reference.py
+# exactly.
 
 @pytest.mark.parametrize("potential", [((3, -1.0),), ((4, -1.0),), ((3, -1.0), (4, 0.3))])
 def test_potential_matrix_bit_equal_to_dense_assembly(potential):
     pot = rotor.normalize_potential(potential)
-    V = _dense_potential(6, pot)
-    assert V.tobytes() == _reference_potential_matrix(6, pot).tobytes()
+    V = reference.dense_potential(6, pot)
+    assert V.tobytes() == reference.potential_matrix(6, pot).tobytes()
 
 
 @pytest.mark.parametrize("rank", [1, 2])
 def test_rank_operator_blocks_bit_equal_to_kron_bmat(rank):
     jmax = 6
     ops = rotor.rank_operator_blocks(jmax, rank)
-    for (mu, nu), M in _operator_blocks(ops, len(build_basis(jmax))).items():
+    for (mu, nu), M in reference.operator_blocks(ops, len(build_basis(jmax))).items():
         grid = [[None] * (jmax + 1) for _ in range(jmax + 1)]
         for J2 in range(jmax + 1):
             for J in range(jmax + 1):
@@ -426,21 +367,15 @@ def test_batched_strength_equals_per_pair_products(jmax, beta, rank):
     # the per-mu row products and the batched product per final make the
     # BLAS calls of one (d_up x n) @ (n x d_low) product per component
     levels = _strength_levels(jmax, beta)
-    mats = _operator_blocks(rotor.rank_operator_blocks(jmax, rank), len(build_basis(jmax)))
-
-    def per_pair(lower, upper):
-        total = 0.0
-        for M in mats.values():
-            X = upper.vectors.T @ (M @ lower.vectors)
-            total += float(np.sum(X * X))
-        return total
+    ops = rotor.rank_operator_blocks(jmax, rank)
+    mats = reference.operator_blocks(ops, rotor._basis_size(jmax))
 
     assert len(levels) > 10
     if jmax == 8:
         assert max(lev.degeneracy for lev in levels) == 18
         assert len({lev.energy for lev in levels}) < len(levels)  # split clusters
     for lower in levels:
-        expected = [per_pair(lower, upper) for upper in levels]
+        expected = [reference.strength(lower, upper, mats) for upper in levels]
         assert rotor.transition_strength(lower, levels, rank) == expected
     assert rotor.transition_strength(levels[0], [], rank) == []
 
@@ -487,35 +422,6 @@ def test_benchmark_tracer_times_each_operator_build_once(monkeypatch):
     assert tracer.counts["rotor.transition_strength.calls"] == 4
 
 
-def _reference_project_label(vectors, jmax, label):
-    """Isotypic projection applying the full U(site, mol) per group element:
-    the sum over all 144 (site, mol) rotation pairs of the label's
-    characters times U, then a real orthonormal basis of the image."""
-    chars = {row[0]: np.asarray(row[2]) for row in symmetry.character_table("T").irreps}
-    vb, ofs = [], 0
-    for J in range(jmax + 1):
-        d = 2 * J + 1
-        vb.append(vectors[ofs:ofs + d * d].astype(complex).reshape(d, d, -1))
-        ofs += d * d
-    acc = [np.zeros_like(b) for b in vb]
-    for rs_axis, rs_angle, cs in symmetry.T_ROTATIONS:
-        for rm_axis, rm_angle, cm in symmetry.T_ROTATIONS:
-            coef = 0.0
-            for cst in label.constituents:
-                s, m = cst.split(".")
-                coef += np.conj(chars[s][cs] * chars[m][cm])
-            if coef == 0.0:
-                continue
-            for J, Vj in enumerate(vb):
-                Ds = wigner_d_matrix(J, rs_axis, rs_angle)
-                Dm = wigner_d_matrix(J, rm_axis, rm_angle).conj()
-                acc[J] += coef * np.matmul(Ds, np.tensordot(Dm, Vj, axes=(1, 0)))
-    flat = np.vstack([b.reshape(-1, vectors.shape[1]) for b in acc]) / 144.0
-    coeff = vectors.T @ flat
-    u, s, _ = np.linalg.svd(np.hstack([coeff.real, coeff.imag]), full_matrices=False)
-    return vectors @ u[:, :int(np.sum(s > 1e-8))]
-
-
 def test_split_levels_span_the_reference_projection():
     # every level of a cluster holding several labels spans that label's
     # isotypic projection of the cluster, summed over the group element by
@@ -533,29 +439,12 @@ def test_split_levels_span_the_reference_projection():
                     continue
                 split += 1
                 for lev in cluster:
-                    ref = _reference_project_label(system.columns(a, b), 6,
+                    ref = reference.project_label(system.columns(b)[:, a:], 6,
                                                    symmetry.LEVEL_LABELS[lev.rovib_label])
                     assert ref.shape == lev.vectors.shape
                     diff = lev.vectors @ lev.vectors.T - ref @ ref.T
                     assert np.abs(diff).max() <= 1e-12
     assert split >= 9
-
-
-def _reference_split(columns, a, b, names, jmax):
-    """The split pass of classify_levels over the Gram matrices of all 16
-    product irreps, kept for `names`: columns a..b-1 onto the eigenvalue-1
-    eigenvectors of each label's real Gram matrix, labels in name order,
-    written over those columns as classify_levels writes them."""
-    vecs = columns[:, a:b]
-    grams = dict.fromkeys(names, 0.0)
-    for J in range(jmax + 1):
-        for c, coeff in rotor._isotypic_coefficients(vecs, J):
-            name = symmetry.CONSTITUENT_TO_LABEL[rotor._CONSTITUENTS[c][0]]
-            if name in grams:
-                grams[name] += coeff.conj().T @ coeff
-    splits = [np.linalg.eigh(grams[name].real) for name in sorted(names)]
-    vecs[:] = np.hstack([vecs @ u[:, w > 0.5] for w, u in splits])
-    return vecs
 
 
 def test_split_levels_bit_equal_to_all_irrep_split():
@@ -574,7 +463,7 @@ def test_split_levels_bit_equal_to_all_irrep_split():
                 if len(cluster) < 2:
                     continue
                 split += 1
-                ref = _reference_split(columns, a, b, {lev.rovib_label for lev in cluster}, 6)
+                ref = reference.split(columns, a, b, {lev.rovib_label for lev in cluster}, 6)
                 assert sum(lev.degeneracy for lev in cluster) == ref.shape[1]
                 start = 0
                 for lev in cluster:  # name order, as the split
@@ -645,49 +534,20 @@ def test_eigensystem_invariants(system_beta1):
 
 # Until perfbench/ref is re-recorded, levels and strengths depend on the last
 # bit of the eigenvectors, so the per-block assembly and solve must reproduce
-# the dense-H definition exactly.
-
-def _reference_hamiltonian(model):
-    H = np.diag(model.B * rotor._kinetic_diagonal(model.Jmax))
-    H += (model.beta * model.B) * _dense_potential(model.Jmax, model.potential)
-    return H
-
-
-def _reference_diagonalize(model):
-    """Dense H, eigh per parity block, eigenvectors zero-filled in block order
-    and then permuted to energy order."""
-    H = _reference_hamiltonian(model)
-    basis = build_basis(model.Jmax)
-    n = len(basis)
-    energies = np.empty(n)
-    vectors = np.zeros((n, n))
-    filled = 0
-    for kp in (0, 1):
-        for mp in (0, 1):
-            idx = np.array([i for i, s in enumerate(basis) if (s.k % 2, s.m % 2) == (kp, mp)])
-            w, v = np.linalg.eigh(H[np.ix_(idx, idx)])
-            energies[filled:filled + len(idx)] = w
-            vectors[np.ix_(idx, np.arange(filled, filled + len(idx)))] = v
-            filled += len(idx)
-    order = np.argsort(energies, kind="stable")
-    energies = energies[order]
-    vectors = vectors[:, order]
-    energies -= energies[0]
-    return energies, vectors
-
+# the dense-H definition of reference.py exactly.
 
 @pytest.mark.parametrize("potential", [((3, -1.0),), ((3, -1.0), (4, 0.3)), ((4, -1.0),)])
 @pytest.mark.parametrize("beta", [0.05, 1.0, 6.0])
 @pytest.mark.parametrize("jmax", [6, 8])
 def test_diagonalize_bit_equal_to_dense_hamiltonian(jmax, beta, potential):
     model = RotorModel.create(B=B0, beta=beta, potential=potential, Jmax=jmax)
-    assert hamiltonian_matrix(model).tobytes() == _reference_hamiltonian(model).tobytes()
+    assert hamiltonian_matrix(model).tobytes() == reference.hamiltonian(model).tobytes()
     system = diagonalize(model)
-    energies, vectors = _reference_diagonalize(model)
+    energies, vectors = reference.diagonalize(model)
     assert system.energies.tobytes() == energies.tobytes()
     assert system.columns().tobytes() == vectors.tobytes()
     lead = len(energies) // 3
-    assert system.columns(0, lead).tobytes() == vectors[:, :lead].tobytes()
+    assert system.columns(lead).tobytes() == vectors[:, :lead].tobytes()
 
 
 def test_residual_checks_match_dense_formulas():
@@ -772,7 +632,7 @@ def test_classify_requires_content_to_fill_the_cluster():
     model = RotorModel.create(B=B0, beta=1.0, Jmax=4)
     system = diagonalize(model)
     a3 = rotor.find_level(classify_levels(system), "A3")
-    u, s, _ = np.linalg.svd(a3.vectors.T @ _dense_label_basis(4, "A3"))
+    u, s, _ = np.linalg.svd(a3.vectors.T @ reference.dense_label_basis(4, "A3"))
     assert s[0] == pytest.approx(1.0) and s[1] < 1e-10
     rows = np.arange(len(system.basis))
     fragments = rotor.Eigensystem(energies=np.array([0.0, 0.0, 1.0]),
@@ -902,28 +762,6 @@ def test_gap_matches_classified_levels(potential, beta):
     assert gaps.gap(beta) == pytest.approx(lowest[1] - lowest[0], abs=1e-9)
 
 
-def _character_content(vectors, jmax):
-    """Product-irrep content of the span of `vectors` by character projection:
-    characters over the 16 (site, molecule) class pairs, reduced over TxT.
-    Site rotations act on m through D^J, molecular rotations on k through
-    conj(D^J)."""
-    reps = {}
-    for axis, angle, cls in symmetry.T_ROTATIONS:
-        reps.setdefault(cls, (axis, angle))
-    chi = np.zeros((4, 4), dtype=complex)
-    ofs = 0
-    for J in range(jmax + 1):
-        d = 2 * J + 1
-        Vj = vectors[ofs:ofs + d * d].reshape(d, d, -1)
-        ofs += d * d
-        for a in range(4):
-            for b in range(4):
-                rotated = np.einsum("kK,mM,KMn->kmn", wigner_d_matrix(J, *reps[b]).conj(),
-                                    wigner_d_matrix(J, *reps[a]), Vj, optimize=True)
-                chi[a, b] += np.vdot(Vj, rotated)
-    return symmetry.decompose(chi.ravel(), symmetry.character_table("TxT"), tol=1e-6)
-
-
 @pytest.mark.parametrize("potential", GAP_POTENTIALS)
 @pytest.mark.parametrize("beta", (0.05, 0.3, 1.0, 3.0))
 def test_classified_content_matches_characters(potential, beta):
@@ -936,7 +774,7 @@ def test_classified_content_matches_characters(potential, beta):
         label = symmetry.LEVEL_LABELS[lev.rovib_label]
         mult = lev.degeneracy // label.dimension
         assert lev.flagged == (mult > 1)
-        assert _character_content(lev.vectors, 6) == {c: mult for c in label.constituents}
+        assert reference.character_content(lev.vectors, 6) == {c: mult for c in label.constituents}
 
 
 @pytest.mark.parametrize("potential", GAP_POTENTIALS)
@@ -969,7 +807,7 @@ def test_site_molecule_exchange_pairs_share_energies(potential, jmax):
 
 @pytest.mark.parametrize("jmax", [2, 6, 10])
 def test_label_blocks_partition_the_basis(jmax):
-    blocks = {name: _dense_label_basis(jmax, name) for name in symmetry.LEVEL_LABELS}
+    blocks = {name: reference.dense_label_basis(jmax, name) for name in symmetry.LEVEL_LABELS}
     assert sum(symmetry.LEVEL_LABELS[name].dimension * Q.shape[1]
                for name, Q in blocks.items()) == len(build_basis(jmax))
     for name, Q in blocks.items():  # A2 is empty at Jmax 2
@@ -986,10 +824,10 @@ def test_label_block_is_the_dense_projection(potential):
     # the block written from the 3j factors per J is Q^H K Q and Q^H V Q of
     # the dense V and the dense label basis Q
     pot = rotor.normalize_potential(potential)
-    V = _dense_potential(6, pot)
+    V = reference.dense_potential(6, pot)
     kin = rotor._kinetic_diagonal(6)
     for name in symmetry.LEVEL_LABELS:
-        Q = _dense_label_basis(6, name)
+        Q = reference.dense_label_basis(6, name)
         kdiag, vblock = rotor._label_block(6, pot, name)
         np.testing.assert_allclose(np.diag(kdiag), Q.conj().T @ (kin[:, None] * Q),
                                    rtol=0, atol=1e-12)
