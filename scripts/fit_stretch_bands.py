@@ -36,6 +36,7 @@ def main():
     print(f"converged: {report.converged} in {dt:.1f} s "
           f"({report.iterations} simplex iterations over {report.starts_run} "
           f"of {args.starts} starts)")
+    print(report.identifiability())
     for name in spec.scalar_free():
         print(f"  {name:12s} = {report.values[name]:.6g}")
     print(f"  omega_LA     = {model.omega_la(report.values):.4f} cm^-1")

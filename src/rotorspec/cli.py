@@ -35,14 +35,16 @@ EXIT_INVALID = 1
 EXIT_NOCONV = 2
 
 
-def _atomic_write(path: str, text: str):
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A text file that replaces `path` when the block ends without error."""
     # the temp file sits next to the target so the rename stays on one file
     # system, and carries the pid so concurrent runs never share it
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
@@ -53,6 +55,11 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+def _atomic_write(path: str, text: str):
+    with _atomic_file(path) as fh:
+        fh.write(text)
+
+
 def _emit(text: str, out_path: str | None):
     if out_path:
         _atomic_write(out_path, text)
@@ -60,8 +67,12 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _json_dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _emit_json(payload, out_path: str | None):
+    """`payload` as sorted, indented JSON to `out_path` or stdout, encoded
+    chunk by chunk into the file, so the whole text is never held."""
+    with contextlib.nullcontext(sys.stdout) if not out_path else _atomic_file(out_path) as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _read_csv(path: str, header: str, error: type[Exception], parse_row) -> list:
@@ -186,7 +197,7 @@ def cmd_symmetry(args) -> int:
         if raman_count is not None:
             payload["raman_count"] = {"content": args.raman_count,
                                       "group": args.raman_group, "count": raman_count}
-        _emit(_json_dumps(payload), args.out)
+        _emit_json(payload, args.out)
         return EXIT_OK
     buf = io.StringIO()
     for g in groups:
@@ -239,7 +250,7 @@ def cmd_levels(args) -> int:
                 for e, d, lab, spin, ordn in rows
             ],
         }
-        _emit(_json_dumps(payload), args.out)
+        _emit_json(payload, args.out)
     else:
         buf = io.StringIO()
         buf.write(f"{'energy_cm1':>12s} {'deg':>4s} {'label':>6s} {'spin':>4s} {'n':>3s}\n")
@@ -366,6 +377,11 @@ def _fit_report_payload(report: fitting.FitReport) -> dict:
         "nearest_assigned": list(report.nearest_assigned),
         "best_start": report.best_start,
         "starts_run": report.starts_run,
+        "identifiability": None if report.rank is None else {
+            "rank": report.rank,
+            "free_scalars": report.free_scalars,
+            "unfixed": list(report.unfixed),
+        },
     }
 
 
@@ -409,7 +425,7 @@ def cmd_fit(args) -> int:
         with _blaming(args.envelope, fitting.FitError):
             report = fitting.fit_envelope(freqs, amps, spec, model, seed=args.seed)
     if args.out:
-        _atomic_write(args.out, _json_dumps(_fit_report_payload(report)))
+        _emit_json(_fit_report_payload(report), args.out)
     buf = io.StringIO()
     buf.write(f"converged: {report.converged} (objective {report.objective:.6e}, "
               f"{report.iterations} iterations over {report.starts_run} of {spec.n_starts} "
@@ -421,6 +437,8 @@ def cmd_fit(args) -> int:
         for n, o, m, r in report.residuals:
             buf.write(f"  {n:18s} obs {_fmt(o):>9s}  model {_fmt(m):>9s}  "
                       f"resid {r:+.3g}\n")
+    if note := report.identifiability():
+        buf.write(note + "\n")
     if report.nearest_assigned:
         buf.write("nearest-frequency assignments (no label given): "
                   + ", ".join(report.nearest_assigned) + "\n")
@@ -485,7 +503,7 @@ def cmd_plan(args) -> int:
             / report.r12_poisson_mean_nm,
         }
     if args.out:
-        _atomic_write(args.out, _json_dumps(_plan_payload(report, mc)))
+        _emit_json(_plan_payload(report, mc), args.out)
     buf = io.StringIO()
     buf.write(f"addressable channels per band: {report.channels} "
               f"(fwhm {_fmt(cfg.synthesis.fwhm)} cm-1 = "

@@ -1,23 +1,34 @@
-"""Nonlinear least-squares calibration of model parameters against observed
-peak positions or band envelopes.
+"""Least-squares calibration of model parameters against observed peak
+positions or band envelopes.
 
-The optimizer is a bounded Nelder-Mead simplex with deterministic seeded
-multistart; the objective passes through an eigenvalue solve, so derivative
-free search is the right tool for the handful of parameters involved.  The
-simplex is simplex.nelder_mead, which takes scipy's Nelder-Mead steps
+The position fit is separable (variable projection; Golub & Pereyra, SIAM
+J. Numer. Anal. 10:413, 1973).  At fixed beta and excited_scale every
+modeled position is linear in B, nu0 and the dw pair (LINEAR_PARAMS), so
+TransitionModel.design gives the positions as b + A @ x, and at each point
+of the outer search the free linear scalars take their least-squares
+values inside their box (_box_lstsq), stepping from their start values by
+the minimum-norm step.  The outer search runs over the free nonlinear
+scalars only, beta and excited_scale; with neither free the fit is one
+linear solve.  The envelope fit searches all its free scalars.
+
+The outer search is a bounded Nelder-Mead simplex with deterministic seeded
+multistart; its objective passes through an eigenvalue solve, so a
+derivative free search is the right tool for the one or two scalars left.
+The simplex is simplex.nelder_mead, which takes scipy's Nelder-Mead steps
 (adaptive=False) bit for bit, so the fit does not depend on scipy's version.
 Both fits hand their residuals to one driver, _minimize, which runs the
 multistart on their sum of squares and builds the FitReport; the position fit
-adds its peak assignment and residual rows.  A sum of squares is never
-negative, so the multistart stops at the first start whose objective reaches
-the tolerance: n_starts is the most starts that run, and FitReport.starts_run
-says how many did.  Both models keep the eigenvalue work of the last beta only: B only
-rescales the spectrum, so a fit that moves B, nu0 and the band offsets at
-fixed beta costs one solve per label, while a simplex that moves beta hardly
-ever returns to an earlier one.  A position fit reads each level by label and
-ordinal from the symmetry-adapted block of its label (rotor.LevelGapCache) and
-solves only the labels its transitions name: the four-band fit needs the A1
-and L1 blocks, 17 and 110 states at Jmax 10.
+adds its linear values, peak assignment, residual rows and the rank of its
+Jacobian.  A sum of squares is never negative, so a start whose objective is
+at or below the tolerance is a global minimum to that tolerance: its simplex
+is skipped, and a simplex that ends there stops the multistart.  n_starts is
+the most starts that run, and FitReport.starts_run says how many did.  Both
+models keep the eigenvalue work of the last beta only, so a fit at fixed
+beta costs one solve per label.  A position fit reads each level by label
+and ordinal from the symmetry-adapted block of its label
+(rotor.LevelGapCache) and solves only the labels its transitions name: the
+four-band fit needs the A1 and L1 blocks, 17 and 110 states at Jmax 10, once
+each, since its four bands fit exactly at the start beta.
 
 FitSpec.validate states every rule on the fit options as (field, message)
 pairs; a bound's ends must lie where the model type owning it accepts them.
@@ -40,6 +51,7 @@ free or given in FitSpec.initial; PARAM_DEFAULTS holds its start value.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -48,7 +60,7 @@ import numpy as np
 
 from . import config, rotor, spectrum
 from .rotor import LevelGapCache, RotorModel
-from .simplex import nelder_mead
+from .simplex import SimplexResult, nelder_mead
 from .spectrum import PopulationModel, VibrationBandModel
 
 __all__ = [
@@ -63,6 +75,7 @@ __all__ = [
     "fit_envelope",
     "PARAM_DEFAULTS",
     "PARAM_BOUNDS",
+    "LINEAR_PARAMS",
 ]
 
 
@@ -89,6 +102,9 @@ _GROUP_PARAMS = {"extra_offsets": spectrum.OFFSET_NAMES}
 
 #: parameters that act on the envelope only, never on a peak position
 _ENVELOPE_ONLY = ("fwhm", "scale")
+
+#: parameters every peak position is linear in at fixed beta and excited_scale
+LINEAR_PARAMS = ("B", "nu0", *spectrum.OFFSET_NAMES)
 
 
 _DEFAULT_BAND = VibrationBandModel()
@@ -205,6 +221,25 @@ class FitReport:
     best_start: int = 0
     starts_run: int = 0         # starts the multistart ran, at most n_starts
     trace: tuple = field(default=(), repr=False, compare=False)
+    rank: int | None = None     # numerical rank of the position fit's Jacobian
+    unfixed: tuple[str, ...] = ()   # free scalars the peaks do not fix one by one
+
+    @property
+    def free_scalars(self) -> int:
+        return len(FitSpec(self.free).scalar_free())
+
+    def identifiability(self) -> str | None:
+        """One line on the rank of the Jacobian over the free scalars, or None
+        when the fit did not compute it (an envelope fit)."""
+        if self.rank is None:
+            return None
+        n = self.free_scalars
+        head = f"rank {self.rank} of {n} free scalars"
+        if self.rank == n:
+            return f"{head}: the peaks fix each one"
+        if n - self.rank == len(self.unfixed):  # the null space is their coordinate axes
+            return f"{head}: no peak moves {', '.join(self.unfixed)}"
+        return f"{head}: the peaks fix only a combination of {', '.join(self.unfixed)}"
 
 
 # ----------------------------------------------------------------------------
@@ -226,8 +261,11 @@ class TransitionModel:
 
     A transition "(X)i->(Y)j*" reads the levels (X)i and (Y)j by label and
     ordinal from rotor.LevelGapCache and, as the line generator, lies at
-    nu0 + offset((Y)j) - (E(X)i - E(L1)1), the offset being
-    VibrationBandModel.excited_offset of (Y)j.
+    nu0 + offset((Y)j) - B*e(X)i, e being a level's energy above (L1)1 in
+    units of B and the offset VibrationBandModel.excited_offset of (Y)j: the
+    dw overriding it, else excited_scale*B*e(Y)j.  At fixed beta and
+    excited_scale that is linear in LINEAR_PARAMS: design() gives the linear
+    map, and frequencies() evaluates it.
     """
 
     def __init__(self, potential=rotor.DEFAULT_POTENTIAL, jmax: int = rotor.DEFAULT_JMAX):
@@ -247,23 +285,63 @@ class TransitionModel:
         "(L1)1->(E3)1*",
     )
 
-    def frequencies(self, names, params: dict) -> np.ndarray:
-        b, beta = params["B"], params["beta"]
-        band = _band(params)
-
-        def above_l1(label, ordinal):
-            energies = self._gaps.energies(beta, label)
-            return b * (energies[ordinal - 1] - self._gaps.energies(beta, "L1")[0])
-
-        out = []
-        for name in names:
+    def _columns(self, names, params: dict, linear, values) -> dict:
+        """Each LINEAR_PARAMS coefficient in the positions of `names`, and
+        their derivative in excited_scale, with the level energies read from
+        `values`: LevelGapCache.energies, or .slopes for the coefficients'
+        beta derivatives.  A dw in `linear` or set in `params` overrides the
+        offsets of its levels, which are then never solved."""
+        beta = params["beta"]
+        ref = values(beta, "L1")[0]
+        scale = params.get("excited_scale", PARAM_DEFAULTS["excited_scale"])
+        columns = {n: np.zeros(len(names)) for n in (*LINEAR_PARAMS, "excited_scale")}
+        columns["nu0"][:] = 1.0
+        for row, name in enumerate(names):
             if name not in self.NAMES:
                 raise FitError(
                     f"unknown transition {name!r}; known: {', '.join(self.NAMES)}")
-            (lower, i), (upper, j) = re.findall(r"\((\w+)\)(\d+)", name)
-            offset = band.excited_offset(upper, int(j), lambda: above_l1(upper, int(j)))
-            out.append(band.nu0 + offset - above_l1(lower, int(i)))
-        return np.array(out)
+            (low, i), (up, j) = re.findall(r"\((\w+)\)(\d+)", name)
+            key = spectrum.OFFSET_KEYS.get((up, int(j)))
+            columns["B"][row] = ref - values(beta, low)[int(i) - 1]
+            if key in linear or params.get(key) is not None:
+                columns[key][row] = 1.0
+            else:
+                upper = values(beta, up)[int(j) - 1] - ref
+                columns["B"][row] += scale * upper
+                columns["excited_scale"][row] = params["B"] * upper
+        return columns
+
+    def design(self, names, params: dict, linear=()) -> tuple[np.ndarray, np.ndarray]:
+        """(A, b) at the beta and excited_scale of `params`: the positions of
+        `names` are b + A @ x, x the values of the parameters `linear` (of
+        LINEAR_PARAMS), and b the terms of the others at their `params`
+        values."""
+        columns = self._columns(names, params, linear, self._gaps.energies)
+        A = np.array([columns[n] for n in linear]).reshape(len(linear), len(names)).T
+        b = np.zeros(len(names))
+        for n in LINEAR_PARAMS:
+            if n not in linear and params.get(n) is not None:
+                b += params[n] * columns[n]
+        return A, b
+
+    def frequencies(self, names, params: dict) -> np.ndarray:
+        """The positions of `names` at `params`: b + A @ x of design() over
+        every linear parameter `params` sets."""
+        linear = tuple(n for n in LINEAR_PARAMS if params.get(n) is not None)
+        A, b = self.design(names, params, linear)
+        return b + A @ np.array([params[n] for n in linear])
+
+    def jacobian(self, names, params: dict, free) -> np.ndarray:
+        """d positions / d each of the scalars `free` at `params`.  The
+        positions are nu0 + dw + B * (B's coefficient), so beta's column is B
+        times that coefficient's beta derivative, from the levels'
+        Hellmann-Feynman slopes (LevelGapCache.slopes, from the same solves)."""
+        linear = tuple(n for n in free if n in LINEAR_PARAMS)
+        columns = self._columns(names, params, linear, self._gaps.energies)
+        if "beta" in free:
+            columns["beta"] = params["B"] * self._columns(names, params, linear,
+                                                          self._gaps.slopes)["B"]
+        return np.array([columns[n] for n in free]).reshape(len(free), len(names)).T
 
     def omega_la(self, params: dict) -> float:
         return params["B"] * self._gaps.gap(params["beta"])
@@ -317,26 +395,69 @@ class EnvelopeModel:
 # optimizer core
 # ----------------------------------------------------------------------------
 
-def _minimize(spec: FitSpec, seed: int, residuals) -> tuple[FitReport, dict]:
-    """Seeded multistart Nelder-Mead on sum(residuals(params)**2) over the
-    free parameters of a valid `spec`.  Start 0 is the initial values clipped
-    to the bounds; each later start is a uniform draw in the bounds, made as
-    the start begins (n_starts may be far more than fit in memory).
+def _box(spec: FitSpec, names) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high) arrays of the search box of the scalars `names`."""
+    bounds = [spec.bounds.get(n, PARAM_BOUNDS[n]) for n in names]
+    return np.array(bounds, dtype=float).reshape(len(names), 2).T
 
-    The objective is a sum of squares, never negative, so a start that ends
-    at or below spec.tolerance is a global minimum to that tolerance: the
-    multistart stops there, and the starts after it are never drawn.  When
-    no start gets there, all n_starts run and the lowest objective wins, the
-    earliest start on ties.  Returns the best start's report, without
-    residual rows, and its parameters."""
-    names = spec.scalar_free()
+
+def _box_lstsq(A: np.ndarray, y: np.ndarray, x0: np.ndarray,
+               lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The x in the box [lo, hi] minimizing |y - A @ x|, stepping from x0 by
+    the minimum-norm step where several x do: a column of A that is zero
+    leaves its x at x0.  The unconstrained step when it stays in the box;
+    else every active set, each variable free or held at either bound, with
+    the free ones' minimum-norm step (3^n sets for n unknowns, at most 81 for
+    the four of LINEAR_PARAMS); the lowest sum of squares wins, the fewest
+    held variables on ties.  Exact for a convex problem: its minimum lies on
+    some face of the box, where it is the face's unconstrained minimum."""
+    n = len(x0)
+    best = None
+    sets = sorted(itertools.product((None, 0, 1), repeat=n),
+                  key=lambda held: n - held.count(None))
+    for held in sets:
+        x = np.array([x0[i] if h is None else (lo, hi)[h][i] for i, h in enumerate(held)])
+        free = [i for i, h in enumerate(held) if h is None]
+        if free:
+            x[free] += np.linalg.lstsq(A[:, free], y - A @ x, rcond=None)[0]
+            if np.any(x[free] < lo[free]) or np.any(x[free] > hi[free]):
+                continue
+        if len(free) == n:
+            return x
+        cost = float(np.sum((y - A @ x) ** 2))
+        if best is None or cost < best[0]:
+            best = (cost, x)
+    return best[1]
+
+
+#: FitReport.message of a start whose simplex is skipped
+_AT_TOLERANCE = "the objective at the start is within the tolerance"
+_LINEAR_ONLY = "no nonlinear parameter is free: one linear least-squares solve"
+
+
+def _minimize(spec: FitSpec, seed: int, residuals, names=None) -> tuple[FitReport, dict]:
+    """Seeded multistart Nelder-Mead on sum(residuals(params)**2) over the
+    free scalars `names` (all of the valid `spec`'s by default).  Start 0 is
+    the initial values clipped to the bounds; each later start is a uniform
+    draw in the bounds of `names`, made as the start begins (n_starts may be
+    far more than fit in memory).
+
+    The objective is a sum of squares, never negative, so a start whose
+    objective is at or below spec.tolerance is a global minimum to that
+    tolerance: its simplex is skipped, and the multistart stops at the first
+    start that begins or ends there; the starts after it are never drawn.
+    When no start gets there, all n_starts run and the lowest objective
+    wins, the earliest start on ties.  With `names` empty the objective is
+    evaluated once.  Returns the best start's report, without residual rows,
+    and its parameters."""
+    names = spec.scalar_free() if names is None else tuple(names)
     base = spec.resolved_initial()
-    lo, hi = np.array([spec.bounds.get(n, PARAM_BOUNDS[n]) for n in names], dtype=float).T
-    x0 = np.clip(np.array([base[n] for n in names]), lo, hi)
+    lo, hi = _box(spec, names)
+    x0 = np.clip(np.array([base[n] for n in names], dtype=float), lo, hi)
     rng = np.random.default_rng(seed)
     best = None
     total_iter = 0
-    for index in range(spec.n_starts):
+    for index in range(spec.n_starts if names else 1):
         start = x0 if index == 0 else lo + (hi - lo) * rng.random(len(names))
         trace: list[float] = []
 
@@ -352,9 +473,13 @@ def _minimize(spec: FitSpec, seed: int, residuals) -> tuple[FitReport, dict]:
             if not math.isfinite(first):
                 raise FitError(f"the fit objective at the initial values is {first}: "
                                "an observed value is too large to fit")
-
-        res = nelder_mead(objective, start, bounds=(lo, hi), maxiter=spec.max_iterations,
-                          fatol=spec.tolerance, xatol=1e-7)
+        else:
+            first = objective(start)
+        if first <= spec.tolerance or not names:
+            res = SimplexResult(start, first, 0, True, _LINEAR_ONLY if not names else _AT_TOLERANCE)
+        else:
+            res = nelder_mead(objective, start, bounds=(lo, hi), maxiter=spec.max_iterations,
+                              fatol=spec.tolerance, xatol=1e-7)
         total_iter += int(res.nit)
         if best is None or float(res.fun) < best[0]:
             best = (float(res.fun), index, res, tuple(trace))
@@ -376,6 +501,18 @@ def _minimize(spec: FitSpec, seed: int, residuals) -> tuple[FitReport, dict]:
         trace=trace,
     )
     return report, params
+
+
+def _identifiability(jacobian: np.ndarray, free) -> tuple[int, tuple[str, ...]]:
+    """The numerical rank of `jacobian` over the scalars `free`, its columns
+    scaled to unit norm so that units drop out, and the scalars its null
+    space involves: those the data fix only in combination, or not at all."""
+    norms = np.linalg.norm(jacobian, axis=0)
+    unit = jacobian / np.where(norms > 0, norms, 1.0)
+    _, sing, vt = np.linalg.svd(unit)
+    rank = int(np.sum(sing > sing.max(initial=0.0) * max(unit.shape) * np.finfo(float).eps))
+    weight = np.abs(vt[rank:]).max(axis=0, initial=0.0)
+    return rank, tuple(n for n, w in zip(free, weight) if w > 1e-6)
 
 
 # ----------------------------------------------------------------------------
@@ -419,17 +556,38 @@ def _assign_peaks(observed: PeakList, model: TransitionModel, params0: dict):
 def fit_line_positions(observed: PeakList, spec: FitSpec,
                        model: TransitionModel | None = None,
                        seed: int = 0) -> FitReport:
-    """Least-squares fit of transition frequencies to observed peak positions."""
+    """Least-squares fit of transition frequencies to observed peak
+    positions, separable in LINEAR_PARAMS: the multistart simplex searches
+    the free beta and excited_scale, and at each of its points the free
+    linear scalars take their least-squares values in their box, stepping
+    from their start values (_box_lstsq).  The report gives the rank of the
+    Jacobian over the free scalars at the solution."""
     model = model or TransitionModel()
     spec.require_valid(n_peaks=len(observed.peaks))
-    assignments, fallback_notes = _assign_peaks(observed, model, spec.resolved_initial())
+    initial = spec.resolved_initial()
+    assignments, fallback_notes = _assign_peaks(observed, model, initial)
     names = [n for _, n in assignments]
     obs = np.array([p.frequency for p, _ in assignments])
-    report, params = _minimize(spec, seed, lambda p: obs - model.frequencies(names, p))
+    free = spec.scalar_free()
+    linear = tuple(n for n in free if n in LINEAR_PARAMS)
+    lo, hi = _box(spec, linear)
+    x0 = np.clip(np.array([initial[n] for n in linear], dtype=float), lo, hi)
+
+    def solve(params):
+        """`params` with the free linear scalars solved, and the residuals."""
+        A, b = model.design(names, params, linear)
+        x = _box_lstsq(A, obs - b, x0, lo, hi)
+        return {**params, **dict(zip(linear, x.tolist()))}, obs - b - A @ x
+
+    report, params = _minimize(spec, seed, lambda p: solve(p)[1],
+                               tuple(n for n in free if n not in linear))
+    params = solve(params)[0]
     modeled = model.frequencies(names, params)
     rows = tuple((name, float(o), float(m), float(o - m))
                  for name, o, m in zip(names, obs, modeled))
-    return replace(report, residuals=rows, nearest_assigned=fallback_notes)
+    rank, unfixed = _identifiability(model.jacobian(names, params, free), free)
+    return replace(report, values={k: float(v) for k, v in params.items()}, residuals=rows,
+                   nearest_assigned=fallback_notes, rank=rank, unfixed=unfixed)
 
 
 def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,

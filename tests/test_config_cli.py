@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -908,6 +909,26 @@ def test_cli_plan_max_pairs_bounds_memory(tmp_path):
     assert len(json.loads((tmp_path / "plan.json").read_text())["delta_omega_pairs"]) == 10
     assert peak_kb * 1024 < 120e6
 
+
+
+def test_json_output_is_written_without_its_whole_text(tmp_path):
+    # a plan-sized pair table: 30000 pairs make 4.7 MB of JSON text.  Measured
+    # on a 2-vCPU Linux machine with 100000 pairs (15.7 MB), json.dumps held
+    # 99 MB at its peak and the chunked dump holds 0.07 MB
+    pairs = [{"upper_line": f"(L1){i % 97}->(E3){i % 13}*",
+              "lower_line": f"(A1){i % 7}->(L1){i % 11}*",
+              "delta_cm1": 0.1 * i + 1e-3, "delta_ghz": 2.99792458 * i} for i in range(30000)]
+    payload = {"delta_omega_pairs": pairs, "channels": 3}
+    out = tmp_path / "plan.json"
+    tracemalloc.start()
+    try:
+        cli._emit_json(payload, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 4e6
+    assert peak < 1e6
+    assert out.read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 # any text in an input CSV: exit 0, 1 with the file named, or 2 (the fit's
 # documented non-convergence status, e.g. an envelope no model line reaches)

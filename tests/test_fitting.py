@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,8 +112,10 @@ def test_round_trip_recovers_parameters(tmodel):
     report = fit_line_positions(peaks, spec, tmodel, seed=0)
     assert report.converged
     for name in ("B", "beta", "nu0", "dw_L1_star", "dw_LE3_star"):
-        assert report.values[name] == pytest.approx(TRUTH[name], rel=1e-4), name
+        assert report.values[name] == pytest.approx(TRUTH[name], rel=1e-8), name
     assert max_abs_residual(report) < 1e-4
+    assert (report.rank, report.unfixed) == (5, ())
+    assert report.identifiability() == "rank 5 of 5 free scalars: the peaks fix each one"
 
 
 def _envelope_fit(seed):
@@ -124,6 +127,42 @@ def _envelope_fit(seed):
     spec = FitSpec(free_params=("nu0", "fwhm"), bounds={"fwhm": (0.5, 20.0)}, n_starts=2,
                    max_iterations=60, initial=dict(truth, nu0=3204.0, fwhm=1.2))
     return fit_envelope(freqs, amps, spec, model, seed=seed), model, freqs, amps
+
+
+def test_box_lstsq_matches_scipy():
+    # scipy's bounded-variable least squares as the reference, on random
+    # problems with 1-4 unknowns: full rank, a zero column and two parallel
+    # columns, with the unconstrained minimum inside or outside the box
+    rng = np.random.default_rng(1)
+    seen = set()
+    for trial in range(400):
+        n, m = trial % 4 + 1, int(rng.integers(1, 7))
+        A = rng.normal(size=(m, n))
+        if trial % 3 == 0 and n > 1:
+            A[:, -1] = 2.0 * A[:, 0] if trial % 2 else 0.0
+        y = 3.0 * rng.normal(size=m)
+        lo, hi = -2.0 * rng.random(n), 2.0 * rng.random(n)
+        x0 = lo + (hi - lo) * rng.random(n)
+        x = fitting._box_lstsq(A, y, x0, lo, hi)
+        ref = scipy.optimize.lsq_linear(A, y, bounds=(lo, hi), method="bvls", tol=1e-15,
+                                        lsq_solver="exact").x
+        assert np.all((lo <= x) & (x <= hi)), trial
+        cost, ref_cost = np.sum((y - A @ x) ** 2), np.sum((y - A @ ref) ** 2)
+        assert cost <= ref_cost + 1e-10 * (y @ y), trial
+        full = np.linalg.matrix_rank(A) == n
+        if full:
+            np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+        seen.add((bool(full), bool(np.any((x == lo) | (x == hi)))))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_box_lstsq_takes_the_minimum_norm_step():
+    # a variable no row moves stays at its start, and of two parallel
+    # columns each takes its share of the one combination the data fix
+    A = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0]])
+    x0, lo, hi = np.array([1.0, 1.0, 0.5]), np.full(3, -10.0), np.full(3, 10.0)
+    x = fitting._box_lstsq(A, np.array([8.0, 8.0]), x0, lo, hi)
+    np.testing.assert_allclose(x, [1.0 + 1.0, 1.0 + 2.0, 0.5], rtol=1e-14)
 
 
 def test_objective_equals_sum_of_squared_residuals(tmodel):
@@ -238,16 +277,49 @@ def test_exact_fit_stops_at_first_start(tmodel):
 
 
 def test_inexact_fit_runs_every_start(tmodel):
-    # one peak off by 0.5 cm-1 and only nu0 free: no start reaches the tolerance
+    # one peak off by 0.5 cm-1 and only beta and nu0 free: no start reaches
+    # the tolerance
     freqs = [p.frequency for p in _synthetic_peaks(tmodel).peaks]
     freqs[0] += 0.5
     peaks = peak_list(freqs, labels=list(NAMES))
-    spec = FitSpec(free_params=("nu0",), initial=dict(TRUTH), n_starts=3)
+    spec = FitSpec(free_params=("beta", "nu0"), initial=dict(TRUTH), n_starts=3)
     many = fit_line_positions(peaks, spec, tmodel, seed=0)
     one = fit_line_positions(peaks, replace(spec, n_starts=1), tmodel, seed=0)
     assert many.objective > spec.tolerance
     assert many.starts_run == spec.n_starts and one.starts_run == 1
     assert many.objective <= one.objective
+
+
+def test_linear_only_fit_is_one_solve(tmodel, monkeypatch):
+    # with beta and excited_scale fixed the fit is one linear least-squares
+    # solve, whatever the number of starts and whether or not it fits exactly
+    freqs = [p.frequency for p in _synthetic_peaks(tmodel).peaks]
+    freqs[0] += 0.5
+    peaks = peak_list(freqs, labels=list(NAMES))
+    spec = FitSpec(free_params=("B", "nu0", "extra_offsets"),
+                   initial=dict(TRUTH, beta=1.25), n_starts=8)
+    fresh = TransitionModel(jmax=JMAX)
+    solves = _counting(monkeypatch, rotor.LevelGapCache, "eigenvalues")
+    report = fit_line_positions(peaks, spec, fresh, seed=0)
+    assert sorted(label for _, _, label in solves) == ["A1", "E2", "L1"]  # E3 is a free dw
+    assert (report.starts_run, report.iterations, report.converged) == (1, 0, True)
+    assert report.objective > spec.tolerance
+    linear = ("B", "nu0", "dw_L1_star", "dw_LE3_star")
+    names, obs = [r[0] for r in report.residuals], np.array([r[1] for r in report.residuals])
+    A, b = fresh.design(names, spec.resolved_initial(), linear)
+    x = np.linalg.lstsq(A, obs - b, rcond=None)[0]
+    for name, value in zip(linear, x):
+        assert report.values[name] == pytest.approx(value, rel=1e-12), name
+
+
+def test_offset_no_peak_moves_keeps_its_start_value(tmodel):
+    # no peak reads (E3)1, so dw_LE3_star keeps its start and the rank says so
+    names = ("(L1)1->(L1)1*", "(A1)1->(L1)1*", "(L1)1->(L1)2*")
+    spec = FitSpec(free_params=("nu0", "extra_offsets"), initial=dict(TRUTH, dw_LE3_star=31.0))
+    report = fit_line_positions(_synthetic_peaks(tmodel, names), spec, tmodel)
+    assert report.values["dw_LE3_star"] == 31.0
+    assert report.values["dw_L1_star"] == pytest.approx(TRUTH["dw_L1_star"], rel=1e-12)
+    assert report.identifiability() == "rank 2 of 3 free scalars: no peak moves dw_LE3_star"
 
 
 def test_transition_model_rejects_unnormalized_potential():

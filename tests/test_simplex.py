@@ -1,6 +1,6 @@
 """The numpy Nelder-Mead: step-for-step equal to scipy's, the bits it pins in
-the potential normalization and the four-band fit, and no scipy.optimize
-import on any command path."""
+the potential normalization, the four-band fit that no longer needs it, and
+no scipy.optimize import on any command path."""
 
 import json
 import os
@@ -11,6 +11,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.optimize
 
 from rotorspec import cli, rotor
@@ -70,14 +71,26 @@ def test_potential_range_bits():
         assert tuple(v.hex() for v in rotor.potential_range(potential)) == bits
 
 
-def test_four_band_fit_bits(tmp_path, capsys):
+def test_four_band_fit_bits(tmp_path, capsys, monkeypatch):
+    # the four bands fix only B*gap(beta): at the start beta the linear solve
+    # fits them exactly, so no simplex runs and A1 and L1 are solved once each
+    solves = []
+    eigenvalues = rotor.LevelGapCache.eigenvalues
+    monkeypatch.setattr(rotor.LevelGapCache, "eigenvalues",
+                        lambda self, beta, label, **kw: solves.append(label)
+                        or eigenvalues(self, beta, label, **kw))
     out = tmp_path / "fit.json"
     assert cli.main(["fit", "--config", str(ROOT / "configs/atpb.cfg"),
                      "--peaks", str(ROOT / "configs/atpb_peaks.csv"), "--out", str(out)]) == 0
-    capsys.readouterr()
+    assert ("rank 4 of 5 free scalars: the peaks fix only a combination of B, beta\n"
+            in capsys.readouterr().out)
     report = json.loads(out.read_text())
-    assert report["iterations"] == 224
-    assert float(report["objective"]).hex() == "0x1.2800000000000p-76"
+    assert sorted(solves) == ["A1", "L1"]
+    assert report["iterations"] == 0 and report["starts_run"] == 1
+    assert report["values"]["beta"] == 1.0
+    gap = rotor.LevelGapCache(rotor.normalize_potential(((3, -1.0),)), 10).gap(1.0)
+    assert report["values"]["B"] == pytest.approx(11.0 / gap, rel=1e-12)
+    assert report["identifiability"] == {"rank": 4, "free_scalars": 5, "unfixed": ["B", "beta"]}
 
 
 def test_no_command_imports_scipy_optimize(tmp_path):
