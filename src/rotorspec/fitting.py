@@ -51,6 +51,7 @@ free or given in FitSpec.initial; PARAM_DEFAULTS holds its start value.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -246,7 +247,7 @@ class FitReport:
 # position model
 # ----------------------------------------------------------------------------
 
-def _band(params: dict, base: VibrationBandModel = _DEFAULT_BAND) -> VibrationBandModel:
+def _band(params: dict, base: VibrationBandModel) -> VibrationBandModel:
     """`base`, its sum bands kept, at the band parameters of `params`; a dw
     absent or None is not an override."""
     offsets = {k: params[k] for k in spectrum.OFFSET_NAMES if params.get(k) is not None}
@@ -285,12 +286,12 @@ class TransitionModel:
         "(L1)1->(E3)1*",
     )
 
-    def _columns(self, names, params: dict, linear, values) -> dict:
+    def _columns(self, names, params: dict, values) -> dict:
         """Each LINEAR_PARAMS coefficient in the positions of `names`, and
         their derivative in excited_scale, with the level energies read from
         `values`: LevelGapCache.energies, or .slopes for the coefficients'
-        beta derivatives.  A dw in `linear` or set in `params` overrides the
-        offsets of its levels, which are then never solved."""
+        beta derivatives.  A dw set in `params` overrides the offsets of its
+        levels (spectrum.overriding_offset), which are then never solved."""
         beta = params["beta"]
         ref = values(beta, "L1")[0]
         scale = params.get("excited_scale", PARAM_DEFAULTS["excited_scale"])
@@ -301,9 +302,9 @@ class TransitionModel:
                 raise FitError(
                     f"unknown transition {name!r}; known: {', '.join(self.NAMES)}")
             (low, i), (up, j) = re.findall(r"\((\w+)\)(\d+)", name)
-            key = spectrum.OFFSET_KEYS.get((up, int(j)))
+            key = spectrum.overriding_offset(params, up, int(j))
             columns["B"][row] = ref - values(beta, low)[int(i) - 1]
-            if key in linear or params.get(key) is not None:
+            if key is not None:
                 columns[key][row] = 1.0
             else:
                 upper = values(beta, up)[int(j) - 1] - ref
@@ -314,9 +315,9 @@ class TransitionModel:
     def design(self, names, params: dict, linear=()) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) at the beta and excited_scale of `params`: the positions of
         `names` are b + A @ x, x the values of the parameters `linear` (of
-        LINEAR_PARAMS), and b the terms of the others at their `params`
-        values."""
-        columns = self._columns(names, params, linear, self._gaps.energies)
+        LINEAR_PARAMS, each set in `params`), and b the terms of the others
+        at their `params` values."""
+        columns = self._columns(names, params, self._gaps.energies)
         A = np.array([columns[n] for n in linear]).reshape(len(linear), len(names)).T
         b = np.zeros(len(names))
         for n in LINEAR_PARAMS:
@@ -335,12 +336,11 @@ class TransitionModel:
         """d positions / d each of the scalars `free` at `params`.  The
         positions are nu0 + dw + B * (B's coefficient), so beta's column is B
         times that coefficient's beta derivative, from the levels'
-        Hellmann-Feynman slopes (LevelGapCache.slopes, from the same solves)."""
-        linear = tuple(n for n in free if n in LINEAR_PARAMS)
-        columns = self._columns(names, params, linear, self._gaps.energies)
+        Hellmann-Feynman slopes (LevelGapCache.slopes, one eigh per label)."""
+        columns = self._columns(names, params, self._gaps.energies)
         if "beta" in free:
-            columns["beta"] = params["B"] * self._columns(names, params, linear,
-                                                          self._gaps.slopes)["B"]
+            slopes = functools.cache(self._gaps.slopes)
+            columns["beta"] = params["B"] * self._columns(names, params, slopes)["B"]
         return np.array([columns[n] for n in free]).reshape(len(free), len(names)).T
 
     def omega_la(self, params: dict) -> float:
@@ -406,11 +406,13 @@ def _box_lstsq(A: np.ndarray, y: np.ndarray, x0: np.ndarray,
     """The x in the box [lo, hi] minimizing |y - A @ x|, stepping from x0 by
     the minimum-norm step where several x do: a column of A that is zero
     leaves its x at x0.  The unconstrained step when it stays in the box;
-    else every active set, each variable free or held at either bound, with
-    the free ones' minimum-norm step (3^n sets for n unknowns, at most 81 for
-    the four of LINEAR_PARAMS); the lowest sum of squares wins, the fewest
-    held variables on ties.  Exact for a convex problem: its minimum lies on
-    some face of the box, where it is the face's unconstrained minimum."""
+    else the active sets, each variable free or held at either bound, with
+    the free ones' minimum-norm step, fewest held variables first (3^n sets
+    for n unknowns, at most 81 for the four of LINEAR_PARAMS).  The problem
+    is convex, so its minimum is the first set whose point is in the box and
+    meets the optimality (KKT) conditions: no held variable's gradient
+    points into the box, to the roundoff bound of that gradient.  Should
+    roundoff fail every set, the lowest sum of squares of all wins."""
     n = len(x0)
     best = None
     sets = sorted(itertools.product((None, 0, 1), repeat=n),
@@ -424,7 +426,14 @@ def _box_lstsq(A: np.ndarray, y: np.ndarray, x0: np.ndarray,
                 continue
         if len(free) == n:
             return x
-        cost = float(np.sum((y - A @ x) ** 2))
+        r = y - A @ x
+        # A.T @ r, minus half the gradient of |r|^2, points out of the box
+        # at each held variable: -1 at a low bound, +1 at a high one
+        side = np.array([0.0 if h is None else 2.0 * h - 1.0 for h in held])
+        slack = 1e-12 * (np.abs(A).T @ (np.abs(y) + np.abs(A) @ np.abs(x)))
+        if np.all(side * (A.T @ r) >= -slack):
+            return x
+        cost = float(r @ r)
         if best is None or cost < best[0]:
             best = (cost, x)
     return best[1]

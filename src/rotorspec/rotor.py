@@ -51,9 +51,10 @@ their squared norms count the cluster's content, and for a cluster holding
 several labels their Gram matrix per label splits it, the split projecting
 onto those labels' irreps only.  The levels get the cluster labels of
 symmetry.LEVEL_LABELS together with their nuclear-spin species.  The
-fitting path needs energies and their beta slopes only: LevelGapCache solves
-one first-row block per level symbol (_first_row_bases), whose eigenvalues
-are the energies of that symbol's levels in order.
+fitting path needs energies only: LevelGapCache solves one first-row block
+per level symbol (_first_row_bases), whose eigenvalues are the energies of
+that symbol's levels in order, and their beta slopes once for a fit's
+identifiability.
 """
 
 from __future__ import annotations
@@ -864,9 +865,9 @@ class LevelGapCache:
     """Level energies of P^2 + beta*V in units of B by level symbol, for the
     fitting objective.  A label's block (K_b, V_b) is projected when the
     label is first asked for; its ascending eigenvalues are the energies of
-    (label)1, (label)2, ...  energies() and slopes() keep one solve per
-    label of the last beta only: a fit that moves beta hardly ever returns
-    to an earlier one.  gap() is (L1)1 - (A1)1."""
+    (label)1, (label)2, ...  energies() keeps those of the last beta only: a
+    simplex moves beta on nearly every step, so older betas are rarely asked
+    for again.  gap() is (L1)1 - (A1)1."""
 
     def __init__(self, potential=DEFAULT_POTENTIAL, jmax: int = DEFAULT_JMAX):
         _require_normalized(potential)
@@ -876,36 +877,33 @@ class LevelGapCache:
         self._beta = None
         self._solved = {}
 
-    def eigenvalues(self, beta: float, label: str, slopes: bool = False):
-        """Ascending energies of every `label` level, in units of B; uncached.
-        With `slopes`, the pair (energies, d energies / d beta): by
-        Hellmann-Feynman (Feynman, Phys. Rev. 56:340, 1939) each slope is
-        u^H V_b u for the level's eigenvector u, so it costs an eigh for the
-        eigvalsh.  At a degenerate energy the slope is that of whichever
-        vectors of the eigenspace the solver returns."""
+    def _block(self, label: str):
         if label not in self._blocks:
             self._blocks[label] = _label_block(self.jmax, self.potential, label)
-        kdiag, vblock = self._blocks[label]
-        if not slopes:
-            return scipy.linalg.eigvalsh(np.diag(kdiag) + beta * vblock)
-        energies, vectors = scipy.linalg.eigh(np.diag(kdiag) + beta * vblock)
-        return energies, np.einsum("ij,ij->j", vectors.conj(), vblock @ vectors).real
+        return self._blocks[label]
 
-    def _solve(self, beta: float, label: str):
+    def eigenvalues(self, beta: float, label: str) -> np.ndarray:
+        """Ascending energies of every `label` level, in units of B; uncached."""
+        kdiag, vblock = self._block(label)
+        return scipy.linalg.eigvalsh(np.diag(kdiag) + beta * vblock)
+
+    def slopes(self, beta: float, label: str) -> np.ndarray:
+        """d eigenvalues(beta, label) / d beta; uncached.  By Hellmann-Feynman
+        (Feynman, Phys. Rev. 56:340, 1939) each slope is u^H V_b u for the
+        level's eigenvector u, so it costs an eigh.  At a degenerate energy
+        the slope is that of whichever vectors of the eigenspace eigh returns."""
+        kdiag, vblock = self._block(label)
+        vectors = scipy.linalg.eigh(np.diag(kdiag) + beta * vblock)[1]
+        return np.einsum("ij,ij->j", vectors.conj(), vblock @ vectors).real
+
+    def energies(self, beta: float, label: str) -> np.ndarray:
+        """eigenvalues(beta, label), solved once per label while beta stays."""
         key = round(float(beta), 12)
         if key != self._beta:
             self._beta, self._solved = key, {}
         if label not in self._solved:
-            self._solved[label] = self.eigenvalues(beta, label, slopes=True)
+            self._solved[label] = self.eigenvalues(beta, label)
         return self._solved[label]
-
-    def energies(self, beta: float, label: str) -> np.ndarray:
-        """eigenvalues(beta, label), solved once per label while beta stays."""
-        return self._solve(beta, label)[0]
-
-    def slopes(self, beta: float, label: str) -> np.ndarray:
-        """d energies(beta, label) / d beta, from the same solve."""
-        return self._solve(beta, label)[1]
 
     def gap(self, beta: float) -> float:
         """First orientation gap (A1 ground to L1 manifold) in units of B."""

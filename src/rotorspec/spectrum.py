@@ -111,9 +111,9 @@ class VibrationBandModel:
 
     def excited_offset(self, label: str, ordinal: int, above_l1) -> float:
         """Offset from nu0 of (label)ordinal: its override, else excited_scale * above_l1()."""
-        override = self.extra_offsets.get(OFFSET_KEYS.get((label, ordinal)))
-        if override is not None:
-            return float(override)
+        key = overriding_offset(self.extra_offsets, label, ordinal)
+        if key is not None:
+            return float(self.extra_offsets[key])
         return self.excited_scale * above_l1()
 
 
@@ -275,6 +275,14 @@ OFFSET_KEYS = {("L1", 2): "dw_L1_star", ("I1I2", 1): "dw_L1_star",
                ("E4", 1): "dw_L1_star", ("E3", 1): "dw_LE3_star"}
 #: the extra_offsets keys, in the order (dw_L1_star, dw_LE3_star)
 OFFSET_NAMES = tuple(dict.fromkeys(OFFSET_KEYS.values()))
+
+
+def overriding_offset(offsets: dict, label: str, ordinal: int) -> str | None:
+    """The key of OFFSET_NAMES whose value in `offsets` (a band's
+    extra_offsets, or fit parameters) is the offset of (label)ordinal from
+    nu0; None when `offsets` sets none and the scaled level table gives it."""
+    key = OFFSET_KEYS.get((label, ordinal))
+    return key if offsets.get(key) is not None else None
 
 
 def vibration_orientation_lines(levels, band: VibrationBandModel, pop: PopulationModel):

@@ -737,6 +737,16 @@ def test_gap_cache_matches_dense_eigenvalues():
         assert gaps.gap(beta) == pytest.approx(uncached, abs=1e-12)
 
 
+def test_level_slopes_are_the_derivative_in_beta():
+    # Hellmann-Feynman slopes against a central difference of the energies,
+    # whose error is about h**2 times the third derivative, plus roundoff / h
+    gaps, h = LevelGapCache(jmax=8), 1e-4
+    for beta in (0.3, 1.0, 4.2):
+        for label in ("A1", "L1", "E2", "E3"):
+            diff = (gaps.eigenvalues(beta + h, label) - gaps.eigenvalues(beta - h, label)) / (2 * h)
+            np.testing.assert_allclose(gaps.slopes(beta, label), diff, rtol=0, atol=1e-6)
+
+
 # the label blocks against references that share none of their code, over
 # the beta range of fitting.PARAM_BOUNDS and the potentials the config accepts
 GAP_BETAS = (0.05, 0.1, 0.3, 1.0, 2.5, 6.0)

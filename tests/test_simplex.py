@@ -73,19 +73,22 @@ def test_potential_range_bits():
 
 def test_four_band_fit_bits(tmp_path, capsys, monkeypatch):
     # the four bands fix only B*gap(beta): at the start beta the linear solve
-    # fits them exactly, so no simplex runs and A1 and L1 are solved once each
-    solves = []
-    eigenvalues = rotor.LevelGapCache.eigenvalues
-    monkeypatch.setattr(rotor.LevelGapCache, "eigenvalues",
-                        lambda self, beta, label, **kw: solves.append(label)
-                        or eigenvalues(self, beta, label, **kw))
+    # fits them exactly, so no simplex runs and A1 and L1 are solved once
+    # each, and once more for their beta slopes in the rank's Jacobian
+    solves = {"eigenvalues": [], "slopes": []}
+    for method, labels in solves.items():
+        inner = getattr(rotor.LevelGapCache, method)
+        monkeypatch.setattr(rotor.LevelGapCache, method,
+                            lambda self, beta, label, inner=inner, labels=labels:
+                            labels.append(label) or inner(self, beta, label))
     out = tmp_path / "fit.json"
     assert cli.main(["fit", "--config", str(ROOT / "configs/atpb.cfg"),
                      "--peaks", str(ROOT / "configs/atpb_peaks.csv"), "--out", str(out)]) == 0
     assert ("rank 4 of 5 free scalars: the peaks fix only a combination of B, beta\n"
             in capsys.readouterr().out)
     report = json.loads(out.read_text())
-    assert sorted(solves) == ["A1", "L1"]
+    assert {k: sorted(v) for k, v in solves.items()} == {"eigenvalues": ["A1", "L1"],
+                                                          "slopes": ["A1", "L1"]}
     assert report["iterations"] == 0 and report["starts_run"] == 1
     assert report["values"]["beta"] == 1.0
     gap = rotor.LevelGapCache(rotor.normalize_potential(((3, -1.0),)), 10).gap(1.0)
