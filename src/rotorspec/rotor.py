@@ -11,9 +11,11 @@ D^l, so invariance under all 144 site x molecule rotations holds by
 construction and the matrix is real symmetric.
 
 Potential normalization fixes max V - min V = 1 over orientation space, so
-the barrier height is exactly beta*B.  normalize_potential scans the range
-once and returns a NormalizedPotential, the only potential the solvers
-accept, so the unit range is an invariant of the type and is never rescanned.
+the barrier height is exactly beta*B.  normalize_potential returns a
+NormalizedPotential, the only potential the solvers accept, so the unit range
+is an invariant of the type and is never rescanned.  A one-term potential
+w*V_r spans |w| times the recorded range of V_r (_UNIT_SPAN) and needs no
+scan; a mixed one is scanned once.
 With the default negative rank-3 coefficient the potential minima sit at the
 aligned orientations (molecular tetrahedron coincident with the site
 tetrahedron); the aligned-frame value is then the global minimum and the
@@ -41,7 +43,9 @@ the level or spectrum path.  Until perfbench/ref is re-recorded these
 kernels must stay bit-identical to the dense/Kronecker definitions (a dense
 H cut into parity blocks included) that tests/reference.py keeps.  The
 fit's label blocks are written from the same 3j factors per J, with no
-n-sized array.
+n-sized array.  scipy is imported where it is called (expm, the label
+blocks' eigensolves, the CSR operators), so a command that never calls it,
+such as plan on a one-term potential, does not load it.
 
 Both label mechanisms rest on one projector per (J, T irrep), _row_basis,
 cached with its first-row or its whole isotypic image (site rotations act on
@@ -64,14 +68,16 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from . import symmetry
 from .simplex import nelder_mead
 from .symmetry import LEVEL_LABELS, T_ROTATIONS
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "BasisState",
@@ -216,6 +222,8 @@ def _rotation_d(j: int, axis: tuple, angle: float) -> np.ndarray:
     norm = np.linalg.norm(n)
     if norm > 0:
         n = n / norm
+    import scipy.linalg
+
     return scipy.linalg.expm(-1j * angle * (n[0] * jx + n[1] * jy + n[2] * jz))
 
 
@@ -264,7 +272,7 @@ def invariant_coefficients(rank: int) -> np.ndarray:
 
 def _little_d(rank: int, beta: float) -> np.ndarray:
     """Real d^rank(beta), uncached: the range scan visits a new angle on
-    nearly every evaluation, and each process scans once."""
+    nearly every evaluation, and each process scans at most once."""
     return _rotation_d(rank, (0.0, 1.0, 0.0), beta).real
 
 
@@ -327,32 +335,44 @@ def _potential_range_cached(potential: tuple) -> tuple[float, float]:
 class NormalizedPotential(tuple):
     """(rank, weight) terms scaled so that max V - min V = 1 over orientations.
 
-    normalize_potential builds one (DEFAULT_POTENTIAL is a literal of its
-    output), and the solvers accept no other potential, so the unit range is
+    normalize_potential builds one (DEFAULT_POTENTIAL is its output for
+    3:-1.0), and the solvers accept no other potential, so the unit range is
     an invariant of the type and is never scanned again.  A tuple, it equals,
     hashes and serializes as its terms."""
 
     __slots__ = ()
 
 
+#: max V - min V of the rank-r invariant at weight 1, the range scan's result
+#: for ((r, 1.0),) written out bit for bit: w * V_r spans |w| times as much,
+#: so a one-term potential normalizes with no scan
+_UNIT_SPAN = {3: 2.0000000000000013, 4: 1.4814814814814818}
+
+
 def normalize_potential(potential) -> NormalizedPotential:
     """Rescale coefficients so that max V - min V = 1; a NormalizedPotential
-    is returned as it is, with no scan."""
+    is returned as it is.  A one-term potential (r, w) scales to
+    (r, sign(w) / _UNIT_SPAN[r]); only a mixed one is scanned."""
     if isinstance(potential, NormalizedPotential):
         return potential
     pot = tuple((int(r), float(w)) for r, w in potential)
-    vmin, vmax = potential_range(pot)
-    span = vmax - vmin
+    if len(pot) == 1 and pot[0][0] in _UNIT_SPAN:
+        (rank, weight), = pot
+        span = abs(weight) * _UNIT_SPAN[rank]
+        pot, scale = ((rank, math.copysign(1.0, weight)),), _UNIT_SPAN[rank]
+    else:
+        vmin, vmax = potential_range(pot)
+        span = scale = vmax - vmin
     if not math.isfinite(span):
         raise PotentialError(f"potential range is {span}; use smaller coefficients")
     if span <= 1e-12:
         raise PotentialError("potential is constant; cannot normalize to unit range")
-    return NormalizedPotential((r, w / span) for r, w in pot)
+    return NormalizedPotential((r, w / scale) for r, w in pot)
 
 
 #: normalize_potential(((3, -1.0),)), the rank-3 invariant with its minima
-#: aligned, written out so that importing the module scans nothing
-DEFAULT_POTENTIAL = NormalizedPotential(((3, -0.49999999999999967),))
+#: aligned
+DEFAULT_POTENTIAL = NormalizedPotential(((3, -1.0 / _UNIT_SPAN[3]),))
 
 
 def estimated_peak_bytes(jmax: int) -> float:
@@ -796,6 +816,8 @@ def rank_operator_blocks(jmax: int, rank: int) -> dict[int, scipy.sparse.csr_mat
     gives, and each row keeps its entries in column order, as its block's
     own CSR matrix does, so a product with a stack sums every output row as
     the product with that block does."""
+    import scipy.sparse
+
     n = _basis_size(jmax)
     comps = range(-rank, rank + 1)
     stacks = {}
@@ -884,6 +906,8 @@ class LevelGapCache:
 
     def eigenvalues(self, beta: float, label: str) -> np.ndarray:
         """Ascending energies of every `label` level, in units of B; uncached."""
+        import scipy.linalg
+
         kdiag, vblock = self._block(label)
         return scipy.linalg.eigvalsh(np.diag(kdiag) + beta * vblock)
 
@@ -892,6 +916,8 @@ class LevelGapCache:
         (Feynman, Phys. Rev. 56:340, 1939) each slope is u^H V_b u for the
         level's eigenvector u, so it costs an eigh.  At a degenerate energy
         the slope is that of whichever vectors of the eigenspace eigh returns."""
+        import scipy.linalg
+
         kdiag, vblock = self._block(label)
         vectors = scipy.linalg.eigh(np.diag(kdiag) + beta * vblock)[1]
         return np.einsum("ij,ij->j", vectors.conj(), vblock @ vectors).real

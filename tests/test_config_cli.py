@@ -635,10 +635,15 @@ with open(sys.argv[1], "w") as fh:
 """
 
 
-def test_each_command_scans_the_potential_once(tmp_path):
-    """The config's raw potential is scanned once, to normalize it; nothing
-    rescans the normalized one, which carries its unit range in its type."""
+@pytest.mark.parametrize("potential,scans", [("3:-1.0", 0), ("3:-1.0, 4:0.3", 1)],
+                         ids=["one_term", "mixed"])
+def test_each_command_scans_the_potential_at_most_once(tmp_path, potential, scans):
+    """A one-term potential normalizes from its rank's recorded range with no
+    scan; a mixed one is scanned once, to normalize it.  Nothing rescans the
+    normalized potential, which carries its unit range in its type."""
     text, n = re.subn(r"(?m)^Jmax = 10$", "Jmax = 4", (REPO / "configs" / "atpb.cfg").read_text())
+    assert n == 1
+    text, n = re.subn(r"(?m)^potential = 3:-1\.0$", f"potential = {potential}", text)
     assert n == 1
     cfg = tmp_path / "atpb_j4.cfg"
     cfg.write_text(text)
@@ -658,9 +663,45 @@ def test_each_command_scans_the_potential_once(tmp_path):
         out = tmp_path / "scans.txt"
         subprocess.run([sys.executable, "-c", _COUNT_SCANS, out, *args], cwd=tmp_path, check=True,
                        capture_output=True, env=dict(os.environ, PYTHONPATH=path))
-        rc, scans = map(int, out.read_text().split())
-        counts[name] = (rc in (0, 2), scans)  # 2: the short fits need not converge
-    assert counts == dict.fromkeys(commands, (True, 1))
+        rc, count = map(int, out.read_text().split())
+        counts[name] = (rc in (0, 2), count)  # 2: the short fits need not converge
+    assert counts == dict.fromkeys(commands, (True, scans))
+
+
+_LOADED_SCIPY = """\
+import contextlib, io, sys
+from rotorspec import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(rc, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_scipy_loads_only_where_it_is_called(tmp_path):
+    """scipy is imported at its call sites: importing the CLI, `symmetry` and
+    `plan` on the shipped one-term config load none of it, and `levels`
+    loads scipy.linalg (expm) but not scipy.sparse."""
+    cfg, sticks = REPO / "configs" / "atpb.cfg", tmp_path / "sticks.csv"
+    assert cli.main(["spectrum", "--config", str(cfg), "--sticks", str(sticks),
+                     "--out-spectrum", str(tmp_path / "spectrum.csv")]) == 0
+    runs = {
+        "import": [],
+        "symmetry": ["symmetry", "--json", "--out", tmp_path / "symmetry.json"],
+        "plan": ["plan", "--config", cfg, "--lines", sticks, "--mc-samples", "0"],
+        "levels": ["levels", "--config", cfg, "--format", "csv", "--out", tmp_path / "levels.csv"],
+    }
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    loaded = {}
+    for name, args in runs.items():
+        proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, *map(str, args)], cwd=tmp_path,
+                              check=True, capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+        rc, *modules = proc.stdout.split()
+        assert rc == "0", name
+        loaded[name] = set(modules)
+    assert loaded["import"] == loaded["symmetry"] == loaded["plan"] == set()
+    assert "scipy.linalg" in loaded["levels"]
+    assert not any(m.startswith("scipy.sparse") for m in loaded["levels"])
 
 
 def test_console_script_installed():

@@ -152,7 +152,7 @@ def test_create_normalizes_the_field_defaults():
     3:-1.0 that configs write."""
     normalized = rotor.normalize_potential(((3, -1.0),))
     assert normalized == ((3, -0.49999999999999967),)
-    # the default is that literal, and the old default 3:-0.5 scans to it too
+    # the default has those bits, and the old default 3:-0.5 normalizes to them too
     assert rotor.DEFAULT_POTENTIAL == normalized == rotor.normalize_potential(((3, -0.5),))
     assert rotor.normalize_potential(rotor.DEFAULT_POTENTIAL) is rotor.DEFAULT_POTENTIAL
     assert RotorModel.create() == RotorModel() == RotorModel(potential=normalized)
@@ -169,6 +169,28 @@ def _no_scan(monkeypatch):
     def scan(potential):
         raise AssertionError(f"scanned {potential}")
     monkeypatch.setattr(rotor, "_potential_on_grid", scan)
+
+
+def test_one_term_normalization_span_bits(monkeypatch):
+    """w * V_r spans |w| times V_r's range, so a one-term potential takes the
+    recorded span of its rank and no scan: its weight is sign(w) / span_r."""
+    for rank in (3, 4):
+        vmin, vmax = potential_range(((rank, 1.0),))
+        assert rotor._UNIT_SPAN[rank].hex() == (vmax - vmin).hex()
+    _no_scan(monkeypatch)
+    for rank in (3, 4):
+        for weight in (1.0, -1.0, 0.5, -0.5, -0.7, 0.3, 1e-3, -1e3):
+            (r, w), = rotor.normalize_potential(((rank, weight),))
+            assert r == rank and w.hex() == (math.copysign(1.0, weight) / rotor._UNIT_SPAN[rank]).hex()
+    for weight in (-1.0, -0.5, -0.7, -1e-3, -1e3):
+        assert rotor.normalize_potential(((3, weight),)) == rotor.DEFAULT_POTENTIAL
+    # the messages of the scan these replace
+    constant = "potential is constant; cannot normalize to unit range"
+    for weight, message in ((0.0, constant), (1e-13, constant),
+                            (1e308, "potential range is inf; use smaller coefficients")):
+        with pytest.raises(PotentialError) as err:
+            rotor.normalize_potential(((3, weight),))
+        assert str(err.value) == message
 
 
 def test_normalized_potential_is_returned_unscanned(monkeypatch):
