@@ -223,14 +223,11 @@ def cmd_symmetry(args) -> int:
 # levels
 # ----------------------------------------------------------------------------
 
-def _classified_levels(cfg: config_mod.RunConfig, max_energy: float):
-    system = rotor.diagonalize(cfg.model)
-    return rotor.classify_levels(system, max_energy=max_energy)
-
-
 def cmd_levels(args) -> int:
     cfg = _load_config(args.config)
-    levels = _classified_levels(cfg, args.max_energy)
+    model = cfg.model
+    levels = rotor.LevelGapCache(model.potential, model.Jmax).levels(model.B, model.beta,
+                                                                      args.max_energy)
     rows = [(lev.energy, lev.degeneracy, lev.rovib_label, lev.spin_species,
              lev.ordinal) for lev in levels]
     if args.format == "csv":
@@ -316,7 +313,7 @@ def _spectrum_svg(freqs, amps, lines, synth: spectrum.SpectrumConfig) -> str:
 
 def cmd_spectrum(args) -> int:
     cfg = _load_config(args.config)
-    levels = _classified_levels(cfg, args.max_energy)
+    levels = rotor.classify_levels(rotor.diagonalize(cfg.model), max_energy=args.max_energy)
     envelope = spectrum.envelope_lines(levels, cfg.band, cfg.population)
     sticks = sorted(envelope + spectrum.rotational_raman_lines(levels, cfg.population),
                     key=lambda l: (l.frequency, l.lower, l.upper))
@@ -549,7 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lev.add_argument("--format", default="text", choices=("text", "csv", "json"))
     p_lev.add_argument("--out")
     p_lev.add_argument("--max-energy", type=_at_least(0, float), default=150.0,
-                       help="classify levels up to this energy in cm-1")
+                       help="list levels up to this energy in cm-1")
     p_lev.set_defaults(func=cmd_levels)
 
     p_spec = sub.add_parser("spectrum", help="stick list and synthesized envelope")

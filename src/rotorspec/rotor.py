@@ -39,7 +39,7 @@ V conserves the parity of k and of m, so it is assembled straight into its
 four parity blocks, and diagonalize builds and solves H one block at a time
 and keeps each block's eigenvectors; dense n-row columns are written only for
 the levels classify_levels keeps, so a cut in energy leaves no n x n array on
-the level or spectrum path.  Until perfbench/ref is re-recorded these
+the spectrum path.  Until perfbench/ref is re-recorded these
 kernels must stay bit-identical to the dense/Kronecker definitions (a dense
 H cut into parity blocks included) that tests/reference.py keeps.  The
 fit's label blocks are written from the same 3j factors per J, with no
@@ -54,11 +54,14 @@ coefficients on the isotypic blocks of the 16 product irreps in one pass:
 their squared norms count the cluster's content, and for a cluster holding
 several labels their Gram matrix per label splits it, the split projecting
 onto those labels' irreps only.  The levels get the cluster labels of
-symmetry.LEVEL_LABELS together with their nuclear-spin species.  The
-fitting path needs energies only: LevelGapCache solves one first-row block
-per level symbol (_first_row_bases), whose eigenvalues are the energies of
-that symbol's levels in order, and their beta slopes once for a fit's
-identifiability.
+symmetry.LEVEL_LABELS together with their nuclear-spin species; spectrum
+and the envelope fit use them, as line strengths need the vectors.  The
+level table and the position fit need energies only: LevelGapCache solves
+one first-row block per level symbol (_first_row_bases), whose eigenvalues
+are the energies of that symbol's levels in order, one block for each
+site-molecule exchange pair, and their beta slopes once for a fit's
+identifiability.  Its level table has no cluster tolerance: a label that
+occurs twice at one energy is two levels with consecutive ordinals.
 """
 
 from __future__ import annotations
@@ -381,10 +384,8 @@ def estimated_peak_bytes(jmax: int) -> float:
     blocks and one block's solve), fitted and rounded up to the peaks
     measured at Jmax 10, 14 and 16 (n = 1771, 4495 and 6545) before
     scipy.optimize left the import: 109.2, 214.9 and 350.8 MB, now 89.5,
-    195.1 and 330.9 MB.  `levels` with no energy cut writes all n columns
-    densely and peaks higher (359 MB at Jmax 14); `fit --starts 1
-    --max-iter 20` holds no n x n array and peaks lower, at 68.1, 71.7 and
-    75.5 MB."""
+    195.1 and 330.9 MB.  `fit --starts 1 --max-iter 20` holds no n x n
+    array and peaks lower, at 68.1, 71.7 and 75.5 MB."""
     n = _basis_size(jmax)
     return 100e6 + 0.8 * 8 * float(n) ** 2 if n < 1e150 else math.inf
 
@@ -885,11 +886,18 @@ def _label_block(jmax: int, potential: tuple, name: str) -> tuple[np.ndarray, np
 
 class LevelGapCache:
     """Level energies of P^2 + beta*V in units of B by level symbol, for the
-    fitting objective.  A label's block (K_b, V_b) is projected when the
-    label is first asked for; its ascending eigenvalues are the energies of
-    (label)1, (label)2, ...  energies() keeps those of the last beta only: a
-    simplex moves beta on nearly every step, so older betas are rarely asked
-    for again.  gap() is (L1)1 - (A1)1."""
+    fitting objective and the level table.  A label's block (K_b, V_b) is
+    projected when the label is first asked for; its ascending eigenvalues
+    are the energies of (label)1, (label)2, ...  The site-molecule exchange
+    |J k m> -> |J m k> commutes with H, each c being symmetric, and maps the
+    blocks of A2, A3 and E4 onto those of E1, L2 and I1I2, so each pair reads
+    one block and one solve (_EXCHANGED) and its energies tie exactly.
+    energies() keeps those of the last beta only: a simplex moves beta on
+    nearly every step, so older betas are rarely asked for again.  gap() is
+    (L1)1 - (A1)1."""
+
+    #: level symbol -> its exchange partner, whose block and solve it reads
+    _EXCHANGED = {"E1": "A2", "L2": "A3", "I1I2": "E4"}
 
     def __init__(self, potential=DEFAULT_POTENTIAL, jmax: int = DEFAULT_JMAX):
         _require_normalized(potential)
@@ -900,6 +908,7 @@ class LevelGapCache:
         self._solved = {}
 
     def _block(self, label: str):
+        label = self._EXCHANGED.get(label, label)
         if label not in self._blocks:
             self._blocks[label] = _label_block(self.jmax, self.potential, label)
         return self._blocks[label]
@@ -927,9 +936,26 @@ class LevelGapCache:
         key = round(float(beta), 12)
         if key != self._beta:
             self._beta, self._solved = key, {}
+        label = self._EXCHANGED.get(label, label)
         if label not in self._solved:
             self._solved[label] = self.eigenvalues(beta, label)
         return self._solved[label]
+
+    def levels(self, B: float, beta: float, max_energy: float | None = None) -> list[EnergyLevel]:
+        """The level table at B (cm^-1) and beta, with no vectors: (label)i at
+        B * (the i-th eigenvalue of the label's block - ground), ground the
+        lowest level of any label, with the label's dimension and spin.  A
+        label that occurs twice at one energy gives two levels with
+        consecutive ordinals.  The levels up to `max_energy` cm^-1 are sorted
+        by (energy, label), as classify_levels sorts them."""
+        solved = {name: self.energies(beta, name) for name in LEVEL_LABELS}
+        ground = min(e[0] for e in solved.values() if len(e))
+        levels = [EnergyLevel(energy=energy, degeneracy=LEVEL_LABELS[name].dimension,
+                              rovib_label=name, spin_species=LEVEL_LABELS[name].spin, ordinal=i)
+                  for name, e in solved.items()
+                  for i, energy in enumerate((B * (e - ground)).tolist(), 1)
+                  if max_energy is None or energy <= max_energy]
+        return sorted(levels, key=lambda lev: (lev.energy, lev.rovib_label))
 
     def gap(self, beta: float) -> float:
         """First orientation gap (A1 ground to L1 manifold) in units of B."""

@@ -360,13 +360,36 @@ def test_cli_levels_invalid_config_exits_1(workdir, capsys):
     assert "beta" in capsys.readouterr().err
 
 
-def test_cli_levels_non_integral_cluster_exits_2(workdir, capsys, monkeypatch):
+def test_cli_levels_reads_the_label_blocks(workdir, monkeypatch):
+    # the level table comes from the fit's label blocks: the dense solve and
+    # the classification are never called, and the three exchange pairs
+    # share a solve, so the ten labels take seven
+    def fail(*args, **kwargs):
+        raise AssertionError("levels ran the dense path")
+
+    monkeypatch.setattr(rotor, "diagonalize", fail)
+    monkeypatch.setattr(rotor, "classify_levels", fail)
+    solved, eigenvalues = [], rotor.LevelGapCache.eigenvalues
+
+    def counted(self, beta, label):
+        solved.append(label)
+        return eigenvalues(self, beta, label)
+
+    monkeypatch.setattr(rotor.LevelGapCache, "eigenvalues", counted)
+    assert cli.main(["levels", "--config", "run.cfg", "--format", "csv",
+                     "--out", "levels.csv", "--max-energy", "40"]) == 0
+    assert sorted(solved) == ["A1", "A2", "A3", "E2", "E3", "E4", "L1"]
+    rows = (workdir / "levels.csv").read_text().splitlines()[1:]
+    assert rows[0].split(",")[1:] == ["1", "A1", "A", "1"]
+
+
+def test_cli_spectrum_non_integral_cluster_exits_2(workdir, capsys, monkeypatch):
     # eigenvalues spread one apart cut each degenerate cluster into single
     # columns with fractional irrep content: a numerical failure, exit 2
     diagonalize = rotor.diagonalize
     monkeypatch.setattr(rotor, "diagonalize", lambda model: replace(
         diagonalize(model), energies=np.arange(float(len(rotor.build_basis(model.Jmax))))))
-    assert cli.main(["levels", "--config", "run.cfg", "--max-energy", "40"]) == 2
+    assert cli.main(["spectrum", "--config", "run.cfg", "--max-energy", "40"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: the 1-state cluster at 1 cm^-1 has non-integral")
 

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import importlib
 import math
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -12,12 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
 from reference import tunneling_frequencies
-from rotorspec import rotor, symmetry
+from rotorspec import fitting, rotor, spectrum, symmetry
 from rotorspec.rotor import (BasisState, LevelGapCache, PotentialError,
                              RotorError, RotorModel, build_basis,
                              classify_levels, diagonalize,
@@ -835,6 +836,76 @@ def test_site_molecule_exchange_pairs_share_energies(potential, jmax):
                                        rtol=0, atol=1e-12)
         diff = np.abs(gaps.eigenvalues(beta, "E2") - gaps.eigenvalues(beta, "E3")).max()
         assert (diff < 1e-12) == (potential == ((4, -1.0),))
+
+
+EXCHANGE_PAIRS = (("A2", "E1"), ("A3", "L2"), ("E4", "I1I2"))
+
+
+def _exchange_permutation(jmax):
+    """Basis index of |J m k> for each basis state |J k m>: the swap of the
+    site and molecular frames, an involution, so X v = v[perm]."""
+    J, k, m = rotor._basis_layout(jmax)
+    return rotor._basis_size(J - 1) + (m + J) * (2 * J + 1) + (k + J)
+
+
+@pytest.mark.parametrize("potential", [((3, -1.0),), ((3, 0.7),), ((4, -1.0),),
+                                       ((3, -1.0), (4, 0.3))],
+                         ids=["3:-1", "3:0.7", "4:-1", "3:-1,4:0.3"])
+def test_exchange_commutes_with_h_and_pairs_the_label_blocks(potential):
+    # c_{mu nu} is symmetric, so the swap |J k m> -> |J m k> commutes with H
+    # and maps each pair's label space onto its partner's: the pairs have one
+    # spectrum, and LevelGapCache solves each pair once
+    jmax, pot = 6, rotor.normalize_potential(potential)
+    perm = _exchange_permutation(jmax)
+    H = reference.hamiltonian(RotorModel.create(B=1.0, beta=1.0, potential=pot, Jmax=jmax))
+    assert np.abs(H[np.ix_(perm, perm)] - H).max() <= 1e-15
+    for a, b in EXCHANGE_PAIRS:
+        Qa, Qb = reference.dense_label_basis(jmax, a), reference.dense_label_basis(jmax, b)
+        assert Qa.shape == Qb.shape
+        XQa = Qa[perm]
+        assert np.abs(XQa - Qb @ (Qb.conj().T @ XQa)).max() <= 1e-14
+    gaps = LevelGapCache(pot, jmax=jmax)
+    for beta in (0.05, 1.0, 6.0):
+        for a, b in EXCHANGE_PAIRS:
+            assert np.array_equal(gaps.eigenvalues(beta, a), gaps.eigenvalues(beta, b))
+            assert np.array_equal(gaps.energies(beta, a), gaps.energies(beta, b))
+
+
+_SIGN = st.sampled_from([-1.0, 1.0])
+#: rank 3, rank 4 and mixed potentials of either sign
+_POTENTIALS = st.one_of(
+    st.tuples(st.sampled_from(rotor.SUPPORTED_RANKS), _SIGN).map(lambda term: (term,)),
+    st.tuples(_SIGN, _SIGN, st.floats(0.05, 2.0)).map(
+        lambda t: ((3, t[0]), (4, t[1] * t[2]))),
+)
+
+
+@given(beta=st.floats(*fitting.PARAM_BOUNDS["beta"]), potential=_POTENTIALS,
+       jmax=st.integers(4, 8), B=st.floats(*fitting.PARAM_BOUNDS["B"]))
+@example(beta=0.05, potential=((3, -1.0),), jmax=6, B=5.9)
+@example(beta=0.05, potential=((3, 1.0), (4, -0.3)), jmax=8, B=3.0)
+def test_level_table_is_the_dense_spectrum_and_the_fit_model(beta, potential, jmax, B):
+    # the level table from the label blocks is the dense oracle's spectrum
+    # below the cut, each level repeated by its degeneracy, and the
+    # transition model's positions are those its rows give
+    pot = rotor.normalize_potential(potential)
+    cut = 20.0 * B
+    gaps = LevelGapCache(pot, jmax)
+    levels = gaps.levels(B, beta, cut)
+    got = np.repeat([lev.energy for lev in levels], [lev.degeneracy for lev in levels])
+    w, _ = reference.diagonalize(RotorModel.create(B=B, beta=beta, potential=pot, Jmax=jmax))
+    np.testing.assert_allclose(got, w[:len(got)], rtol=0, atol=1e-9 * B)
+    assert len(got) == len(w) or w[len(got)] > cut - 1e-9 * B
+    energy = {lev.name: lev.energy for lev in gaps.levels(B, beta)}
+    tmodel = fitting.TransitionModel(pot, jmax)
+    params = dict(B=B, beta=beta, nu0=3206.0, excited_scale=1.0,
+                  dw_L1_star=None, dw_LE3_star=None)
+    band = spectrum.VibrationBandModel(nu0=params["nu0"])
+    for name, modeled in zip(tmodel.NAMES, tmodel.frequencies(tmodel.NAMES, params)):
+        (low, i), (up, j) = re.findall(r"\((\w+)\)(\d+)", name)
+        offset = band.excited_offset(up, int(j), lambda: energy[f"({up}){j}"] - energy["(L1)1"])
+        position = band.nu0 + offset - (energy[f"({low}){i}"] - energy["(L1)1"])
+        assert modeled == pytest.approx(position, abs=1e-9), name
 
 
 @pytest.mark.parametrize("jmax", [2, 6, 10])
