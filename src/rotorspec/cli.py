@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: symmetry, levels, spectrum, fit, plan.  One sectioned config
-file feeds every subcommand; flags override file values.  Outputs are written
-atomically (temp then rename) and identical inputs produce byte-identical
-files.  Exit status: 0 success, 1 validation error, 2 numerical
-non-convergence.
+file feeds every subcommand; flags override file values.  Outputs stream: rows
+are written as they are made, to stdout or atomically to a file (temp then
+rename), and CSV inputs are parsed row by row, so no file-sized text is held.
+Identical inputs produce byte-identical files.  Exit status: 0 success, 1
+validation error, 2 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
+import itertools
 import json
 import math
 import os
@@ -55,31 +56,24 @@ def _atomic_file(path: str):
         raise
 
 
-def _atomic_write(path: str, text: str):
-    with _atomic_file(path) as fh:
-        fh.write(text)
-
-
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        _atomic_write(out_path, text)
-    else:
-        sys.stdout.write(text)
+def _output(path: str | None):
+    """The sink every writer writes into: `path`, written atomically, or stdout."""
+    return _atomic_file(path) if path else contextlib.nullcontext(sys.stdout)
 
 
 def _emit_json(payload, out_path: str | None):
     """`payload` as sorted, indented JSON to `out_path` or stdout, encoded
     chunk by chunk into the file, so the whole text is never held."""
-    with contextlib.nullcontext(sys.stdout) if not out_path else _atomic_file(out_path) as fh:
+    with _output(out_path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def _read_csv(path: str, header: str, error: type[Exception], parse_row) -> list:
-    """`parse_row` of every non-blank row after the header.  An empty file, a
-    wrong header or text that is not UTF-8 raises `error` naming `path`; a
-    row that `parse_row` or the CSV reader rejects raises `error` naming
-    `path:line`."""
+def _read_csv(path: str, header: str, error: type[Exception], parse_row):
+    """Yield `parse_row` of every non-blank row after the header.  An empty
+    file, a wrong header or text that is not UTF-8 raises `error` naming
+    `path`; a row that `parse_row` or the CSV reader rejects raises `error`
+    naming `path:line`."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -88,20 +82,19 @@ def _read_csv(path: str, header: str, error: type[Exception], parse_row) -> list
                 raise error(f"{path}: empty file, expected header {header}")
             if tuple(h.strip() for h in first) != tuple(header.split(",")):
                 raise error(f"{path}: header must be {header}, got {','.join(first)}")
-            out = []
             for row in reader:
                 if not any(cell.strip() for cell in row):
                     continue
                 try:
-                    out.append(parse_row(row))
+                    parsed = parse_row(row)
                 except (ValueError, IndexError) as exc:
                     raise error(f"{path}:{reader.line_num}: bad row {','.join(row)!r}: "
                                 f"{exc}") from None
+                yield parsed
         except csv.Error as exc:
             raise error(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return out
 
 
 @contextlib.contextmanager
@@ -156,18 +149,6 @@ def _table_payload(table: symmetry.GroupTable) -> dict:
     }
 
 
-def _format_table_text(table: symmetry.GroupTable) -> str:
-    out = [f"group {table.name} (order {table.order})"]
-    head = "  ".join(f"{label:>8s}" for label, _, _ in table.classes)
-    out.append(f"{'':8s}  {head}")
-    for label, dim, chars in table.irreps:
-        row = []
-        for c in map(complex, chars):
-            row.append(f"{c.real:8.3f}" if abs(c.imag) < 1e-12 else f"{c:>8.2f}")
-        out.append(f"{label:8s}  " + "  ".join(row))
-    return "\n".join(out) + "\n"
-
-
 def cmd_symmetry(args) -> int:
     groups = ["T", "Td", "D2d", "C3v", "TxT"]
     species = symmetry.spin_decomposition()
@@ -199,23 +180,30 @@ def cmd_symmetry(args) -> int:
                                       "group": args.raman_group, "count": raman_count}
         _emit_json(payload, args.out)
         return EXIT_OK
-    buf = io.StringIO()
-    for g in groups:
-        buf.write(_format_table_text(symmetry.character_table(g)) + "\n")
-    buf.write("descent Td -> D2d (z-axis S4):\n")
-    for label, corr in correlations.items():
-        target = " + ".join(f"{m}x{lab}" if m > 1 else lab for lab, m in sorted(corr.items()))
-        buf.write(f"  {label:4s} -> {target}\n")
-    buf.write("\nnuclear spin species (4 protons):\n")
-    for s in species:
-        buf.write(f"  {s.label}: weight {s.spin_weight}, total {s.total_count} of 16\n")
-    buf.write("\nRaman-active irreps:\n")
-    for g, active in symmetry.RAMAN_ACTIVE.items():
-        buf.write(f"  {g}: {', '.join(sorted(active))}\n")
-    if raman_count is not None:
-        buf.write(f"\nRaman-allowed bands in [{args.raman_count}] under "
-                  f"{args.raman_group}: {raman_count}\n")
-    _emit(buf.getvalue(), args.out)
+    with _output(args.out) as fh:
+        for g in groups:
+            table = symmetry.character_table(g)
+            fh.write(f"group {table.name} (order {table.order})\n")
+            head = "  ".join(f"{label:>8s}" for label, _, _ in table.classes)
+            fh.write(f"{'':8s}  {head}\n")
+            for label, _, chars in table.irreps:
+                row = "  ".join(f"{c.real:8.3f}" if abs(c.imag) < 1e-12 else f"{c:>8.2f}"
+                                for c in map(complex, chars))
+                fh.write(f"{label:8s}  {row}\n")
+            fh.write("\n")
+        fh.write("descent Td -> D2d (z-axis S4):\n")
+        for label, corr in correlations.items():
+            target = " + ".join(f"{m}x{lab}" if m > 1 else lab for lab, m in sorted(corr.items()))
+            fh.write(f"  {label:4s} -> {target}\n")
+        fh.write("\nnuclear spin species (4 protons):\n")
+        for s in species:
+            fh.write(f"  {s.label}: weight {s.spin_weight}, total {s.total_count} of 16\n")
+        fh.write("\nRaman-active irreps:\n")
+        for g, active in symmetry.RAMAN_ACTIVE.items():
+            fh.write(f"  {g}: {', '.join(sorted(active))}\n")
+        if raman_count is not None:
+            fh.write(f"\nRaman-allowed bands in [{args.raman_count}] under "
+                     f"{args.raman_group}: {raman_count}\n")
     return EXIT_OK
 
 
@@ -230,30 +218,23 @@ def cmd_levels(args) -> int:
                                                                       args.max_energy)
     rows = [(lev.energy, lev.degeneracy, lev.rovib_label, lev.spin_species,
              lev.ordinal) for lev in levels]
-    if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(LEVELS_CSV_HEADER + "\n")
-        for e, d, lab, spin, ordn in rows:
-            buf.write(f"{e!r},{d},{lab},{spin},{ordn}\n")
-        _emit(buf.getvalue(), args.out)
-    elif args.format == "json":
-        payload = {
-            "model": {"B_cm1": cfg.model.B, "beta": cfg.model.beta,
-                      "Jmax": cfg.model.Jmax,
-                      "potential": [list(t) for t in cfg.model.potential]},
-            "levels": [
-                {"energy_cm1": e, "degeneracy": d, "label": lab, "spin": spin,
-                 "ordinal": ordn}
-                for e, d, lab, spin, ordn in rows
-            ],
-        }
-        _emit_json(payload, args.out)
-    else:
-        buf = io.StringIO()
-        buf.write(f"{'energy_cm1':>12s} {'deg':>4s} {'label':>6s} {'spin':>4s} {'n':>3s}\n")
-        for e, d, lab, spin, ordn in rows:
-            buf.write(f"{_fmt(e):>12s} {d:4d} {lab:>6s} {spin:>4s} {ordn:3d}\n")
-        _emit(buf.getvalue(), args.out)
+    if args.format == "json":
+        _emit_json({
+            "model": {"B_cm1": model.B, "beta": model.beta, "Jmax": model.Jmax,
+                      "potential": [list(t) for t in model.potential]},
+            "levels": [dict(zip(("energy_cm1", "degeneracy", "label", "spin", "ordinal"), row))
+                       for row in rows],
+        }, args.out)
+        return EXIT_OK
+    with _output(args.out) as fh:
+        if args.format == "csv":
+            fh.write(LEVELS_CSV_HEADER + "\n")
+            for e, d, lab, spin, ordn in rows:
+                fh.write(f"{e!r},{d},{lab},{spin},{ordn}\n")
+        else:
+            fh.write(f"{'energy_cm1':>12s} {'deg':>4s} {'label':>6s} {'spin':>4s} {'n':>3s}\n")
+            for e, d, lab, spin, ordn in rows:
+                fh.write(f"{_fmt(e):>12s} {d:4d} {lab:>6s} {spin:>4s} {ordn:3d}\n")
     return EXIT_OK
 
 
@@ -261,23 +242,25 @@ def cmd_levels(args) -> int:
 # spectrum
 # ----------------------------------------------------------------------------
 
-def _sticks_csv(lines) -> str:
-    buf = io.StringIO()
-    buf.write(STICKS_CSV_HEADER + "\n")
+def _sticks_csv(fh, lines):
+    fh.write(STICKS_CSV_HEADER + "\n")
     for l in lines:
-        buf.write(f"{l.frequency!r},{l.intensity!r},{l.lower},{l.upper},{l.activity}\n")
-    return buf.getvalue()
+        fh.write(f"{l.frequency!r},{l.intensity!r},{l.lower},{l.upper},{l.activity}\n")
 
 
-def _spectrum_csv(freqs, amps) -> str:
-    buf = io.StringIO()
-    buf.write(SPECTRUM_CSV_HEADER + "\n")
-    for f, a in zip(freqs, amps):
-        buf.write(f"{float(f)!r},{float(a)!r}\n")
-    return buf.getvalue()
+def _samples(freqs, amps):
+    """(frequency, amplitude) of each sample as floats, converted 4096 at a time."""
+    for i in range(0, len(freqs), 4096):
+        yield from zip(freqs[i:i + 4096].tolist(), amps[i:i + 4096].tolist())
 
 
-def _spectrum_svg(freqs, amps, lines, synth: spectrum.SpectrumConfig) -> str:
+def _spectrum_csv(fh, freqs, amps):
+    fh.write(SPECTRUM_CSV_HEADER + "\n")
+    for f, a in _samples(freqs, amps):
+        fh.write(f"{f!r},{a!r}\n")
+
+
+def _spectrum_svg(fh, freqs, amps, lines, synth: spectrum.SpectrumConfig):
     width, height, pad = 900, 360, 45
     fmax = max(amps.max(), max((l.intensity for l in lines), default=0.0), 1e-300)
     x0, x1 = synth.start, synth.stop
@@ -288,27 +271,27 @@ def _spectrum_svg(freqs, amps, lines, synth: spectrum.SpectrumConfig) -> str:
     def ypix(a):
         return height - pad - (a / fmax) * (height - 2 * pad)
 
-    parts = [
+    fh.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'viewBox="0 0 {width} {height}">\n'
+        f'<rect width="{width}" height="{height}" fill="white"/>\n'
         f'<line x1="{pad}" y1="{height-pad}" x2="{width-pad}" y2="{height-pad}" '
-        'stroke="black"/>',
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height-pad}" stroke="black"/>',
+        'stroke="black"/>\n'
+        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height-pad}" stroke="black"/>\n'
         f'<text x="{width//2}" y="{height-8}" text-anchor="middle" font-size="12">'
-        "frequency / cm-1</text>",
-    ]
+        "frequency / cm-1</text>\n"
+    )
     for l in lines:
         if x0 <= l.frequency <= x1:
-            parts.append(
+            fh.write(
                 f'<line x1="{xpix(l.frequency):.2f}" y1="{ypix(0):.2f}" '
                 f'x2="{xpix(l.frequency):.2f}" y2="{ypix(l.intensity):.2f}" '
-                'stroke="steelblue" stroke-width="1.5"/>'
+                'stroke="steelblue" stroke-width="1.5"/>\n'
             )
-    pts = " ".join(f"{xpix(f):.2f},{ypix(a):.2f}" for f, a in zip(freqs, amps))
-    parts.append(f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="1"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    points = (f"{xpix(f):.2f},{ypix(a):.2f}" for f, a in _samples(freqs, amps))
+    fh.write('<polyline points="' + next(points, ""))
+    fh.writelines(" " + point for point in points)
+    fh.write('" fill="none" stroke="crimson" stroke-width="1"/>\n</svg>\n')
 
 
 def cmd_spectrum(args) -> int:
@@ -321,10 +304,13 @@ def cmd_spectrum(args) -> int:
         warnings.simplefilter("always")
         freqs, amps = spectrum.synthesize(envelope, cfg.synthesis)
         clip_notes = [str(w.message) for w in caught]
-    _atomic_write(args.sticks, _sticks_csv(sticks))
-    _atomic_write(args.out_spectrum, _spectrum_csv(freqs, amps))
+    with _atomic_file(args.sticks) as fh:
+        _sticks_csv(fh, sticks)
+    with _atomic_file(args.out_spectrum) as fh:
+        _spectrum_csv(fh, freqs, amps)
     if args.svg:
-        _atomic_write(args.svg, _spectrum_svg(freqs, amps, envelope, cfg.synthesis))
+        with _atomic_file(args.svg) as fh:
+            _spectrum_svg(fh, freqs, amps, envelope, cfg.synthesis)
     sys.stdout.write(
         f"lines: {len(sticks)} (sticks -> {args.sticks})\n"
         f"grid: {cfg.synthesis.start} .. {cfg.synthesis.stop} cm-1, "
@@ -348,15 +334,21 @@ def _peak_row(row) -> fitting.Peak:
 
 
 def _read_peaks_csv(path: str) -> fitting.PeakList:
-    peaks = _read_csv(path, PEAKS_CSV_HEADER, fitting.FitError, _peak_row)
+    peaks = tuple(_read_csv(path, PEAKS_CSV_HEADER, fitting.FitError, _peak_row))
     with _blaming(path, fitting.FitError):
-        return fitting.PeakList(tuple(peaks))
+        return fitting.PeakList(peaks)
 
 
 def _read_envelope_csv(path: str):
+    """Rows (frequencies, amplitudes) of a sampled envelope, parsed row by row;
+    a sample past spectrum.MAX_GRID_SAMPLES, the most a grid holds, is an error."""
     rows = _read_csv(path, SPECTRUM_CSV_HEADER, fitting.FitError,
                      lambda row: (_finite(row[0]), _finite(row[1])))
-    return np.array([f for f, _ in rows]), np.array([a for _, a in rows])
+    most = spectrum.MAX_GRID_SAMPLES
+    samples = np.fromiter(itertools.islice(rows, most + 1), dtype=(float, 2))
+    if len(samples) > most:
+        raise fitting.FitError(f"{path}: more than {most} samples, the most a synthesis grid holds")
+    return samples.T.copy()
 
 
 def _fit_report_payload(report: fitting.FitReport) -> dict:
@@ -423,25 +415,24 @@ def cmd_fit(args) -> int:
             report = fitting.fit_envelope(freqs, amps, spec, model, seed=args.seed)
     if args.out:
         _emit_json(_fit_report_payload(report), args.out)
-    buf = io.StringIO()
-    buf.write(f"converged: {report.converged} (objective {report.objective:.6e}, "
+    out = sys.stdout
+    out.write(f"converged: {report.converged} (objective {report.objective:.6e}, "
               f"{report.iterations} iterations over {report.starts_run} of {spec.n_starts} "
               f"starts, best start {report.best_start})\n")
     for name in sorted(report.values):
-        buf.write(f"  {name:14s} = {_fmt(report.values[name])}\n")
+        out.write(f"  {name:14s} = {_fmt(report.values[name])}\n")
     if report.residuals:
-        buf.write("residuals (cm-1):\n")
+        out.write("residuals (cm-1):\n")
         for n, o, m, r in report.residuals:
-            buf.write(f"  {n:18s} obs {_fmt(o):>9s}  model {_fmt(m):>9s}  "
+            out.write(f"  {n:18s} obs {_fmt(o):>9s}  model {_fmt(m):>9s}  "
                       f"resid {r:+.3g}\n")
     if note := report.identifiability():
-        buf.write(note + "\n")
+        out.write(note + "\n")
     if report.nearest_assigned:
-        buf.write("nearest-frequency assignments (no label given): "
+        out.write("nearest-frequency assignments (no label given): "
                   + ", ".join(report.nearest_assigned) + "\n")
     if report.message and not report.converged:
-        buf.write(f"note: {report.message}\n")
-    sys.stdout.write(buf.getvalue())
+        out.write(f"note: {report.message}\n")
     return EXIT_OK if report.converged else EXIT_NOCONV
 
 
@@ -454,8 +445,8 @@ def _line_row(row) -> spectrum.Line:
                          lower=row[2], upper=row[3], activity=row[4])
 
 
-def _read_lines_csv(path: str):
-    return _read_csv(path, STICKS_CSV_HEADER, qubitplan.PlanError, _line_row)
+def _read_lines_csv(path: str) -> list:
+    return list(_read_csv(path, STICKS_CSV_HEADER, qubitplan.PlanError, _line_row))
 
 
 def _plan_payload(report: qubitplan.PlanReport, mc: dict | None) -> dict:
@@ -501,24 +492,23 @@ def cmd_plan(args) -> int:
         }
     if args.out:
         _emit_json(_plan_payload(report, mc), args.out)
-    buf = io.StringIO()
-    buf.write(f"addressable channels per band: {report.channels} "
+    out = sys.stdout
+    out.write(f"addressable channels per band: {report.channels} "
               f"(fwhm {_fmt(cfg.synthesis.fwhm)} cm-1 = "
               f"{units.cm1_to_ghz(cfg.synthesis.fwhm):.2f} GHz, "
               f"source {_fmt(cfg.source_linewidth_ghz)} GHz)\n")
-    buf.write(f"r12 characteristic: {_fmt(report.r12_characteristic_nm)} nm, "
+    out.write(f"r12 characteristic: {_fmt(report.r12_characteristic_nm)} nm, "
               f"poisson mean: {_fmt(report.r12_poisson_mean_nm)} nm "
               f"(a = {_fmt(cfg.crystal.a_nm)} nm, c = {_fmt(cfg.crystal.c)})\n")
     if mc:
-        buf.write(f"monte carlo mean: {_fmt(mc['mean_nm'])} nm "
+        out.write(f"monte carlo mean: {_fmt(mc['mean_nm'])} nm "
                   f"({mc['samples']} samples, dev {100*mc['relative_deviation']:.2f}%)\n")
     for label, r, hz in report.couplings:
-        buf.write(f"coupling at {label} r = {_fmt(r)} nm: {_fmt(hz/1e9)} GHz "
+        out.write(f"coupling at {label} r = {_fmt(r)} nm: {_fmt(hz/1e9)} GHz "
                   f"(mu = {_fmt(cfg.crystal.mu_debye)} D)\n")
-    buf.write("largest line separations:\n")
+    out.write("largest line separations:\n")
     for a, b, d, g in report.delta_omega_pairs[:10]:
-        buf.write(f"  {_fmt(d):>8s} cm-1 = {g:10.2f} GHz   {a}  vs  {b}\n")
-    sys.stdout.write(buf.getvalue())
+        out.write(f"  {_fmt(d):>8s} cm-1 = {g:10.2f} GHz   {a}  vs  {b}\n")
     return EXIT_OK
 
 

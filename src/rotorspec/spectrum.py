@@ -27,6 +27,7 @@ their degeneracy (an oscillator-strength sum rule).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -65,7 +66,7 @@ DEFAULT_FROZEN_FRACTIONS = {
 #: relative orientational strength below which a transition is dropped
 STRENGTH_GATE = 1e-2
 
-#: most samples a synthesis grid may have (a float64 each)
+#: most samples a synthesis grid, and so an observed envelope, may have
 MAX_GRID_SAMPLES = 10**7
 
 #: total dimension of the orientational levels kept as vibration-orientation
@@ -178,7 +179,7 @@ class SpectrumConfig:
             problems.append(("start", f"grid start {self.start} must be below stop {self.stop}"))
         if not self.step > 0:
             problems.append(("step", f"grid step must be positive, got {self.step}"))
-        elif self.start < self.stop and (self.stop - self.start) / self.step >= MAX_GRID_SAMPLES:
+        elif (self.stop - self.start) / self.step + 1e-9 >= MAX_GRID_SAMPLES:
             problems.append(("step", f"grid step {self.step} over {self.start} .. {self.stop} "
                                      f"gives more than {MAX_GRID_SAMPLES} samples"))
         if not self.fwhm > 0:
@@ -238,6 +239,7 @@ def populations(levels, pop: PopulationModel) -> dict[str, float]:
 # selection and strengths
 # ----------------------------------------------------------------------------
 
+@functools.cache
 def hosted_species(final_label: str) -> frozenset[str]:
     """Spin species a vibration-orientation level can host: those paired with
     the molecular content of (F vibration) x (orientational label)."""
@@ -378,17 +380,24 @@ def profile_sum(lines, freqs: np.ndarray, shape: str, fwhm: float) -> np.ndarray
     sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     gamma = fwhm / 2.0
     amps = np.zeros(len(freqs))
+    # one line's profile at a time, made in place by the operations of
+    # exp(-0.5 * (offsets / sigma)**2) / norm and (gamma / pi) / (offsets**2 + gamma**2)
+    profile = np.empty(len(freqs))
     for line in lines:
-        offsets = freqs - line.frequency
+        offsets = np.subtract(freqs, line.frequency, out=profile)
         if shape == "gaussian":
             # far from a narrow line the square overflows and exp(-inf) is 0
             with np.errstate(over="ignore"):
-                profile = np.exp(-0.5 * (offsets / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+                np.square(np.divide(offsets, sigma, out=profile), out=profile)
+            np.exp(np.multiply(profile, -0.5, out=profile), out=profile)
+            profile /= sigma * math.sqrt(2 * math.pi)
         elif shape == "lorentzian":
-            profile = (gamma / math.pi) / (offsets**2 + gamma**2)
+            np.add(np.square(offsets, out=profile), gamma**2, out=profile)
+            np.divide(gamma / math.pi, profile, out=profile)
         else:
             raise SpectrumError(f"unknown line shape {shape!r}")
-        amps += line.intensity * profile
+        profile *= line.intensity
+        amps += profile
     return amps
 
 

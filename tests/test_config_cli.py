@@ -994,6 +994,51 @@ def test_json_output_is_written_without_its_whole_text(tmp_path):
     assert peak < 1e6
     assert out.read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
+
+def test_spectrum_writes_its_samples_without_their_text(workdir):
+    # warm, so the second run's peak is the grid's arrays and the rows being
+    # written.  Measured on a 2-vCPU Linux machine: 3.1 x 8n, and 12.6 x 8n
+    # when each file's whole text was built before it was written
+    (workdir / "grid.cfg").write_text((REPO / "configs" / "atpb.cfg").read_text()
+                                      .replace("Jmax = 10", "Jmax = 4")
+                                      .replace("step = 0.05", "step = 0.00034"))
+    argv = ["spectrum", "--config", "grid.cfg", "--sticks", "sticks.csv",
+            "--out-spectrum", "spectrum.csv", "--svg", "plot.svg"]
+    assert cli.main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = 500_001
+    with open(workdir / "spectrum.csv", encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == n + 1
+    assert peak < 4 * 8 * n
+
+
+def test_cli_envelope_longer_than_a_synthesis_grid_exits_1(workdir, capsys, monkeypatch):
+    # `spectrum` writes at most MAX_GRID_SAMPLES rows, so the reader stops
+    # one row past them; the config's own grid must fit the bound too
+    monkeypatch.setattr(spectrum, "MAX_GRID_SAMPLES", 10)
+    (workdir / "run.cfg").write_text(FAST_CONFIG.replace("start = 3150", "start = 3200")
+                                     .replace("stop = 3300", "stop = 3209")
+                                     .replace("step = 0.2", "step = 1.0"))
+    argv = ["fit", "--config", "run.cfg", "--mode", "envelope", "--envelope", "obs.csv",
+            "--free", "nu0", "--starts", "1", "--max-iter", "1"]
+    for rows in (11, 10):
+        (workdir / "obs.csv").write_text("frequency_cm1,amplitude\n" + "".join(
+            f"{3200.0 + i},{0.1 * (i % 4)}\n" for i in range(rows)))
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        if rows == 11:
+            assert rc == 1
+            assert err == ("error: obs.csv: more than 10 samples, the most a synthesis "
+                           "grid holds\n")
+        else:
+            assert rc in (0, 2) and err == ""
+
+
 # any text in an input CSV: exit 0, 1 with the file named, or 2 (the fit's
 # documented non-convergence status, e.g. an envelope no model line reaches)
 # cells: usable values three times as often as odd ones

@@ -1,6 +1,7 @@
 """Populations, line generation, sum bands and envelope synthesis."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rotorspec import rotor, spectrum, units
+from rotorspec import rotor, spectrum, symmetry, units
 from reference import tunneling_frequencies
 from rotorspec.rotor import find_level
 from rotorspec.spectrum import (DEFAULT_FROZEN_FRACTIONS, Line,
@@ -200,6 +201,19 @@ def test_hosted_species_reference_cases():
     assert hosted_species("L2") == {"A", "E", "F"}
     assert hosted_species("A1") == {"F"}
     assert hosted_species("E2") == {"F"}
+
+
+def test_hosted_species_decomposes_each_final_label_once(levels_beta1, monkeypatch):
+    # the species depend on the label alone; an envelope fit asks for them
+    # at every objective evaluation
+    hosted_species.cache_clear()
+    calls = []
+    decompose = symmetry.decompose
+    monkeypatch.setattr(symmetry, "decompose",
+                        lambda chi, table: calls.append(chi) or decompose(chi, table))
+    first = vibration_orientation_lines(levels_beta1, BAND, PopulationModel())
+    assert vibration_orientation_lines(levels_beta1, BAND, PopulationModel()) == first
+    assert 0 < len(calls) <= len({lev.rovib_label for lev in levels_beta1})
 
 
 def test_missing_required_level_reported(levels_beta1):
@@ -394,6 +408,32 @@ def test_narrow_gaussian_is_silent_and_finite():
     assert amps[1000] == 2.0 * (1.0 / (sigma * math.sqrt(2 * math.pi)))
 
 
+@pytest.mark.parametrize("shape", ["gaussian", "lorentzian"])
+def test_profile_sum_holds_one_profile_and_keeps_its_bits(shape):
+    # the sum and one scratch profile, each a grid-sized array, made in place
+    # by the operations of the closed forms below in their order
+    n, fwhm = 10**6, 1.5
+    freqs = 3150.0 + 1.5e-4 * np.arange(n)
+    lines = [Line(3151.0 + 3.5 * i, 0.5 + 0.25 * i, "a", "b", "IR") for i in range(40)]
+    tracemalloc.start()
+    try:
+        amps = spectrum.profile_sum(lines, freqs, shape, fwhm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * n
+    sigma, gamma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0))), fwhm / 2.0
+    expected = np.zeros(n)
+    for line in lines:
+        offsets = freqs - line.frequency
+        if shape == "gaussian":
+            profile = np.exp(-0.5 * (offsets / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+        else:
+            profile = (gamma / math.pi) / (offsets**2 + gamma**2)
+        expected += line.intensity * profile
+    assert np.array_equal(amps, expected)
+
+
 def test_fwhm_reported_in_ghz():
     cfg = SpectrumConfig(start=0.0, stop=10.0, step=1.0, fwhm=1.5)
     assert cfg.fwhm_ghz == pytest.approx(44.97, abs=0.005)
@@ -406,6 +446,14 @@ def test_bad_grid_rejected():
         synthesize([], SpectrumConfig(start=0.0, stop=5.0, step=-0.1))
     with pytest.raises(SpectrumError):
         synthesize([], SpectrumConfig(start=0.0, stop=5.0, step=0.1, shape="voigt"))
+
+
+def test_a_valid_grid_holds_at_most_max_grid_samples():
+    # validate counts the samples as synthesize does, with its 1e-9 slack:
+    # (stop - start) / step just below the bound rounds up to one more sample
+    n = spectrum.MAX_GRID_SAMPLES
+    assert SpectrumConfig(start=0.0, stop=math.nextafter(float(n), 0.0), step=1.0).validate()
+    assert not SpectrumConfig(start=0.0, stop=n - 1.0, step=1.0).validate()
 
 
 def test_grid_sample_count_bounded():
