@@ -34,7 +34,7 @@ def main():
     dt = time.perf_counter() - t0
 
     print(f"converged: {report.converged} in {dt:.1f} s "
-          f"({report.iterations} simplex iterations over {report.starts_run} "
+          f"({report.iterations} solver iterations over {report.starts_run} "
           f"of {args.starts} starts)")
     print(report.identifiability())
     for name in spec.scalar_free():

@@ -445,8 +445,13 @@ def _line_row(row) -> spectrum.Line:
                          lower=row[2], upper=row[3], activity=row[4])
 
 
-def _read_lines_csv(path: str) -> list:
-    return list(_read_csv(path, STICKS_CSV_HEADER, qubitplan.PlanError, _line_row))
+def _read_lines_csv(path: str, activity: str = "all", most: int | None = None) -> list:
+    """The lines of `activity` ("all": every line) in a stick list; with
+    `most`, the reader stops at the first line past `most`."""
+    lines = _read_csv(path, STICKS_CSV_HEADER, qubitplan.PlanError, _line_row)
+    if activity != "all":
+        lines = (l for l in lines if l.activity == activity)
+    return list(itertools.islice(lines, None if most is None else most + 1))
 
 
 def _plan_payload(report: qubitplan.PlanReport, mc: dict | None) -> dict:
@@ -472,9 +477,12 @@ def _plan_payload(report: qubitplan.PlanReport, mc: dict | None) -> dict:
 
 def cmd_plan(args) -> int:
     cfg = _load_config(args.config)
-    lines = _read_lines_csv(args.lines)
-    if args.activity != "all":
-        lines = [l for l in lines if l.activity == args.activity]
+    most = qubitplan.MAX_LINES if args.max_pairs is None else None
+    lines = _read_lines_csv(args.lines, args.activity, most)
+    if most is not None and len(lines) > most:
+        raise qubitplan.PlanError(f"{args.lines}: more than {most} lines make more pairs than "
+                                  f"the {qubitplan.MAX_PAIRS} of a full table; keep the widest "
+                                  "with --max-pairs")
     # the config is valid, so a PlanError here is about the lines
     with _blaming(args.lines, qubitplan.PlanError):
         report = qubitplan.build_plan_report(

@@ -8,24 +8,16 @@ TransitionModel.design gives the positions as b + A @ x, and at each point
 of the outer search the free linear scalars take their least-squares
 values inside their box (_box_lstsq), stepping from their start values by
 the minimum-norm step.  The outer search runs over the free nonlinear
-scalars only, beta and excited_scale; with neither free the fit is one
-linear solve.  The envelope fit searches all its free scalars.
-
-The outer search is a bounded Nelder-Mead simplex with deterministic seeded
-multistart; its objective passes through an eigenvalue solve, so a
-derivative free search is the right tool for the one or two scalars left.
-The simplex is simplex.nelder_mead, which takes scipy's Nelder-Mead steps
-(adaptive=False) bit for bit, so the fit does not depend on scipy's version.
-Both fits hand their residuals to one driver, _minimize, which runs the
-multistart on their sum of squares and builds the FitReport; the position fit
-adds its linear values, peak assignment, residual rows and the rank of its
-Jacobian.  A sum of squares is never negative, so a start whose objective is
-at or below the tolerance is a global minimum to that tolerance: its simplex
-is skipped, and a simplex that ends there stops the multistart.  n_starts is
-the most starts that run, and FitReport.starts_run says how many did.  Both
+scalars only, beta and excited_scale (with neither free the fit is one
+linear solve); the envelope fit searches all its free scalars.  The search
+is lsq.least_squares, a box-bounded Levenberg-Marquardt solver, under the
+seeded multistart of _minimize, the one driver both fits hand their
+residuals to, which builds the FitReport; the position fit adds its linear
+values, peak assignment, residual rows and its Jacobian's rank.  Both
 models keep the eigenvalue work of the last beta only, so a fit at fixed
-beta costs one solve per label.  A position fit reads each level by label
-and ordinal from the symmetry-adapted block of its label
+beta costs one solve per label, and a solver iteration one or two more (its
+beta difference and its trial point).  A position fit reads each level by
+label and ordinal from the symmetry-adapted block of its label
 (rotor.LevelGapCache) and solves only the labels its transitions name: the
 four-band fit needs the A1 and L1 blocks, 17 and 110 states at Jmax 10, once
 each, since its four bands fit exactly at the start beta.
@@ -61,7 +53,7 @@ import numpy as np
 
 from . import config, rotor, spectrum
 from .rotor import LevelGapCache, RotorModel
-from .simplex import SimplexResult, nelder_mead
+from .lsq import LsqResult, least_squares
 from .spectrum import PopulationModel, VibrationBandModel
 
 __all__ = [
@@ -395,10 +387,12 @@ class EnvelopeModel:
 # optimizer core
 # ----------------------------------------------------------------------------
 
-def _box(spec: FitSpec, names) -> tuple[np.ndarray, np.ndarray]:
-    """(low, high) arrays of the search box of the scalars `names`."""
+def _box(spec: FitSpec, names, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `values` of the scalars `names` clipped to their search box, and
+    the box's (low, high) arrays."""
     bounds = [spec.bounds.get(n, PARAM_BOUNDS[n]) for n in names]
-    return np.array(bounds, dtype=float).reshape(len(names), 2).T
+    lo, hi = np.array(bounds, dtype=float).reshape(len(names), 2).T
+    return np.clip(np.array([values[n] for n in names], dtype=float), lo, hi), lo, hi
 
 
 def _box_lstsq(A: np.ndarray, y: np.ndarray, x0: np.ndarray,
@@ -439,77 +433,65 @@ def _box_lstsq(A: np.ndarray, y: np.ndarray, x0: np.ndarray,
     return best[1]
 
 
-#: FitReport.message of a start whose simplex is skipped
+#: FitReport.message of a start whose solver run is skipped
 _AT_TOLERANCE = "the objective at the start is within the tolerance"
 _LINEAR_ONLY = "no nonlinear parameter is free: one linear least-squares solve"
 
 
-def _minimize(spec: FitSpec, seed: int, residuals, names=None) -> tuple[FitReport, dict]:
-    """Seeded multistart Nelder-Mead on sum(residuals(params)**2) over the
-    free scalars `names` (all of the valid `spec`'s by default).  Start 0 is
-    the initial values clipped to the bounds; each later start is a uniform
-    draw in the bounds of `names`, made as the start begins (n_starts may be
-    far more than fit in memory).
+def _minimize(spec: FitSpec, seed: int, residuals, names=None) -> FitReport:
+    """The best start's report, without residual rows, of a seeded multistart
+    lsq.least_squares on residuals(params) over the free scalars `names` (all
+    of the valid `spec`'s by default), at most spec.max_iterations solver
+    iterations a start.  Start 0 is the initial values clipped to the
+    bounds; each later start is a uniform draw in the bounds of `names`,
+    made as the start begins (n_starts may be far more than fit in memory).
 
     The objective is a sum of squares, never negative, so a start whose
     objective is at or below spec.tolerance is a global minimum to that
-    tolerance: its simplex is skipped, and the multistart stops at the first
-    start that begins or ends there; the starts after it are never drawn.
-    When no start gets there, all n_starts run and the lowest objective
-    wins, the earliest start on ties.  With `names` empty the objective is
-    evaluated once.  Returns the best start's report, without residual rows,
-    and its parameters."""
+    tolerance: its solver run is skipped, and the multistart stops at the
+    first start that begins or ends there.  Else all n_starts run and the
+    lowest objective wins, the earliest start on ties.  With `names` empty
+    the objective is evaluated once."""
     names = spec.scalar_free() if names is None else tuple(names)
     base = spec.resolved_initial()
-    lo, hi = _box(spec, names)
-    x0 = np.clip(np.array([base[n] for n in names], dtype=float), lo, hi)
+    x0, lo, hi = _box(spec, names, base)
     rng = np.random.default_rng(seed)
     best = None
     total_iter = 0
+
+    def at(x):
+        return residuals({**base, **dict(zip(names, x))})
+
     for index in range(spec.n_starts if names else 1):
         start = x0 if index == 0 else lo + (hi - lo) * rng.random(len(names))
-        trace: list[float] = []
-
-        def objective(x):
-            val = float(np.sum(residuals({**base, **dict(zip(names, x))}) ** 2))
-            if not trace or val < trace[-1]:
-                trace.append(val)
-            return val
-
-        if index == 0:
-            with np.errstate(over="ignore", invalid="ignore"):
-                first = objective(start)
-            if not math.isfinite(first):
-                raise FitError(f"the fit objective at the initial values is {first}: "
-                               "an observed value is too large to fit")
-        else:
-            first = objective(start)
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = float(np.sum(at(start) ** 2))
+        if index == 0 and not math.isfinite(first):
+            raise FitError(f"the fit objective at the initial values is {first}: "
+                           "an observed value is too large to fit")
         if first <= spec.tolerance or not names:
-            res = SimplexResult(start, first, 0, True, _LINEAR_ONLY if not names else _AT_TOLERANCE)
+            res = LsqResult(start, first, 0, True, _LINEAR_ONLY if not names else _AT_TOLERANCE,
+                            (first,))
         else:
-            res = nelder_mead(objective, start, bounds=(lo, hi), maxiter=spec.max_iterations,
-                              fatol=spec.tolerance, xatol=1e-7)
-        total_iter += int(res.nit)
-        if best is None or float(res.fun) < best[0]:
-            best = (float(res.fun), index, res, tuple(trace))
-        if best[0] <= spec.tolerance:
+            res = least_squares(at, start, lo, hi, maxiter=spec.max_iterations)
+        total_iter += res.nit
+        if best is None or res.fun < best[0].fun:
+            best = (res, index)
+        if best[0].fun <= spec.tolerance:
             break
-    starts_run = index + 1
-    fun, index, res, trace = best
-    params = {**base, **dict(zip(names, res.x))}
-    report = FitReport(
-        values={k: float(v) for k, v in params.items()},
+    res, best_start = best
+    return FitReport(
+        values={k: float(v) for k, v in {**base, **dict(zip(names, res.x))}.items()},
         free=spec.free_params,
         residuals=(),
-        objective=fun,
+        objective=res.fun,
         iterations=total_iter,
-        converged=bool(res.success) or fun <= spec.tolerance,
-        message=str(res.message),
-        best_start=index,
-        starts_run=starts_run,
-        trace=trace,
+        converged=res.success or res.fun <= spec.tolerance,
+        message=res.message,
+        best_start=best_start,
+        starts_run=index + 1,
+        trace=res.trace,
     )
-    return report, params
 
 
 def _identifiability(jacobian: np.ndarray, free) -> tuple[int, tuple[str, ...]]:
@@ -566,7 +548,7 @@ def fit_line_positions(observed: PeakList, spec: FitSpec,
                        model: TransitionModel | None = None,
                        seed: int = 0) -> FitReport:
     """Least-squares fit of transition frequencies to observed peak
-    positions, separable in LINEAR_PARAMS: the multistart simplex searches
+    positions, separable in LINEAR_PARAMS: the multistart solver searches
     the free beta and excited_scale, and at each of its points the free
     linear scalars take their least-squares values in their box, stepping
     from their start values (_box_lstsq).  The report gives the rank of the
@@ -579,8 +561,7 @@ def fit_line_positions(observed: PeakList, spec: FitSpec,
     obs = np.array([p.frequency for p, _ in assignments])
     free = spec.scalar_free()
     linear = tuple(n for n in free if n in LINEAR_PARAMS)
-    lo, hi = _box(spec, linear)
-    x0 = np.clip(np.array([initial[n] for n in linear], dtype=float), lo, hi)
+    x0, lo, hi = _box(spec, linear, initial)
 
     def solve(params):
         """`params` with the free linear scalars solved, and the residuals."""
@@ -588,9 +569,8 @@ def fit_line_positions(observed: PeakList, spec: FitSpec,
         x = _box_lstsq(A, obs - b, x0, lo, hi)
         return {**params, **dict(zip(linear, x.tolist()))}, obs - b - A @ x
 
-    report, params = _minimize(spec, seed, lambda p: solve(p)[1],
-                               tuple(n for n in free if n not in linear))
-    params = solve(params)[0]
+    report = _minimize(spec, seed, lambda p: solve(p)[1], tuple(n for n in free if n not in linear))
+    params = solve(report.values)[0]
     modeled = model.frequencies(names, params)
     rows = tuple((name, float(o), float(m), float(o - m))
                  for name, o, m in zip(names, obs, modeled))
@@ -636,4 +616,4 @@ def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,
                 f"{line_freqs[np.argmin(np.abs(line_freqs - freqs.mean()))]:g} cm^-1"
             ),
         )
-    return _minimize(spec, seed, lambda p: amps - model.amplitude(p, freqs))[0]
+    return _minimize(spec, seed, lambda p: amps - model.amplitude(p, freqs))

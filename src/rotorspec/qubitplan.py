@@ -89,6 +89,8 @@ class PlanReport:
 
 #: most pairs a full separation table holds (plan without --max-pairs)
 MAX_PAIRS = 100_000
+#: most lines a full separation table takes: the largest n with n(n-1)/2 <= MAX_PAIRS
+MAX_LINES = (1 + math.isqrt(1 + 8 * MAX_PAIRS)) // 2
 
 
 def _pairs(lines):

@@ -76,7 +76,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import symmetry
-from .simplex import nelder_mead
+from .lsq import least_squares
 from .symmetry import LEVEL_LABELS, T_ROTATIONS
 
 if TYPE_CHECKING:
@@ -300,38 +300,40 @@ def _potential_on_grid(potential):
     return values, (alphas, betas, gammas)
 
 
-def _potential_value(potential, angles: np.ndarray) -> float:
+def _potential_at(potential, angles: np.ndarray) -> tuple[float, np.ndarray]:
+    """V and (dV/dalpha, dV/dbeta, dV/dgamma) at the Euler angles `angles`:
+    the alpha and gamma derivatives from the phases, the beta one from
+    d d^l(beta)/dbeta = d^l(beta) (-i J_y), J_y and d^l(beta) commuting."""
     a, b, g = angles
-    v = 0.0
+    v, grad = 0.0, np.zeros(3)
     for rank, weight in potential:
         c = invariant_coefficients(rank)
         d = _little_d(rank, float(b))
         ms = np.arange(-rank, rank + 1)
-        phase = np.cos(np.add.outer(ms * a, ms * g))
-        v += weight * float(np.sum(c * d * phase))
-    return v
-
-
-def potential_range(potential) -> tuple[float, float]:
-    """(min, max) of V over orientations: dense grid scan plus local
-    refinement from the best grid points."""
-    return _potential_range_cached(tuple((int(r), float(w)) for r, w in potential))
+        arg = np.add.outer(ms * a, ms * g)
+        v += weight * float(np.sum(c * d * np.cos(arg)))
+        cd_sin = weight * c * d * np.sin(arg)
+        slope = d @ (-1j * _angular_momentum(rank)[1]).real
+        grad += (-np.sum(ms[:, None] * cd_sin), np.sum(weight * c * slope * np.cos(arg)),
+                 -np.sum(ms[None, :] * cd_sin))
+    return v, grad
 
 
 @lru_cache(maxsize=64)
-def _potential_range_cached(potential: tuple) -> tuple[float, float]:
+def potential_range(potential: tuple) -> tuple[float, float]:
+    """(min, max) of V over orientations for the (rank, weight) tuple
+    `potential`: a grid scan, then lsq.least_squares on the gradient of V
+    from the lowest and from the highest grid point."""
     values, (alphas, betas, gammas) = _potential_on_grid(potential)
-    lo_idx = np.unravel_index(np.argmin(values), values.shape)
-    hi_idx = np.unravel_index(np.argmax(values), values.shape)
 
-    def refine(idx, sign):
+    def refine(idx):
         x0 = np.array([alphas[idx[1]], betas[idx[0]], gammas[idx[2]]])
-        res = nelder_mead(lambda x: sign * _potential_value(potential, x), x0,
-                          xatol=1e-10, fatol=1e-12, maxiter=400)
-        return sign * res.fun
+        res = least_squares(lambda x: _potential_at(potential, x)[1], x0,
+                            np.full(3, -math.inf), np.full(3, math.inf), maxiter=100)
+        return _potential_at(potential, res.x)[0]
 
-    vmin = min(values.min(), refine(lo_idx, +1.0))
-    vmax = max(values.max(), refine(hi_idx, -1.0))
+    vmin = min(values.min(), refine(np.unravel_index(np.argmin(values), values.shape)))
+    vmax = max(values.max(), refine(np.unravel_index(np.argmax(values), values.shape)))
     return float(vmin), float(vmax)
 
 
@@ -346,9 +348,9 @@ class NormalizedPotential(tuple):
     __slots__ = ()
 
 
-#: max V - min V of the rank-r invariant at weight 1, the range scan's result
-#: for ((r, 1.0),) written out bit for bit: w * V_r spans |w| times as much,
-#: so a one-term potential normalizes with no scan
+#: max V - min V of the rank-r invariant at weight 1 as an earlier scan found
+#: it, 2 + 3 ulp and 40/27 + 2 ulp (now 2 + 1 ulp and 40/27 - 2 ulp); every
+#: output rests on these bits.  w * V_r spans |w| times as much: no scan
 _UNIT_SPAN = {3: 2.0000000000000013, 4: 1.4814814814814818}
 
 
@@ -892,7 +894,7 @@ class LevelGapCache:
     |J k m> -> |J m k> commutes with H, each c being symmetric, and maps the
     blocks of A2, A3 and E4 onto those of E1, L2 and I1I2, so each pair reads
     one block and one solve (_EXCHANGED) and its energies tie exactly.
-    energies() keeps those of the last beta only: a simplex moves beta on
+    energies() keeps those of the last beta only: a fit moves beta on
     nearly every step, so older betas are rarely asked for again.  gap() is
     (L1)1 - (A1)1."""
 

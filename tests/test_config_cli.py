@@ -727,6 +727,31 @@ def test_scipy_loads_only_where_it_is_called(tmp_path):
     assert not any(m.startswith("scipy.sparse") for m in loaded["levels"])
 
 
+def test_no_command_imports_scipy_optimize(tmp_path):
+    cfg = tmp_path / "j4.cfg"
+    cfg.write_text(re.sub(r"(?m)^Jmax = \d+$", "Jmax = 4",
+                          (REPO / "configs/atpb.cfg").read_text()))
+    script = f"""
+import contextlib, io, sys
+from rotorspec.cli import main
+d, cfg = {str(tmp_path)!r}, {str(cfg)!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in (["levels", "--config", cfg, "--out", d + "/levels.txt"],
+                 ["spectrum", "--config", cfg, "--sticks", d + "/sticks.csv",
+                  "--out-spectrum", d + "/spectrum.csv"],
+                 ["plan", "--config", cfg, "--lines", d + "/sticks.csv", "--mc-samples", "1000"],
+                 ["fit", "--config", cfg, "--peaks", {str(REPO / "configs/atpb_peaks.csv")!r},
+                  "--starts", "1", "--max-iter", "20"])]
+print(codes, sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(REPO / "src")}, check=True)
+    assert proc.stdout.strip() == "[0, 0, 0, 0] []"
+    imports = re.compile(r"^\s*(import|from)\s+scipy(\.optimize|\s+import\s+.*\boptimize\b)", re.M)
+    for path in (REPO / "src").rglob("*.py"):
+        assert not imports.search(path.read_text()), path
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "rotorspec.cli", "--help"],
                           capture_output=True, text=True)
@@ -943,6 +968,22 @@ def test_cli_plan_pair_table_bounded(workdir, capsys, monkeypatch):
                      "--max-pairs", "3", "--out", "plan.json"]) == 0
     assert len(json.loads((workdir / "plan.json").read_text())["delta_omega_pairs"]) == 3
     assert made == [count]
+
+
+def test_cli_plan_reads_no_more_lines_than_a_full_table_takes(workdir, capsys, monkeypatch):
+    # without --max-pairs the reader stops one line past the most lines a
+    # full table takes, so a long list is refused before it is held, and the
+    # error states no count of lines it did not read
+    most = qubitplan.MAX_LINES
+    assert most * (most - 1) // 2 <= qubitplan.MAX_PAIRS < (most + 1) * most // 2
+    (workdir / "lines.csv").write_text(_stick_rows(2000))
+    parsed, row = [], cli._line_row
+    monkeypatch.setattr(cli, "_line_row", lambda cells: parsed.append(cells) or row(cells))
+    rc = cli.main(["plan", "--config", "run.cfg", "--lines", "lines.csv"])
+    assert rc == 1 and len(parsed) == most + 1
+    assert capsys.readouterr().err == (
+        f"error: lines.csv: more than {most} lines make more pairs than the "
+        f"{qubitplan.MAX_PAIRS} of a full table; keep the widest with --max-pairs\n")
 
 
 #: run in a fresh process: the rotorspec command of argv[1:], then print its

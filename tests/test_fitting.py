@@ -1,6 +1,8 @@
 """Peak-position and envelope calibration: round trips, determinism, bounds."""
 
 import functools
+import json
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -19,6 +21,7 @@ from rotorspec.fitting import (EnvelopeModel, FitError, FitSpec, Peak,
                                fit_line_positions)
 
 JMAX = 6
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -543,6 +546,70 @@ def test_fit_models_derive_unset_offsets_as_spectrum_does(tmp_path):
         assert freq == pytest.approx(drawn[key], abs=1e-6), key
 
 
+# ---------------------------------------------------------------- solver objectives
+
+#: the objectives the Nelder-Mead simplex reached on these fits, recorded
+#: before the Levenberg-Marquardt solver replaced it; none may be higher now
+SIMPLEX_OBJECTIVES = {"exact": 0.0, "one peak off": 0.04166666666666667,
+                      "3270": 8.0, "3217.5": 0.18263180024633208}
+
+
+@pytest.mark.parametrize("case", ["exact", "one peak off"])
+def test_six_band_fits_reach_the_simplex_objectives(tmodel, case):
+    # B, beta, nu0 and the dw pair from (5.6, 1.0, 3204); one peak 0.5 cm-1
+    # off leaves a sum of squares of 0.25/6
+    freqs = [p.frequency for p in _synthetic_peaks(tmodel).peaks]
+    freqs[2] += 0.5 if case == "one peak off" else 0.0
+    spec = FitSpec(free_params=("B", "beta", "nu0", "extra_offsets"),
+                   bounds={"B": (4.0, 7.0), "beta": (0.3, 2.5)},
+                   initial={"B": 5.6, "beta": 1.0, "nu0": 3204.0}, n_starts=8)
+    report = fit_line_positions(peak_list(freqs, labels=list(NAMES)), spec, tmodel)
+    assert report.converged
+    assert report.objective <= SIMPLEX_OBJECTIVES[case] * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("case, label, extra", [
+    ("3270", "(L1)1->(L1)2*", []),  # dw_L1_star would leave its box
+    ("3217.5", "(A1)1->(L1)1*", ["--free", "beta,nu0", "--starts", "3"]),
+])
+def test_four_band_fits_reach_the_simplex_objectives(tmp_path, capsys, case, label, extra):
+    peaks = (ROOT / "configs/atpb_peaks.csv").read_text()
+    (tmp_path / "peaks.csv").write_text(re.sub(rf"(?m)^[\d.]+(?=,,{re.escape(label)}$)",
+                                               case, peaks))
+    out = tmp_path / "fit.json"
+    assert cli.main(["fit", "--config", str(ROOT / "configs/atpb.cfg"), "--peaks",
+                     str(tmp_path / "peaks.csv"), "--out", str(out), *extra]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert report["converged"] and report["iterations"] > 0
+    assert report["objective"] <= SIMPLEX_OBJECTIVES[case] * (1 + 1e-9)
+
+
+def test_five_parameter_envelope_fit(tmp_path, capsys, monkeypatch):
+    # the shipped config's envelope at Jmax 6, fitted from B 5.6, beta 1.3,
+    # nu0 3207 and fwhm 1.8 with scale free too: the simplex took 442
+    # iterations and 729 diagonalizations to reach 2.9925444349070805e-16
+    (tmp_path / "truth.cfg").write_text(SHIPPED)
+    start = SHIPPED
+    for key, value in (("B", 5.6), ("beta", 1.3), ("nu0", 3207.0), ("fwhm", 1.8)):
+        start = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", start)
+    (tmp_path / "start.cfg").write_text(start)
+    envelope, out = tmp_path / "envelope.csv", tmp_path / "fit.json"
+    assert cli.main(["spectrum", "--config", str(tmp_path / "truth.cfg"), "--sticks",
+                     str(tmp_path / "sticks.csv"), "--out-spectrum", str(envelope)]) == 0
+    solves = _counting(monkeypatch, rotor, "diagonalize")
+    assert cli.main(["fit", "--config", str(tmp_path / "start.cfg"), "--mode", "envelope",
+                     "--envelope", str(envelope), "--free", "B,beta,nu0,fwhm,scale",
+                     "--starts", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert len(solves) <= 40
+    assert report["objective"] <= 2.9925444349070805e-16 * (1 + 1e-9)
+    truth = {"B": 5.503275, "beta": 1.0, "nu0": 3206.0, "fwhm": 1.5, "scale": 1.0}
+    for name, value in truth.items():
+        assert report["values"][name] == pytest.approx(value, rel=1e-6), name
+
+
 # ---------------------------------------------------------------- fixed-beta traffic
 
 def _counting(monkeypatch, owner, name):
@@ -579,3 +646,28 @@ def test_fixed_beta_envelope_fit_diagonalizes_once(monkeypatch):
                    initial=dict(TRUTH, beta=1.0), n_starts=2)
     fit_envelope(freqs, amps, spec, model, seed=0)
     assert len(solves) == 1
+
+
+def test_four_band_fit_bits(tmp_path, capsys, monkeypatch):
+    # the four bands fix only B*gap(beta): at the start beta the linear solve
+    # fits them exactly, so no simplex runs and A1 and L1 are solved once
+    # each, and once more for their beta slopes in the rank's Jacobian
+    solves = {"eigenvalues": [], "slopes": []}
+    for method, labels in solves.items():
+        inner = getattr(rotor.LevelGapCache, method)
+        monkeypatch.setattr(rotor.LevelGapCache, method,
+                            lambda self, beta, label, inner=inner, labels=labels:
+                            labels.append(label) or inner(self, beta, label))
+    out = tmp_path / "fit.json"
+    assert cli.main(["fit", "--config", str(ROOT / "configs/atpb.cfg"),
+                     "--peaks", str(ROOT / "configs/atpb_peaks.csv"), "--out", str(out)]) == 0
+    assert ("rank 4 of 5 free scalars: the peaks fix only a combination of B, beta\n"
+            in capsys.readouterr().out)
+    report = json.loads(out.read_text())
+    assert {k: sorted(v) for k, v in solves.items()} == {"eigenvalues": ["A1", "L1"],
+                                                          "slopes": ["A1", "L1"]}
+    assert report["iterations"] == 0 and report["starts_run"] == 1
+    assert report["values"]["beta"] == 1.0
+    gap = rotor.LevelGapCache(rotor.normalize_potential(((3, -1.0),)), 10).gap(1.0)
+    assert report["values"]["B"] == pytest.approx(11.0 / gap, rel=1e-12)
+    assert report["identifiability"] == {"rank": 4, "free_scalars": 5, "unfixed": ["B", "beta"]}

@@ -175,9 +175,10 @@ def _no_scan(monkeypatch):
 def test_one_term_normalization_span_bits(monkeypatch):
     """w * V_r spans |w| times V_r's range, so a one-term potential takes the
     recorded span of its rank and no scan: its weight is sign(w) / span_r."""
-    for rank in (3, 4):
+    for rank, exact in ((3, 2.0), (4, 40 / 27)):
         vmin, vmax = potential_range(((rank, 1.0),))
-        assert rotor._UNIT_SPAN[rank].hex() == (vmax - vmin).hex()
+        for span in (rotor._UNIT_SPAN[rank], vmax - vmin):
+            assert abs(span - exact) <= 4 * math.ulp(exact)
     _no_scan(monkeypatch)
     for rank in (3, 4):
         for weight in (1.0, -1.0, 0.5, -0.5, -0.7, 0.3, 1e-3, -1e3):
@@ -192,6 +193,21 @@ def test_one_term_normalization_span_bits(monkeypatch):
         with pytest.raises(PotentialError) as err:
             rotor.normalize_potential(((3, weight),))
         assert str(err.value) == message
+
+
+def test_potential_range_bits():
+    # recorded with the Levenberg-Marquardt refinement of the range scan; each
+    # extreme lies within 16 ulp of the exact one
+    pinned = {
+        ((3, -1.0),): ("-0x1.0000000000001p+0", "0x1.0000000000001p+0", -1.0, 1.0),
+        ((4, -1.0),): ("-0x1.0000000000000p+0", "0x1.ed097b425ed00p-2", -1.0, 13 / 27),
+        ((3, -1.0), (4, 0.3)): ("-0x1.666666666666ap-1", "0x1.4cccccccccccdp+0", -0.7, 1.3),
+    }
+    for potential, (*bits, vmin, vmax) in pinned.items():
+        found = rotor.potential_range(potential)
+        assert tuple(v.hex() for v in found) == tuple(bits)
+        for v, exact in zip(found, (vmin, vmax)):
+            assert abs(v - exact) <= 16 * math.ulp(exact)
 
 
 def test_normalized_potential_is_returned_unscanned(monkeypatch):
