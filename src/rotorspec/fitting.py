@@ -14,9 +14,9 @@ is lsq.least_squares, a box-bounded Levenberg-Marquardt solver, under the
 seeded multistart of _minimize, the one driver both fits hand their
 residuals to, which builds the FitReport; the position fit adds its linear
 values, peak assignment, residual rows and its Jacobian's rank.  Both
-models keep the eigenvalue work of the last beta only, so a fit at fixed
-beta costs one solve per label, and a solver iteration one or two more (its
-beta difference and its trial point).  A position fit reads each level by
+models keep the eigenvalue work of their last two betas, so a fit at fixed
+beta costs one solve per label, and a solver iteration one more for its beta
+difference and one per trial point.  A position fit reads each level by
 label and ordinal from the symmetry-adapted block of its label
 (rotor.LevelGapCache) and solves only the labels its transitions name: the
 four-band fit needs the A1 and L1 blocks, 17 and 110 states at Jmax 10, once
@@ -348,9 +348,9 @@ class EnvelopeModel:
     of `spectrum` and levels classified up to 15 B.  `band` supplies the
     lattice sum bands; the fit parameters supply the rest of the band.
 
-    The unit-B levels of the last beta are kept; B rescales their energies,
-    so fits over (B, nu0, fwhm, scale, offsets) at fixed beta reuse one
-    eigen-solve.
+    The unit-B levels of the last two betas are kept, a solver iterate's
+    and its beta difference's; B rescales their energies, so fits over (B,
+    nu0, fwhm, scale, offsets) at fixed beta reuse one eigen-solve.
     """
 
     def __init__(self, potential=rotor.DEFAULT_POTENTIAL, jmax: int = 8,
@@ -362,19 +362,15 @@ class EnvelopeModel:
         self.pop = pop or PopulationModel()
         self.shape = shape
         self.band = band
-        self._beta, self._levels = None, None
+        self._unit_levels = functools.lru_cache(maxsize=2)(self._classify)
 
-    def _unit_levels(self, beta: float):
-        key = round(float(beta), 12)
-        if key != self._beta:
-            model = RotorModel(B=1.0, beta=key, potential=self.potential, Jmax=self.jmax)
-            self._levels = rotor.classify_levels(rotor.diagonalize(model), max_energy=15.0)
-            self._beta = key
-        return self._levels
+    def _classify(self, beta: float):
+        model = RotorModel(B=1.0, beta=beta, potential=self.potential, Jmax=self.jmax)
+        return rotor.classify_levels(rotor.diagonalize(model), max_energy=15.0)
 
     def lines(self, params: dict):
         scaled = [replace(lev, energy=lev.energy * params["B"])
-                  for lev in self._unit_levels(params["beta"])]
+                  for lev in self._unit_levels(float(params["beta"]))]
         return spectrum.envelope_lines(scaled, _band(params, self.band), self.pop)
 
     def amplitude(self, params: dict, freqs: np.ndarray) -> np.ndarray:

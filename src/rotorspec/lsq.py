@@ -2,15 +2,16 @@
 1963; Moré, Lecture Notes in Mathematics 630:105, 1978), numpy only.
 
 Each iteration takes a forward-difference Jacobian J, each scalar stepped by
-1e-7 * max(|x|, 1), inward at an upper bound (the fits' level caches, keyed
-by round(beta, 12), see such a step), and solves [J; sqrt(lam * diag(J^T
-J))] dx = [-r; 0], holding each scalar at a bound whose gradient points out
-of the box; trial points are clipped to the box.  lam starts at 1e-4, /10
-after a trial that lowers the objective, x10 after one that does not.  A run
-stops when no damped step lowers the objective, when a taken step moves
-every scalar by less than 1e-10 relative, or after maxiter iterations, never
-on a small objective alone.  A step below about sqrt(eps) relative changes a
-nonzero objective by less than its roundoff, so x is found to about that.
+h = min(1e-7 * max(|x|, 1), its larger distance to a bound), backward where
+x + h is past the upper bound, so no step leaves the box; it solves
+[J; sqrt(lam * diag(J^T J))] dx = [-r; 0], holding each scalar at a bound
+whose gradient points out of the box; trial points are clipped to the box.
+lam starts at 1e-4, /10 after a trial that lowers the objective, x10 after
+one that does not.  A run stops when no damped step lowers the objective,
+when a taken step moves every scalar by less than 1e-10 relative, or after
+maxiter iterations, never on a small objective alone.  A step below about
+sqrt(eps) relative changes a nonzero objective by less than its roundoff, so
+x is found to about that.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def least_squares(residuals, x0, lo, hi, *, maxiter: int) -> LsqResult:
     for nit in range(1, maxiter + 1):
         J = np.empty((len(r), len(x)))
         for i in range(len(x)):
-            h = 1e-7 * max(abs(x[i]), 1.0)
+            h = min(1e-7 * max(abs(x[i]), 1.0), max(hi[i] - x[i], x[i] - lo[i]))
             xh = x.copy()
             xh[i] += h if x[i] + h <= hi[i] else -h
             J[:, i] = (residuals(xh) - r) / (xh[i] - x[i])

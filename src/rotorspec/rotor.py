@@ -70,7 +70,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -894,9 +894,8 @@ class LevelGapCache:
     |J k m> -> |J m k> commutes with H, each c being symmetric, and maps the
     blocks of A2, A3 and E4 onto those of E1, L2 and I1I2, so each pair reads
     one block and one solve (_EXCHANGED) and its energies tie exactly.
-    energies() keeps those of the last beta only: a fit moves beta on
-    nearly every step, so older betas are rarely asked for again.  gap() is
-    (L1)1 - (A1)1."""
+    energies() keeps those of the last two betas, a solver iterate's and its
+    beta difference's.  gap() is (L1)1 - (A1)1."""
 
     #: level symbol -> its exchange partner, whose block and solve it reads
     _EXCHANGED = {"E1": "A2", "L2": "A3", "I1I2": "E4"}
@@ -905,15 +904,13 @@ class LevelGapCache:
         _require_normalized(potential)
         self.potential = potential
         self.jmax = jmax
-        self._blocks = {}
-        self._beta = None
-        self._solved = {}
+        self._blocks = cache(lambda label: _label_block(jmax, potential, label))
+        # eigenvalues is looked up at each miss, so a patch on the class sees the solves
+        self._solved = lru_cache(maxsize=2 * (len(LEVEL_LABELS) - len(self._EXCHANGED)))(
+            lambda beta, label: self.eigenvalues(beta, label))
 
     def _block(self, label: str):
-        label = self._EXCHANGED.get(label, label)
-        if label not in self._blocks:
-            self._blocks[label] = _label_block(self.jmax, self.potential, label)
-        return self._blocks[label]
+        return self._blocks(self._EXCHANGED.get(label, label))
 
     def eigenvalues(self, beta: float, label: str) -> np.ndarray:
         """Ascending energies of every `label` level, in units of B; uncached."""
@@ -934,14 +931,9 @@ class LevelGapCache:
         return np.einsum("ij,ij->j", vectors.conj(), vblock @ vectors).real
 
     def energies(self, beta: float, label: str) -> np.ndarray:
-        """eigenvalues(beta, label), solved once per label while beta stays."""
-        key = round(float(beta), 12)
-        if key != self._beta:
-            self._beta, self._solved = key, {}
-        label = self._EXCHANGED.get(label, label)
-        if label not in self._solved:
-            self._solved[label] = self.eigenvalues(beta, label)
-        return self._solved[label]
+        """eigenvalues(beta, label), solved once per label for each of the
+        last two betas."""
+        return self._solved(float(beta), self._EXCHANGED.get(label, label))
 
     def levels(self, B: float, beta: float, max_energy: float | None = None) -> list[EnergyLevel]:
         """The level table at B (cm^-1) and beta, with no vectors: (label)i at

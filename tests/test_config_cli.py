@@ -537,9 +537,23 @@ def test_cli_fit_nonconvergence_exits_2(workdir):
     assert rc == 2
 
 
+def test_cli_fit_beta_box_narrower_than_the_difference_step(workdir, capsys):
+    # the box [0, 1e-8] is narrower than the solver's difference step on
+    # both sides; a step out of it would ask for a rotor model at beta < 0
+    (workdir / "j4.cfg").write_text((REPO / "configs" / "atpb.cfg").read_text()
+                                    .replace("Jmax = 10", "Jmax = 4"))
+    assert cli.main(["spectrum", "--config", "j4.cfg", "--out-spectrum", "env.csv"]) == 0
+    capsys.readouterr()
+    rc = cli.main(["fit", "--config", "j4.cfg", "--mode", "envelope", "--envelope", "env.csv",
+                   "--free", "beta", "--bound", "beta", "0", "1e-8", "--starts", "1"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert "  beta           = 1e-08\n" in out
+
+
 @pytest.mark.parametrize("mode", ["positions", "envelope"])
 def test_cli_fit_rejects_an_overflowing_input(workdir, capsys, mode):
-    # exit 1 naming the file, before the simplex starts and without warnings
+    # exit 1 naming the file, before the solver starts and without warnings
     if mode == "positions":
         (workdir / "obs.csv").write_text("frequency_cm1,intensity,label\n1e200,1,\n3217,1,\n")
         args = ["--peaks", "obs.csv"]

@@ -60,7 +60,7 @@ def test_fwhm_bound_below_default_grid_step_rejected():
 @pytest.mark.parametrize("name", ["fwhm", "scale"])
 def test_position_fit_rejects_envelope_only_parameters(tmodel, name):
     # no position residual reads fwhm or scale, so a position fit would
-    # report whatever value its simplex left them at
+    # report whatever value its solver left them at
     spec = FitSpec(free_params=("nu0", name))
     assert spec.validate() == []
     assert [f for f, msg in spec.validate(positions=True) if name in msg] == ["free_params"]
@@ -437,7 +437,7 @@ def test_envelope_grid_without_lines_flags_nonconvergence(emodel):
 
 @pytest.mark.parametrize("mode", ["positions", "envelope"])
 def test_fit_rejects_an_infinite_objective_at_the_start(tmodel, emodel, mode):
-    # a residual whose square overflows would run the whole simplex on an
+    # a residual whose square overflows would run the whole solver on an
     # infinite objective, warning as it goes; it is rejected before start 0
     spec = FitSpec(free_params=("nu0",), initial=dict(TRUTH, beta=1.0), n_starts=2)
     freqs = np.arange(3190.0, 3250.0, 0.5)
@@ -588,7 +588,8 @@ def test_four_band_fits_reach_the_simplex_objectives(tmp_path, capsys, case, lab
 def test_five_parameter_envelope_fit(tmp_path, capsys, monkeypatch):
     # the shipped config's envelope at Jmax 6, fitted from B 5.6, beta 1.3,
     # nu0 3207 and fwhm 1.8 with scale free too: the simplex took 442
-    # iterations and 729 diagonalizations to reach 2.9925444349070805e-16
+    # iterations and 729 diagonalizations to reach 2.9925444349070805e-16;
+    # the solver took 29 while the fit kept one beta's levels, and 23 now
     (tmp_path / "truth.cfg").write_text(SHIPPED)
     start = SHIPPED
     for key, value in (("B", 5.6), ("beta", 1.3), ("nu0", 3207.0), ("fwhm", 1.8)):
@@ -603,7 +604,7 @@ def test_five_parameter_envelope_fit(tmp_path, capsys, monkeypatch):
                      "--starts", "1", "--out", str(out)]) == 0
     capsys.readouterr()
     report = json.loads(out.read_text())
-    assert len(solves) <= 40
+    assert len(solves) <= 25
     assert report["objective"] <= 2.9925444349070805e-16 * (1 + 1e-9)
     truth = {"B": 5.503275, "beta": 1.0, "nu0": 3206.0, "fwhm": 1.5, "scale": 1.0}
     for name, value in truth.items():
@@ -648,9 +649,29 @@ def test_fixed_beta_envelope_fit_diagonalizes_once(monkeypatch):
     assert len(solves) == 1
 
 
+def test_two_alternating_betas_are_each_solved_once(monkeypatch):
+    # a solver iteration asks for its iterate's beta and its beta
+    # difference's in turn, so both models keep two betas
+    betas = (1.0, 1.0 + 1e-7)
+    solves = _counting(monkeypatch, rotor.LevelGapCache, "eigenvalues")
+    gaps = rotor.LevelGapCache(jmax=4)
+    for beta in betas * 2:
+        for label in rotor.LEVEL_LABELS:
+            gaps.energies(beta, label)
+    blocks = {rotor.LevelGapCache._EXCHANGED.get(n, n) for n in rotor.LEVEL_LABELS}
+    assert len(blocks) == 7
+    assert sorted((beta, label) for _, beta, label in solves) == sorted(
+        (beta, label) for beta in betas for label in blocks)
+    diagonalized = _counting(monkeypatch, rotor, "diagonalize")
+    model = EnvelopeModel(jmax=4)
+    for beta in betas * 2:
+        model.amplitude(dict(TRUTH, beta=beta), np.arange(3150.0, 3300.0, 0.5))
+    assert [args[0].beta for args in diagonalized] == list(betas)
+
+
 def test_four_band_fit_bits(tmp_path, capsys, monkeypatch):
     # the four bands fix only B*gap(beta): at the start beta the linear solve
-    # fits them exactly, so no simplex runs and A1 and L1 are solved once
+    # fits them exactly, so no solver runs and A1 and L1 are solved once
     # each, and once more for their beta slopes in the rank's Jacobian
     solves = {"eigenvalues": [], "slopes": []}
     for method, labels in solves.items():

@@ -33,6 +33,22 @@ def test_box_bounded_linear_problems_match_scipy():
     assert held == {True, False}
 
 
+def test_difference_step_stays_inside_a_box_narrower_than_it():
+    # the box [0, 1e-8] is narrower than the step 1e-7 on both sides, so the
+    # step shrinks to the larger distance to a bound and never leaves it
+    lo, hi = np.array([0.0]), np.array([1e-8])
+
+    def residuals(x):
+        if not lo[0] <= x[0] <= hi[0]:
+            raise ValueError(f"evaluated outside the box at {x[0]}")
+        return x - 3e-9
+
+    for x0 in (1.0, -1.0, 5e-9):
+        res = least_squares(residuals, np.array([x0]), lo, hi, maxiter=50)
+        assert res.success, x0
+        assert res.x[0] == pytest.approx(3e-9, rel=1e-3), x0
+
+
 def test_rosenbrock_reaches_its_minimum():
     res = least_squares(lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
                         np.array([-1.2, 1.0]), np.full(2, -np.inf), np.full(2, np.inf), maxiter=200)

@@ -292,7 +292,7 @@ def test_gap_cache_rejects_unnormalized_potential():
 
 
 def test_potential_range_caches_no_rotation_matrix():
-    # the range scan's grid and simplex visit a new angle on nearly every
+    # the range scan's grid and solver visit a new angle on nearly every
     # evaluation: the rotation-matrix cache keeps the group's rotations only
     rotor.normalize_potential(((3, -1.0), (4, 0.3)))  # the coefficient tensors' rotations
     before = rotor._wigner_d_cached.cache_info().currsize
