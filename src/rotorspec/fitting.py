@@ -9,7 +9,7 @@ of the outer search the free linear scalars take their least-squares
 values inside their box (_box_lstsq), stepping from their start values by
 the minimum-norm step.  The outer search runs over the free nonlinear
 scalars only, beta and excited_scale (with neither free the fit is one
-linear solve); the envelope fit searches all its free scalars.  The search
+linear solve); the envelope fit solves its intensity scale so.  The search
 is lsq.least_squares, a box-bounded Levenberg-Marquardt solver, under the
 seeded multistart of _minimize, the one driver both fits hand their
 residuals to, which builds the FitReport; the position fit adds its linear
@@ -29,16 +29,16 @@ Both models use the band model of `spectrum` as it is: the parameters
 become a VibrationBandModel, and the envelope is spectrum.profile_sum of
 spectrum.envelope_lines, as in the `spectrum` command.
 
-Parameter names: B, beta, nu0, excited_scale, fwhm, scale and
+Parameter names: B, beta, nu0, excited_scale, fwhm and
 spectrum.OFFSET_NAMES.  A parameter a model type owns (B, beta, nu0,
 excited_scale, fwhm) is the config key of a field with a fit bound
 (config.PARAMS): PARAM_DEFAULTS holds its field's default and PARAM_BOUNDS
 its fit bound, and its domain is what that model type's validate() accepts.
-Only the fit's own entries are written here: the dw start values and box,
-and the intensity scale.  The entry "extra_offsets" in FitSpec.free_params
-stands for the pair of dw parameters and counts as one name against the
-peaks >= parameters requirement.  A dw overrides the level table only when
-free or given in FitSpec.initial; PARAM_DEFAULTS holds its start value.
+Only the fit's own entries are written here: the dw start values and box.
+The entry "extra_offsets" in FitSpec.free_params stands for the pair of dw
+parameters and counts as one name against the peaks >= parameters
+requirement.  A dw overrides the level table only when free or given in
+FitSpec.initial; PARAM_DEFAULTS holds its start value.
 """
 
 from __future__ import annotations
@@ -82,19 +82,17 @@ _OWNED = {p.key: p for p in config.PARAMS if p.fit_bound}
 PARAM_DEFAULTS = {
     **{name: p.default for name, p in _OWNED.items()},
     **dict(zip(spectrum.OFFSET_NAMES, (24.0, 29.0))),
-    "scale": 1.0,
 }
 
 PARAM_BOUNDS = {
     **{name: p.fit_bound for name, p in _OWNED.items()},
     **dict.fromkeys(spectrum.OFFSET_NAMES, (5.0, 60.0)),
-    "scale": (0.0, 1e3),
 }
 
 _GROUP_PARAMS = {"extra_offsets": spectrum.OFFSET_NAMES}
 
 #: parameters that act on the envelope only, never on a peak position
-_ENVELOPE_ONLY = ("fwhm", "scale")
+_ENVELOPE_ONLY = ("fwhm",)
 
 #: parameters every peak position is linear in at fixed beta and excited_scale
 LINEAR_PARAMS = ("B", "nu0", *spectrum.OFFSET_NAMES)
@@ -344,13 +342,13 @@ class TransitionModel:
 # ----------------------------------------------------------------------------
 
 class EnvelopeModel:
-    """Sampled envelope as a function of the fit parameters, with the lines
-    of `spectrum` and levels classified up to 15 B.  `band` supplies the
-    lattice sum bands; the fit parameters supply the rest of the band.
+    """Sampled envelope, in the intensity units of `spectrum`, as a function
+    of the fit parameters, with its lines and levels classified up to 15 B.
+    `band` supplies the lattice sum bands; the fit parameters the rest.
 
     The unit-B levels of the last two betas are kept, a solver iterate's
     and its beta difference's; B rescales their energies, so fits over (B,
-    nu0, fwhm, scale, offsets) at fixed beta reuse one eigen-solve.
+    nu0, fwhm, offsets) at fixed beta reuse one eigen-solve.
     """
 
     def __init__(self, potential=rotor.DEFAULT_POTENTIAL, jmax: int = 8,
@@ -374,9 +372,8 @@ class EnvelopeModel:
         return spectrum.envelope_lines(scaled, _band(params, self.band), self.pop)
 
     def amplitude(self, params: dict, freqs: np.ndarray) -> np.ndarray:
-        amps = spectrum.profile_sum(self.lines(params), freqs, self.shape,
+        return spectrum.profile_sum(self.lines(params), freqs, self.shape,
                                     params.get("fwhm", PARAM_DEFAULTS["fwhm"]))
-        return params.get("scale", PARAM_DEFAULTS["scale"]) * amps
 
 
 # ----------------------------------------------------------------------------
@@ -578,7 +575,7 @@ def fit_line_positions(observed: PeakList, spec: FitSpec,
 def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,
                  model: EnvelopeModel | None = None, seed: int = 0) -> FitReport:
     """Least-squares fit of a sampled envelope over the free parameters,
-    fwhm and intensity scale included."""
+    fwhm included, its intensity scale solved at each point (_box_lstsq)."""
     model = model or EnvelopeModel()
     spec.require_valid()
     freqs = np.asarray(observed_freqs, dtype=float)
@@ -612,4 +609,12 @@ def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,
                 f"{line_freqs[np.argmin(np.abs(line_freqs - freqs.mean()))]:g} cm^-1"
             ),
         )
-    return _minimize(spec, seed, lambda p: amps - model.amplitude(p, freqs))
+
+    def solve(params):
+        """The scale at `params`, and the residuals."""
+        unit = model.amplitude(params, freqs)[:, None]
+        scale = _box_lstsq(unit, amps, np.zeros(1), np.zeros(1), np.full(1, np.inf))
+        return float(scale[0]), amps - unit @ scale
+
+    report = _minimize(spec, seed, lambda p: solve(p)[1])
+    return replace(report, values={**report.values, "scale": solve(report.values)[0]})

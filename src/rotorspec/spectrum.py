@@ -159,8 +159,9 @@ class Line:
     activity: str  # IR | Raman
 
     def __post_init__(self):
-        if self.frequency < 0:
-            raise SpectrumError(f"negative line frequency {self.frequency}")
+        if not 0 <= units.cm1_to_ghz(self.frequency) < math.inf:
+            raise SpectrumError(f"line frequency {self.frequency} cm-1 is negative or "
+                                "overflows in GHz")
         if self.intensity < 0:
             raise SpectrumError(f"negative line intensity {self.intensity}")
 

@@ -467,7 +467,8 @@ def test_cli_fit_pipeline(workdir):
 
 def test_cli_fit_starts_from_the_config(workdir):
     """Every parameter the config sets and the fit leaves fixed is reported
-    at the config's value, the dw pair included; the scale has no key."""
+    at the config's value, the dw pair included; a position fit has no
+    intensity scale."""
     given = {"B": 5.6, "beta": 1.2, "excited_scale": 1.1, "fwhm": 2.0,
              "dw_L1_star": 23.0, "dw_LE3_star": 30.0}
     text = FAST_CONFIG
@@ -481,8 +482,7 @@ def test_cli_fit_starts_from_the_config(workdir):
                    "--free", "nu0", "--starts", "1", "--out", "fit.json"])
     assert rc in (0, 2)
     values = json.loads((workdir / "fit.json").read_text())["values"]
-    assert {k: v for k, v in values.items() if k != "nu0"} == {
-        **given, "scale": fitting.PARAM_DEFAULTS["scale"]}
+    assert {k: v for k, v in values.items() if k != "nu0"} == given
 
 
 def test_readme_fit_reports_starts_run(workdir):
@@ -602,15 +602,25 @@ def test_cli_envelope_fit_rejects_fixed_fwhm_below_sample_spacing(workdir, capsy
 @pytest.mark.parametrize("name", ["fwhm", "scale"])
 def test_cli_position_fit_rejects_envelope_only_parameters(workdir, capsys, name):
     # rejected with the flags, before the (missing) peaks file is read; an
-    # envelope fit passes the flags and fails on its missing file instead
+    # envelope fit passes fwhm and fails on its missing file instead.  The
+    # envelope fit solves its scale, so no fit frees it and no --bound
+    # names it
     rc = cli.main(["fit", "--config", "run.cfg", "--peaks", "missing.csv",
                    "--free", f"nu0,{name}"])
     err = capsys.readouterr().err
-    assert rc == 1 and err.startswith(f"error: --free: {name} ") and "missing" not in err
+    start = {"fwhm": "error: --free: fwhm ", "scale": "error: --free: unknown parameter 'scale'"}
+    assert rc == 1 and err.startswith(start[name]) and "missing" not in err
     rc = cli.main(["fit", "--config", "run.cfg", "--mode", "envelope",
                    "--envelope", "missing.csv", "--free", f"nu0,{name}"])
     err = capsys.readouterr().err
-    assert rc == 1 and "missing.csv" in err and "--free" not in err
+    if name == "fwhm":
+        assert rc == 1 and "missing.csv" in err and "--free" not in err
+    else:
+        assert rc == 1 and err == "error: --free: unknown parameter 'scale'\n"
+        rc = cli.main(["fit", "--config", "run.cfg", "--mode", "envelope", "--envelope",
+                       "missing.csv", "--free", "B", "--bound", "scale", "0", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: --bound: 'scale' is not a free scalar")
 
 
 def test_cli_lorentzian_shape(workdir):
@@ -951,6 +961,17 @@ def test_cli_plan_unrepresentable_coupling_exits_1(workdir, capsys, old, new, lo
     (workdir / "lines.csv").write_text(CSV_READERS["lines"][1] + "3217,1,(L1)1,(L1)1*,IR\n")
     rc = cli.main(["plan", "--config", "bad.cfg", "--lines", "lines.csv"])
     _assert_rejected(workdir, capsys, rc, location)
+
+
+def test_cli_plan_rejects_a_line_beyond_the_ghz_range(workdir, capsys):
+    # 1e307 cm-1 is a finite frequency but an infinite one in GHz, and would
+    # put Infinity, which is not JSON, into the plan's separations
+    (workdir / "lines.csv").write_text(cli.STICKS_CSV_HEADER + "\n1e307,1,(L1)1,(L1)1*,IR\n"
+                                       "3217,1,(L1)1,(L1)2*,IR\n")
+    rc = cli.main(["plan", "--config", "run.cfg", "--lines", "lines.csv", "--out", "plan.json"])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: lines.csv:2: ") and "GHz" in err
+    assert not (workdir / "plan.json").exists()
 
 
 def test_cli_plan_mc_samples_bounded(workdir, capsys):

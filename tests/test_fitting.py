@@ -59,13 +59,15 @@ def test_fwhm_bound_below_default_grid_step_rejected():
 
 @pytest.mark.parametrize("name", ["fwhm", "scale"])
 def test_position_fit_rejects_envelope_only_parameters(tmodel, name):
-    # no position residual reads fwhm or scale, so a position fit would
-    # report whatever value its solver left them at
+    # no position residual reads fwhm, so a position fit would report
+    # whatever value its solver left it at; the envelope fit solves its
+    # scale at every point, so no fit frees it
     spec = FitSpec(free_params=("nu0", name))
-    assert spec.validate() == []
+    problem = {"fwhm": "fwhm acts on no peak position", "scale": "unknown parameter 'scale'"}
+    assert [msg for _, msg in spec.validate()] == ([] if name == "fwhm" else [problem[name]])
     assert [f for f, msg in spec.validate(positions=True) if name in msg] == ["free_params"]
     peaks = peak_list([3206.0, 3217.0, 3230.0])
-    with pytest.raises(FitError, match=f"{name} acts on no peak position"):
+    with pytest.raises(FitError, match=problem[name]):
         fit_line_positions(peaks, spec, tmodel)
 
 
@@ -91,7 +93,7 @@ def test_unknown_label_rejected(tmodel):
 # ---------------------------------------------------------------- positions
 
 TRUTH = {"B": 5.2, "beta": 1.3, "nu0": 3205.0, "excited_scale": 1.0,
-         "dw_L1_star": 23.0, "dw_LE3_star": 28.0, "fwhm": 1.5, "scale": 1.0}
+         "dw_L1_star": 23.0, "dw_LE3_star": 28.0, "fwhm": 1.5}
 
 NAMES = ("(L1)1->(L1)1*", "(A1)1->(L1)1*", "(E2)1->(L1)1*",
          "(L1)1->(E2)1*", "(L1)1->(L1)2*", "(L1)1->(E3)1*")
@@ -401,13 +403,13 @@ def emodel():
 
 
 def test_envelope_round_trip(emodel):
-    truth = dict(TRUTH, nu0=3206.5, fwhm=2.0, scale=3.0, beta=1.0)
+    # the envelope three times the model's, whose scale the fit solves
+    truth = dict(TRUTH, nu0=3206.5, fwhm=2.0, beta=1.0)
     freqs = np.arange(3150.0, 3300.0, 0.25)
-    amps = emodel.amplitude(truth, freqs)
-    spec = FitSpec(free_params=("nu0", "fwhm", "scale"),
-                   bounds={"nu0": (3195.0, 3215.0), "fwhm": (0.5, 6.0),
-                           "scale": (0.1, 10.0)},
-                   initial=dict(truth, nu0=3204.0, fwhm=1.2, scale=1.0),
+    amps = 3.0 * emodel.amplitude(truth, freqs)
+    spec = FitSpec(free_params=("nu0", "fwhm"),
+                   bounds={"nu0": (3195.0, 3215.0), "fwhm": (0.5, 6.0)},
+                   initial=dict(truth, nu0=3204.0, fwhm=1.2),
                    n_starts=3, tolerance=1e-16)
     report = fit_envelope(freqs, amps, spec, emodel, seed=0)
     assert report.converged
@@ -419,11 +421,11 @@ def test_envelope_round_trip(emodel):
 def test_envelope_flat_zero_drives_scale_to_zero(emodel):
     freqs = np.arange(3150.0, 3300.0, 0.5)
     amps = np.zeros_like(freqs)
-    spec = FitSpec(free_params=("scale",), initial=dict(TRUTH, beta=1.0),
+    spec = FitSpec(free_params=("nu0",), initial=dict(TRUTH, beta=1.0),
                    n_starts=2)
     report = fit_envelope(freqs, amps, spec, emodel, seed=0)
     assert report.converged
-    assert abs(report.values["scale"]) < 1e-8
+    assert report.values["scale"] == 0.0
 
 
 def test_envelope_grid_without_lines_flags_nonconvergence(emodel):
@@ -451,7 +453,7 @@ def test_fit_rejects_an_infinite_objective_at_the_start(tmodel, emodel, mode):
 
 
 def test_envelope_rejects_bad_grid(emodel):
-    spec = FitSpec(free_params=("scale",), initial=dict(TRUTH))
+    spec = FitSpec(free_params=("nu0",), initial=dict(TRUTH))
     with pytest.raises(FitError, match="increasing"):
         fit_envelope(np.array([2.0, 1.0, 3.0]), np.zeros(3), spec, emodel)
     with pytest.raises(FitError, match="equal-length"):
@@ -589,7 +591,8 @@ def test_five_parameter_envelope_fit(tmp_path, capsys, monkeypatch):
     # the shipped config's envelope at Jmax 6, fitted from B 5.6, beta 1.3,
     # nu0 3207 and fwhm 1.8 with scale free too: the simplex took 442
     # iterations and 729 diagonalizations to reach 2.9925444349070805e-16;
-    # the solver took 29 while the fit kept one beta's levels, and 23 now
+    # the solver took 29 while the fit kept one beta's levels, and 23 with
+    # two; with the scale solved at each point, not searched, it takes 17
     (tmp_path / "truth.cfg").write_text(SHIPPED)
     start = SHIPPED
     for key, value in (("B", 5.6), ("beta", 1.3), ("nu0", 3207.0), ("fwhm", 1.8)):
@@ -600,13 +603,38 @@ def test_five_parameter_envelope_fit(tmp_path, capsys, monkeypatch):
                      str(tmp_path / "sticks.csv"), "--out-spectrum", str(envelope)]) == 0
     solves = _counting(monkeypatch, rotor, "diagonalize")
     assert cli.main(["fit", "--config", str(tmp_path / "start.cfg"), "--mode", "envelope",
-                     "--envelope", str(envelope), "--free", "B,beta,nu0,fwhm,scale",
+                     "--envelope", str(envelope), "--free", "B,beta,nu0,fwhm",
                      "--starts", "1", "--out", str(out)]) == 0
     capsys.readouterr()
     report = json.loads(out.read_text())
-    assert len(solves) <= 25
+    assert len(solves) <= 20
     assert report["objective"] <= 2.9925444349070805e-16 * (1 + 1e-9)
     truth = {"B": 5.503275, "beta": 1.0, "nu0": 3206.0, "fwhm": 1.5, "scale": 1.0}
+    for name, value in truth.items():
+        assert report["values"][name] == pytest.approx(value, rel=1e-6), name
+
+
+def test_envelope_fit_solves_the_intensity_scale(tmp_path, capsys):
+    # the shipped config's envelope at Jmax 6 in other units, 2.5 times its
+    # own, fitted with the default --free from one start: the scale is no
+    # fit parameter but solved at each point, so the envelope's units do
+    # not move the fitted B, beta and nu0
+    (tmp_path / "truth.cfg").write_text(SHIPPED)
+    envelope, out = tmp_path / "envelope.csv", tmp_path / "fit.json"
+    assert cli.main(["spectrum", "--config", str(tmp_path / "truth.cfg"), "--sticks",
+                     str(tmp_path / "sticks.csv"), "--out-spectrum", str(envelope)]) == 0
+    header, *rows = envelope.read_text().splitlines()
+    envelope.write_text("\n".join([header, *(f"{f},{2.5 * float(a)!r}" for f, a in
+                                              (row.split(",") for row in rows))]) + "\n")
+    capsys.readouterr()
+    start = re.sub(r"(?m)^B = .*$", "B = 5.6", SHIPPED)
+    (tmp_path / "start.cfg").write_text(start)
+    assert cli.main(["fit", "--config", str(tmp_path / "start.cfg"), "--mode", "envelope",
+                     "--envelope", str(envelope), "--starts", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert report["converged"] and report["starts_run"] == 1
+    truth = {"B": 5.503275, "beta": 1.0, "nu0": 3206.0, "scale": 2.5}
     for name, value in truth.items():
         assert report["values"][name] == pytest.approx(value, rel=1e-6), name
 
