@@ -296,7 +296,12 @@ def _spectrum_svg(fh, freqs, amps, lines, synth: spectrum.SpectrumConfig):
 
 def cmd_spectrum(args) -> int:
     cfg = _load_config(args.config)
-    levels = rotor.classify_levels(rotor.diagonalize(cfg.model), max_energy=args.max_energy)
+    system = rotor.diagonalize(cfg.model, max_energy=args.max_energy)
+    levels = rotor.classify_levels(system, max_energy=args.max_energy)
+    missing = spectrum.missing_initial_levels(levels)
+    if missing:
+        raise spectrum.SpectrumError(f"required ground levels missing below --max-energy "
+                                     f"{_fmt(args.max_energy)} cm-1: {', '.join(missing)}")
     envelope = spectrum.envelope_lines(levels, cfg.band, cfg.population)
     sticks = sorted(envelope + spectrum.rotational_raman_lines(levels, cfg.population),
                     key=lambda l: (l.frequency, l.lower, l.upper))

@@ -60,8 +60,10 @@ class RunConfig:
 
     def validate(self) -> list[tuple[str, str, str]]:
         """Every problem of the run as (section, key, message): those of the
-        model types, then the channel count, which spans two sections."""
+        model types, a dw offset's named by its key, then the channel count,
+        which spans two sections."""
         keys = {(p.section, p.field): p.key for p in PARAMS if p.owner is not RunConfig}
+        keys |= {(p.section, p.key): p.key for p in PARAMS if p.field == "extra_offsets"}
         problems = [(section, keys[section, name], msg)
                     for section in dict.fromkeys(section for section, _ in keys)
                     for name, msg in getattr(self, section).validate()]

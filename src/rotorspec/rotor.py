@@ -35,17 +35,19 @@ product per mu in transition_strength, and each final projects that mu's
 images in one batched matmul; the stack keeps each row's entries in order
 and the batch makes one BLAS call per image on the same operands, so the
 strengths are those of one product per component, bit for bit.
-V conserves the parity of k and of m, so it is assembled straight into its
-four parity blocks, and diagonalize builds and solves H one block at a time
-and keeps each block's eigenvectors; dense n-row columns are written only for
-the levels classify_levels keeps, so a cut in energy leaves no n x n array on
-the spectrum path.  Until perfbench/ref is re-recorded these
-kernels must stay bit-identical to the dense/Kronecker definitions (a dense
-H cut into parity blocks included) that tests/reference.py keeps.  The
-fit's label blocks are written from the same 3j factors per J, with no
-n-sized array.  scipy is imported where it is called (expm, the label
-blocks' eigensolves, the CSR operators), so a command that never calls it,
-such as plan on a one-term potential, does not load it.
+V conserves the parity of k and of m, so it is kept as the nonzero entries
+of its four parity blocks (0.4% of their entries at Jmax 14), and diagonalize
+builds and solves H one block at a time.  Given a cut in energy, each block
+keeps only the eigenvectors of the clusters classify_levels labels below it,
+and dense n-row columns are written only for those, so the spectrum path
+holds no n x n array and one block's full eigenvectors at a time.  Until
+perfbench/ref is re-recorded these kernels must stay bit-identical to the
+dense/Kronecker definitions (a dense H cut into parity blocks included) that
+tests/reference.py keeps.  The fit's label blocks are written from the same
+3j factors per J, with no n-sized array.  scipy is imported where it is
+called (expm, the label blocks' eigensolves, the CSR operators), so a
+command that never calls it, such as plan on a one-term potential, does not
+load it.
 
 Both label mechanisms rest on one projector per (J, T irrep), _row_basis,
 cached with its first-row or its whole isotypic image (site rotations act on
@@ -382,14 +384,17 @@ DEFAULT_POTENTIAL = NormalizedPotential(((3, -1.0 / _UNIT_SPAN[3]),))
 
 def estimated_peak_bytes(jmax: int) -> float:
     """Estimated peak RSS of a `spectrum` run at `jmax`, in bytes, for the
-    basis size n: 100 MB + 0.8 x 8n^2 (the eigenvectors' and V's parity
-    blocks and one block's solve), fitted and rounded up to the peaks
-    measured at Jmax 10, 14 and 16 (n = 1771, 4495 and 6545) before
-    scipy.optimize left the import: 109.2, 214.9 and 350.8 MB, now 89.5,
-    195.1 and 330.9 MB.  `fit --starts 1 --max-iter 20` holds no n x n
-    array and peaks lower, at 68.1, 71.7 and 75.5 MB."""
+    basis size n: 100 MB + 3.2 n^2 (one parity block's H, its solve's copy,
+    eigenvectors and workspace, about n^2 / 16 entries each; V is kept as
+    its nonzeros and the other blocks as their columns up to --max-energy),
+    rounded up from the fit 73 MB + 2.8 n^2 to the peaks measured at Jmax 10,
+    14 and 16 (n = 1771, 4495 and 6545) at one and two BLAS threads: 79.1,
+    129.7 and 192.9 MB, where they were 89.5, 195.1 and 330.9 MB with V's
+    dense blocks and every block's eigenvectors kept.  `fit --starts 1
+    --max-iter 20` holds no n x n array and peaks lower, at 68.1, 71.7 and
+    75.5 MB."""
     n = _basis_size(jmax)
-    return 100e6 + 0.8 * 8 * float(n) ** 2 if n < 1e150 else math.inf
+    return 100e6 + 3.2 * float(n) ** 2 if n < 1e150 else math.inf
 
 
 # ----------------------------------------------------------------------------
@@ -479,23 +484,25 @@ def _parity_blocks(jmax: int) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _potential_blocks(jmax: int, potential: tuple) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(basis indices, V block) for each parity block of V, the sum of weight *
-    c_{mu nu} D^rank_{mu nu} over terms and components.  By the 3j rules
-    k = k2 + nu and m = m2 + mu, and every nonzero c has even mu and nu, so V
-    couples no two blocks.  An entry gets one component per rank,
-    weight * (s * (cc * (Fnu * Fmu))), the value the dense sum of scaled
-    kron(F[nu], F[mu]) blocks rounds to."""
+def _potential_blocks(jmax: int, potential: tuple) -> tuple[tuple[np.ndarray, ...], ...]:
+    """(basis indices, rows, cols, values) for each parity block of V, the sum
+    of weight * c_{mu nu} D^rank_{mu nu} over terms and components: the
+    block's nonzero entries, at block-local rows and cols in row-major order.
+    By the 3j rules k = k2 + nu and m = m2 + mu, and every nonzero c has even
+    mu and nu, so V couples no two blocks.  An entry gets one component per
+    rank, weight * (s * (cc * (Fnu * Fmu))), added to 0.0 in term order: the
+    value the dense sum of scaled kron(F[nu], F[mu]) blocks rounds to.  At
+    Jmax 14, 79,312 of the blocks' 5.05 M entries are nonzero."""
     blocks = _parity_blocks(jmax)
-    ends = np.cumsum([len(idx) ** 2 for idx in blocks])
-    # the blocks lie one after another in `flat`, each row-major: basis state i
+    sizes = np.array([len(idx) for idx in blocks])
+    ends = np.cumsum(sizes ** 2)
+    # the blocks lie one after another in a row-major key space: basis state i
     # has block-local index local[i] and its block row starts at row_start[i]
     local = np.empty(_basis_size(jmax), dtype=np.intp)
     row_start = np.empty_like(local)
     for idx, end in zip(blocks, ends):
         local[idx] = np.arange(len(idx))
         row_start[idx] = end - len(idx) ** 2 + local[idx] * len(idx)
-    flat = np.zeros(ends[-1])
     written = []
     for rank, weight in potential:
         cmat = invariant_coefficients(rank)
@@ -503,17 +510,33 @@ def _potential_blocks(jmax: int, potential: tuple) -> tuple[tuple[np.ndarray, np
             if (i - rank) % 2 or (j - rank) % 2:
                 raise RotorError(f"the rank-{rank} potential couples parity blocks")
             for rows, cols, fnu, fmu, s in _nonzero_elements(jmax, rank, i - rank, j - rank):
-                at = row_start[rows] + local[cols]
-                flat[at] += weight * (s * (cmat[i, j] * (fnu * fmu)))
-                written.append((at, row_start[cols] + local[rows]))
+                written.append((row_start[rows] + local[cols],
+                                weight * (s * (cmat[i, j] * (fnu * fmu)))))
+    # each written key gets one slot, and each term is added to it in the
+    # order of the terms; no key repeats within one term
+    keys, slot = np.unique(np.concatenate([at for at, _ in written]), return_inverse=True)
+    values = np.zeros(len(keys))
+    for part, (_, term) in zip(np.split(slot, np.cumsum([len(at) for at, _ in written])[:-1]),
+                               written):
+        values[part] += term
+    block_of = np.searchsorted(ends, keys, side="right")
+    first, size = (ends - sizes ** 2)[block_of], sizes[block_of]
+    row, col = np.divmod(keys - first, size)
     # entries never written are 0 on both sides of the diagonal
-    at, mirror = (np.concatenate(ix) for ix in zip(*written))
-    asym = np.abs(flat[at] - flat[mirror]).max()
+    mirror_keys = first + col * size + row
+    at = np.searchsorted(keys, mirror_keys).clip(max=len(keys) - 1)
+    mirror = np.where(keys[at] == mirror_keys, values[at], 0.0)
+    asym = np.abs(values - mirror).max()
     if asym > 1e-12:
         raise RotorError(f"potential matrix asymmetry {asym:.2e} exceeds 1e-12")
-    flat.setflags(write=False)
-    parts = np.split(flat, ends[:-1])
-    return tuple((idx, part.reshape(len(idx), len(idx))) for idx, part in zip(blocks, parts))
+    out = []
+    for b, idx in enumerate(blocks):
+        keep = (block_of == b) & (values != 0.0)
+        parts = (row[keep], col[keep], values[keep])
+        for part in parts:
+            part.setflags(write=False)
+        out.append((idx, *parts))
+    return tuple(out)
 
 
 def _kinetic_diagonal(jmax: int) -> np.ndarray:
@@ -531,14 +554,21 @@ def _require_normalized(potential):
 
 def _hamiltonian_blocks(model: RotorModel):
     """(basis indices, H block) per parity block, in cm^-1, after checking
-    the model; each block is np.diag(B * kin) + (beta * B) * V_b, so it holds
-    the bits of the same entries of the dense H."""
+    the model; each block is built when it is asked for, np.diag(B * kin)
+    with (beta * B) * V_b added at V_b's nonzero entries, so every entry is
+    the 0.0 + (beta * B) * V_ij, or kin_i + (beta * B) * V_ii, of the dense H."""
     model.require_valid()
     _require_normalized(model.potential)
     kin = model.B * _kinetic_diagonal(model.Jmax)
     scale = model.beta * model.B
-    return ((idx, np.diag(kin[idx]) + scale * vb)
-            for idx, vb in _potential_blocks(model.Jmax, model.potential))
+
+    def block(idx, rows, cols, values):
+        hb = np.diag(kin[idx])
+        hb[rows, cols] += scale * values
+        return hb
+
+    return ((idx, block(idx, *entries))
+            for idx, *entries in _potential_blocks(model.Jmax, model.potential))
 
 
 def hamiltonian_matrix(model: RotorModel) -> np.ndarray:
@@ -557,11 +587,14 @@ def hamiltonian_matrix(model: RotorModel) -> np.ndarray:
 @dataclass(frozen=True)
 class Eigensystem:
     """Eigenvalues (shifted so the ground level is 0, ascending) and the
-    orthonormal eigenvectors, kept per parity block as eigh returned them:
-    `blocks` holds (basis rows, column numbers in `energies` order, v) with
-    each block's column numbers ascending.  The rows are the basis of
-    model.Jmax in the order of _basis_layout.  columns() writes dense n-row
-    columns for the lowest levels a caller needs."""
+    orthonormal eigenvectors, kept per parity block as eigh returned them, or
+    their leading columns: `blocks` holds (basis rows, column numbers in
+    `energies` order, v) with each block's column numbers ascending.  The
+    rows are the basis of model.Jmax in the order of _basis_layout.
+    `energies` holds every eigenvalue; the blocks hold the columns
+    0..kept-1, every column unless diagonalize was given a max_energy.
+    columns() writes dense n-row columns for the lowest levels a caller
+    needs."""
 
     energies: np.ndarray
     blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
@@ -575,8 +608,13 @@ class Eigensystem:
 
     def columns(self, stop: int | None = None) -> np.ndarray:
         """Eigenvector columns 0..stop-1 over the basis, zero outside their
-        block."""
-        stop = len(self.energies) if stop is None else stop
+        block; all kept columns by default.  A column past the kept ones
+        raises RotorError."""
+        kept = sum(len(cols) for _, cols, _ in self.blocks)
+        stop = kept if stop is None else stop
+        if stop > kept:
+            raise RotorError(f"eigenvector columns up to {stop} were asked for, but only "
+                             f"the lowest {kept} were kept (diagonalize's max_energy)")
         out = np.zeros((_basis_size(self.model.Jmax), stop))
         for rows, cols, v in self.blocks:
             hi = np.searchsorted(cols, stop)
@@ -600,12 +638,40 @@ class Eigensystem:
         return float(ortho), float(resid / span)
 
 
-def diagonalize(model: RotorModel) -> Eigensystem:
+def _span_bound(model: RotorModel) -> float:
+    """An upper bound on max - min of H's eigenvalues: the kinetic diagonal's
+    span plus twice beta * B times V's largest absolute row sum, which bounds
+    |V|'s eigenvalues (Gershgorin)."""
+    row_sum = max(np.bincount(rows, np.abs(values)).max(initial=0.0)
+                  for _, rows, _, values in _potential_blocks(model.Jmax, model.potential))
+    return model.B * model.Jmax * (model.Jmax + 1) + 2 * model.beta * model.B * row_sum
+
+
+def _leading_columns(v: np.ndarray, stop: int) -> np.ndarray:
+    """v's first `stop` columns, copied so that v can be freed; v itself when
+    it has no more."""
+    return v if stop >= v.shape[1] else v[:, :stop].copy()
+
+
+def diagonalize(model: RotorModel, max_energy: float | None = None) -> Eigensystem:
     """Solve the eigenproblem per parity block; the potential conserves the
     parity of k and of m for every supported rank.  Each block keeps its
-    eigenvectors with their energy-ordered column numbers."""
+    eigenvectors with their energy-ordered column numbers.
+
+    With `max_energy`, the blocks keep only the columns of the clusters that
+    classify_levels(system, max_energy) labels (_labeled_clusters).  Right
+    after its solve a block drops the columns above the lowest eigenvalue
+    solved so far + max_energy + (n - 1) * 1e-6 * S, S = _span_bound: a
+    cluster starting at or below max_energy spans at most n - 1 gaps of 1e-6
+    times the spectrum's span.  After the last solve the blocks are cut at
+    the end of the last such cluster.  `energies` always holds all n."""
+    blocks = _hamiltonian_blocks(model)  # checks the model first
+    n = _basis_size(model.Jmax)
+    # how far above the lowest eigenvalue so far a kept column can lie
+    reach = math.inf if max_energy is None else max_energy + (n - 1) * 1e-6 * _span_bound(model)
+    lowest = math.inf
     solved = []
-    for idx, sub in _hamiltonian_blocks(model):
+    for idx, sub in blocks:
         try:
             w, v = np.linalg.eigh(sub)
         except np.linalg.LinAlgError as exc:
@@ -614,16 +680,30 @@ def diagonalize(model: RotorModel) -> Eigensystem:
                 f"eigen-solver failed on a {len(idx)}-state block "
                 f"(condition number {cond:.3e}): {exc}"
             ) from exc
-        solved.append((idx, w, v))
+        del sub  # else it stays alive beside the next block
+        lowest = min(lowest, w[0])
+        solved.append((idx, w, _leading_columns(v, np.searchsorted(w, lowest + reach, "right"))))
+        del v
     energies = np.concatenate([w for _, w, _ in solved])
     order = np.argsort(energies, kind="stable")
     column = np.empty(len(energies), dtype=np.intp)
     column[order] = np.arange(len(energies))
     ends = np.cumsum([len(w) for _, w, _ in solved])
-    blocks = tuple((idx, column[end - len(w):end], v) for (idx, w, v), end in zip(solved, ends))
     energies = energies[order]
     energies -= energies[0]
-    return Eigensystem(energies=energies, blocks=blocks, model=model)
+    stop = n
+    if max_energy is not None:
+        clusters = _labeled_clusters(energies, max_energy)
+        stop = clusters[-1][1] if clusters else 0
+    kept = []
+    for (idx, w, v), end in zip(solved, ends):
+        cols = column[end - len(w):end]
+        hi = np.searchsorted(cols, stop)
+        if hi > v.shape[1]:
+            raise RotorError(f"a {len(idx)}-state block kept {v.shape[1]} eigenvectors, "
+                             f"fewer than the {hi} of its levels up to {max_energy} cm^-1")
+        kept.append((idx, cols[:hi], _leading_columns(v, hi)))
+    return Eigensystem(energies=energies, blocks=tuple(kept), model=model)
 
 
 # ----------------------------------------------------------------------------
@@ -695,6 +775,15 @@ def _cluster_slices(energies: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return out
 
 
+def _labeled_clusters(energies: np.ndarray, max_energy: float | None) -> list[tuple[int, int]]:
+    """The clusters (a, b) of ascending, ground-shifted `energies` that
+    classify_levels labels: gaps within 1e-6 of the spectrum's span join
+    levels, and each cluster starts at or below `max_energy` (None: all)."""
+    span = energies[-1] - energies[0] or 1.0
+    return [(a, b) for a, b in _cluster_slices(energies, 1e-6 * span)
+            if max_energy is None or energies[a] <= max_energy]
+
+
 #: the 16 product irreps "site.mol" with their dimensions, in TxT table order
 _CONSTITUENTS = tuple((label, dim) for label, dim, _ in symmetry.character_table("TxT").irreps)
 _CONSTITUENT_INDEX = {label: c for c, (label, _) in enumerate(_CONSTITUENTS)}
@@ -745,9 +834,7 @@ def classify_levels(system: Eigensystem, max_energy: float | None = None) -> lis
     one cluster (basis choice then arbitrary).
     """
     jmax = system.model.Jmax
-    span = system.energies[-1] - system.energies[0] or 1.0
-    slices = [(a, b) for a, b in _cluster_slices(system.energies, 1e-6 * span)
-              if max_energy is None or system.energies[a] <= max_energy]
+    slices = _labeled_clusters(system.energies, max_energy)
     dims = np.array([dim for _, dim in _CONSTITUENTS])
     columns = system.columns(slices[-1][1] if slices else 0)
     weights = np.zeros((len(_CONSTITUENTS), columns.shape[1]))

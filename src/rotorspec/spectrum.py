@@ -48,6 +48,7 @@ __all__ = [
     "rotational_raman_lines",
     "sum_band_lines",
     "envelope_lines",
+    "missing_initial_levels",
     "profile_sum",
     "synthesize",
     "DEFAULT_FROZEN_FRACTIONS",
@@ -68,6 +69,16 @@ STRENGTH_GATE = 1e-2
 
 #: most samples a synthesis grid, and so an observed envelope, may have
 MAX_GRID_SAMPLES = 10**7
+
+#: largest nu0, lattice_freq or |dw_*| offset in cm^-1: a line adds at most
+#: one of each to level spacings, and 3e306 cm^-1 is 9e307 GHz, still finite
+MAX_BAND_CM1 = 1e306
+
+
+def _overflow_message(key: str, value: float) -> str:
+    return (f"|{key}| must be at most {MAX_BAND_CM1:g} cm-1, else its lines overflow in GHz; "
+            f"got {value}")
+
 
 #: total dimension of the orientational levels kept as vibration-orientation
 #: finals (the J' <= 2 content: 1 + 9 + 25)
@@ -96,6 +107,8 @@ class VibrationBandModel:
         problems = []
         if not self.nu0 > 0:
             problems.append(("nu0", f"nu0 must be positive, got {self.nu0}"))
+        elif self.nu0 > MAX_BAND_CM1:
+            problems.append(("nu0", _overflow_message("nu0", self.nu0)))
         if not self.excited_scale > 0:
             problems.append(("excited_scale",
                              f"excited_scale must be positive, got {self.excited_scale}"))
@@ -105,6 +118,10 @@ class VibrationBandModel:
         if self.lattice_freq is not None and not self.lattice_freq >= 0:
             problems.append(("lattice_freq",
                              f"lattice frequency must be non-negative, got {self.lattice_freq}"))
+        elif self.lattice_freq is not None and self.lattice_freq > MAX_BAND_CM1:
+            problems.append(("lattice_freq", _overflow_message("lattice_freq", self.lattice_freq)))
+        problems += [(key, _overflow_message(key, self.extra_offsets[key])) for key in OFFSET_NAMES
+                     if abs(self.extra_offsets.get(key) or 0.0) > MAX_BAND_CM1]
         if not self.sum_band_scale >= 0:
             problems.append(("sum_band_scale",
                              f"sum_band_scale must be non-negative, got {self.sum_band_scale}"))
@@ -288,6 +305,12 @@ def overriding_offset(offsets: dict, label: str, ordinal: int) -> str | None:
     return key if offsets.get(key) is not None else None
 
 
+def missing_initial_levels(levels) -> list[str]:
+    """Names of the ground levels the IR lines start from that `levels` lacks."""
+    present = {(lev.rovib_label, lev.ordinal) for lev in levels}
+    return [f"({name}){ordn}" for name, ordn in _INITIAL_LEVELS if (name, ordn) not in present]
+
+
 def vibration_orientation_lines(levels, band: VibrationBandModel, pop: PopulationModel):
     """IR lines from the populated ground orientation levels to the excited
     vibrational state's orientation levels (ground table reused, tunneling
@@ -295,15 +318,10 @@ def vibration_orientation_lines(levels, band: VibrationBandModel, pop: Populatio
     problems = band.validate()
     if problems:
         raise SpectrumError("; ".join(m for _, m in problems))
-    initials = []
-    missing = []
-    for name, ordn in _INITIAL_LEVELS:
-        try:
-            initials.append(find_level(levels, name, ordn))
-        except rotor.RotorError:
-            missing.append(f"({name}){ordn}")
+    missing = missing_initial_levels(levels)
     if missing:
         raise SpectrumError(f"required ground levels missing: {', '.join(missing)}")
+    initials = [find_level(levels, name, ordn) for name, ordn in _INITIAL_LEVELS]
     ordered = sorted(levels, key=lambda lev: (lev.energy, lev.rovib_label))
     finals, total = [], 0
     for lev in ordered:

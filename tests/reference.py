@@ -112,11 +112,12 @@ def strength(lower, upper, mats) -> float:
 
 
 def dense_potential(jmax, potential):
-    """Dense V scattered from its parity blocks; 0 between blocks."""
+    """Dense V scattered from the nonzero entries of its parity blocks; 0
+    everywhere else."""
     n = rotor._basis_size(jmax)
     V = np.zeros((n, n))
-    for idx, block in rotor._potential_blocks(jmax, potential):
-        V[np.ix_(idx, idx)] = block
+    for idx, rows, cols, values in rotor._potential_blocks(jmax, potential):
+        V[idx[rows], idx[cols]] = values
     return V
 
 

@@ -170,7 +170,7 @@ _RULE_CASES = [
     ("model", "potential = 3:0"), ("model", "potential = 3:-1.0, 3:1.0"),
     ("model", "potential = 3:1e308"),
     ("band", "nu0 = 0"), ("band", "excited_scale = 0"), ("band", "lattice_freq = -1"),
-    ("band", "sum_band_scale = -1"),
+    ("band", "sum_band_scale = -1"), ("band", "nu0 = 1e307"), ("band", "lattice_freq = 1e308"),
     ("population", "mode = frozen"), ("population", "T = 0"),
     ("population", "fractions = -0.5, 0.75, 0.75"), ("population", "fractions = 0.5, 0.2, 0.2"),
     ("synthesis", "start = 3400"), ("synthesis", "step = 0"), ("synthesis", "shape = voigt"),
@@ -186,6 +186,16 @@ def test_each_rule_names_its_section_and_key(section, line):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert {(s, k) for s, k, _ in err.value.errors} == {(section, line.split(" = ")[0])}
+
+
+@pytest.mark.parametrize("key", spectrum.OFFSET_NAMES)
+def test_overflowing_dw_offset_names_its_key(key):
+    # the offset is an entry of extra_offsets, but the error names its own key
+    text = DEFAULT_CONFIG_TEXT.replace("[band]", f"[band]\n{key} = -1e307")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert [(s, k) for s, k, _ in err.value.errors] == [("band", key)]
+    assert "overflow in GHz" in err.value.errors[0][2]
 
 
 #: (section, key) -> the registry entry of that config key
@@ -386,12 +396,36 @@ def test_cli_levels_reads_the_label_blocks(workdir, monkeypatch):
 def test_cli_spectrum_non_integral_cluster_exits_2(workdir, capsys, monkeypatch):
     # eigenvalues spread one apart cut each degenerate cluster into single
     # columns with fractional irrep content: a numerical failure, exit 2
+    # (every column is kept, as the cut of the spread energies needs more)
     diagonalize = rotor.diagonalize
-    monkeypatch.setattr(rotor, "diagonalize", lambda model: replace(
+    monkeypatch.setattr(rotor, "diagonalize", lambda model, max_energy=None: replace(
         diagonalize(model), energies=np.arange(float(len(rotor.build_basis(model.Jmax))))))
     assert cli.main(["spectrum", "--config", "run.cfg", "--max-energy", "40"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: the 1-state cluster at 1 cm^-1 has non-integral")
+
+
+def test_cli_spectrum_names_max_energy_when_ground_levels_lie_above_it(workdir, capsys):
+    # at B = 1e300 cm^-1 only the ground cluster lies below the default cut
+    (workdir / "huge.cfg").write_text(FAST_CONFIG.replace("B = 5.503275318502903", "B = 1e300")
+                                      .replace("Jmax = 6", "Jmax = 4"))
+    rc = cli.main(["spectrum", "--config", "huge.cfg"])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: required ground levels missing below "
+                                       "--max-energy 150 cm-1: (L1)1, (E2)1\n")
+
+
+def test_cli_spectrum_band_offsets_at_their_bound_run(workdir):
+    # nu0, a dw offset and lattice_freq at spectrum.MAX_BAND_CM1 place lines
+    # that spectrum.Line accepts, finite in GHz
+    (workdir / "bound.cfg").write_text(FAST_CONFIG.replace(
+        "nu0 = 3206.0", "nu0 = 1e306\nlattice_freq = 1e306").replace(
+        "dw_L1_star = 24.0", "dw_L1_star = 1e306"))
+    rc = cli.main(["spectrum", "--config", "bound.cfg", "--sticks", "bound.csv",
+                   "--out-spectrum", "bound_spec.csv", "--max-energy", "40"])
+    assert rc == 0
+    freqs = [float(r.split(",")[0]) for r in (workdir / "bound.csv").read_text().splitlines()[1:]]
+    assert max(freqs) == pytest.approx(3e306)
 
 
 def test_cli_spectrum_outputs_and_clip_warning(workdir, capsys):

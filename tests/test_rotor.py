@@ -575,8 +575,14 @@ def test_eigensystem_invariants(system_beta1):
 # bit of the eigenvectors, so the per-block assembly and solve must reproduce
 # the dense-H definition of reference.py exactly.
 
-@pytest.mark.parametrize("potential", [((3, -1.0),), ((3, -1.0), (4, 0.3)), ((4, -1.0),)])
-@pytest.mark.parametrize("beta", [0.05, 1.0, 6.0])
+#: the potentials of the bit-equality and trim tests
+BLOCK_POTENTIALS = [((3, -1.0),), ((3, -1.0), (4, 0.3)), ((4, -1.0),)]
+
+
+# beta 0 is the one value where (beta * B) * V_ij is a signed zero, so the
+# only one where the order of the scatter into diag(B * kin) could show
+@pytest.mark.parametrize("potential", BLOCK_POTENTIALS)
+@pytest.mark.parametrize("beta", [0.0, 0.05, 1.0, 6.0])
 @pytest.mark.parametrize("jmax", [6, 8])
 def test_diagonalize_bit_equal_to_dense_hamiltonian(jmax, beta, potential):
     model = RotorModel.create(B=B0, beta=beta, potential=potential, Jmax=jmax)
@@ -587,6 +593,57 @@ def test_diagonalize_bit_equal_to_dense_hamiltonian(jmax, beta, potential):
     assert system.columns().tobytes() == vectors.tobytes()
     lead = len(energies) // 3
     assert system.columns(lead).tobytes() == vectors[:, :lead].tobytes()
+
+
+def _level_bits(levels):
+    return [(lev.energy, lev.degeneracy, lev.rovib_label, lev.ordinal, lev.flagged,
+             lev.vectors.tobytes()) for lev in levels]
+
+
+@pytest.mark.parametrize("potential", BLOCK_POTENTIALS)
+@pytest.mark.parametrize("beta", [0.05, 1.0, 6.0])
+@pytest.mark.parametrize("jmax", [6, 8])
+def test_diagonalize_trim_is_exact(jmax, beta, potential):
+    # the columns diagonalize drops at a cut are those classify_levels would
+    # not label at that cut: at 0 (the ground cluster alone), in the middle
+    # of a cluster whose ends differ, and above the top level (all kept)
+    model = RotorModel.create(B=B0, beta=beta, potential=potential, Jmax=jmax)
+    full = diagonalize(model)
+    energies = full.energies
+    span = energies[-1] - energies[0]
+    clusters = rotor._cluster_slices(energies, 1e-6 * span)
+    middle = next(mid for a, b in clusters if energies[a] > 20.0
+                  and (mid := (energies[a] + energies[b - 1]) / 2) < energies[b - 1])
+    for max_energy in (0.0, middle, energies[-1] + 1.0):
+        trimmed = diagonalize(model, max_energy=max_energy)
+        assert trimmed.energies.tobytes() == energies.tobytes()
+        levels = classify_levels(trimmed, max_energy)
+        assert _level_bits(levels) == _level_bits(classify_levels(full, max_energy))
+        kept = sum(lev.degeneracy for lev in levels)
+        assert trimmed.columns().shape[1] == kept
+        with pytest.raises(RotorError, match="were kept"):
+            trimmed.columns(kept + 1)
+    assert kept == len(energies)
+
+
+def test_diagonalize_peak_memory_at_a_cut():
+    # V is built and kept as its nonzeros, and each block keeps only the
+    # columns up to the cut once it is solved, so at most one block's H and
+    # full eigenvectors (n^2 / 16 entries each) are alive at a time: about
+    # 0.17 x 8 n^2 with V's build; V's dense blocks would add 0.25 and one
+    # more block's eigenvectors 0.065
+    model = RotorModel.create(B=5.503275, beta=1.0, Jmax=10)
+    diagonalize(model)  # fills the 3j caches
+    n = len(build_basis(10))
+    rotor._potential_blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        system = diagonalize(model, max_energy=150.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert system.columns().shape[1] == 165
+    assert peak < 0.2 * 8 * n * n
 
 
 def test_residual_checks_match_dense_formulas():
