@@ -9,7 +9,8 @@ of the outer search the free linear scalars take their least-squares
 values inside their box (_box_lstsq), stepping from their start values by
 the minimum-norm step.  The outer search runs over the free nonlinear
 scalars only, beta and excited_scale (with neither free the fit is one
-linear solve); the envelope fit solves its intensity scale so.  The search
+linear solve); the envelope fit solves its one intensity scale in closed
+form, least squares held at 0 from below.  The search
 is lsq.least_squares, a box-bounded Levenberg-Marquardt solver, under the
 seeded multistart of _minimize, the one driver both fits hand their
 residuals to, which builds the FitReport; the position fit adds its linear
@@ -575,7 +576,7 @@ def fit_line_positions(observed: PeakList, spec: FitSpec,
 def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,
                  model: EnvelopeModel | None = None, seed: int = 0) -> FitReport:
     """Least-squares fit of a sampled envelope over the free parameters,
-    fwhm included, its intensity scale solved at each point (_box_lstsq)."""
+    fwhm included, its intensity scale solved at each point in closed form."""
     model = model or EnvelopeModel()
     spec.require_valid()
     freqs = np.asarray(observed_freqs, dtype=float)
@@ -611,10 +612,14 @@ def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,
         )
 
     def solve(params):
-        """The scale at `params`, and the residuals."""
-        unit = model.amplitude(params, freqs)[:, None]
-        scale = _box_lstsq(unit, amps, np.zeros(1), np.zeros(1), np.full(1, np.inf))
-        return float(scale[0]), amps - unit @ scale
+        """The scale at `params`, the least-squares one held at 0 from
+        below, and the residuals."""
+        unit = model.amplitude(params, freqs)
+        norm2 = unit @ unit
+        scale = max(0.0, (unit @ amps) / norm2) if norm2 > 0 else 0.0
+        unit *= -scale  # amps - scale * unit, bit for bit, with no temporary
+        unit += amps
+        return scale, unit
 
     report = _minimize(spec, seed, lambda p: solve(p)[1])
     return replace(report, values={**report.values, "scale": solve(report.values)[0]})

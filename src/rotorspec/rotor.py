@@ -7,8 +7,9 @@ is built from rotation-matrix invariants of the proper tetrahedral rotation
 group acting simultaneously on both frames; rank 3 is the leading term when
 neither group contains inversion, with an optional rank-4 admixture.  The
 coefficient tensor of each rank is the (unique) two-sided group average of
-D^l, so invariance under all 144 site x molecule rotations holds by
-construction and the matrix is real symmetric.
+D^l, recorded bit for bit (_INVARIANT_ENTRIES), so invariance under all 144
+site x molecule rotations holds by construction and the matrix is real
+symmetric.
 
 Potential normalization fixes max V - min V = 1 over orientation space, so
 the barrier height is exactly beta*B.  normalize_potential returns a
@@ -45,9 +46,10 @@ perfbench/ref is re-recorded these kernels must stay bit-identical to the
 dense/Kronecker definitions (a dense H cut into parity blocks included) that
 tests/reference.py keeps.  The fit's label blocks are written from the same
 3j factors per J, with no n-sized array.  scipy is imported where it is
-called (expm, the label blocks' eigensolves, the CSR operators), so a
-command that never calls it, such as plan on a one-term potential, does not
-load it.
+called: expm for the isotypic bases and the range scan (_rotation_d_expm)
+and the CSR operators.  The label path, levels and the position fit on a
+one-term potential, rotates with numpy's eigh (_rotation_d) and loads none
+of it.
 
 Both label mechanisms rest on one projector per (J, T irrep), _row_basis,
 cached with its first-row or its whole isotypic image (site rotations act on
@@ -221,33 +223,72 @@ def _angular_momentum(j: int):
     return jx, jy, jz
 
 
-def _rotation_d(j: int, axis: tuple, angle: float) -> np.ndarray:
+def _generator(j: int, axis: tuple) -> np.ndarray:
+    """n.J for the unit vector n along `axis`; 0 for a zero axis."""
     jx, jy, jz = _angular_momentum(j)
     n = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(n)
     if norm > 0:
         n = n / norm
+    return n[0] * jx + n[1] * jy + n[2] * jz
+
+
+def _rotation_d(j: int, axis: tuple, angle: float) -> np.ndarray:
+    """exp(-i angle n.J) from the eigenvectors of n.J, whose eigenvalues are
+    exactly -j..j, so each phase is exact: within 7.7e-15 of expm up to
+    j = 30 over T_ROTATIONS."""
+    w, v = np.linalg.eigh(_generator(j, axis))
+    return (v * np.exp(-1j * angle * np.rint(w))) @ v.conj().T
+
+
+def _rotation_d_expm(j: int, axis: tuple, angle: float) -> np.ndarray:
+    """exp(-i angle n.J) by scipy's expm, for the two callers whose bits the
+    references pin: the isotypic bases of classify_levels (_row_basis) and
+    the range scan's d^l(beta) (_little_d, test_potential_range_bits).  Both
+    can move to _rotation_d once perfbench/ref is re-recorded: built from it,
+    the isotypic bases moved the last bits of the vectors of 16 of the 33
+    levels below 150 cm^-1 at Jmax 8 and 10, on which the roundoff Raman
+    sticks rest."""
     import scipy.linalg
 
-    return scipy.linalg.expm(-1j * angle * (n[0] * jx + n[1] * jy + n[2] * jz))
+    return scipy.linalg.expm(-1j * angle * _generator(j, axis))
 
 
 @lru_cache(maxsize=None)
-def _wigner_d_cached(j: int, axis: tuple, angle: float) -> np.ndarray:
-    D = _rotation_d(j, axis, angle)
+def _wigner_d_cached(j: int, axis: tuple, angle: float, expm: bool = False) -> np.ndarray:
+    D = (_rotation_d_expm if expm else _rotation_d)(j, axis, angle)
     D.setflags(write=False)
     return D
 
 
-def wigner_d_matrix(j: int, axis, angle: float) -> np.ndarray:
+def wigner_d_matrix(j: int, axis, angle: float, *, expm: bool = False) -> np.ndarray:
     """D^j for the active rotation by `angle` about `axis`, rows/cols ordered
-    m = -j..j."""
-    return _wigner_d_cached(j, tuple(axis), float(angle))
+    m = -j..j; with `expm`, _rotation_d_expm's bits."""
+    return _wigner_d_cached(j, tuple(axis), float(angle), expm)
 
 
 # ----------------------------------------------------------------------------
 # invariant potential coefficients
 # ----------------------------------------------------------------------------
+
+#: the nonzero c_{mu nu} of invariant_coefficients by rank and (mu, nu), as
+#: the group average of expm's D^rank over T_ROTATIONS gave them, its noise
+#: below 1e-14 chopped (test_invariant_coefficients_bits rebuilds them); every
+#: output rests on these bits.  Rank 4's are those of outer(t, t), t_0 =
+#: sqrt(7/12) and t_{+-4} = sqrt(5/24), to a few ulp, not all symmetric
+_INVARIANT_ENTRIES = {
+    3: {(-2, -2): 0.5, (-2, 2): -0.5, (2, -2): -0.5, (2, 2): 0.5},
+    4: {(-4, -4): float.fromhex("0x1.aaaaaaaaaaaa9p-3"),
+        (-4, 0): float.fromhex("0x1.64f995f90ea75p-2"),
+        (-4, 4): float.fromhex("0x1.aaaaaaaaaaaa6p-3"),
+        (0, -4): float.fromhex("0x1.64f995f90ea75p-2"),
+        (0, 0): float.fromhex("0x1.2aaaaaaaaaaaap-1"),
+        (0, 4): float.fromhex("0x1.64f995f90ea78p-2"),
+        (4, -4): float.fromhex("0x1.aaaaaaaaaaaaap-3"),
+        (4, 0): float.fromhex("0x1.64f995f90ea78p-2"),
+        (4, 4): float.fromhex("0x1.aaaaaaaaaaaa8p-3")},
+}
+
 
 @lru_cache(maxsize=None)
 def invariant_coefficients(rank: int) -> np.ndarray:
@@ -255,22 +296,14 @@ def invariant_coefficients(rank: int) -> np.ndarray:
     invariant at the given rank: V(omega) = sum_{mu nu} c_{mu nu} D^rank_{mu nu}.
 
     c is the complex conjugate of the group-average projector onto the
-    invariant vector, normalized to V(identity) = 1.
+    invariant vector, normalized to V(identity) = 1, with the recorded bits
+    of _INVARIANT_ENTRIES.
     """
     if rank not in SUPPORTED_RANKS:
         raise PotentialError(f"unsupported potential rank {rank}; use {SUPPORTED_RANKS}")
-    dim = 2 * rank + 1
-    P = np.zeros((dim, dim), dtype=complex)
-    for axis, angle, _ in T_ROTATIONS:
-        P += wigner_d_matrix(rank, axis, angle)
-    P /= len(T_ROTATIONS)
-    if abs(np.trace(P).real - 1.0) > 1e-10:
-        raise RuntimeError(f"rank-{rank} invariant subspace is not one-dimensional")
-    c = P.conj()
-    if np.abs(c.imag).max() > 1e-12:
-        raise RuntimeError(f"rank-{rank} coefficient matrix is not real")
-    c = np.ascontiguousarray(c.real)
-    c[np.abs(c) < 1e-14] = 0.0  # chop group-average noise; exact zeros by symmetry
+    c = np.zeros((2 * rank + 1,) * 2)
+    for (mu, nu), value in _INVARIANT_ENTRIES[rank].items():
+        c[mu + rank, nu + rank] = value
     c.setflags(write=False)
     return c
 
@@ -278,7 +311,7 @@ def invariant_coefficients(rank: int) -> np.ndarray:
 def _little_d(rank: int, beta: float) -> np.ndarray:
     """Real d^rank(beta), uncached: the range scan visits a new angle on
     nearly every evaluation, and each process scans at most once."""
-    return _rotation_d(rank, (0.0, 1.0, 0.0), beta).real
+    return _rotation_d_expm(rank, (0.0, 1.0, 0.0), beta).real
 
 
 def _potential_on_grid(potential):
@@ -388,11 +421,12 @@ def estimated_peak_bytes(jmax: int) -> float:
     eigenvectors and workspace, about n^2 / 16 entries each; V is kept as
     its nonzeros and the other blocks as their columns up to --max-energy),
     rounded up from the fit 73 MB + 2.8 n^2 to the peaks measured at Jmax 10,
-    14 and 16 (n = 1771, 4495 and 6545) at one and two BLAS threads: 79.1,
-    129.7 and 192.9 MB, where they were 89.5, 195.1 and 330.9 MB with V's
-    dense blocks and every block's eigenvectors kept.  `fit --starts 1
-    --max-iter 20` holds no n x n array and peaks lower, at 68.1, 71.7 and
-    75.5 MB."""
+    14 and 16 (n = 1771, 4495 and 6545) at one and two BLAS threads while
+    scipy loaded before the solves: 79.1, 129.7 and 192.9 MB (89.5, 195.1
+    and 330.9 MB with V's dense blocks and every block's eigenvectors kept).
+    Now scipy loads after them, at classification, and the peaks are 79.6,
+    100.0 and 164.3 MB.  `fit --starts 1 --max-iter 20` loads no scipy,
+    holds no n x n array and peaks at 42.7, 48.5 and 54.5 MB."""
     n = _basis_size(jmax)
     return 100e6 + 3.2 * float(n) ** 2 if n < 1e150 else math.inf
 
@@ -719,12 +753,13 @@ def _row_basis(J: int, irrep: str, isotypic: bool = False) -> np.ndarray:
     D^J, or with `isotypic` its whole isotypic component: the image of
     (d/12) sum_r conj(G(r)) D^J(r).  G is the character, except for the first
     row of F, where it is the (x, x) element of the rotation matrix; for A,
-    1E and 2E both bases are the same.  The A and F projectors are real, so
-    their bases are too."""
+    1E and 2E both bases span the same space.  The isotypic bases are built
+    from expm's D (_rotation_d_expm), whose bits the classified vectors
+    rest on.  The A and F projectors are real, so their bases are too."""
     _, dim, chars = symmetry.character_table("T").irrep(irrep)
     first_row_of_f = irrep == "F" and not isotypic
     P = sum(np.conj(symmetry.rotation_matrix(axis, angle)[0, 0] if first_row_of_f else chars[cls])
-            * wigner_d_matrix(J, axis, angle) for axis, angle, cls in T_ROTATIONS)
+            * wigner_d_matrix(J, axis, angle, expm=isotypic) for axis, angle, cls in T_ROTATIONS)
     P = P * dim / len(T_ROTATIONS)
     if irrep in ("A", "F"):
         P = P.real
@@ -1001,20 +1036,16 @@ class LevelGapCache:
 
     def eigenvalues(self, beta: float, label: str) -> np.ndarray:
         """Ascending energies of every `label` level, in units of B; uncached."""
-        import scipy.linalg
-
         kdiag, vblock = self._block(label)
-        return scipy.linalg.eigvalsh(np.diag(kdiag) + beta * vblock)
+        return np.linalg.eigvalsh(np.diag(kdiag) + beta * vblock)
 
     def slopes(self, beta: float, label: str) -> np.ndarray:
         """d eigenvalues(beta, label) / d beta; uncached.  By Hellmann-Feynman
         (Feynman, Phys. Rev. 56:340, 1939) each slope is u^H V_b u for the
         level's eigenvector u, so it costs an eigh.  At a degenerate energy
         the slope is that of whichever vectors of the eigenspace eigh returns."""
-        import scipy.linalg
-
         kdiag, vblock = self._block(label)
-        vectors = scipy.linalg.eigh(np.diag(kdiag) + beta * vblock)[1]
+        vectors = np.linalg.eigh(np.diag(kdiag) + beta * vblock)[1]
         return np.einsum("ij,ij->j", vectors.conj(), vblock @ vectors).real
 
     def energies(self, beta: float, label: str) -> np.ndarray:

@@ -342,6 +342,11 @@ def vibration_orientation_lines(levels, band: VibrationBandModel, pop: Populatio
                 continue  # spin species cannot ride into this final
             freq = band.nu0 + band.excited_offset(fin.rovib_label, fin.ordinal,
                                                   lambda: fin.energy - e_l1) - (ini.energy - e_l1)
+            if not 0 <= units.cm1_to_ghz(freq) < math.inf:
+                # the final's offset from nu0 put it there: its override, else the scale
+                key = overriding_offset(band.extra_offsets, fin.rovib_label, fin.ordinal)
+                raise SpectrumError(f"[band] {key or 'excited_scale'}: line {ini.name} -> "
+                                    f"{fin.name}* at {freq} cm-1 is negative or overflows in GHz")
             lines.append(Line(frequency=freq, intensity=intens[fin.name],
                               lower=ini.name, upper=fin.name + "*", activity="IR"))
     lines.sort(key=lambda l: (l.frequency, l.lower, l.upper))

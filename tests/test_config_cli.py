@@ -415,6 +415,22 @@ def test_cli_spectrum_names_max_energy_when_ground_levels_lie_above_it(workdir, 
                                        "--max-energy 150 cm-1: (L1)1, (E2)1\n")
 
 
+@pytest.mark.parametrize("edit, message", [
+    (("dw_L1_star = 24.0", "dw_L1_star = -5000"),
+     "[band] dw_L1_star: line (L1)1 -> (L1)2* at -1794.0 cm-1"),
+    (("nu0 = 3206.0", "nu0 = 3206.0\nexcited_scale = 1e300"),
+     "[band] excited_scale: line (L1)1 -> (A1)1* at -1.1000001"),
+])
+def test_cli_spectrum_names_the_key_of_a_negative_line(workdir, capsys, edit, message):
+    # both pass validation, as their lower limit depends on the level table;
+    # the line's offset from nu0 is the override's, else the scaled table's
+    (workdir / "neg.cfg").write_text(FAST_CONFIG.replace(*edit).replace("Jmax = 6", "Jmax = 4"))
+    assert cli.main(["spectrum", "--config", "neg.cfg"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.endswith(" cm-1 is negative or overflows in GHz\n") and err.count("\n") == 1
+
+
 def test_cli_spectrum_band_offsets_at_their_bound_run(workdir):
     # nu0, a dw offset and lattice_freq at spectrum.MAX_BAND_CM1 place lines
     # that spectrum.Line accepts, finite in GHz
@@ -759,17 +775,20 @@ print(rc, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 
 def test_scipy_loads_only_where_it_is_called(tmp_path):
-    """scipy is imported at its call sites: importing the CLI, `symmetry` and
-    `plan` on the shipped one-term config load none of it, and `levels`
-    loads scipy.linalg (expm) but not scipy.sparse."""
+    """scipy is imported at its call sites: importing the CLI, `symmetry`,
+    `plan`, `levels` and the four-band fit on the shipped one-term config
+    load none of it, and `spectrum` loads scipy.linalg (expm, for the
+    isotypic bases) and scipy.sparse (the transition operators)."""
     cfg, sticks = REPO / "configs" / "atpb.cfg", tmp_path / "sticks.csv"
-    assert cli.main(["spectrum", "--config", str(cfg), "--sticks", str(sticks),
-                     "--out-spectrum", str(tmp_path / "spectrum.csv")]) == 0
     runs = {
         "import": [],
         "symmetry": ["symmetry", "--json", "--out", tmp_path / "symmetry.json"],
+        "spectrum": ["spectrum", "--config", cfg, "--sticks", sticks,
+                     "--out-spectrum", tmp_path / "spectrum.csv"],
         "plan": ["plan", "--config", cfg, "--lines", sticks, "--mc-samples", "0"],
         "levels": ["levels", "--config", cfg, "--format", "csv", "--out", tmp_path / "levels.csv"],
+        "fit": ["fit", "--config", cfg, "--peaks", REPO / "configs" / "atpb_peaks.csv",
+                "--out", tmp_path / "fit.json"],
     }
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     loaded = {}
@@ -780,9 +799,9 @@ def test_scipy_loads_only_where_it_is_called(tmp_path):
         rc, *modules = proc.stdout.split()
         assert rc == "0", name
         loaded[name] = set(modules)
-    assert loaded["import"] == loaded["symmetry"] == loaded["plan"] == set()
-    assert "scipy.linalg" in loaded["levels"]
-    assert not any(m.startswith("scipy.sparse") for m in loaded["levels"])
+    for name in ("import", "symmetry", "plan", "levels", "fit"):
+        assert loaded[name] == set(), name
+    assert {"scipy.linalg", "scipy.sparse"} <= loaded["spectrum"]
 
 
 def test_no_command_imports_scipy_optimize(tmp_path):

@@ -135,6 +135,39 @@ def test_rank4_coefficients_match_cubic_invariant():
     assert np.allclose(c, np.outer(t, t), atol=1e-12)
 
 
+def _group_average(rank, **kind):
+    """The two-sided invariant's coefficients as invariant_coefficients
+    recorded them: the conjugated group average of D^rank over T_ROTATIONS,
+    its noise below 1e-14 chopped."""
+    P = sum(wigner_d_matrix(rank, axis, angle, **kind) for axis, angle, _ in symmetry.T_ROTATIONS)
+    P = P / len(symmetry.T_ROTATIONS)
+    assert abs(np.trace(P).real - 1.0) < 1e-10  # one invariant
+    c = P.conj()
+    assert np.abs(c.imag).max() < 1e-12
+    c = np.ascontiguousarray(c.real)
+    c[np.abs(c) < 1e-14] = 0.0
+    return c
+
+
+def test_invariant_coefficients_bits():
+    # every output rests on the recorded bits: they are expm's group average,
+    # and the spectral D's average agrees to roundoff
+    for rank in (3, 4):
+        c = invariant_coefficients(rank)
+        assert np.count_nonzero(c) == {3: 4, 4: 9}[rank]
+        assert c.tobytes() == _group_average(rank, expm=True).tobytes()
+        assert np.abs(c - _group_average(rank)).max() <= 1e-14
+
+
+def test_spectral_wigner_d_matches_expm():
+    # exp(-i angle n.J) from the eigenvectors of n.J against scipy's expm
+    for j in range(21):
+        for axis, angle, _ in symmetry.T_ROTATIONS:
+            D = rotor._rotation_d(j, axis, angle)
+            assert np.abs(D.conj().T @ D - np.eye(2 * j + 1)).max() <= 1e-13
+            assert np.abs(D - rotor._rotation_d_expm(j, axis, angle)).max() <= 1e-13
+
+
 def test_unsupported_rank_rejected():
     with pytest.raises(PotentialError):
         invariant_coefficients(2)
@@ -519,7 +552,8 @@ def test_warm_classification_makes_no_rotation_matrix(monkeypatch):
     classify_levels(system)
     calls = []
     original = rotor.wigner_d_matrix
-    monkeypatch.setattr(rotor, "wigner_d_matrix", lambda *a: calls.append(a) or original(*a))
+    monkeypatch.setattr(rotor, "wigner_d_matrix",
+                        lambda *a, **k: calls.append(a) or original(*a, **k))
     levels = classify_levels(system)
     assert calls == []
     assert len({lev.energy for lev in levels}) < len(levels)  # some clusters were split
