@@ -196,13 +196,21 @@ def _three_j_factors(J2: int, J: int, rank: int) -> np.ndarray:
     symmetric-top elements: since the two 3j symbols of
     <J2 k2 m2|D^rank_{mu nu}|J k m> share it, each element is
     sqrt((2J2+1)(2J+1)) * F[nu + rank][k2 + J2, k + J] * F[mu + rank][m2 + J2, m + J].
+
+    Half the entries are computed: negating every m multiplies a 3j symbol
+    by (-1)^(J2+rank+J), and in wigner3j's Racah sum it maps each term to
+    one of equal size, so F[-mu, -m2, -m] is that sign times F[mu, m2, m]
+    to the bit.  A zero keeps its sign, as wigner3j gives the same zero.
     """
     F = np.zeros((2 * rank + 1, 2 * J2 + 1, 2 * J + 1))
-    for mu in range(-rank, rank + 1):
-        for m2 in range(-J2, J2 + 1):
+    sign = -1.0 if (J2 + rank + J) % 2 else 1.0
+    for mu in range(rank + 1):
+        for m2 in range(-J2 if mu else 0, J2 + 1):
             m = m2 + mu
             if abs(m) <= J:
-                F[mu + rank, m2 + J2, m + J] = (-1.0) ** m * wigner3j(J2, rank, J, m2, mu, -m)
+                f = (-1.0) ** m * wigner3j(J2, rank, J, m2, mu, -m)
+                F[mu + rank, m2 + J2, m + J] = f
+                F[rank - mu, J2 - m2, J - m] = sign * f if f else f
     F.setflags(write=False)
     return F
 
@@ -242,29 +250,26 @@ def _rotation_d(j: int, axis: tuple, angle: float) -> np.ndarray:
 
 
 def _rotation_d_expm(j: int, axis: tuple, angle: float) -> np.ndarray:
-    """exp(-i angle n.J) by scipy's expm, for the two callers whose bits the
-    references pin: the isotypic bases of classify_levels (_row_basis) and
-    the range scan's d^l(beta) (_little_d, test_potential_range_bits).  Both
-    can move to _rotation_d once perfbench/ref is re-recorded: built from it,
-    the isotypic bases moved the last bits of the vectors of 16 of the 33
-    levels below 150 cm^-1 at Jmax 8 and 10, on which the roundoff Raman
-    sticks rest."""
+    """exp(-i angle n.J) by scipy's expm, for the one caller whose bits a
+    test pins: the range scan's d^l(beta) (_little_d,
+    test_potential_range_bits), which only a mixed potential runs.  It can
+    move to _rotation_d once perfbench/ref is re-recorded."""
     import scipy.linalg
 
     return scipy.linalg.expm(-1j * angle * _generator(j, axis))
 
 
 @lru_cache(maxsize=None)
-def _wigner_d_cached(j: int, axis: tuple, angle: float, expm: bool = False) -> np.ndarray:
-    D = (_rotation_d_expm if expm else _rotation_d)(j, axis, angle)
+def _wigner_d_cached(j: int, axis: tuple, angle: float) -> np.ndarray:
+    D = _rotation_d(j, axis, angle)
     D.setflags(write=False)
     return D
 
 
-def wigner_d_matrix(j: int, axis, angle: float, *, expm: bool = False) -> np.ndarray:
+def wigner_d_matrix(j: int, axis, angle: float) -> np.ndarray:
     """D^j for the active rotation by `angle` about `axis`, rows/cols ordered
-    m = -j..j; with `expm`, _rotation_d_expm's bits."""
-    return _wigner_d_cached(j, tuple(axis), float(angle), expm)
+    m = -j..j (_rotation_d)."""
+    return _wigner_d_cached(j, tuple(axis), float(angle))
 
 
 # ----------------------------------------------------------------------------
@@ -494,6 +499,17 @@ class RotorModel:
 # Hamiltonian assembly
 # ----------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _factor_nonzeros(J2: int, J: int, rank: int, component: int) -> tuple[np.ndarray, ...]:
+    """(rows, cols, values) of the nonzero entries of
+    _three_j_factors(J2, J, rank)[component + rank], row-major; read-only."""
+    F = _three_j_factors(J2, J, rank)[component + rank]
+    parts = (*np.nonzero(F), F[np.nonzero(F)])
+    for part in parts:
+        part.setflags(write=False)
+    return parts
+
+
 def _nonzero_elements(jmax: int, rank: int, mu: int, nu: int):
     """Nonzero <J2 k2 m2|D^rank_{mu nu}|J k m> = s * F[nu][k2, k] * F[mu][m2, m]
     per coupled (J2, J) block: (rows, cols, F[nu] factors, F[mu] factors, s).
@@ -501,13 +517,11 @@ def _nonzero_elements(jmax: int, rank: int, mu: int, nu: int):
     k-major within a J block, so rows and cols index kron(F[nu], F[mu])."""
     for J2 in range(jmax + 1):
         for J in range(max(0, J2 - rank), min(jmax, J2 + rank) + 1):
-            F = _three_j_factors(J2, J, rank)
-            Fnu, Fmu = F[nu + rank], F[mu + rank]
-            ra, ca = np.nonzero(Fnu)
-            rb, cb = np.nonzero(Fmu)
+            ra, ca, fnu = _factor_nonzeros(J2, J, rank, nu)
+            rb, cb, fmu = _factor_nonzeros(J2, J, rank, mu)
             yield ((_basis_size(J2 - 1) + ra[:, None] * (2 * J2 + 1) + rb).ravel(),
                    (_basis_size(J - 1) + ca[:, None] * (2 * J + 1) + cb).ravel(),
-                   np.repeat(Fnu[ra, ca], len(rb)), np.tile(Fmu[rb, cb], len(ra)),
+                   np.repeat(fnu, len(rb)), np.tile(fmu, len(ra)),
                    math.sqrt((2 * J2 + 1) * (2 * J + 1)))
 
 
@@ -753,13 +767,14 @@ def _row_basis(J: int, irrep: str, isotypic: bool = False) -> np.ndarray:
     D^J, or with `isotypic` its whole isotypic component: the image of
     (d/12) sum_r conj(G(r)) D^J(r).  G is the character, except for the first
     row of F, where it is the (x, x) element of the rotation matrix; for A,
-    1E and 2E both bases span the same space.  The isotypic bases are built
-    from expm's D (_rotation_d_expm), whose bits the classified vectors
-    rest on.  The A and F projectors are real, so their bases are too."""
+    1E and 2E both bases span the same space.  Both kinds are built from
+    numpy's D (_rotation_d), so classification loads no scipy; the
+    classified vectors came out bit for bit as with expm's D on the shipped
+    config.  The A and F projectors are real, so their bases are too."""
     _, dim, chars = symmetry.character_table("T").irrep(irrep)
     first_row_of_f = irrep == "F" and not isotypic
     P = sum(np.conj(symmetry.rotation_matrix(axis, angle)[0, 0] if first_row_of_f else chars[cls])
-            * wigner_d_matrix(J, axis, angle, expm=isotypic) for axis, angle, cls in T_ROTATIONS)
+            * wigner_d_matrix(J, axis, angle) for axis, angle, cls in T_ROTATIONS)
     P = P * dim / len(T_ROTATIONS)
     if irrep in ("A", "F"):
         P = P.real

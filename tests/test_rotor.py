@@ -135,11 +135,11 @@ def test_rank4_coefficients_match_cubic_invariant():
     assert np.allclose(c, np.outer(t, t), atol=1e-12)
 
 
-def _group_average(rank, **kind):
+def _group_average(rank, rotation=wigner_d_matrix):
     """The two-sided invariant's coefficients as invariant_coefficients
-    recorded them: the conjugated group average of D^rank over T_ROTATIONS,
-    its noise below 1e-14 chopped."""
-    P = sum(wigner_d_matrix(rank, axis, angle, **kind) for axis, angle, _ in symmetry.T_ROTATIONS)
+    recorded them: the conjugated group average of D^rank = rotation(rank,
+    axis, angle) over T_ROTATIONS, its noise below 1e-14 chopped."""
+    P = sum(rotation(rank, axis, angle) for axis, angle, _ in symmetry.T_ROTATIONS)
     P = P / len(symmetry.T_ROTATIONS)
     assert abs(np.trace(P).real - 1.0) < 1e-10  # one invariant
     c = P.conj()
@@ -155,7 +155,7 @@ def test_invariant_coefficients_bits():
     for rank in (3, 4):
         c = invariant_coefficients(rank)
         assert np.count_nonzero(c) == {3: 4, 4: 9}[rank]
-        assert c.tobytes() == _group_average(rank, expm=True).tobytes()
+        assert c.tobytes() == _group_average(rank, rotor._rotation_d_expm).tobytes()
         assert np.abs(c - _group_average(rank)).max() <= 1e-14
 
 
@@ -398,6 +398,24 @@ def test_potential_matrix_is_coefficient_sum_of_operators(rank):
 # sparse kernels must reproduce the dense/kron definitions of reference.py
 # exactly.
 
+def test_three_j_factors_bit_equal_to_the_direct_formula():
+    # _three_j_factors computes half its entries and fills the rest by the
+    # sign of negated m: every entry, signed zeros included, is the formula's
+    zeros = 0
+    for rank in (1, 2, 3, 4):
+        for J2 in range(17):
+            for J in range(max(0, J2 - rank), min(16, J2 + rank) + 1):
+                F = np.zeros((2 * rank + 1, 2 * J2 + 1, 2 * J + 1))
+                for mu in range(-rank, rank + 1):
+                    for m2 in range(-J2, J2 + 1):
+                        if abs(m := m2 + mu) <= J:
+                            F[mu + rank, m2 + J2, m + J] = (-1.0) ** m * rotor.wigner3j(
+                                J2, rank, J, m2, mu, -m)
+                assert rotor._three_j_factors(J2, J, rank).tobytes() == F.tobytes(), (J2, J, rank)
+                zeros += np.count_nonzero(np.signbit(F[F == 0.0]))
+    assert zeros > 0  # some 3j symbols inside the triangle are -0.0
+
+
 @pytest.mark.parametrize("potential", [((3, -1.0),), ((4, -1.0),), ((3, -1.0), (4, 0.3))])
 def test_potential_matrix_bit_equal_to_dense_assembly(potential):
     pot = rotor.normalize_potential(potential)
@@ -557,6 +575,19 @@ def test_warm_classification_makes_no_rotation_matrix(monkeypatch):
     levels = classify_levels(system)
     assert calls == []
     assert len({lev.energy for lev in levels}) < len(levels)  # some clusters were split
+
+
+def test_classification_calls_no_expm(monkeypatch):
+    # the isotypic bases are built from numpy's D, so classification loads
+    # no scipy.linalg
+    def expm(*args):
+        raise AssertionError("_rotation_d_expm was called")
+
+    monkeypatch.setattr(rotor, "_rotation_d_expm", expm)
+    rotor._row_basis.cache_clear()
+    rotor._wigner_d_cached.cache_clear()
+    levels = classify_levels(diagonalize(RotorModel.create(B=1.0, beta=1.0, Jmax=6)))
+    assert [lev.rovib_label for lev in levels[:2]] == ["A1", "L1"]
 
 
 def test_classification_peak_memory():
