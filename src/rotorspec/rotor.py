@@ -587,6 +587,39 @@ def _potential_blocks(jmax: int, potential: tuple) -> tuple[tuple[np.ndarray, ..
     return tuple(out)
 
 
+@lru_cache(maxsize=8)
+def _exchange_mirrors(jmax: int, potential: tuple) -> tuple[tuple[int, np.ndarray] | None, ...]:
+    """Per parity block b, (a, perm) when V_b is entry for entry, bit for bit,
+    the site-molecule exchange image of an earlier block a's V_a, else None:
+    V_b[i, j] = V_a[perm[i], perm[j]], perm[i] the block-a row of (J, m, k)
+    for b's i-th state (J, k, m).  The exchange maps the block of k even, m
+    odd onto that of k odd, m even, and the kinetic diagonal depends on J
+    alone, so H_b is then H_a with rows and columns permuted: H_a's
+    eigenvalues are H_b's, and rows perm of its eigenvectors are H_b's.  The
+    values are compared, not assumed from the ranks: rank 3's recorded c is
+    symmetric to the bit and mirrors block 2 onto block 1, rank 4's is not
+    and mirrors none."""
+    J, k, m = _basis_layout(jmax)
+    exchanged = _basis_size(J - 1) + (m + J) * (2 * J + 1) + (k + J)
+    blocks = _potential_blocks(jmax, potential)
+    block_of = np.empty(len(J), dtype=np.intp)
+    local = np.empty_like(block_of)
+    for b, (idx, *_) in enumerate(blocks):
+        block_of[idx], local[idx] = b, np.arange(len(idx))
+    mirrors = []
+    for b, (idx, rows, cols, values) in enumerate(blocks):
+        a = block_of[exchanged[idx[0]]]
+        _, rows_a, cols_a, values_a = blocks[a]
+        perm = local[exchanged[idx]]
+        keys = perm[rows] * len(idx) + perm[cols]
+        order = np.argsort(keys)
+        same = (a < b and np.array_equal(keys[order], rows_a * len(idx) + cols_a)
+                and values[order].tobytes() == values_a.tobytes())
+        perm.setflags(write=False)
+        mirrors.append((int(a), perm) if same else None)
+    return tuple(mirrors)
+
+
 def _kinetic_diagonal(jmax: int) -> np.ndarray:
     J = _basis_layout(jmax)[0]
     return (J * (J + 1)).astype(float)
@@ -600,23 +633,27 @@ def _require_normalized(potential):
                              "is not known to be 1 (use RotorModel.create)")
 
 
-def _hamiltonian_blocks(model: RotorModel):
+def _hamiltonian_blocks(model: RotorModel, skip_mirrored: bool = False):
     """(basis indices, H block) per parity block, in cm^-1, after checking
     the model; each block is built when it is asked for, np.diag(B * kin)
     with (beta * B) * V_b added at V_b's nonzero entries, so every entry is
-    the 0.0 + (beta * B) * V_ij, or kin_i + (beta * B) * V_ii, of the dense H."""
+    the 0.0 + (beta * B) * V_ij, or kin_i + (beta * B) * V_ii, of the dense H.
+    With `skip_mirrored`, a block that _exchange_mirrors pairs with an
+    earlier one is not built: None stands for it."""
     model.require_valid()
     _require_normalized(model.potential)
     kin = model.B * _kinetic_diagonal(model.Jmax)
     scale = model.beta * model.B
+    mirrors = (_exchange_mirrors(model.Jmax, model.potential) if skip_mirrored
+               else itertools.repeat(None))
 
     def block(idx, rows, cols, values):
         hb = np.diag(kin[idx])
         hb[rows, cols] += scale * values
         return hb
 
-    return ((idx, block(idx, *entries))
-            for idx, *entries in _potential_blocks(model.Jmax, model.potential))
+    return ((idx, None if mirror else block(idx, *entries)) for (idx, *entries), mirror
+            in zip(_potential_blocks(model.Jmax, model.potential), mirrors))
 
 
 def hamiltonian_matrix(model: RotorModel) -> np.ndarray:
@@ -704,7 +741,11 @@ def _leading_columns(v: np.ndarray, stop: int) -> np.ndarray:
 def diagonalize(model: RotorModel, max_energy: float | None = None) -> Eigensystem:
     """Solve the eigenproblem per parity block; the potential conserves the
     parity of k and of m for every supported rank.  Each block keeps its
-    eigenvectors with their energy-ordered column numbers.
+    eigenvectors with their energy-ordered column numbers.  A block that is
+    the site-molecule exchange image of an earlier one (_exchange_mirrors:
+    block 2 of block 1 for a rank-3 potential) is neither built nor solved:
+    it takes its partner's eigenvalues and, rows permuted, its kept
+    eigenvectors, so each exchange pair of levels ties exactly.
 
     With `max_energy`, the blocks keep only the columns of the clusters that
     classify_levels(system, max_energy) labels (_labeled_clusters).  Right
@@ -713,21 +754,27 @@ def diagonalize(model: RotorModel, max_energy: float | None = None) -> Eigensyst
     cluster starting at or below max_energy spans at most n - 1 gaps of 1e-6
     times the spectrum's span.  After the last solve the blocks are cut at
     the end of the last such cluster.  `energies` always holds all n."""
-    blocks = _hamiltonian_blocks(model)  # checks the model first
+    blocks = _hamiltonian_blocks(model, skip_mirrored=True)  # checks the model first
+    mirrors = _exchange_mirrors(model.Jmax, model.potential)
     n = _basis_size(model.Jmax)
     # how far above the lowest eigenvalue so far a kept column can lie
     reach = math.inf if max_energy is None else max_energy + (n - 1) * 1e-6 * _span_bound(model)
     lowest = math.inf
     solved = []
-    for idx, sub in blocks:
-        try:
-            w, v = np.linalg.eigh(sub)
-        except np.linalg.LinAlgError as exc:
-            cond = np.linalg.cond(sub)
-            raise RotorError(
-                f"eigen-solver failed on a {len(idx)}-state block "
-                f"(condition number {cond:.3e}): {exc}"
-            ) from exc
+    for (idx, sub), mirror in zip(blocks, mirrors):
+        if mirror:
+            partner, perm = mirror
+            _, w, v = solved[partner]
+            v = v[perm]
+        else:
+            try:
+                w, v = np.linalg.eigh(sub)
+            except np.linalg.LinAlgError as exc:
+                cond = np.linalg.cond(sub)
+                raise RotorError(
+                    f"eigen-solver failed on a {len(idx)}-state block "
+                    f"(condition number {cond:.3e}): {exc}"
+                ) from exc
         del sub  # else it stays alive beside the next block
         lowest = min(lowest, w[0])
         solved.append((idx, w, _leading_columns(v, np.searchsorted(w, lowest + reach, "right"))))

@@ -162,22 +162,31 @@ def hamiltonian(model):
     return H
 
 
-def diagonalize(model):
-    """Dense H, eigh per parity block, eigenvectors zero-filled in block order
-    and then permuted to energy order."""
+def block_solves(model):
+    """(basis indices, eigenvalues, eigenvectors) of eigh on each parity
+    block of the dense H, blocks in (k, m) parity order (even, even), (even,
+    odd), (odd, even), (odd, odd)."""
     H = hamiltonian(model)
     basis = rotor.build_basis(model.Jmax)
-    n = len(basis)
-    energies = np.empty(n)
-    vectors = np.zeros((n, n))
-    filled = 0
+    solves = []
     for kp in (0, 1):
         for mp in (0, 1):
             idx = np.array([i for i, s in enumerate(basis) if (s.k % 2, s.m % 2) == (kp, mp)])
-            w, v = np.linalg.eigh(H[np.ix_(idx, idx)])
-            energies[filled:filled + len(idx)] = w
-            vectors[np.ix_(idx, np.arange(filled, filled + len(idx)))] = v
-            filled += len(idx)
+            solves.append((idx, *np.linalg.eigh(H[np.ix_(idx, idx)])))
+    return solves
+
+
+def diagonalize(model):
+    """Dense H, eigh per parity block, eigenvectors zero-filled in block order
+    and then permuted to energy order."""
+    n = rotor._basis_size(model.Jmax)
+    energies = np.empty(n)
+    vectors = np.zeros((n, n))
+    filled = 0
+    for idx, w, v in block_solves(model):
+        energies[filled:filled + len(idx)] = w
+        vectors[np.ix_(idx, np.arange(filled, filled + len(idx)))] = v
+        filled += len(idx)
     order = np.argsort(energies, kind="stable")
     energies = energies[order]
     vectors = vectors[:, order]

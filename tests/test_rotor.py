@@ -638,7 +638,9 @@ def test_eigensystem_invariants(system_beta1):
 
 # Until perfbench/ref is re-recorded, levels and strengths depend on the last
 # bit of the eigenvectors, so the per-block assembly and solve must reproduce
-# the dense-H definition of reference.py exactly.
+# the dense-H definition of reference.py exactly.  A block that mirrors an
+# earlier one under the site-molecule exchange is not solved: its exact
+# reference is its partner's solve, rows permuted.
 
 #: the potentials of the bit-equality and trim tests
 BLOCK_POTENTIALS = [((3, -1.0),), ((3, -1.0), (4, 0.3)), ((4, -1.0),)]
@@ -651,13 +653,46 @@ BLOCK_POTENTIALS = [((3, -1.0),), ((3, -1.0), (4, 0.3)), ((4, -1.0),)]
 @pytest.mark.parametrize("jmax", [6, 8])
 def test_diagonalize_bit_equal_to_dense_hamiltonian(jmax, beta, potential):
     model = RotorModel.create(B=B0, beta=beta, potential=potential, Jmax=jmax)
-    assert hamiltonian_matrix(model).tobytes() == reference.hamiltonian(model).tobytes()
+    H = hamiltonian_matrix(model)
+    assert H.tobytes() == reference.hamiltonian(model).tobytes()
     system = diagonalize(model)
-    energies, vectors = reference.diagonalize(model)
-    assert system.energies.tobytes() == energies.tobytes()
-    assert system.columns().tobytes() == vectors.tobytes()
-    lead = len(energies) // 3
-    assert system.columns(lead).tobytes() == vectors[:, :lead].tobytes()
+    solves = reference.block_solves(model)
+    mirrors = rotor._exchange_mirrors(jmax, model.potential)
+    assert [m is None for m in mirrors] == [True, True, potential != ((3, -1.0),), True]
+    ground = min(w[0] for (_, w, _), mirror in zip(solves, mirrors) if mirror is None)
+    span = system.energies[-1]
+    for (rows, cols, v), (idx, w, v_ref), mirror in zip(system.blocks, solves, mirrors):
+        assert rows.tobytes() == idx.tobytes()
+        if mirror is None:
+            assert v.tobytes() == v_ref.tobytes()
+            assert system.energies[cols].tobytes() == (w - ground).tobytes()
+        else:
+            partner, perm = mirror
+            _, cols_a, v_a = system.blocks[partner]
+            assert v.tobytes() == v_a[perm].tobytes()
+            assert system.energies[cols].tobytes() == system.energies[cols_a].tobytes()
+            residual = H[np.ix_(rows, rows)] @ v - v * (system.energies[cols] + ground)
+            assert np.abs(residual).max() <= 1e-12 * span
+    assert system.energies[0] == 0.0 and np.all(np.diff(system.energies) >= 0)
+    columns = system.columns()
+    lead = len(columns) // 3
+    assert system.columns(lead).tobytes() == columns[:, :lead].tobytes()
+
+
+@pytest.mark.parametrize("potential, solves", [
+    (((3, -1.0),), 3), (((3, 0.7),), 3), (((4, -1.0),), 4), (((3, -1.0), (4, 0.3)), 4)])
+@pytest.mark.parametrize("jmax", [4, 7, 10])
+def test_diagonalize_solves_one_block_of_each_exchange_pair(monkeypatch, jmax, potential, solves):
+    # rank 3's V mirrors block 2 onto block 1 bit for bit; rank 4's recorded
+    # coefficients are not symmetric to the bit, so a rank-4 term keeps all
+    # four solves
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+    model = RotorModel.create(B=B0, beta=1.0, potential=potential, Jmax=jmax)
+    system = diagonalize(model)
+    assert len(calls) == solves
+    assert sum(len(cols) for _, cols, _ in system.blocks) == len(system.energies)
 
 
 def _level_bits(levels):
