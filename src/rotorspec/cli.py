@@ -300,8 +300,14 @@ def cmd_spectrum(args) -> int:
     levels = rotor.classify_levels(system, max_energy=args.max_energy)
     missing = spectrum.missing_initial_levels(levels)
     if missing:
-        raise spectrum.SpectrumError(f"required ground levels missing below --max-energy "
-                                     f"{_fmt(args.max_energy)} cm-1: {', '.join(missing)}")
+        # the level table names the energies of those that lie above the cut
+        model = cfg.model
+        table = rotor.LevelGapCache(model.potential, model.Jmax).levels(model.B, model.beta)
+        energy = {lev.name: lev.energy for lev in table}
+        raise spectrum.SpectrumError(
+            f"required ground levels missing below --max-energy {_fmt(args.max_energy)} cm-1: "
+            + ", ".join(f"{name} at {_fmt(energy[name])} cm-1" if name in energy else name
+                        for name in missing))
     envelope = spectrum.envelope_lines(levels, cfg.band, cfg.population)
     sticks = sorted(envelope + spectrum.rotational_raman_lines(levels, cfg.population),
                     key=lambda l: (l.frequency, l.lower, l.upper))

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -406,13 +407,19 @@ def test_cli_spectrum_non_integral_cluster_exits_2(workdir, capsys, monkeypatch)
 
 
 def test_cli_spectrum_names_max_energy_when_ground_levels_lie_above_it(workdir, capsys):
-    # at B = 1e300 cm^-1 only the ground cluster lies below the default cut
+    # at B = 1e300 cm^-1 only the ground cluster lies below the default cut;
+    # the message names the flag and, from the level table, where the
+    # missing levels lie
     (workdir / "huge.cfg").write_text(FAST_CONFIG.replace("B = 5.503275318502903", "B = 1e300")
                                       .replace("Jmax = 6", "Jmax = 4"))
     rc = cli.main(["spectrum", "--config", "huge.cfg"])
     assert rc == 1
+    table = rotor.LevelGapCache(rotor.DEFAULT_POTENTIAL, 4).levels(1e300, 1.0)
+    l1, e2 = (rotor.find_level(table, name).energy for name in ("L1", "E2"))
+    assert 1e300 < l1 < e2 < math.inf
     assert capsys.readouterr().err == ("error: required ground levels missing below "
-                                       "--max-energy 150 cm-1: (L1)1, (E2)1\n")
+                                       f"--max-energy 150 cm-1: (L1)1 at {l1:.6g} cm-1, "
+                                       f"(E2)1 at {e2:.6g} cm-1\n")
 
 
 @pytest.mark.parametrize("edit, message", [
