@@ -38,18 +38,21 @@ and the batch makes one BLAS call per image on the same operands, so the
 strengths are those of one product per component, bit for bit.
 V conserves the parity of k and of m, so it is kept as the nonzero entries
 of its four parity blocks (0.4% of their entries at Jmax 14), and diagonalize
-builds and solves H one block at a time.  Given a cut in energy, each block
+builds and solves H one block at a time; a block whose V is bit for bit the
+site-molecule exchange image of another's (_exchange_mirrors: rank 3) takes
+that block's solve with its rows permuted.  Given a cut in energy, each block
 keeps only the eigenvectors of the clusters classify_levels labels below it,
 and dense n-row columns are written only for those, so the spectrum path
 holds no n x n array and one block's full eigenvectors at a time.  Until
 perfbench/ref is re-recorded these kernels must stay bit-identical to the
-dense/Kronecker definitions (a dense H cut into parity blocks included) that
-tests/reference.py keeps.  The fit's label blocks are written from the same
-3j factors per J, with no n-sized array.  scipy is imported where it is
-called: expm for the isotypic bases and the range scan (_rotation_d_expm)
-and the CSR operators.  The label path, levels and the position fit on a
-one-term potential, rotates with numpy's eigh (_rotation_d) and loads none
-of it.
+dense/Kronecker definitions (a dense H cut into parity blocks included,
+the mirrored block's solve aside) that tests/reference.py keeps.  The fit's
+label blocks are written from the same 3j factors per J, with no n-sized
+array.  scipy is imported where it is called: expm for a mixed potential's
+range scan (_rotation_d_expm) and the CSR operators.  Every rotation
+matrix of the label path and of classification comes from numpy's eigh
+(_rotation_d), so levels and the position fit on a one-term potential load
+no scipy and spectrum no scipy.linalg.
 
 Both label mechanisms rest on one projector per (J, T irrep), _row_basis,
 cached with its first-row or its whole isotypic image (site rotations act on
@@ -429,8 +432,9 @@ def estimated_peak_bytes(jmax: int) -> float:
     14 and 16 (n = 1771, 4495 and 6545) at one and two BLAS threads while
     scipy loaded before the solves: 79.1, 129.7 and 192.9 MB (89.5, 195.1
     and 330.9 MB with V's dense blocks and every block's eigenvectors kept).
-    Now scipy loads after them, at classification, and the peaks are 79.6,
-    100.0 and 164.3 MB.  `fit --starts 1 --max-iter 20` loads no scipy,
+    Since scipy loaded after them, at classification, the peaks were 79.6,
+    100.0 and 164.3 MB, and with no scipy.linalg loaded they are 70.2, 100.0
+    and 163.6 MB.  `fit --starts 1 --max-iter 20` loads no scipy,
     holds no n x n array and peaks at 42.7, 48.5 and 54.5 MB."""
     n = _basis_size(jmax)
     return 100e6 + 3.2 * float(n) ** 2 if n < 1e150 else math.inf
@@ -672,10 +676,11 @@ def hamiltonian_matrix(model: RotorModel) -> np.ndarray:
 @dataclass(frozen=True)
 class Eigensystem:
     """Eigenvalues (shifted so the ground level is 0, ascending) and the
-    orthonormal eigenvectors, kept per parity block as eigh returned them, or
-    their leading columns: `blocks` holds (basis rows, column numbers in
-    `energies` order, v) with each block's column numbers ascending.  The
-    rows are the basis of model.Jmax in the order of _basis_layout.
+    orthonormal eigenvectors, kept per parity block as eigh returned them (a
+    mirrored block: its partner's, rows permuted), or their leading columns:
+    `blocks` holds (basis rows, column numbers in `energies` order, v) with
+    each block's column numbers ascending.  The rows are the basis of
+    model.Jmax in the order of _basis_layout.
     `energies` holds every eigenvalue; the blocks hold the columns
     0..kept-1, every column unless diagonalize was given a max_energy.
     columns() writes dense n-row columns for the lowest levels a caller
@@ -815,9 +820,10 @@ def _row_basis(J: int, irrep: str, isotypic: bool = False) -> np.ndarray:
     (d/12) sum_r conj(G(r)) D^J(r).  G is the character, except for the first
     row of F, where it is the (x, x) element of the rotation matrix; for A,
     1E and 2E both bases span the same space.  Both kinds are built from
-    numpy's D (_rotation_d), so classification loads no scipy; the
-    classified vectors came out bit for bit as with expm's D on the shipped
-    config.  The A and F projectors are real, so their bases are too."""
+    numpy's D (_rotation_d), so classification loads no scipy; spectrum's
+    outputs on the shipped config stayed byte-identical when the isotypic
+    bases moved to it from expm's D.  The A and F projectors are real, so
+    their bases are too."""
     _, dim, chars = symmetry.character_table("T").irrep(irrep)
     first_row_of_f = irrep == "F" and not isotypic
     P = sum(np.conj(symmetry.rotation_matrix(axis, angle)[0, 0] if first_row_of_f else chars[cls])
