@@ -508,7 +508,8 @@ def _factor_nonzeros(J2: int, J: int, rank: int, component: int) -> tuple[np.nda
     """(rows, cols, values) of the nonzero entries of
     _three_j_factors(J2, J, rank)[component + rank], row-major; read-only."""
     F = _three_j_factors(J2, J, rank)[component + rank]
-    parts = (*np.nonzero(F), F[np.nonzero(F)])
+    rows, cols = np.nonzero(F)
+    parts = (rows, cols, F[rows, cols])
     for part in parts:
         part.setflags(write=False)
     return parts
