@@ -7,9 +7,10 @@ is built from rotation-matrix invariants of the proper tetrahedral rotation
 group acting simultaneously on both frames; rank 3 is the leading term when
 neither group contains inversion, with an optional rank-4 admixture.  The
 coefficient tensor of each rank is the (unique) two-sided group average of
-D^l, recorded bit for bit (_INVARIANT_ENTRIES), so invariance under all 144
-site x molecule rotations holds by construction and the matrix is real
-symmetric.
+D^l, written in closed form as outer(t, t) for the invariant vector t
+(invariant_coefficients), so invariance under all 144 site x molecule
+rotations holds by construction, the matrix is real symmetric, and c is
+symmetric to the bit.
 
 Potential normalization fixes max V - min V = 1 over orientation space, so
 the barrier height is exactly beta*B.  normalize_potential returns a
@@ -38,21 +39,22 @@ and the batch makes one BLAS call per image on the same operands, so the
 strengths are those of one product per component, bit for bit.
 V conserves the parity of k and of m, so it is kept as the nonzero entries
 of its four parity blocks (0.4% of their entries at Jmax 14), and diagonalize
-builds and solves H one block at a time; a block whose V is bit for bit the
-site-molecule exchange image of another's (_exchange_mirrors: rank 3) takes
-that block's solve with its rows permuted.  Given a cut in energy, each block
-keeps only the eigenvectors of the clusters classify_levels labels below it,
-and dense n-row columns are written only for those, so the spectrum path
-holds no n x n array and one block's full eigenvectors at a time.  Until
-perfbench/ref is re-recorded these kernels must stay bit-identical to the
-dense/Kronecker definitions (a dense H cut into parity blocks included,
-the mirrored block's solve aside) that tests/reference.py keeps.  The fit's
+builds and solves H one block at a time.  Every c being symmetric to the
+bit, block 2's V is bit for bit the site-molecule exchange image of block
+1's for every potential, so block 2 takes block 1's solve with its rows
+permuted (_exchange_mirror, a permutation of the layout alone).  Given a
+cut in energy, each block keeps only the eigenvectors of the clusters
+classify_levels labels below it, and dense n-row columns are written only
+for those, so the spectrum path holds no n x n array and one block's full
+eigenvectors at a time.  Until perfbench/ref is re-recorded these kernels
+must stay bit-identical to the dense/Kronecker definitions (a dense H cut
+into parity blocks included, the mirrored block's solve aside) that
+tests/reference.py keeps.  The fit's
 label blocks are written from the same 3j factors per J, with no n-sized
-array.  scipy is imported where it is called: expm for a mixed potential's
-range scan (_rotation_d_expm) and the CSR operators.  Every rotation
-matrix of the label path and of classification comes from numpy's eigh
-(_rotation_d), so levels and the position fit on a one-term potential load
-no scipy and spectrum no scipy.linalg.
+array.  scipy is imported where it is called, for the CSR operators only.
+Every rotation matrix, the range scan's included, comes from numpy's eigh
+(_rotation_d), so levels and the position fit load no scipy and spectrum
+only scipy.sparse, whatever the potential.
 
 Both label mechanisms rest on one projector per (J, T irrep), _row_basis,
 cached with its first-row or its whole isotypic image (site rotations act on
@@ -82,7 +84,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import symmetry
+from . import symmetry, units
 from .lsq import least_squares
 from .symmetry import LEVEL_LABELS, T_ROTATIONS
 
@@ -252,16 +254,6 @@ def _rotation_d(j: int, axis: tuple, angle: float) -> np.ndarray:
     return (v * np.exp(-1j * angle * np.rint(w))) @ v.conj().T
 
 
-def _rotation_d_expm(j: int, axis: tuple, angle: float) -> np.ndarray:
-    """exp(-i angle n.J) by scipy's expm, for the one caller whose bits a
-    test pins: the range scan's d^l(beta) (_little_d,
-    test_potential_range_bits), which only a mixed potential runs.  It can
-    move to _rotation_d once perfbench/ref is re-recorded."""
-    import scipy.linalg
-
-    return scipy.linalg.expm(-1j * angle * _generator(j, axis))
-
-
 @lru_cache(maxsize=None)
 def _wigner_d_cached(j: int, axis: tuple, angle: float) -> np.ndarray:
     D = _rotation_d(j, axis, angle)
@@ -279,39 +271,27 @@ def wigner_d_matrix(j: int, axis, angle: float) -> np.ndarray:
 # invariant potential coefficients
 # ----------------------------------------------------------------------------
 
-#: the nonzero c_{mu nu} of invariant_coefficients by rank and (mu, nu), as
-#: the group average of expm's D^rank over T_ROTATIONS gave them, its noise
-#: below 1e-14 chopped (test_invariant_coefficients_bits rebuilds them); every
-#: output rests on these bits.  Rank 4's are those of outer(t, t), t_0 =
-#: sqrt(7/12) and t_{+-4} = sqrt(5/24), to a few ulp, not all symmetric
-_INVARIANT_ENTRIES = {
-    3: {(-2, -2): 0.5, (-2, 2): -0.5, (2, -2): -0.5, (2, 2): 0.5},
-    4: {(-4, -4): float.fromhex("0x1.aaaaaaaaaaaa9p-3"),
-        (-4, 0): float.fromhex("0x1.64f995f90ea75p-2"),
-        (-4, 4): float.fromhex("0x1.aaaaaaaaaaaa6p-3"),
-        (0, -4): float.fromhex("0x1.64f995f90ea75p-2"),
-        (0, 0): float.fromhex("0x1.2aaaaaaaaaaaap-1"),
-        (0, 4): float.fromhex("0x1.64f995f90ea78p-2"),
-        (4, -4): float.fromhex("0x1.aaaaaaaaaaaaap-3"),
-        (4, 0): float.fromhex("0x1.64f995f90ea78p-2"),
-        (4, 4): float.fromhex("0x1.aaaaaaaaaaaa8p-3")},
-}
-
-
 @lru_cache(maxsize=None)
 def invariant_coefficients(rank: int) -> np.ndarray:
     """Real symmetric coefficient matrix c of the unique two-sided tetrahedral
     invariant at the given rank: V(omega) = sum_{mu nu} c_{mu nu} D^rank_{mu nu}.
 
     c is the complex conjugate of the group-average projector onto the
-    invariant vector, normalized to V(identity) = 1, with the recorded bits
-    of _INVARIANT_ENTRIES.
+    invariant vector t, outer(t, t) with t.t = 1 so that V(identity) = 1:
+    t_{+-2} = +-sqrt(1/2) at rank 3, whose entries +-0.5 are written exactly
+    (every output on the shipped potential rests on them), and t_0 =
+    sqrt(7/12), t_{+-4} = sqrt(5/24) at rank 4.  Either way c equals its
+    transpose to the bit, which _exchange_mirror rests on.
     """
     if rank not in SUPPORTED_RANKS:
         raise PotentialError(f"unsupported potential rank {rank}; use {SUPPORTED_RANKS}")
-    c = np.zeros((2 * rank + 1,) * 2)
-    for (mu, nu), value in _INVARIANT_ENTRIES[rank].items():
-        c[mu + rank, nu + rank] = value
+    if rank == 3:
+        c = np.zeros((7, 7))
+        c[np.ix_([1, 5], [1, 5])] = [[0.5, -0.5], [-0.5, 0.5]]
+    else:
+        t = np.zeros(9)
+        t[[0, 4, 8]] = math.sqrt(5 / 24), math.sqrt(7 / 12), math.sqrt(5 / 24)
+        c = np.outer(t, t)
     c.setflags(write=False)
     return c
 
@@ -319,7 +299,7 @@ def invariant_coefficients(rank: int) -> np.ndarray:
 def _little_d(rank: int, beta: float) -> np.ndarray:
     """Real d^rank(beta), uncached: the range scan visits a new angle on
     nearly every evaluation, and each process scans at most once."""
-    return _rotation_d_expm(rank, (0.0, 1.0, 0.0), beta).real
+    return _rotation_d(rank, (0.0, 1.0, 0.0), beta).real
 
 
 def _potential_on_grid(potential):
@@ -392,8 +372,9 @@ class NormalizedPotential(tuple):
 
 
 #: max V - min V of the rank-r invariant at weight 1 as an earlier scan found
-#: it, 2 + 3 ulp and 40/27 + 2 ulp (now 2 + 1 ulp and 40/27 - 2 ulp); every
-#: output rests on these bits.  w * V_r spans |w| times as much: no scan
+#: it, 2 + 3 ulp and 40/27 + 2 ulp (numpy's scan finds 2 + 3 ulp and exactly
+#: 40/27); every output rests on these bits.  w * V_r spans |w| times as
+#: much: no scan
 _UNIT_SPAN = {3: 2.0000000000000013, 4: 1.4814814814814818}
 
 
@@ -481,6 +462,14 @@ class RotorModel:
         elif need > _PHYSICAL_MEMORY:
             problems.append(("Jmax", f"Jmax {self.Jmax} needs about {need / 1e9:.3g} GB, more than "
                                      f"the {_PHYSICAL_MEMORY / 1e9:.3g} GB of physical memory"))
+        if not problems:
+            # |V| <= 1 (unit range about a zero mean), so no H entry or level
+            # energy exceeds B * (Jmax(Jmax+1) + 2 beta)
+            top = units.MAX_CM1 / (self.Jmax * (self.Jmax + 1) + 2 * self.beta)
+            if self.B > top:
+                problems.append(("B", f"B must be at most {top:.6g} cm-1 at Jmax {self.Jmax} and "
+                                      f"beta {self.beta:g}, else level energies can exceed "
+                                      f"{units.MAX_CM1:g} cm-1 and overflow; got {self.B}"))
         ranks = [rank for rank, _ in self.potential if rank not in SUPPORTED_RANKS]
         if not self.potential:
             problems.append(("potential", "potential must contain at least one term"))
@@ -593,36 +582,23 @@ def _potential_blocks(jmax: int, potential: tuple) -> tuple[tuple[np.ndarray, ..
 
 
 @lru_cache(maxsize=8)
-def _exchange_mirrors(jmax: int, potential: tuple) -> tuple[tuple[int, np.ndarray] | None, ...]:
-    """Per parity block b, (a, perm) when V_b is entry for entry, bit for bit,
-    the site-molecule exchange image of an earlier block a's V_a, else None:
-    V_b[i, j] = V_a[perm[i], perm[j]], perm[i] the block-a row of (J, m, k)
-    for b's i-th state (J, k, m).  The exchange maps the block of k even, m
-    odd onto that of k odd, m even, and the kinetic diagonal depends on J
-    alone, so H_b is then H_a with rows and columns permuted: H_a's
-    eigenvalues are H_b's, and rows perm of its eigenvectors are H_b's.  The
-    values are compared, not assumed from the ranks: rank 3's recorded c is
-    symmetric to the bit and mirrors block 2 onto block 1, rank 4's is not
-    and mirrors none."""
+def _exchange_mirror(jmax: int) -> np.ndarray:
+    """perm with V_2[i, j] = V_1[perm[i], perm[j]] for parity blocks 2 (k odd,
+    m even) and 1 (k even, m odd): perm[i] is the block-1 row of (J, m, k)
+    for block 2's i-th state (J, k, m).  The site-molecule exchange maps
+    block 2 onto block 1, and since every c is symmetric to the bit and each
+    entry of V holds one (mu, nu) component per rank, V_2 is V_1 permuted
+    entry for entry, bit for bit, for every potential.  The kinetic diagonal
+    depends on J alone, so H_2 is H_1 with rows and columns permuted: H_1's
+    eigenvalues are H_2's, and rows perm of its eigenvectors are H_2's."""
     J, k, m = _basis_layout(jmax)
     exchanged = _basis_size(J - 1) + (m + J) * (2 * J + 1) + (k + J)
-    blocks = _potential_blocks(jmax, potential)
-    block_of = np.empty(len(J), dtype=np.intp)
-    local = np.empty_like(block_of)
-    for b, (idx, *_) in enumerate(blocks):
-        block_of[idx], local[idx] = b, np.arange(len(idx))
-    mirrors = []
-    for b, (idx, rows, cols, values) in enumerate(blocks):
-        a = block_of[exchanged[idx[0]]]
-        _, rows_a, cols_a, values_a = blocks[a]
-        perm = local[exchanged[idx]]
-        keys = perm[rows] * len(idx) + perm[cols]
-        order = np.argsort(keys)
-        same = (a < b and np.array_equal(keys[order], rows_a * len(idx) + cols_a)
-                and values[order].tobytes() == values_a.tobytes())
-        perm.setflags(write=False)
-        mirrors.append((int(a), perm) if same else None)
-    return tuple(mirrors)
+    _, block1, block2, _ = _parity_blocks(jmax)
+    local = np.empty(len(J), dtype=np.intp)
+    local[block1] = np.arange(len(block1))
+    perm = local[exchanged[block2]]
+    perm.setflags(write=False)
+    return perm
 
 
 def _kinetic_diagonal(jmax: int) -> np.ndarray:
@@ -643,22 +619,20 @@ def _hamiltonian_blocks(model: RotorModel, skip_mirrored: bool = False):
     the model; each block is built when it is asked for, np.diag(B * kin)
     with (beta * B) * V_b added at V_b's nonzero entries, so every entry is
     the 0.0 + (beta * B) * V_ij, or kin_i + (beta * B) * V_ii, of the dense H.
-    With `skip_mirrored`, a block that _exchange_mirrors pairs with an
-    earlier one is not built: None stands for it."""
+    With `skip_mirrored`, block 2, the exchange image of block 1
+    (_exchange_mirror), is not built: None stands for it."""
     model.require_valid()
     _require_normalized(model.potential)
     kin = model.B * _kinetic_diagonal(model.Jmax)
     scale = model.beta * model.B
-    mirrors = (_exchange_mirrors(model.Jmax, model.potential) if skip_mirrored
-               else itertools.repeat(None))
 
     def block(idx, rows, cols, values):
         hb = np.diag(kin[idx])
         hb[rows, cols] += scale * values
         return hb
 
-    return ((idx, None if mirror else block(idx, *entries)) for (idx, *entries), mirror
-            in zip(_potential_blocks(model.Jmax, model.potential), mirrors))
+    return ((idx, None if skip_mirrored and b == 2 else block(idx, *entries))
+            for b, (idx, *entries) in enumerate(_potential_blocks(model.Jmax, model.potential)))
 
 
 def hamiltonian_matrix(model: RotorModel) -> np.ndarray:
@@ -677,8 +651,8 @@ def hamiltonian_matrix(model: RotorModel) -> np.ndarray:
 @dataclass(frozen=True)
 class Eigensystem:
     """Eigenvalues (shifted so the ground level is 0, ascending) and the
-    orthonormal eigenvectors, kept per parity block as eigh returned them (a
-    mirrored block: its partner's, rows permuted), or their leading columns:
+    orthonormal eigenvectors, kept per parity block as eigh returned them
+    (block 2: block 1's, rows permuted), or their leading columns:
     `blocks` holds (basis rows, column numbers in `energies` order, v) with
     each block's column numbers ascending.  The rows are the basis of
     model.Jmax in the order of _basis_layout.
@@ -747,11 +721,10 @@ def _leading_columns(v: np.ndarray, stop: int) -> np.ndarray:
 def diagonalize(model: RotorModel, max_energy: float | None = None) -> Eigensystem:
     """Solve the eigenproblem per parity block; the potential conserves the
     parity of k and of m for every supported rank.  Each block keeps its
-    eigenvectors with their energy-ordered column numbers.  A block that is
-    the site-molecule exchange image of an earlier one (_exchange_mirrors:
-    block 2 of block 1 for a rank-3 potential) is neither built nor solved:
-    it takes its partner's eigenvalues and, rows permuted, its kept
-    eigenvectors, so each exchange pair of levels ties exactly.
+    eigenvectors with their energy-ordered column numbers.  Block 2, the
+    site-molecule exchange image of block 1 (_exchange_mirror), is neither
+    built nor solved: it takes block 1's eigenvalues and, rows permuted, its
+    kept eigenvectors, so each exchange pair of levels ties exactly.
 
     With `max_energy`, the blocks keep only the columns of the clusters that
     classify_levels(system, max_energy) labels (_labeled_clusters).  Right
@@ -761,17 +734,15 @@ def diagonalize(model: RotorModel, max_energy: float | None = None) -> Eigensyst
     times the spectrum's span.  After the last solve the blocks are cut at
     the end of the last such cluster.  `energies` always holds all n."""
     blocks = _hamiltonian_blocks(model, skip_mirrored=True)  # checks the model first
-    mirrors = _exchange_mirrors(model.Jmax, model.potential)
     n = _basis_size(model.Jmax)
     # how far above the lowest eigenvalue so far a kept column can lie
     reach = math.inf if max_energy is None else max_energy + (n - 1) * 1e-6 * _span_bound(model)
     lowest = math.inf
     solved = []
-    for (idx, sub), mirror in zip(blocks, mirrors):
-        if mirror:
-            partner, perm = mirror
-            _, w, v = solved[partner]
-            v = v[perm]
+    for idx, sub in blocks:
+        if sub is None:  # block 2
+            _, w, v = solved[1]
+            v = v[_exchange_mirror(model.Jmax)]
         else:
             try:
                 w, v = np.linalg.eigh(sub)

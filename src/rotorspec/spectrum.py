@@ -71,8 +71,8 @@ STRENGTH_GATE = 1e-2
 MAX_GRID_SAMPLES = 10**7
 
 #: largest nu0, lattice_freq or |dw_*| offset in cm^-1: a line adds at most
-#: one of each to level spacings, and 3e306 cm^-1 is 9e307 GHz, still finite
-MAX_BAND_CM1 = 1e306
+#: one of each to a level spacing, which RotorModel bounds alike
+MAX_BAND_CM1 = units.MAX_CM1
 
 
 def _overflow_message(key: str, value: float) -> str:

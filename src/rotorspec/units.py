@@ -7,6 +7,11 @@ all modules import from here rather than re-deriving values.
 # 1 cm^-1 in GHz (exact, c = 299792458 m/s)
 GHZ_PER_INV_CM = 29.9792458
 
+# largest level energy or band offset in cm^-1 the models accept: a line
+# frequency sums at most four such terms, and 4e306 cm^-1 is 1.2e308 GHz,
+# still finite
+MAX_CM1 = 1e306
+
 # Boltzmann constant over hc, cm^-1 per kelvin (CODATA 2018, exact SI)
 KB_CM1_PER_K = 0.695034800
 

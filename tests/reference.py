@@ -29,6 +29,11 @@ DEFAULT_CONFIG_TEXT = """\
 
 # ---------------------------------------------------------------- small helpers
 
+def rotation_d_expm(j, axis, angle):
+    """exp(-i angle n.J) by scipy's expm, the oracle of rotor._rotation_d."""
+    return scipy.linalg.expm(-1j * angle * rotor._generator(j, axis))
+
+
 def tunneling_frequencies(levels) -> tuple[float, float]:
     """(omega_LA, omega_LE2): the A1(1)-L1(1) and L1(1)-E2(1) gaps in cm^-1."""
     a1 = rotor.find_level(levels, "A1", 1)

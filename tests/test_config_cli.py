@@ -166,7 +166,7 @@ def test_non_finite_value_names_section_and_key(section, line):
 
 #: one rule-breaking line per rule a config key has
 _RULE_CASES = [
-    ("model", "B = 0"), ("model", "beta = -1"), ("model", "Jmax = 1"),
+    ("model", "B = 0"), ("model", "B = 1e307"), ("model", "beta = -1"), ("model", "Jmax = 1"),
     ("model", "potential = 5:1.0, 3:-1.0"), ("model", "potential = "),
     ("model", "potential = 3:0"), ("model", "potential = 3:-1.0, 3:1.0"),
     ("model", "potential = 3:1e308"),
@@ -420,6 +420,26 @@ def test_cli_spectrum_names_max_energy_when_ground_levels_lie_above_it(workdir, 
     assert capsys.readouterr().err == ("error: required ground levels missing below "
                                        f"--max-energy 150 cm-1: (L1)1 at {l1:.6g} cm-1, "
                                        f"(E2)1 at {e2:.6g} cm-1\n")
+
+
+@pytest.mark.parametrize("command", ["levels", "spectrum"])
+def test_cli_rejects_a_b_whose_level_energies_overflow(workdir, capsys, command):
+    # |V| <= 1, so no level lies above B * (Jmax(Jmax+1) + 2 beta), 22 B at
+    # Jmax 4: B = 1e307 is rejected under its key, where the levels once
+    # overflowed with a RuntimeWarning, and B = 1e300 runs as it did
+    for B, rc in (("1e307", 1), ("1e300", 0 if command == "levels" else 1)):
+        (workdir / "huge.cfg").write_text(FAST_CONFIG.replace("B = 5.503275318502903", f"B = {B}")
+                                          .replace("Jmax = 6", "Jmax = 4"))
+        assert cli.main([command, "--config", "huge.cfg"]) == rc
+        err = capsys.readouterr().err
+        if B == "1e307":
+            assert err == ("error: invalid configuration:\n  [model] B: B must be at most "
+                           "4.54545e+304 cm-1 at Jmax 4 and beta 1, else level energies can "
+                           "exceed 1e+306 cm-1 and overflow; got 1e+307\n")
+        elif command == "levels":
+            assert err == ""
+        else:
+            assert err.startswith("error: required ground levels missing below --max-energy")
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -783,33 +803,41 @@ print(rc, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 def test_scipy_loads_only_where_it_is_called(tmp_path):
     """scipy is imported at its call sites: importing the CLI, `symmetry`,
-    `plan`, `levels` and the four-band fit on the shipped one-term config
-    load none of it, and `spectrum` loads scipy.sparse (the transition
-    operators) but no scipy.linalg: the isotypic bases rotate with numpy."""
+    `plan`, `levels` and the four-band fit load none of it, on the shipped
+    one-term config and on a mixed potential, whose range scan rotates with
+    numpy, and `spectrum` loads scipy.sparse (the transition operators) and
+    nothing more of scipy than its import does."""
     cfg, sticks = REPO / "configs" / "atpb.cfg", tmp_path / "sticks.csv"
+    mixed = tmp_path / "mixed.cfg"
+    mixed.write_text(cfg.read_text().replace("potential = 3:-1.0", "potential = 3:-1.0, 4:0.3"))
     runs = {
         "import": [],
         "symmetry": ["symmetry", "--json", "--out", tmp_path / "symmetry.json"],
-        "spectrum": ["spectrum", "--config", cfg, "--sticks", sticks,
-                     "--out-spectrum", tmp_path / "spectrum.csv"],
-        "plan": ["plan", "--config", cfg, "--lines", sticks, "--mc-samples", "0"],
-        "levels": ["levels", "--config", cfg, "--format", "csv", "--out", tmp_path / "levels.csv"],
-        "fit": ["fit", "--config", cfg, "--peaks", REPO / "configs" / "atpb_peaks.csv",
-                "--out", tmp_path / "fit.json"],
     }
+    for tag, config in (("", cfg), (" mixed", mixed)):
+        runs |= {
+            "spectrum" + tag: ["spectrum", "--config", config, "--sticks", sticks,
+                               "--out-spectrum", tmp_path / "spectrum.csv"],
+            "plan" + tag: ["plan", "--config", config, "--lines", sticks, "--mc-samples", "0"],
+            "levels" + tag: ["levels", "--config", config, "--format", "csv",
+                             "--out", tmp_path / "levels.csv"],
+            "fit" + tag: ["fit", "--config", config, "--peaks", REPO / "configs" / "atpb_peaks.csv",
+                          "--out", tmp_path / "fit.json"],
+        }
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     loaded = {}
-    for name, args in runs.items():
-        proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, *map(str, args)], cwd=tmp_path,
+    for name, args in [("scipy.sparse", ["-c", "import scipy.sparse\n" + _LOADED_SCIPY]),
+                       *((name, ["-c", _LOADED_SCIPY, *args]) for name, args in runs.items())]:
+        proc = subprocess.run([sys.executable, *map(str, args)], cwd=tmp_path,
                               check=True, capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=path))
         rc, *modules = proc.stdout.split()
         assert rc == "0", name
         loaded[name] = set(modules)
-    for name in ("import", "symmetry", "plan", "levels", "fit"):
+    for name in set(runs) - {"spectrum", "spectrum mixed"}:
         assert loaded[name] == set(), name
-    assert "scipy.sparse" in loaded["spectrum"]
-    assert not any(m.startswith("scipy.linalg") for m in loaded["spectrum"])
+    assert "scipy.sparse" in loaded["scipy.sparse"]
+    assert loaded["spectrum"] == loaded["spectrum mixed"] == loaded["scipy.sparse"]
 
 
 def test_no_command_imports_scipy_optimize(tmp_path):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -136,9 +137,9 @@ def test_rank4_coefficients_match_cubic_invariant():
 
 
 def _group_average(rank, rotation=wigner_d_matrix):
-    """The two-sided invariant's coefficients as invariant_coefficients
-    recorded them: the conjugated group average of D^rank = rotation(rank,
-    axis, angle) over T_ROTATIONS, its noise below 1e-14 chopped."""
+    """The two-sided invariant's coefficients: the conjugated group average
+    of D^rank = rotation(rank, axis, angle) over T_ROTATIONS, its noise
+    below 1e-14 chopped."""
     P = sum(rotation(rank, axis, angle) for axis, angle, _ in symmetry.T_ROTATIONS)
     P = P / len(symmetry.T_ROTATIONS)
     assert abs(np.trace(P).real - 1.0) < 1e-10  # one invariant
@@ -150,13 +151,18 @@ def _group_average(rank, rotation=wigner_d_matrix):
 
 
 def test_invariant_coefficients_bits():
-    # every output rests on the recorded bits: they are expm's group average,
-    # and the spectral D's average agrees to roundoff
-    for rank in (3, 4):
-        c = invariant_coefficients(rank)
-        assert np.count_nonzero(c) == {3: 4, 4: 9}[rank]
-        assert c.tobytes() == _group_average(rank, rotor._rotation_d_expm).tobytes()
-        assert np.abs(c - _group_average(rank)).max() <= 1e-14
+    # every output on the shipped potential rests on rank 3's bits, expm's
+    # group average; rank 4's are outer(t, t), symmetric to the bit, and both
+    # group averages agree with them to roundoff
+    c = invariant_coefficients(3)
+    assert np.count_nonzero(c) == 4
+    assert c.tobytes() == _group_average(3, reference.rotation_d_expm).tobytes()
+    t = np.zeros(9)
+    t[[0, 4, 8]] = math.sqrt(5 / 24), math.sqrt(7 / 12), math.sqrt(5 / 24)
+    c = invariant_coefficients(4)
+    assert c.tobytes() == np.outer(t, t).tobytes()
+    for rotation in (reference.rotation_d_expm, wigner_d_matrix):
+        assert np.abs(c - _group_average(4, rotation)).max() <= 1e-14
 
 
 def test_spectral_wigner_d_matches_expm():
@@ -165,7 +171,7 @@ def test_spectral_wigner_d_matches_expm():
         for axis, angle, _ in symmetry.T_ROTATIONS:
             D = rotor._rotation_d(j, axis, angle)
             assert np.abs(D.conj().T @ D - np.eye(2 * j + 1)).max() <= 1e-13
-            assert np.abs(D - rotor._rotation_d_expm(j, axis, angle)).max() <= 1e-13
+            assert np.abs(D - reference.rotation_d_expm(j, axis, angle)).max() <= 1e-13
 
 
 def test_unsupported_rank_rejected():
@@ -229,12 +235,13 @@ def test_one_term_normalization_span_bits(monkeypatch):
 
 
 def test_potential_range_bits():
-    # recorded with the Levenberg-Marquardt refinement of the range scan; each
-    # extreme lies within 16 ulp of the exact one
+    # recorded with the Levenberg-Marquardt refinement of the range scan on
+    # numpy's rotation matrices; each extreme lies within 16 ulp of the exact
+    # one (3, 2 and 7 ulp at most)
     pinned = {
-        ((3, -1.0),): ("-0x1.0000000000001p+0", "0x1.0000000000001p+0", -1.0, 1.0),
-        ((4, -1.0),): ("-0x1.0000000000000p+0", "0x1.ed097b425ed00p-2", -1.0, 13 / 27),
-        ((3, -1.0), (4, 0.3)): ("-0x1.666666666666ap-1", "0x1.4cccccccccccdp+0", -0.7, 1.3),
+        ((3, -1.0),): ("-0x1.0000000000003p+0", "0x1.0000000000003p+0", -1.0, 1.0),
+        ((4, -1.0),): ("-0x1.0000000000000p+0", "0x1.ed097b425ed07p-2", -1.0, 13 / 27),
+        ((3, -1.0), (4, 0.3)): ("-0x1.666666666666dp-1", "0x1.4cccccccccccfp+0", -0.7, 1.3),
     }
     for potential, (*bits, vmin, vmax) in pinned.items():
         found = rotor.potential_range(potential)
@@ -581,9 +588,9 @@ def test_classification_calls_no_expm(monkeypatch):
     # the isotypic bases are built from numpy's D, so classification loads
     # no scipy.linalg
     def expm(*args):
-        raise AssertionError("_rotation_d_expm was called")
+        raise AssertionError("expm was called")
 
-    monkeypatch.setattr(rotor, "_rotation_d_expm", expm)
+    monkeypatch.setattr(scipy.linalg, "expm", expm)
     rotor._row_basis.cache_clear()
     rotor._wigner_d_cached.cache_clear()
     levels = classify_levels(diagonalize(RotorModel.create(B=1.0, beta=1.0, Jmax=6)))
@@ -638,9 +645,9 @@ def test_eigensystem_invariants(system_beta1):
 
 # Until perfbench/ref is re-recorded, levels and strengths depend on the last
 # bit of the eigenvectors, so the per-block assembly and solve must reproduce
-# the dense-H definition of reference.py exactly.  A block that mirrors an
-# earlier one under the site-molecule exchange is not solved: its exact
-# reference is its partner's solve, rows permuted.
+# the dense-H definition of reference.py exactly.  Block 2, which mirrors
+# block 1 under the site-molecule exchange, is not solved: its exact
+# reference is block 1's solve, rows permuted.
 
 #: the potentials of the bit-equality and trim tests
 BLOCK_POTENTIALS = [((3, -1.0),), ((3, -1.0), (4, 0.3)), ((4, -1.0),)]
@@ -657,19 +664,16 @@ def test_diagonalize_bit_equal_to_dense_hamiltonian(jmax, beta, potential):
     assert H.tobytes() == reference.hamiltonian(model).tobytes()
     system = diagonalize(model)
     solves = reference.block_solves(model)
-    mirrors = rotor._exchange_mirrors(jmax, model.potential)
-    assert [m is None for m in mirrors] == [True, True, potential != ((3, -1.0),), True]
-    ground = min(w[0] for (_, w, _), mirror in zip(solves, mirrors) if mirror is None)
+    ground = min(w[0] for b, (_, w, _) in enumerate(solves) if b != 2)
     span = system.energies[-1]
-    for (rows, cols, v), (idx, w, v_ref), mirror in zip(system.blocks, solves, mirrors):
+    for b, ((rows, cols, v), (idx, w, v_ref)) in enumerate(zip(system.blocks, solves)):
         assert rows.tobytes() == idx.tobytes()
-        if mirror is None:
+        if b != 2:
             assert v.tobytes() == v_ref.tobytes()
             assert system.energies[cols].tobytes() == (w - ground).tobytes()
         else:
-            partner, perm = mirror
-            _, cols_a, v_a = system.blocks[partner]
-            assert v.tobytes() == v_a[perm].tobytes()
+            _, cols_a, v_a = system.blocks[1]
+            assert v.tobytes() == v_a[rotor._exchange_mirror(jmax)].tobytes()
             assert system.energies[cols].tobytes() == system.energies[cols_a].tobytes()
             residual = H[np.ix_(rows, rows)] @ v - v * (system.energies[cols] + ground)
             assert np.abs(residual).max() <= 1e-12 * span
@@ -679,19 +683,24 @@ def test_diagonalize_bit_equal_to_dense_hamiltonian(jmax, beta, potential):
     assert system.columns(lead).tobytes() == columns[:, :lead].tobytes()
 
 
-@pytest.mark.parametrize("potential, solves", [
-    (((3, -1.0),), 3), (((3, 0.7),), 3), (((4, -1.0),), 4), (((3, -1.0), (4, 0.3)), 4)])
+#: the potentials of the exchange tests, each with its highest rank
+EXCHANGE_POTENTIALS = [(((3, -1.0),), 3), (((3, 0.7),), 3), (((4, -1.0),), 4),
+                       (((3, -1.0), (4, 0.3)), 4)]
+
+
+@pytest.mark.parametrize("potential, rank", EXCHANGE_POTENTIALS)
 @pytest.mark.parametrize("jmax", [4, 7, 10])
-def test_diagonalize_solves_one_block_of_each_exchange_pair(monkeypatch, jmax, potential, solves):
-    # rank 3's V mirrors block 2 onto block 1 bit for bit; rank 4's recorded
-    # coefficients are not symmetric to the bit, so a rank-4 term keeps all
-    # four solves
+def test_diagonalize_solves_one_block_of_each_exchange_pair(monkeypatch, jmax, potential, rank):
+    # c of the highest rank is symmetric to the bit, as every c is, so
+    # block 2 mirrors block 1 and blocks 0, 1 and 3 are solved
+    c = invariant_coefficients(rank)
+    assert c.tobytes() == np.ascontiguousarray(c.T).tobytes()
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
     model = RotorModel.create(B=B0, beta=1.0, potential=potential, Jmax=jmax)
     system = diagonalize(model)
-    assert len(calls) == solves
+    assert calls == [len(system.blocks[b][0]) for b in (0, 1, 3)]
     assert sum(len(cols) for _, cols, _ in system.blocks) == len(system.energies)
 
 
@@ -1039,6 +1048,29 @@ def test_exchange_commutes_with_h_and_pairs_the_label_blocks(potential):
         for a, b in EXCHANGE_PAIRS:
             assert np.array_equal(gaps.eigenvalues(beta, a), gaps.eigenvalues(beta, b))
             assert np.array_equal(gaps.energies(beta, a), gaps.energies(beta, b))
+
+
+@pytest.mark.parametrize("potential", [potential for potential, _ in EXCHANGE_POTENTIALS],
+                         ids=["3:-1", "3:0.7", "4:-1", "3:-1,4:0.3"])
+def test_potential_blocks_bit_equal_to_their_exchange_images(potential):
+    # c^T = c to the bit and each entry of V holds one (mu, nu) component per
+    # rank, so the exchange |J k m> -> |J m k> maps block 2's V onto block
+    # 1's entry for entry, bit for bit: the premise of diagonalize's mirror
+    for r in rotor.SUPPORTED_RANKS:
+        c = invariant_coefficients(r)
+        assert c.tobytes() == np.ascontiguousarray(c.T).tobytes()
+    pot = rotor.normalize_potential(potential)
+    for jmax in range(2, 17):
+        (idx1, rows1, cols1, values1), (idx2, rows2, cols2, values2) = \
+            rotor._potential_blocks(jmax, pot)[1:3]
+        images = _exchange_permutation(jmax)[idx2]  # basis indices, all in block 1
+        perm = np.searchsorted(idx1, images)
+        assert idx1[perm].tobytes() == images.tobytes()
+        assert perm.tobytes() == rotor._exchange_mirror(jmax).tobytes()
+        keys = perm[rows2] * len(perm) + perm[cols2]
+        order = np.argsort(keys)
+        assert keys[order].tobytes() == (rows1 * len(perm) + cols1).tobytes()
+        assert values2[order].tobytes() == values1.tobytes()
 
 
 _SIGN = st.sampled_from([-1.0, 1.0])
