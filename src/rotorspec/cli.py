@@ -586,7 +586,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--lines", required=True, help="stick-list CSV")
     p_plan.add_argument("--out", help="write the plan JSON here")
     p_plan.add_argument("--activity", default="all", choices=("all", "IR", "Raman"))
-    p_plan.add_argument("--max-pairs", type=_at_least(0, int), default=None)
+    p_plan.add_argument("--max-pairs", type=_at_least(0, int, qubitplan.MAX_PAIRS),
+                        default=None)
     p_plan.add_argument("--mc-samples", type=_at_least(0, int, qubitplan.MAX_MC_SAMPLES),
                         default=0,
                         help="validate the poisson mean with this many samples")

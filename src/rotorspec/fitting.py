@@ -432,13 +432,24 @@ _AT_TOLERANCE = "the objective at the start is within the tolerance"
 _LINEAR_ONLY = "no nonlinear parameter is free: one linear least-squares solve"
 
 
+def _starts(x0, lo, hi, seed: int):
+    """x0, then uniform draws in the box [lo, hi] from a generator that is
+    seeded only when the first draw is asked for."""
+    yield x0
+    rng = np.random.default_rng(seed)
+    while True:
+        yield lo + (hi - lo) * rng.random(len(x0))
+
+
 def _minimize(spec: FitSpec, seed: int, residuals, names=None) -> FitReport:
     """The best start's report, without residual rows, of a seeded multistart
     lsq.least_squares on residuals(params) over the free scalars `names` (all
     of the valid `spec`'s by default), at most spec.max_iterations solver
     iterations a start.  Start 0 is the initial values clipped to the
     bounds; each later start is a uniform draw in the bounds of `names`,
-    made as the start begins (n_starts may be far more than fit in memory).
+    made as the start begins (n_starts may be far more than fit in memory)
+    by a generator seeded at the first such start, so a fit that stops at
+    start 0 never imports numpy.random.
 
     The objective is a sum of squares, never negative, so a start whose
     objective is at or below spec.tolerance is a global minimum to that
@@ -449,15 +460,13 @@ def _minimize(spec: FitSpec, seed: int, residuals, names=None) -> FitReport:
     names = spec.scalar_free() if names is None else tuple(names)
     base = spec.resolved_initial()
     x0, lo, hi = _box(spec, names, base)
-    rng = np.random.default_rng(seed)
     best = None
     total_iter = 0
 
     def at(x):
         return residuals({**base, **dict(zip(names, x))})
 
-    for index in range(spec.n_starts if names else 1):
-        start = x0 if index == 0 else lo + (hi - lo) * rng.random(len(names))
+    for index, start in zip(range(spec.n_starts if names else 1), _starts(x0, lo, hi, seed)):
         with np.errstate(over="ignore", invalid="ignore"):
             first = float(np.sum(at(start) ** 2))
         if index == 0 and not math.isfinite(first):

@@ -104,20 +104,75 @@ def _pairs(lines):
             yield a, b, d, units.cm1_to_ghz(d)
 
 
+def _at_separation(f, d):
+    """Positions p < q of the ascending frequencies f with f[q] - f[p] == d.
+    As rounding is monotone, the q of each p are a run that moves right as
+    p rises, so two pointers find them all in O(len(f) + their number)."""
+    lo = hi = 0
+    for p in range(len(f)):
+        lo = max(lo, p + 1)
+        while lo < len(f) and f[lo] - f[p] < d:
+            lo += 1
+        hi = max(hi, lo)
+        while hi < len(f) and f[hi] - f[p] <= d:
+            hi += 1
+        for q in range(lo, hi):
+            yield p, q
+
+
+def _widest(lines, k):
+    """The first k rows of the full table without making it.  In the
+    frequency-sorted list f, the separation f[q] - f[p] of positions p < q
+    falls (weakly, as rounding is monotone) as p rises or q falls, so the
+    pairs form a tree under (0, n-1) in which no child is wider than its
+    parent: (p, q) has the child (p+1, q), and (0, q) also (0, q-1).  A heap
+    takes k pairs from it widest first, holding at most one pair per q;
+    the pairs wider than the k-th come first, then the first of every pair
+    tied with the k-th in name order.  O(n log n + k log k), plus the ties."""
+    order = sorted(range(len(lines)), key=lambda i: lines[i].frequency)
+    f = [lines[i].frequency for i in order]
+    names = [f"{lines[i].lower}->{lines[i].upper}" for i in order]
+
+    def row(p, q):
+        # _pairs' row: f[q] - f[p] is abs() of the lines' difference bit for
+        # bit; on equal frequencies the upper line is the earlier in the
+        # list, which the stable sort put first
+        d = f[q] - f[p]
+        a, b = (names[q], names[p]) if d > 0 else (names[p], names[q])
+        return a, b, d, units.cm1_to_ghz(d)
+
+    taken, heap = [], [(f[0] - f[-1], 0, len(f) - 1)]
+    while heap and len(taken) < k:
+        _, p, q = heapq.heappop(heap)
+        taken.append((p, q))
+        if p + 1 < q:
+            heapq.heappush(heap, (f[p + 1] - f[q], p + 1, q))
+        if p == 0 and q - 1 > 0:
+            heapq.heappush(heap, (f[0] - f[q - 1], 0, q - 1))
+    if not taken:
+        return []
+    d = f[taken[-1][1]] - f[taken[-1][0]]
+    wider = sorted((row(p, q) for p, q in taken if f[q] - f[p] > d), key=_widest_first)
+    ties = ((names[q], names[p], p, q) if d > 0 else (names[p], names[q], p, q)
+            for p, q in _at_separation(f, d))
+    return wider + [row(p, q) for *_, p, q in heapq.nsmallest(k - len(wider), ties)]
+
+
 def _widest_first(pair):
     return -pair[2], pair[0], pair[1]
 
 
 def delta_omega_table(lines, max_pairs: int | None = None) -> list[tuple[str, str, float, float]]:
     """Unordered line pairs with separations in cm^-1 and GHz, widest first.
-    With `max_pairs`, heapq.nsmallest keeps the first max_pairs as the pairs
-    are made (the same rows as sorted(...)[:max_pairs]), so memory stays
-    O(max_pairs).  Without it every pair is kept, and more than MAX_PAIRS
-    pairs are rejected before any is made.  Needs at least two lines."""
+    With `max_pairs`, only the widest pairs are made (_widest), and the
+    first max_pairs rows of the full table are returned, so memory stays
+    O(max_pairs + lines).  Without it every pair is kept, and more than
+    MAX_PAIRS pairs are rejected before any is made.  Needs at least two
+    lines."""
     if len(lines) < 2:
         raise PlanError(f"need at least two lines for a separation table, got {len(lines)}")
     if max_pairs is not None:
-        return heapq.nsmallest(max_pairs, _pairs(lines), key=_widest_first)
+        return _widest(lines, max_pairs)
     count = len(lines) * (len(lines) - 1) // 2
     if count > MAX_PAIRS:
         raise PlanError(f"{len(lines)} lines make {count} pairs, more than the {MAX_PAIRS} "

@@ -8,12 +8,13 @@ the operators and the level vectors, so several tests require the kernels to
 reproduce these definitions bit for bit.  No command needs any of this.
 """
 
+import heapq
 import math
 
 import numpy as np
 import scipy.linalg
 
-from rotorspec import rotor, symmetry
+from rotorspec import qubitplan, rotor, symmetry
 from rotorspec.fitting import Peak, PeakList
 
 #: a config of six empty sections: every key at its field's default
@@ -78,6 +79,12 @@ def peak_list(freqs, labels=None) -> PeakList:
 def max_abs_residual(report) -> float:
     """Largest |observed - modeled| over a FitReport's residual rows."""
     return max((abs(r[3]) for r in report.residuals), default=0.0)
+
+
+def widest_pairs(lines, k):
+    """The k widest line pairs by making every pair: the oracle of
+    qubitplan.delta_omega_table(lines, k)."""
+    return heapq.nsmallest(k, qubitplan._pairs(lines), key=qubitplan._widest_first)
 
 
 # ---------------------------------------------------------------- dense operators

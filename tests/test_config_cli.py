@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -797,22 +798,28 @@ import contextlib, io, sys
 from rotorspec import cli
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(rc, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(rc, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.random"))
 """
 
 
 def test_scipy_loads_only_where_it_is_called(tmp_path):
-    """scipy is imported at its call sites: importing the CLI, `symmetry`,
-    `plan`, `levels` and the four-band fit load none of it, on the shipped
-    one-term config and on a mixed potential, whose range scan rotates with
-    numpy, and `spectrum` loads scipy.sparse (the transition operators) and
-    nothing more of scipy than its import does."""
+    """scipy and numpy.random are imported at their call sites: importing
+    the CLI, `symmetry`, `plan`, `levels` and the four-band fit load none of
+    them, on the shipped one-term config and on a mixed potential, whose
+    range scan rotates with numpy; `spectrum` loads scipy.sparse (the
+    transition operators) and nothing more than its import does; and only a
+    fit that runs a random start loads numpy.random."""
     cfg, sticks = REPO / "configs" / "atpb.cfg", tmp_path / "sticks.csv"
     mixed = tmp_path / "mixed.cfg"
     mixed.write_text(cfg.read_text().replace("potential = 3:-1.0", "potential = 3:-1.0, 4:0.3"))
+    shifted = tmp_path / "shifted.csv"  # no beta fits these with B and nu0 held
+    shifted.write_text(re.sub(r"(?m)^(32\d\d)\.0,", r"\1.5,",
+                              (REPO / "configs" / "atpb_peaks.csv").read_text()))
     runs = {
         "import": [],
         "symmetry": ["symmetry", "--json", "--out", tmp_path / "symmetry.json"],
+        "fit drawing": ["fit", "--config", cfg, "--peaks", shifted, "--free", "beta",
+                        "--starts", "3", "--out", tmp_path / "drawn.json"],
     }
     for tag, config in (("", cfg), (" mixed", mixed)):
         runs |= {
@@ -834,10 +841,12 @@ def test_scipy_loads_only_where_it_is_called(tmp_path):
         rc, *modules = proc.stdout.split()
         assert rc == "0", name
         loaded[name] = set(modules)
-    for name in set(runs) - {"spectrum", "spectrum mixed"}:
+    for name in set(runs) - {"spectrum", "spectrum mixed", "fit drawing"}:
         assert loaded[name] == set(), name
     assert "scipy.sparse" in loaded["scipy.sparse"]
     assert loaded["spectrum"] == loaded["spectrum mixed"] == loaded["scipy.sparse"]
+    assert loaded["fit drawing"] == {"numpy.random"}
+    assert json.loads((tmp_path / "drawn.json").read_text())["starts_run"] == 3
 
 
 def test_no_command_imports_scipy_optimize(tmp_path):
@@ -1013,6 +1022,8 @@ def test_cli_potential_error_names_section_and_key(workdir, capsys, potential, l
       "--bound", "B", "-9", "-1"], "--bound"),
     (["fit", "--config", "run.cfg", "--peaks", "peaks.csv",
       "--free", "B,extra_offsets,dw_L1_star"], "--free"),
+    (["plan", "--config", "run.cfg", "--lines", "lines.csv", "--max-pairs", "100001"],
+     "--max-pairs"),
 ])
 def test_cli_bad_numeric_flag_exits_1(workdir, capsys, argv, flag):
     (workdir / "lines.csv").write_text(
@@ -1079,9 +1090,11 @@ def _stick_rows(count):
 
 def test_cli_plan_pair_table_bounded(workdir, capsys, monkeypatch):
     # without --max-pairs a list of more than MAX_PAIRS pairs is rejected
-    # before any pair is made, naming the file and the flag
+    # before any pair is made, naming the file and the flag; with it, only
+    # the widest pairs are made, and never the full list of pairs
     count = next(n for n in range(2, 10**4) if n * (n - 1) // 2 > qubitplan.MAX_PAIRS)
     (workdir / "lines.csv").write_text(_stick_rows(count))
+    (workdir / "three.csv").write_text(_stick_rows(3))
     pairs, made = qubitplan._pairs, []
     monkeypatch.setattr(qubitplan, "_pairs", lambda lines: made.append(len(lines)) or pairs(lines))
     rc = cli.main(["plan", "--config", "run.cfg", "--lines", "lines.csv"])
@@ -1091,7 +1104,26 @@ def test_cli_plan_pair_table_bounded(workdir, capsys, monkeypatch):
     assert cli.main(["plan", "--config", "run.cfg", "--lines", "lines.csv",
                      "--max-pairs", "3", "--out", "plan.json"]) == 0
     assert len(json.loads((workdir / "plan.json").read_text())["delta_omega_pairs"]) == 3
-    assert made == [count]
+    assert made == []
+    assert cli.main(["plan", "--config", "run.cfg", "--lines", "three.csv", "--out", "plan.json"]) == 0
+    assert made == [3]
+
+
+def test_cli_plan_max_pairs_scales_with_the_list(workdir):
+    # the widest pairs come from the two ends of the sorted list, so 40,000
+    # lines (8e8 pairs) take about 0.2 s in-process on a 2-vCPU Linux
+    # machine, where making every pair took 3 s at 4000 lines
+    (workdir / "lines.csv").write_text(_stick_rows(40_000))
+    start = time.perf_counter()
+    assert cli.main(["plan", "--config", "run.cfg", "--lines", "lines.csv",
+                     "--max-pairs", "10", "--out", "plan.json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    rows = json.loads((workdir / "plan.json").read_text())["delta_omega_pairs"]
+    assert len(rows) == 10
+    assert (rows[0]["upper_line"], rows[0]["lower_line"]) == ("(L1)40000->(L1)40000*",
+                                                              "(L1)1->(L1)1*")
+    deltas = [r["delta_cm1"] for r in rows]
+    assert deltas == sorted(deltas, reverse=True)
 
 
 def test_cli_plan_reads_no_more_lines_than_a_full_table_takes(workdir, capsys, monkeypatch):

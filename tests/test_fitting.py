@@ -1,6 +1,7 @@
 """Peak-position and envelope calibration: round trips, determinism, bounds."""
 
 import functools
+import itertools
 import json
 import re
 import tracemalloc
@@ -293,6 +294,17 @@ def test_inexact_fit_runs_every_start(tmodel):
     assert many.objective > spec.tolerance
     assert many.starts_run == spec.n_starts and one.starts_run == 1
     assert many.objective <= one.objective
+
+
+def test_random_starts_are_one_seeded_stream():
+    # start 0 is x0; the later starts are successive uniform draws of one
+    # generator seeded with the fit's seed, built at the first draw
+    x0, lo, hi = np.array([1.0, 2.0]), np.array([0.5, -1.0]), np.array([3.0, 4.0])
+    rng = np.random.default_rng(7)
+    starts = list(itertools.islice(fitting._starts(x0, lo, hi, 7), 4))
+    assert starts[0] is x0
+    for start in starts[1:]:
+        assert np.array_equal(start, lo + (hi - lo) * rng.random(2))
 
 
 def test_linear_only_fit_is_one_solve(tmodel, monkeypatch):

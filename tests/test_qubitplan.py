@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from rotorspec import qubitplan, units
 from rotorspec.qubitplan import (POISSON_MEAN_FACTOR, CrystalSpec, PlanError,
                                  addressable_channels, build_plan_report,
@@ -56,12 +57,29 @@ def test_delta_omega_permutation_invariant(freqs, rnd):
     assert delta_omega_table(shuffled) == base
 
 
-@given(st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=9),
-       st.integers(min_value=0, max_value=40))
-def test_max_pairs_keeps_the_first_rows_of_the_full_table(freqs, k):
-    # few distinct frequencies, so separations tie and the names decide
-    lines = _lines([3200.0 + f for f in freqs])
-    assert delta_omega_table(lines, max_pairs=k) == delta_omega_table(lines)[:k]
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=6),
+                          st.integers(min_value=0, max_value=3)), min_size=2, max_size=12))
+def test_max_pairs_keeps_the_first_rows_of_the_full_table(drawn):
+    # few distinct frequencies a tenth apart, so separations tie exactly or
+    # differ by their rounding, and few names, so lines share a name and
+    # the names decide among ties; k runs from 0 to past the pair count
+    lines = [Line(3200.0 + 0.1 * f, 1.0, f"lo{n}", f"up{n % 2}", "IR") for f, n in drawn]
+    table = delta_omega_table(lines)
+    for k in range(len(table) + 3):
+        assert delta_omega_table(lines, max_pairs=k) == table[:k] == reference.widest_pairs(lines, k)
+
+
+@pytest.mark.parametrize("count,spacing", [(1500, 0.1), (300, 0.0)])
+def test_max_pairs_matches_making_every_pair(count, spacing):
+    # frequencies rounded to `spacing` (all equal at 0), so the k-th
+    # separation has many ties; too many lines for a full table
+    rnd = random.Random(count)
+    lines = [Line(3000.0 + round(rnd.uniform(0, 300) / spacing) * spacing if spacing else 3000.0,
+                  1.0, f"(L1){rnd.randrange(count // 3)}", f"(E3){rnd.randrange(4)}*", "IR")
+             for _ in range(count)]
+    widest = reference.widest_pairs(lines, 1000)
+    for k in (1, 10, 1000):
+        assert delta_omega_table(lines, max_pairs=k) == widest[:k]
 
 
 def test_full_table_bounded_before_any_pair_is_made(monkeypatch):
