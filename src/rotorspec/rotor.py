@@ -414,9 +414,9 @@ def estimated_peak_bytes(jmax: int) -> float:
     scipy loaded before the solves: 79.1, 129.7 and 192.9 MB (89.5, 195.1
     and 330.9 MB with V's dense blocks and every block's eigenvectors kept).
     Since scipy loaded after them, at classification, the peaks were 79.6,
-    100.0 and 164.3 MB, and with no scipy.linalg loaded they are 70.2, 100.0
-    and 163.6 MB.  `fit --starts 1 --max-iter 20` loads no scipy,
-    holds no n x n array and peaks at 42.7, 48.5 and 54.5 MB."""
+    100.0 and 164.3 MB; with no scipy.linalg loaded and V built a parity
+    block at a time, 70.4, 93.6 and 154.3 MB (100.0 and 163.6 MB in one key
+    space).  `fit` loads no scipy, holds no n x n array and peaks below 50 MB."""
     n = _basis_size(jmax)
     return 100e6 + 3.2 * float(n) ** 2 if n < 1e150 else math.inf
 
@@ -532,52 +532,52 @@ def _potential_blocks(jmax: int, potential: tuple) -> tuple[tuple[np.ndarray, ..
     block's nonzero entries, at block-local rows and cols in row-major order.
     By the 3j rules k = k2 + nu and m = m2 + mu, and every nonzero c has even
     mu and nu, so V couples no two blocks.  An entry gets one component per
-    rank, weight * (s * (cc * (Fnu * Fmu))), added to 0.0 in term order: the
-    value the dense sum of scaled kron(F[nu], F[mu]) blocks rounds to.  At
-    Jmax 14, 79,312 of the blocks' 5.05 M entries are nonzero."""
+    term, weight * (s * (cc * (Fnu * Fmu))), added to 0.0 in term order: the
+    value the dense sum of scaled kron(F[nu], F[mu]) blocks rounds to.  Each
+    component's elements are split by the block of their rows, and each block
+    is merged and checked in its own keys, so no temporary outgrows a component
+    or a block: at Jmax 14 the build peaks at 1.6 times the 1.9 MB it returns."""
     blocks = _parity_blocks(jmax)
-    sizes = np.array([len(idx) for idx in blocks])
-    ends = np.cumsum(sizes ** 2)
-    # the blocks lie one after another in a row-major key space: basis state i
-    # has block-local index local[i] and its block row starts at row_start[i]
-    local = np.empty(_basis_size(jmax), dtype=np.intp)
-    row_start = np.empty_like(local)
-    for idx, end in zip(blocks, ends):
-        local[idx] = np.arange(len(idx))
-        row_start[idx] = end - len(idx) ** 2 + local[idx] * len(idx)
-    written = []
+    # basis state i is row and col local[i] of parity block block_of[i]
+    local, block_of = np.empty((2, _basis_size(jmax)), dtype=np.intp)
+    for b, idx in enumerate(blocks):
+        local[idx], block_of[idx] = np.arange(len(idx)), b
+    written = [([], []) for _ in blocks]  # per block: row-major keys and terms, in term order
     for rank, weight in potential:
         cmat = invariant_coefficients(rank)
         for i, j in zip(*np.nonzero(cmat)):
             if (i - rank) % 2 or (j - rank) % 2:
                 raise RotorError(f"the rank-{rank} potential couples parity blocks")
-            for rows, cols, fnu, fmu, s in _nonzero_elements(jmax, rank, i - rank, j - rank):
-                written.append((row_start[rows] + local[cols],
-                                weight * (s * (cmat[i, j] * (fnu * fmu)))))
-    # each written key gets one slot, and each term is added to it in the
-    # order of the terms; no key repeats within one term
-    keys, slot = np.unique(np.concatenate([at for at, _ in written]), return_inverse=True)
-    values = np.zeros(len(keys))
-    for part, (_, term) in zip(np.split(slot, np.cumsum([len(at) for at, _ in written])[:-1]),
-                               written):
-        values[part] += term
-    block_of = np.searchsorted(ends, keys, side="right")
-    first, size = (ends - sizes ** 2)[block_of], sizes[block_of]
-    row, col = np.divmod(keys - first, size)
-    # entries never written are 0 on both sides of the diagonal
-    mirror_keys = first + col * size + row
-    at = np.searchsorted(keys, mirror_keys).clip(max=len(keys) - 1)
-    mirror = np.where(keys[at] == mirror_keys, values[at], 0.0)
-    asym = np.abs(values - mirror).max()
-    if asym > 1e-12:
-        raise RotorError(f"potential matrix asymmetry {asym:.2e} exceeds 1e-12")
+            rows, cols, term = map(np.concatenate, zip(*(
+                (r, c, weight * (s * (cmat[i, j] * (fnu * fmu))))
+                for r, c, fnu, fmu, s in _nonzero_elements(jmax, rank, i - rank, j - rank))))
+            of = block_of[rows]
+            for b, (keys, terms) in enumerate(written):
+                in_b = of == b
+                keys.append(local[rows[in_b]] * len(blocks[b]) + local[cols[in_b]])
+                terms.append(term[in_b])
+    del rows, cols, term, of, in_b  # each block's merge below holds only its own arrays
     out = []
-    for b, idx in enumerate(blocks):
-        keep = (block_of == b) & (values != 0.0)
+    for idx in blocks:
+        keys, terms = map(np.concatenate, written.pop(0))
+        # one slot per key, and the terms added to it in term order (each writes it once)
+        keys, slot = np.unique(keys, return_inverse=True)
+        values = np.zeros(len(keys))
+        np.add.at(values, slot, terms)
+        del slot, terms
+        row, col = np.divmod(keys, len(idx))
+        # entries never written are 0 on both sides of the diagonal
+        mirror_keys = col * len(idx) + row
+        at = np.searchsorted(keys, mirror_keys).clip(max=len(keys) - 1)
+        asym = np.abs(values - np.where(keys[at] == mirror_keys, values[at], 0.0)).max()
+        if asym > 1e-12:
+            raise RotorError(f"potential matrix asymmetry {asym:.2e} exceeds 1e-12")
+        keep = values != 0.0
         parts = (row[keep], col[keep], values[keep])
         for part in parts:
             part.setflags(write=False)
         out.append((idx, *parts))
+        del keys, values, row, col, mirror_keys, at, keep
     return tuple(out)
 
 

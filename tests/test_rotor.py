@@ -423,7 +423,11 @@ def test_three_j_factors_bit_equal_to_the_direct_formula():
     assert zeros > 0  # some 3j symbols inside the triangle are -0.0
 
 
-@pytest.mark.parametrize("potential", [((3, -1.0),), ((4, -1.0),), ((3, -1.0), (4, 0.3))])
+# ((3, -1.0), (3, 0.5)) is the one potential whose terms add into the same
+# entries (ranks 3 and 4 fill disjoint (mu, nu) offsets): each entry is the
+# sum of both, from 0.0 in term order
+@pytest.mark.parametrize("potential", [((3, -1.0),), ((4, -1.0),), ((3, -1.0), (4, 0.3)),
+                                       ((3, -1.0), (3, 0.5))])
 def test_potential_matrix_bit_equal_to_dense_assembly(potential):
     pot = rotor.normalize_potential(potential)
     V = reference.dense_potential(6, pot)
@@ -493,6 +497,34 @@ def test_strength_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak < bound * image_bytes, (rank, peak)
+
+
+@given(beta=st.floats(*fitting.PARAM_BOUNDS["beta"]),
+       potential=st.sampled_from([((3, -1.0),), ((3, 0.7),), ((4, -1.0),),
+                                  ((3, -1.0), (4, 0.3))]),
+       jmax=st.integers(4, 8), pick=st.integers(0, 10 ** 6))
+@example(beta=0.05, potential=((3, -1.0),), jmax=8, pick=0)
+def test_strengths_sum_to_the_rank_dimension(beta, potential, jmax, pick):
+    # sum_{mu nu} |D^l_{mu nu}|^2 = 2l + 1 on the sphere, so a level's
+    # strengths to every level of the full table, plus the weight D v puts
+    # above Jmax (D^l couples J to J + l at most), make (2l + 1) d: the
+    # stacks spectrum uses, checked without the dense oracle
+    model = RotorModel.create(B=1.0, beta=beta, potential=potential, Jmax=jmax)
+    levels = classify_levels(diagonalize(model))
+    n = rotor._basis_size(jmax)
+    assert sum(lev.degeneracy for lev in levels) == n
+    lower = levels[pick % len(levels)]
+    for rank in (1, 2):
+        wide = rotor._basis_size(jmax + rank)
+        padded = np.zeros((wide, lower.degeneracy))
+        padded[:n] = lower.vectors
+        leak = 0.0
+        for stack in rotor.rank_operator_blocks(jmax + rank, rank).values():
+            images = (stack @ padded).reshape(2 * rank + 1, wide, lower.degeneracy)
+            leak += float(np.sum(images[:, n:] ** 2))
+        total = sum(rotor.transition_strength(lower, levels, rank)) + leak
+        expected = (2 * rank + 1) * lower.degeneracy
+        assert total == pytest.approx(expected, rel=1e-12, abs=0), (rank, lower.name)
 
 
 def test_benchmark_tracer_times_each_operator_build_once(monkeypatch):
@@ -753,6 +785,24 @@ def test_diagonalize_peak_memory_at_a_cut():
         tracemalloc.stop()
     assert system.columns().shape[1] == 165
     assert peak < 0.2 * 8 * n * n
+
+
+@pytest.mark.parametrize("jmax, potential", [(14, ((3, -1.0),)), (12, ((3, -1.0), (4, 0.3)))],
+                         ids=["3:-1", "3:-1,4:0.3"])
+def test_potential_blocks_peak_memory(jmax, potential):
+    # each parity block is merged and checked in its own keys, so V's build
+    # holds its output and one block's temporaries, about 1.6 times the bytes
+    # it returns; one key space over all four blocks took 5.4 times
+    pot = rotor.normalize_potential(potential)
+    rotor._potential_blocks(jmax, pot)  # fills the 3j caches
+    rotor._potential_blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        blocks = rotor._potential_blocks(jmax, pot)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * sum(part.nbytes for block in blocks for part in block), peak
 
 
 def test_residual_checks_match_dense_formulas():
@@ -1050,11 +1100,12 @@ def test_exchange_commutes_with_h_and_pairs_the_label_blocks(potential):
             assert np.array_equal(gaps.energies(beta, a), gaps.energies(beta, b))
 
 
-@pytest.mark.parametrize("potential", [potential for potential, _ in EXCHANGE_POTENTIALS],
-                         ids=["3:-1", "3:0.7", "4:-1", "3:-1,4:0.3"])
+@pytest.mark.parametrize("potential", [potential for potential, _ in EXCHANGE_POTENTIALS]
+                         + [((3, -1.0), (3, 0.5))],
+                         ids=["3:-1", "3:0.7", "4:-1", "3:-1,4:0.3", "3:-1,3:0.5"])
 def test_potential_blocks_bit_equal_to_their_exchange_images(potential):
     # c^T = c to the bit and each entry of V holds one (mu, nu) component per
-    # rank, so the exchange |J k m> -> |J m k> maps block 2's V onto block
+    # term, so the exchange |J k m> -> |J m k> maps block 2's V onto block
     # 1's entry for entry, bit for bit: the premise of diagonalize's mirror
     for r in rotor.SUPPORTED_RANKS:
         c = invariant_coefficients(r)
