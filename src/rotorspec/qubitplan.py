@@ -93,17 +93,6 @@ MAX_PAIRS = 100_000
 MAX_LINES = (1 + math.isqrt(1 + 8 * MAX_PAIRS)) // 2
 
 
-def _pairs(lines):
-    """Every unordered line pair as (upper line, lower line, cm^-1, GHz)."""
-    names = [f"{l.lower}->{l.upper}" for l in lines]
-    for i, li in enumerate(lines):
-        for j in range(i + 1, len(lines)):
-            lj = lines[j]
-            d = abs(li.frequency - lj.frequency)
-            a, b = (names[j], names[i]) if lj.frequency > li.frequency else (names[i], names[j])
-            yield a, b, d, units.cm1_to_ghz(d)
-
-
 def _at_separation(f, d):
     """Positions p < q of the ascending frequencies f with f[q] - f[p] == d.
     As rounding is monotone, the q of each p are a run that moves right as
@@ -121,22 +110,24 @@ def _at_separation(f, d):
 
 
 def _widest(lines, k):
-    """The first k rows of the full table without making it.  In the
-    frequency-sorted list f, the separation f[q] - f[p] of positions p < q
-    falls (weakly, as rounding is monotone) as p rises or q falls, so the
-    pairs form a tree under (0, n-1) in which no child is wider than its
-    parent: (p, q) has the child (p+1, q), and (0, q) also (0, q-1).  A heap
-    takes k pairs from it widest first, holding at most one pair per q;
-    the pairs wider than the k-th come first, then the first of every pair
-    tied with the k-th in name order.  O(n log n + k log k), plus the ties."""
+    """The first k rows of the full table, making only the pairs they need.
+    In the frequency-sorted list f, the separation f[q] - f[p] of positions
+    p < q falls (weakly, as rounding is monotone) as p rises or q falls, so
+    the pairs form a tree under (0, n-1) in which no child is wider than its
+    parent: (p, q) has the child (p+1, q), and (0, q) also (0, q-1).  Each
+    pair has one parent, so the walk reaches every pair once, and k = every
+    pair gives the whole table.  A heap takes k pairs from it widest first,
+    holding at most one pair per q; the pairs wider than the k-th come
+    first, then the first of every pair tied with the k-th in name order.
+    O(n log n + k log k), plus the ties."""
     order = sorted(range(len(lines)), key=lambda i: lines[i].frequency)
     f = [lines[i].frequency for i in order]
     names = [f"{lines[i].lower}->{lines[i].upper}" for i in order]
 
     def row(p, q):
-        # _pairs' row: f[q] - f[p] is abs() of the lines' difference bit for
-        # bit; on equal frequencies the upper line is the earlier in the
-        # list, which the stable sort put first
+        # f[q] - f[p] is abs() of the lines' difference bit for bit; on
+        # equal frequencies the upper line is the earlier in the list, which
+        # the stable sort put first
         d = f[q] - f[p]
         a, b = (names[q], names[p]) if d > 0 else (names[p], names[q])
         return a, b, d, units.cm1_to_ghz(d)
@@ -163,21 +154,18 @@ def _widest_first(pair):
 
 
 def delta_omega_table(lines, max_pairs: int | None = None) -> list[tuple[str, str, float, float]]:
-    """Unordered line pairs with separations in cm^-1 and GHz, widest first.
-    With `max_pairs`, only the widest pairs are made (_widest), and the
-    first max_pairs rows of the full table are returned, so memory stays
-    O(max_pairs + lines).  Without it every pair is kept, and more than
-    MAX_PAIRS pairs are rejected before any is made.  Needs at least two
-    lines."""
+    """Unordered line pairs as (upper line, lower line, cm^-1, GHz), widest
+    first, ties by name.  With `max_pairs`, the first max_pairs rows of the
+    full table, made without the rest, so memory stays O(max_pairs + lines).
+    Without it every pair, and more than MAX_PAIRS pairs are rejected before
+    any is made.  Both come from _widest.  Needs at least two lines."""
     if len(lines) < 2:
         raise PlanError(f"need at least two lines for a separation table, got {len(lines)}")
-    if max_pairs is not None:
-        return _widest(lines, max_pairs)
     count = len(lines) * (len(lines) - 1) // 2
-    if count > MAX_PAIRS:
+    if max_pairs is None and count > MAX_PAIRS:
         raise PlanError(f"{len(lines)} lines make {count} pairs, more than the {MAX_PAIRS} "
                         "of a full table; keep the widest with --max-pairs")
-    return sorted(_pairs(lines), key=_widest_first)
+    return _widest(lines, count if max_pairs is None else max_pairs)
 
 
 def addressable_channels(band_fwhm_cm1: float, source_linewidth_ghz: float) -> int:

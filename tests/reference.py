@@ -14,7 +14,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from rotorspec import qubitplan, rotor, symmetry
+from rotorspec import qubitplan, rotor, symmetry, units
 from rotorspec.fitting import Peak, PeakList
 
 #: a config of six empty sections: every key at its field's default
@@ -81,10 +81,23 @@ def max_abs_residual(report) -> float:
     return max((abs(r[3]) for r in report.residuals), default=0.0)
 
 
+def all_pairs(lines):
+    """Every unordered line pair as (upper line, lower line, cm^-1, GHz), in
+    list order: sorted widest first, the oracle of
+    qubitplan.delta_omega_table(lines)."""
+    names = [f"{l.lower}->{l.upper}" for l in lines]
+    for i, li in enumerate(lines):
+        for j in range(i + 1, len(lines)):
+            lj = lines[j]
+            d = abs(li.frequency - lj.frequency)
+            a, b = (names[j], names[i]) if lj.frequency > li.frequency else (names[i], names[j])
+            yield a, b, d, units.cm1_to_ghz(d)
+
+
 def widest_pairs(lines, k):
     """The k widest line pairs by making every pair: the oracle of
     qubitplan.delta_omega_table(lines, k)."""
-    return heapq.nsmallest(k, qubitplan._pairs(lines), key=qubitplan._widest_first)
+    return heapq.nsmallest(k, all_pairs(lines), key=qubitplan._widest_first)
 
 
 # ---------------------------------------------------------------- dense operators

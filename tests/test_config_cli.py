@@ -1090,13 +1090,15 @@ def _stick_rows(count):
 
 def test_cli_plan_pair_table_bounded(workdir, capsys, monkeypatch):
     # without --max-pairs a list of more than MAX_PAIRS pairs is rejected
-    # before any pair is made, naming the file and the flag; with it, only
-    # the widest pairs are made, and never the full list of pairs
+    # before any pair is made, naming the file and the flag; with it, the
+    # walk is asked for only the widest pairs, and for every pair of a list
+    # small enough for a full table
     count = next(n for n in range(2, 10**4) if n * (n - 1) // 2 > qubitplan.MAX_PAIRS)
     (workdir / "lines.csv").write_text(_stick_rows(count))
     (workdir / "three.csv").write_text(_stick_rows(3))
-    pairs, made = qubitplan._pairs, []
-    monkeypatch.setattr(qubitplan, "_pairs", lambda lines: made.append(len(lines)) or pairs(lines))
+    widest, made = qubitplan._widest, []
+    monkeypatch.setattr(qubitplan, "_widest",
+                        lambda lines, k: made.append((len(lines), k)) or widest(lines, k))
     rc = cli.main(["plan", "--config", "run.cfg", "--lines", "lines.csv"])
     err = capsys.readouterr().err
     assert rc == 1 and made == []
@@ -1104,9 +1106,9 @@ def test_cli_plan_pair_table_bounded(workdir, capsys, monkeypatch):
     assert cli.main(["plan", "--config", "run.cfg", "--lines", "lines.csv",
                      "--max-pairs", "3", "--out", "plan.json"]) == 0
     assert len(json.loads((workdir / "plan.json").read_text())["delta_omega_pairs"]) == 3
-    assert made == []
+    assert made == [(count, 3)]
     assert cli.main(["plan", "--config", "run.cfg", "--lines", "three.csv", "--out", "plan.json"]) == 0
-    assert made == [3]
+    assert made == [(count, 3), (3, 3)]
 
 
 def test_cli_plan_max_pairs_scales_with_the_list(workdir):

@@ -69,6 +69,31 @@ def test_max_pairs_keeps_the_first_rows_of_the_full_table(drawn):
         assert delta_omega_table(lines, max_pairs=k) == table[:k] == reference.widest_pairs(lines, k)
 
 
+@given(st.integers(min_value=2, max_value=447),
+       st.sampled_from(["one", "grid", "distinct", "free"]), st.randoms())
+def test_full_table_is_every_pair_sorted_widest_first(count, kind, rnd):
+    # the full table against making every pair.  Frequencies: all equal
+    # (every pair tied at d = 0); on a 0.5 cm^-1 grid with repeats (exact
+    # ties, equal frequencies) or without (the narrowest separation, 0.5,
+    # tied by many pairs); or drawn freely with repeats.  Lower names repeat
+    # and fall as the list goes on, against its order
+    if kind == "one":
+        freqs = [3206.0] * count
+    elif kind == "grid":
+        freqs = [3000.0 + 0.5 * rnd.randrange(count) for _ in range(count)]
+    elif kind == "distinct":
+        freqs = [3000.0 + 0.5 * i for i in rnd.sample(range(3 * count), count)]
+    else:
+        freqs = []
+        for _ in range(count):
+            freqs.append(rnd.choice(freqs) if freqs and rnd.random() < 0.2
+                         else rnd.uniform(3000.0, 3300.0))
+    lines = [Line(f, 1.0, f"(L1){(count - i) // 2}", f"(E3){rnd.randrange(3)}*", "IR")
+             for i, f in enumerate(freqs)]
+    table = sorted(reference.all_pairs(lines), key=qubitplan._widest_first)
+    assert delta_omega_table(lines) == table
+
+
 @pytest.mark.parametrize("count,spacing", [(1500, 0.1), (300, 0.0)])
 def test_max_pairs_matches_making_every_pair(count, spacing):
     # frequencies rounded to `spacing` (all equal at 0), so the k-th
@@ -85,7 +110,7 @@ def test_max_pairs_matches_making_every_pair(count, spacing):
 def test_full_table_bounded_before_any_pair_is_made(monkeypatch):
     count = next(n for n in range(2, 10**4) if n * (n - 1) // 2 > qubitplan.MAX_PAIRS)
     lines = _lines([3000.0 + i for i in range(count)])
-    monkeypatch.setattr(qubitplan, "_pairs", lambda lines: pytest.fail("a pair was made"))
+    monkeypatch.setattr(qubitplan, "_widest", lambda lines, k: pytest.fail("a pair was made"))
     with pytest.raises(PlanError, match=f"{count} lines make .* more than the {qubitplan.MAX_PAIRS}"):
         delta_omega_table(lines)
     assert qubitplan.MAX_PAIRS >= 5 * 186 * 185 // 2  # the shipped config's stick list
