@@ -377,6 +377,7 @@ def _fit_report_payload(report: fitting.FitReport) -> dict:
         "nearest_assigned": list(report.nearest_assigned),
         "best_start": report.best_start,
         "starts_run": report.starts_run,
+        "jmax": report.jmax,
         "identifiability": None if report.rank is None else {
             "rank": report.rank,
             "free_scalars": report.free_scalars,
@@ -439,6 +440,9 @@ def cmd_fit(args) -> int:
                       f"resid {r:+.3g}\n")
     if note := report.identifiability():
         out.write(note + "\n")
+    if report.jmax < cfg.model.Jmax:
+        out.write(f"note: levels solved at Jmax {report.jmax}, the envelope fit's cap, "
+                  f"not the config's {cfg.model.Jmax}\n")
     if report.nearest_assigned:
         out.write("nearest-frequency assignments (no label given): "
                   + ", ".join(report.nearest_assigned) + "\n")
@@ -498,7 +502,7 @@ def cmd_plan(args) -> int:
     with _blaming(args.lines, qubitplan.PlanError):
         report = qubitplan.build_plan_report(
             lines, cfg.crystal, band_fwhm_cm1=cfg.synthesis.fwhm,
-            source_linewidth_ghz=cfg.source_linewidth_ghz, max_pairs=args.max_pairs)
+            source_linewidth_ghz=cfg.source.linewidth_ghz, max_pairs=args.max_pairs)
     mc = None
     if args.mc_samples:
         mc_mean = qubitplan.nn_distance_mc(cfg.crystal, args.mc_samples, seed=args.seed)
@@ -515,7 +519,7 @@ def cmd_plan(args) -> int:
     out.write(f"addressable channels per band: {report.channels} "
               f"(fwhm {_fmt(cfg.synthesis.fwhm)} cm-1 = "
               f"{units.cm1_to_ghz(cfg.synthesis.fwhm):.2f} GHz, "
-              f"source {_fmt(cfg.source_linewidth_ghz)} GHz)\n")
+              f"source {_fmt(cfg.source.linewidth_ghz)} GHz)\n")
     out.write(f"r12 characteristic: {_fmt(report.r12_characteristic_nm)} nm, "
               f"poisson mean: {_fmt(report.r12_poisson_mean_nm)} nm "
               f"(a = {_fmt(cfg.crystal.a_nm)} nm, c = {_fmt(cfg.crystal.c)})\n")

@@ -2,25 +2,25 @@
 
 The format is INI-style with six required sections; every key has a
 documented default and unknown keys and sections are rejected.  Each section
-but the last is one model type, and every key of it sets a field of that type:
+is one model type, a field of RunConfig, and each key of it is a field of
+that type:
 
     [model]       rotor.RotorModel
-    [band]        spectrum.VibrationBandModel  (dw_* -> extra_offsets)
-    [population]  spectrum.PopulationModel  (fractions -> frozen_fractions)
+    [band]        spectrum.VibrationBandModel
+    [population]  spectrum.PopulationModel
     [synthesis]   spectrum.SpectrumConfig
     [crystal]     qubitplan.CrystalSpec
-    [source]      linewidth_ghz, RunConfig.source_linewidth_ghz
+    [source]      qubitplan.SourceSpec
 
-PARAMS, the registry of the keys, is read from the fields of RunConfig and
-its model types: a key takes its default from its field and its converter
-from the field's type.  Field metadata holds the rest: a "key" (and
-"section") other than the field name, and "fit_bound", `fit`'s default box.
+PARAMS, the registry of the keys, is read from those fields: a key takes its
+default from its field and its converter from the field's type, and the
+field's "fit_bound" metadata is `fit`'s default box.
 
 The rules live in the validate() of the model types, which return (field,
-message) pairs; parse_config maps them to [section] key and reports the
-complete list before any basis is built.  The one rule spanning two
-sections, the channel count of [synthesis] fwhm over [source] linewidth_ghz,
-is RunConfig.validate's.
+message) pairs, a field being its key; parse_config reports them as
+[section] key, the complete list before any basis is built.  The one rule
+spanning two sections, the channel count of [synthesis] fwhm over [source]
+linewidth_ghz, is RunConfig.validate's.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import configparser
 import io
 import math
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import qubitplan, rotor, spectrum
 
@@ -47,29 +47,23 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One model type per section, and the source linewidth, which only the
-    channel count of `plan` reads."""
+    """One model type per section."""
 
     model: rotor.RotorModel
     band: spectrum.VibrationBandModel
     population: spectrum.PopulationModel
     synthesis: spectrum.SpectrumConfig
     crystal: qubitplan.CrystalSpec
-    source_linewidth_ghz: float = field(default=1.0,
-                                        metadata={"section": "source", "key": "linewidth_ghz"})
+    source: qubitplan.SourceSpec
 
     def validate(self) -> list[tuple[str, str, str]]:
         """Every problem of the run as (section, key, message): those of the
-        model types, a dw offset's named by its key, then the channel count,
-        which spans two sections."""
-        keys = {(p.section, p.field): p.key for p in PARAMS if p.owner is not RunConfig}
-        keys |= {(p.section, p.key): p.key for p in PARAMS if p.field == "extra_offsets"}
-        problems = [(section, keys[section, name], msg)
-                    for section in dict.fromkeys(section for section, _ in keys)
-                    for name, msg in getattr(self, section).validate()]
+        model types, then the channel count, which spans two sections."""
+        problems = [(part.name, key, msg) for part in fields(self)
+                    for key, msg in getattr(self, part.name).validate()]
         if self.synthesis.fwhm > 0:  # else [synthesis] fwhm is the problem
             try:
-                qubitplan.addressable_channels(self.synthesis.fwhm, self.source_linewidth_ghz)
+                qubitplan.addressable_channels(self.synthesis.fwhm, self.source.linewidth_ghz)
             except qubitplan.PlanError as exc:
                 problems.append(("source", "linewidth_ghz", str(exc)))
         return problems
@@ -107,39 +101,30 @@ _CONVERTERS = {
 
 @dataclass(frozen=True)
 class Param:
-    """A config key: the field of `owner` it sets (a dw key: its entry of
-    extra_offsets), that field's default, the converter of the key's text,
-    and the default search box of `fit`, None for a key the fit cannot move."""
+    """A config key: the field of the section's model type `owner` that it
+    names, that field's default, the converter of the key's text, and the
+    default search box of `fit`, None for a key the fit cannot move."""
 
     section: str
     key: str
     owner: type
-    field: str
     default: object
     convert: typing.Callable[[str], object]
     fit_bound: tuple[float, float] | None = None
 
     def value(self, cfg: RunConfig):
-        """This key's value in `cfg`; None for a dw it leaves unset."""
-        value = getattr(cfg if self.owner is RunConfig else getattr(cfg, self.section), self.field)
-        return value.get(self.key) if self.field == "extra_offsets" else value
+        """This key's value in `cfg`."""
+        return getattr(getattr(cfg, self.section), self.key)
 
 
 def _registry():
     types = typing.get_type_hints(RunConfig)
     for part in fields(RunConfig):
-        if is_dataclass(types[part.name]):
-            owner, section, owned = types[part.name], part.name, fields(types[part.name])
-        else:  # RunConfig's own field
-            owner, section, owned = RunConfig, part.metadata["section"], [part]
+        owner = types[part.name]
         kinds = typing.get_type_hints(owner)
-        for f in owned:
-            if f.name == "extra_offsets":  # one optional key per entry
-                yield from (Param(section, key, owner, f.name, None, _CONVERTERS[float | None])
-                            for key in spectrum.OFFSET_NAMES)
-            else:
-                yield Param(section, f.metadata.get("key", f.name), owner, f.name, f.default,
-                            _CONVERTERS[kinds[f.name]], f.metadata.get("fit_bound"))
+        for f in fields(owner):
+            yield Param(part.name, f.name, owner, f.default, _CONVERTERS[kinds[f.name]],
+                        f.metadata.get("fit_bound"))
 
 
 #: every config key, in the order of the fields of RunConfig and its model types
@@ -172,13 +157,9 @@ def parse_config(text: str) -> RunConfig:
         except (ValueError, TypeError) as exc:
             errors.append((p.section, p.key, f"cannot parse {raw!r}: {exc}"))
             value = p.default
-        if p.field != "extra_offsets":
-            args[p.section][p.field] = value
-        elif value is not None:  # an unset dw is no entry
-            args[p.section].setdefault(p.field, {})[p.key] = value
+        args[p.section][p.key] = value
 
-    cfg = RunConfig(**{section: owner(**args[section]) for section, owner in owners.items()
-                       if owner is not RunConfig}, **args["source"])
+    cfg = RunConfig(**{section: owner(**args[section]) for section, owner in owners.items()})
     errors += cfg.validate()
     if errors:
         raise ConfigError(sorted(set(errors), key=lambda e: (e[0], e[1] or "", e[2])))

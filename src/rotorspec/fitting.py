@@ -30,11 +30,11 @@ Both models use the band model of `spectrum` as it is: the parameters
 become a VibrationBandModel, and the envelope is spectrum.profile_sum of
 spectrum.envelope_lines, as in the `spectrum` command.
 
-Parameter names: B, beta, nu0, excited_scale, fwhm and
-spectrum.OFFSET_NAMES.  A parameter a model type owns (B, beta, nu0,
-excited_scale, fwhm) is the config key of a field with a fit bound
-(config.PARAMS): PARAM_DEFAULTS holds its field's default and PARAM_BOUNDS
-its fit bound, and its domain is what that model type's validate() accepts.
+Parameter names: B, beta, nu0, excited_scale, fwhm and the dw pair
+spectrum.OFFSET_NAMES, each a config key and so the field of that name of
+its section's model type.  For a key with a fit bound (config.PARAMS), all
+but the dw, PARAM_DEFAULTS holds its field's default and PARAM_BOUNDS its
+fit bound, and its domain is what that model type's validate() accepts.
 Only the fit's own entries are written here: the dw start values and box.
 The entry "extra_offsets" in FitSpec.free_params stands for the pair of dw
 parameters and counts as one name against the peaks >= parameters
@@ -77,7 +77,7 @@ class FitError(ValueError):
     """Invalid fit specification or observed data."""
 
 
-#: fit parameter -> its config key, for each field with a fit bound
+#: fit parameter -> its config key's registry entry, for each key with a fit bound
 _OWNED = {p.key: p for p in config.PARAMS if p.fit_bound}
 
 PARAM_DEFAULTS = {
@@ -108,7 +108,7 @@ def _domain_problems(name: str, value: float) -> list[str]:
     p = _OWNED.get(name)
     if p is None:
         return []
-    return [msg for f, msg in replace(p.owner(), **{p.field: value}).validate() if f == p.field]
+    return [msg for f, msg in replace(p.owner(), **{name: value}).validate() if f == name]
 
 
 @dataclass(frozen=True)
@@ -215,6 +215,7 @@ class FitReport:
     trace: tuple = field(default=(), repr=False, compare=False)
     rank: int | None = None     # numerical rank of the position fit's Jacobian
     unfixed: tuple[str, ...] = ()   # free scalars the peaks do not fix one by one
+    jmax: int | None = None     # the Jmax the model's levels were solved at
 
     @property
     def free_scalars(self) -> int:
@@ -241,10 +242,9 @@ class FitReport:
 def _band(params: dict, base: VibrationBandModel) -> VibrationBandModel:
     """`base`, its sum bands kept, at the band parameters of `params`; a dw
     absent or None is not an override."""
-    offsets = {k: params[k] for k in spectrum.OFFSET_NAMES if params.get(k) is not None}
     return replace(base, nu0=params["nu0"],
                    excited_scale=params.get("excited_scale", PARAM_DEFAULTS["excited_scale"]),
-                   extra_offsets=offsets)
+                   **{k: params.get(k) for k in spectrum.OFFSET_NAMES})
 
 
 class TransitionModel:
@@ -261,6 +261,7 @@ class TransitionModel:
     """
 
     def __init__(self, potential=rotor.DEFAULT_POTENTIAL, jmax: int = rotor.DEFAULT_JMAX):
+        self.jmax = jmax
         self._gaps = LevelGapCache(potential, jmax)
 
     #: supported transition names
@@ -579,7 +580,7 @@ def fit_line_positions(observed: PeakList, spec: FitSpec,
                  for name, o, m in zip(names, obs, modeled))
     rank, unfixed = _identifiability(model.jacobian(names, params, free), free)
     return replace(report, values={k: float(v) for k, v in params.items()}, residuals=rows,
-                   nearest_assigned=fallback_notes, rank=rank, unfixed=unfixed)
+                   nearest_assigned=fallback_notes, rank=rank, unfixed=unfixed, jmax=model.jmax)
 
 
 def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,
@@ -612,7 +613,7 @@ def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,
         return FitReport(
             values={k: float(v) for k, v in params0.items()},
             free=spec.free_params, residuals=(), objective=float(np.sum(amps**2)),
-            iterations=0, converged=False,
+            iterations=0, converged=False, jmax=model.jmax,
             message=(
                 "no model line overlaps the observed grid "
                 f"[{freqs[0]:g}, {freqs[-1]:g}]; nearest line at "
@@ -631,4 +632,5 @@ def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,
         return scale, unit
 
     report = _minimize(spec, seed, lambda p: solve(p)[1])
-    return replace(report, values={**report.values, "scale": solve(report.values)[0]})
+    return replace(report, values={**report.values, "scale": solve(report.values)[0]},
+                   jmax=model.jmax)

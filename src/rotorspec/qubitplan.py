@@ -22,6 +22,7 @@ from . import units
 
 __all__ = [
     "CrystalSpec",
+    "SourceSpec",
     "PlanReport",
     "PlanError",
     "delta_omega_table",
@@ -76,6 +77,17 @@ class CrystalSpec:
         problems = self.validate()
         if problems:
             raise PlanError("invalid crystal: " + "; ".join(m for _, m in problems))
+
+
+@dataclass(frozen=True)
+class SourceSpec:
+    """The narrow source that probes the band; its one rule, the channel
+    count over the band's fwhm, spans two sections (config.RunConfig)."""
+
+    linewidth_ghz: float = 1.0
+
+    def validate(self) -> list[tuple[str, str]]:
+        return []
 
 
 @dataclass(frozen=True)

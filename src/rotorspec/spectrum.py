@@ -6,7 +6,7 @@ with the molecule-frame transition dipole, so the orientational selection
 rules are rank-1 on both the site and molecule sides.  Excited-vibrational
 orientation levels reuse the ground-state level table with tunneling gaps
 multiplied by `excited_scale`; the two high-frequency band offsets can be
-overridden through `extra_offsets` when calibrated values are available.
+overridden by `dw_L1_star` and `dw_LE3_star` when calibrated values are available.
 
 The `spectrum` command and both fits share this band model: the envelope
 sums `envelope_lines` (IR lines plus lattice sum bands) with `profile_sum`;
@@ -91,15 +91,17 @@ class VibrationBandModel:
     vibration-orientation system.  nu0 is the frequency of the (L1)1 -> (L1)1
     reference transition.
 
-    extra_offsets maps keys of OFFSET_NAMES to offsets from nu0 in cm^-1 for
-    the finals OFFSET_KEYS names; other finals use the scaled level table.
+    dw_L1_star and dw_LE3_star (OFFSET_NAMES), when set, are the offsets from
+    nu0 in cm^-1 of the finals OFFSET_KEYS names; other finals use the
+    scaled level table.
     With lattice_freq set, every IR line has a sum-band copy lattice_freq
     higher at sum_band_scale times its intensity.
     """
 
     nu0: float = field(default=3206.0, metadata={"fit_bound": (3100.0, 3300.0)})
     excited_scale: float = field(default=1.0, metadata={"fit_bound": (0.5, 2.0)})
-    extra_offsets: dict = field(default_factory=dict)
+    dw_L1_star: float | None = None
+    dw_LE3_star: float | None = None
     lattice_freq: float | None = None
     sum_band_scale: float = 0.1
 
@@ -112,16 +114,13 @@ class VibrationBandModel:
         if not self.excited_scale > 0:
             problems.append(("excited_scale",
                              f"excited_scale must be positive, got {self.excited_scale}"))
-        unknown = set(self.extra_offsets) - set(OFFSET_NAMES)
-        if unknown:
-            problems.append(("extra_offsets", f"unknown extra_offsets keys: {sorted(unknown)}"))
         if self.lattice_freq is not None and not self.lattice_freq >= 0:
             problems.append(("lattice_freq",
                              f"lattice frequency must be non-negative, got {self.lattice_freq}"))
         elif self.lattice_freq is not None and self.lattice_freq > MAX_BAND_CM1:
             problems.append(("lattice_freq", _overflow_message("lattice_freq", self.lattice_freq)))
-        problems += [(key, _overflow_message(key, self.extra_offsets[key])) for key in OFFSET_NAMES
-                     if abs(self.extra_offsets.get(key) or 0.0) > MAX_BAND_CM1]
+        problems += [(key, _overflow_message(key, getattr(self, key))) for key in OFFSET_NAMES
+                     if abs(getattr(self, key) or 0.0) > MAX_BAND_CM1]
         if not self.sum_band_scale >= 0:
             problems.append(("sum_band_scale",
                              f"sum_band_scale must be non-negative, got {self.sum_band_scale}"))
@@ -129,9 +128,9 @@ class VibrationBandModel:
 
     def excited_offset(self, label: str, ordinal: int, above_l1) -> float:
         """Offset from nu0 of (label)ordinal: its override, else excited_scale * above_l1()."""
-        key = overriding_offset(self.extra_offsets, label, ordinal)
+        key = overriding_offset(vars(self), label, ordinal)
         if key is not None:
-            return float(self.extra_offsets[key])
+            return float(getattr(self, key))
         return self.excited_scale * above_l1()
 
 
@@ -142,11 +141,7 @@ class PopulationModel:
 
     mode: str = "thermal"           # thermal | spin_frozen
     T: float = 7.0                  # kelvin
-    frozen_fractions: dict | None = field(default=None, metadata={"key": "fractions"})
-
-    def fractions(self) -> dict[str, float]:
-        frac = dict(self.frozen_fractions or DEFAULT_FROZEN_FRACTIONS)
-        return frac
+    fractions: dict | None = None   # A, E, F; None: DEFAULT_FROZEN_FRACTIONS
 
     def validate(self) -> list[tuple[str, str]]:
         problems = []
@@ -154,15 +149,15 @@ class PopulationModel:
             problems.append(("mode", f"mode must be thermal or spin_frozen, got {self.mode!r}"))
         if not self.T > 0:
             problems.append(("T", f"temperature must be positive, got {self.T}"))
-        frac = self.fractions()
+        frac = self.fractions or DEFAULT_FROZEN_FRACTIONS
         if set(frac) != {"A", "E", "F"}:
-            problems.append(("frozen_fractions",
+            problems.append(("fractions",
                              f"frozen fractions must be keyed A, E, F, got {sorted(frac)}"))
         else:
             if any(v < 0 for v in frac.values()):
-                problems.append(("frozen_fractions", "frozen fractions must be non-negative"))
+                problems.append(("fractions", "frozen fractions must be non-negative"))
             if abs(sum(frac.values()) - 1.0) > 1e-12:
-                problems.append(("frozen_fractions",
+                problems.append(("fractions",
                                  f"frozen fractions sum to {sum(frac.values())!r}, not 1"))
         return problems
 
@@ -236,7 +231,8 @@ def populations(levels, pop: PopulationModel) -> dict[str, float]:
     if problems:
         raise SpectrumError("; ".join(m for _, m in problems))
     kt = units.thermal_energy_cm1(pop.T)
-    shares = pop.fractions() if pop.mode == "spin_frozen" else {None: 1.0}  # None: every level
+    frozen = pop.fractions or DEFAULT_FROZEN_FRACTIONS
+    shares = frozen if pop.mode == "spin_frozen" else {None: 1.0}  # None: every level
     out = {}
     for species, share in shares.items():
         members = [lev for lev in levels if species in (None, lev.spin_species)]
@@ -289,18 +285,18 @@ def _intensities(gated, pop_fraction):
 # ----------------------------------------------------------------------------
 
 _INITIAL_LEVELS = (("A1", 1), ("L1", 1), ("E2", 1))
-#: excited level -> the extra_offsets key that overrides its band offset:
+#: excited level -> the VibrationBandModel field that overrides its band offset:
 #: dw_L1_star for the near-degenerate L1(2) + I1I2 + E4 group, dw_LE3_star for E3
 OFFSET_KEYS = {("L1", 2): "dw_L1_star", ("I1I2", 1): "dw_L1_star",
                ("E4", 1): "dw_L1_star", ("E3", 1): "dw_LE3_star"}
-#: the extra_offsets keys, in the order (dw_L1_star, dw_LE3_star)
+#: the offset fields, in the order (dw_L1_star, dw_LE3_star)
 OFFSET_NAMES = tuple(dict.fromkeys(OFFSET_KEYS.values()))
 
 
 def overriding_offset(offsets: dict, label: str, ordinal: int) -> str | None:
-    """The key of OFFSET_NAMES whose value in `offsets` (a band's
-    extra_offsets, or fit parameters) is the offset of (label)ordinal from
-    nu0; None when `offsets` sets none and the scaled level table gives it."""
+    """The key of OFFSET_NAMES whose value in `offsets` (a band's fields, or
+    fit parameters) is the offset of (label)ordinal from nu0; None when
+    `offsets` sets none and the scaled level table gives it."""
     key = OFFSET_KEYS.get((label, ordinal))
     return key if offsets.get(key) is not None else None
 
@@ -343,9 +339,9 @@ def vibration_orientation_lines(levels, band: VibrationBandModel, pop: Populatio
             freq = band.nu0 + band.excited_offset(fin.rovib_label, fin.ordinal,
                                                   lambda: fin.energy - e_l1) - (ini.energy - e_l1)
             if not 0 <= units.cm1_to_ghz(freq) < math.inf:
-                # the final's offset from nu0 put it there: its override, else the scale
-                key = overriding_offset(band.extra_offsets, fin.rovib_label, fin.ordinal)
-                raise SpectrumError(f"[band] {key or 'excited_scale'}: line {ini.name} -> "
+                # nu0 and the final's offset from it put it there: its override, else the scale
+                key = overriding_offset(vars(band), fin.rovib_label, fin.ordinal)
+                raise SpectrumError(f"[band] nu0, {key or 'excited_scale'}: line {ini.name} -> "
                                     f"{fin.name}* at {freq} cm-1 is negative or overflows in GHz")
             lines.append(Line(frequency=freq, intensity=intens[fin.name],
                               lower=ini.name, upper=fin.name + "*", activity="IR"))

@@ -101,7 +101,7 @@ def test_criterion_3_orientation_gap(paper_fit, capsys):
 
 def test_criterion_4_intensity_dominance(fitted_levels, capsys):
     band = spectrum.VibrationBandModel(
-        nu0=3206.0, extra_offsets={"dw_L1_star": 24.0, "dw_LE3_star": 29.0})
+        nu0=3206.0, dw_L1_star=24.0, dw_LE3_star=29.0)
     thermal = spectrum.vibration_orientation_lines(
         fitted_levels, band, spectrum.PopulationModel("thermal", 7.0))
     frozen = spectrum.vibration_orientation_lines(

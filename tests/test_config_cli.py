@@ -13,7 +13,7 @@ import tempfile
 import time
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import jsonschema
@@ -147,7 +147,7 @@ def test_fractions_parsing():
     text = DEFAULT_CONFIG_TEXT.replace(
         "[population]", "[population]\nmode = spin_frozen\nfractions = 0.25, 0.25, 0.5")
     cfg = parse_config(text)
-    assert cfg.population.frozen_fractions == {"A": 0.25, "E": 0.25, "F": 0.5}
+    assert cfg.population.fractions == {"A": 0.25, "E": 0.25, "F": 0.5}
 
 
 @pytest.mark.parametrize("section,line", [
@@ -173,6 +173,7 @@ _RULE_CASES = [
     ("model", "potential = 3:1e308"),
     ("band", "nu0 = 0"), ("band", "excited_scale = 0"), ("band", "lattice_freq = -1"),
     ("band", "sum_band_scale = -1"), ("band", "nu0 = 1e307"), ("band", "lattice_freq = 1e308"),
+    ("band", "dw_L1_star = -1e307"), ("band", "dw_LE3_star = 1e307"),
     ("population", "mode = frozen"), ("population", "T = 0"),
     ("population", "fractions = -0.5, 0.75, 0.75"), ("population", "fractions = 0.5, 0.2, 0.2"),
     ("synthesis", "start = 3400"), ("synthesis", "step = 0"), ("synthesis", "shape = voigt"),
@@ -190,16 +191,6 @@ def test_each_rule_names_its_section_and_key(section, line):
     assert {(s, k) for s, k, _ in err.value.errors} == {(section, line.split(" = ")[0])}
 
 
-@pytest.mark.parametrize("key", spectrum.OFFSET_NAMES)
-def test_overflowing_dw_offset_names_its_key(key):
-    # the offset is an entry of extra_offsets, but the error names its own key
-    text = DEFAULT_CONFIG_TEXT.replace("[band]", f"[band]\n{key} = -1e307")
-    with pytest.raises(ConfigError) as err:
-        parse_config(text)
-    assert [(s, k) for s, k, _ in err.value.errors] == [("band", key)]
-    assert "overflow in GHz" in err.value.errors[0][2]
-
-
 #: (section, key) -> the registry entry of that config key
 _PARAMS = {(p.section, p.key): p for p in config.PARAMS}
 _SECTIONS = tuple(dict.fromkeys(p.section for p in config.PARAMS))
@@ -207,13 +198,23 @@ _SECTIONS = tuple(dict.fromkeys(p.section for p in config.PARAMS))
 
 @pytest.mark.parametrize("section,line", [case for case in _RULE_CASES if case[0] != "source"])
 def test_each_rule_lives_in_its_model_type(section, line):
-    """The section's model type, built with the value, names the key's field
-    in its validate(); only the source linewidth has no model type."""
+    """The section's model type, built with the value, names the key in its
+    validate(); the source linewidth's one rule spans two sections."""
     key, _, raw = line.partition(" = ")
-    param = _PARAMS[section, key]
-    value = param.convert(raw)
-    owner = replace(getattr(parse_config(DEFAULT_CONFIG_TEXT), section), **{param.field: value})
-    assert param.field in {f for f, _ in owner.validate()}
+    value = _PARAMS[section, key].convert(raw)
+    owner = replace(getattr(parse_config(DEFAULT_CONFIG_TEXT), section), **{key: value})
+    assert key in {f for f, _ in owner.validate()}
+
+
+def test_every_key_is_a_field_of_its_sections_type():
+    """RunConfig's fields are the sections, and the keys of a section are the
+    fields of its model type, in their order and with their defaults."""
+    cfg = parse_config(DEFAULT_CONFIG_TEXT)
+    assert [f.name for f in fields(cfg)] == list(_SECTIONS)
+    for section in _SECTIONS:
+        owner = type(getattr(cfg, section))
+        assert ([(p.owner, p.key, p.default) for p in config.PARAMS if p.section == section]
+                == [(owner, f.name, f.default) for f in fields(owner)])
 
 
 def test_readme_agrees_with_the_registry():
@@ -445,13 +446,15 @@ def test_cli_rejects_a_b_whose_level_energies_overflow(workdir, capsys, command)
 
 @pytest.mark.parametrize("edit, message", [
     (("dw_L1_star = 24.0", "dw_L1_star = -5000"),
-     "[band] dw_L1_star: line (L1)1 -> (L1)2* at -1794.0 cm-1"),
+     "[band] nu0, dw_L1_star: line (L1)1 -> (L1)2* at -1794.0 cm-1"),
     (("nu0 = 3206.0", "nu0 = 3206.0\nexcited_scale = 1e300"),
-     "[band] excited_scale: line (L1)1 -> (A1)1* at -1.1000001"),
+     "[band] nu0, excited_scale: line (L1)1 -> (A1)1* at -1.1000001"),
+    (("nu0 = 3206.0", "nu0 = 1e-300"),
+     "[band] nu0, excited_scale: line (L1)1 -> (A1)1* at -11.00000"),
 ])
 def test_cli_spectrum_names_the_key_of_a_negative_line(workdir, capsys, edit, message):
-    # both pass validation, as their lower limit depends on the level table;
-    # the line's offset from nu0 is the override's, else the scaled table's
+    # each passes validation, as its lower limit depends on the level table;
+    # the line lies at nu0 plus its offset, the override's, else the scaled table's
     (workdir / "neg.cfg").write_text(FAST_CONFIG.replace(*edit).replace("Jmax = 6", "Jmax = 4"))
     assert cli.main(["spectrum", "--config", "neg.cfg"]) == 1
     err = capsys.readouterr().err
@@ -540,6 +543,7 @@ def test_cli_fit_pipeline(workdir):
     payload = json.loads((workdir / "fit.json").read_text())
     jsonschema.validate(payload, _schema("fit_report.schema.json"))
     assert payload["converged"] is True
+    assert payload["jmax"] == 6
     assert max(abs(r["residual_cm1"]) for r in payload["residuals"]) < 1e-6
 
 
@@ -613,6 +617,22 @@ def test_cli_fit_nonconvergence_exits_2(workdir):
     rc = cli.main(["fit", "--config", "run.cfg", "--mode", "envelope",
                    "--envelope", "flat.csv", "--free", "nu0", "--starts", "1"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("jmax", [6, 10])
+def test_cli_envelope_fit_reports_the_jmax_it_solved_at(workdir, capsys, jmax):
+    # the envelope fit solves its levels at min(Jmax, 8), and says so under the cap
+    (workdir / "j.cfg").write_text(FAST_CONFIG.replace("Jmax = 6", f"Jmax = {jmax}"))
+    (workdir / "flat.csv").write_text(
+        "frequency_cm1,amplitude\n" + "".join(f"{500.0 + i},1.0\n" for i in range(40)))
+    rc = cli.main(["fit", "--config", "j.cfg", "--mode", "envelope", "--envelope", "flat.csv",
+                   "--free", "nu0", "--starts", "1", "--out", "fit.json"])
+    assert rc == 2
+    payload = json.loads((workdir / "fit.json").read_text())
+    jsonschema.validate(payload, _schema("fit_report.schema.json"))
+    assert payload["jmax"] == min(jmax, 8)
+    note = f"note: levels solved at Jmax 8, the envelope fit's cap, not the config's {jmax}\n"
+    assert (note in capsys.readouterr().out) == (jmax > 8)
 
 
 def test_cli_fit_beta_box_narrower_than_the_difference_step(workdir, capsys):

@@ -368,11 +368,10 @@ def test_transition_model_matches_line_generator(tmodel):
     ):
         model = rotor.RotorModel.create(B=params["B"], beta=params["beta"], Jmax=JMAX)
         levels = rotor.classify_levels(rotor.diagonalize(model), max_energy=60.0)
-        offsets = {k: params[k] for k in ("dw_L1_star", "dw_LE3_star")
-                   if params.get(k) is not None}
         band = spectrum.VibrationBandModel(nu0=params["nu0"],
                                            excited_scale=params["excited_scale"],
-                                           extra_offsets=offsets)
+                                           dw_L1_star=params["dw_L1_star"],
+                                           dw_LE3_star=params["dw_LE3_star"])
         pop = spectrum.PopulationModel(mode="spin_frozen", T=7.0)
         lines = spectrum.vibration_orientation_lines(levels, band, pop)
         generated = {f"{l.lower}->{l.upper}": l.frequency for l in lines}
@@ -524,7 +523,8 @@ def _fit_models(cfg):
     cmd_fit builds them from a run config."""
     initial = {"B": cfg.model.B, "beta": cfg.model.beta, "nu0": cfg.band.nu0,
                "excited_scale": cfg.band.excited_scale, "fwhm": cfg.synthesis.fwhm,
-               **cfg.band.extra_offsets}
+               **{k: v for k in spectrum.OFFSET_NAMES
+                  if (v := getattr(cfg.band, k)) is not None}}
     params = FitSpec(free_params=("B", "beta", "nu0"), initial=initial).resolved_initial()
     tmodel = TransitionModel(cfg.model.potential, jmax=cfg.model.Jmax)
     emodel = EnvelopeModel(cfg.model.potential, jmax=min(cfg.model.Jmax, 8),
@@ -548,7 +548,7 @@ def test_fit_models_derive_unset_offsets_as_spectrum_does(tmp_path):
     `spectrum` does instead of at the PARAM_DEFAULTS offsets."""
     text = "\n".join(l for l in SHIPPED.splitlines() if not l.startswith("dw_"))
     cfg, lines, _ = _spectrum_run(tmp_path, text)
-    assert cfg.band.extra_offsets == {}
+    assert cfg.band.dw_L1_star is None and cfg.band.dw_LE3_star is None
     params, tmodel, emodel = _fit_models(cfg)
     drawn = {(l.lower, l.upper): l.frequency for l in lines if l.activity == "IR"}
     for name, modeled in zip(tmodel.NAMES, tmodel.frequencies(tmodel.NAMES, params)):

@@ -20,8 +20,7 @@ from rotorspec.spectrum import (DEFAULT_FROZEN_FRACTIONS, Line,
                                 rotational_raman_lines, sum_band_lines,
                                 synthesize, vibration_orientation_lines)
 
-BAND = VibrationBandModel(nu0=3206.0,
-                          extra_offsets={"dw_L1_star": 24.0, "dw_LE3_star": 29.0})
+BAND = VibrationBandModel(nu0=3206.0, dw_L1_star=24.0, dw_LE3_star=29.0)
 
 
 # ---------------------------------------------------------------- populations
@@ -97,14 +96,14 @@ def test_populations_reject_bad_temperature(levels_beta1):
 
 def test_populations_reject_bad_fractions(levels_beta1):
     bad = PopulationModel(mode="spin_frozen", T=7.0,
-                          frozen_fractions={"A": 0.5, "E": 0.2, "F": 0.2})
+                          fractions={"A": 0.5, "E": 0.2, "F": 0.2})
     with pytest.raises(SpectrumError, match="sum"):
         populations(levels_beta1, bad)
 
 
 def test_custom_frozen_fractions(levels_beta1):
     pop = PopulationModel(mode="spin_frozen", T=7.0,
-                          frozen_fractions={"A": 1.0, "E": 0.0, "F": 0.0})
+                          fractions={"A": 1.0, "E": 0.0, "F": 0.0})
     pops = populations(levels_beta1, pop)
     # the rest of the A share sits in the 66 cm^-1 A-type levels
     assert pops["(A1)1"] == pytest.approx(1.0, rel=1e-4)
@@ -175,9 +174,9 @@ def test_frequency_consistency_invariant(levels_beta1):
         fin = by_name[line.upper.rstrip("*")]
         key = (fin.rovib_label, fin.ordinal)
         if key in {("L1", 2), ("I1I2", 1), ("E4", 1)}:
-            offset = BAND.extra_offsets["dw_L1_star"]
+            offset = BAND.dw_L1_star
         elif key == ("E3", 1):
-            offset = BAND.extra_offsets["dw_LE3_star"]
+            offset = BAND.dw_LE3_star
         else:
             offset = BAND.excited_scale * (fin.energy - e_l1)
         expect = BAND.nu0 + offset - (ini.energy - e_l1)
