@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: symmetry, levels, spectrum, fit, plan.  One sectioned config
-file feeds every subcommand; flags override file values.  Outputs stream: rows
+file feeds every subcommand; flags override file values.  `fit` fits the data
+file it is given: peak positions (--peaks) or a sampled envelope
+(--envelope), and reports the tunneling gap omega_LA.  Outputs stream: rows
 are written as they are made, to stdout or atomically to a file (temp then
 rename), and CSV inputs are parsed row by row, so no file-sized text is held.
 Identical inputs produce byte-identical files.  Exit status: 0 success, 1
@@ -69,11 +71,13 @@ def _emit_json(payload, out_path: str | None):
         fh.write("\n")
 
 
-def _read_csv(path: str, header: str, error: type[Exception], parse_row):
+def _read_csv(path: str, header: str, error: type[Exception], parse_row,
+              most: float = math.inf, what: str = "rows"):
     """Yield `parse_row` of every non-blank row after the header.  An empty
     file, a wrong header or text that is not UTF-8 raises `error` naming
-    `path`; a row that `parse_row` or the CSV reader rejects raises `error`
-    naming `path:line`."""
+    `path`; a row that `parse_row` or the CSV reader rejects, or the row
+    past the first `most`, raises `error` naming `path:line`, the last with
+    `what` (the rows' name and why they are bounded)."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -82,9 +86,13 @@ def _read_csv(path: str, header: str, error: type[Exception], parse_row):
                 raise error(f"{path}: empty file, expected header {header}")
             if tuple(h.strip() for h in first) != tuple(header.split(",")):
                 raise error(f"{path}: header must be {header}, got {','.join(first)}")
+            count = 0
             for row in reader:
                 if not any(cell.strip() for cell in row):
                     continue
+                count += 1
+                if count > most:
+                    raise error(f"{path}:{reader.line_num}: more than {most} {what}")
                 try:
                     parsed = parse_row(row)
                 except (ValueError, IndexError) as exc:
@@ -345,21 +353,21 @@ def _peak_row(row) -> fitting.Peak:
 
 
 def _read_peaks_csv(path: str) -> fitting.PeakList:
-    peaks = tuple(_read_csv(path, PEAKS_CSV_HEADER, fitting.FitError, _peak_row))
+    """The peaks of a peak list: one per model transition at most, since a
+    label names one peak and unlabeled peaks take the transitions left."""
+    peaks = tuple(_read_csv(path, PEAKS_CSV_HEADER, fitting.FitError, _peak_row,
+                            len(fitting.TransitionModel.NAMES), "peaks, one per model transition"))
     with _blaming(path, fitting.FitError):
         return fitting.PeakList(peaks)
 
 
 def _read_envelope_csv(path: str):
-    """Rows (frequencies, amplitudes) of a sampled envelope, parsed row by row;
-    a sample past spectrum.MAX_GRID_SAMPLES, the most a grid holds, is an error."""
+    """Rows (frequencies, amplitudes) of a sampled envelope, parsed row by row
+    into float arrays, at most spectrum.MAX_GRID_SAMPLES, the most a grid holds."""
     rows = _read_csv(path, SPECTRUM_CSV_HEADER, fitting.FitError,
-                     lambda row: (_finite(row[0]), _finite(row[1])))
-    most = spectrum.MAX_GRID_SAMPLES
-    samples = np.fromiter(itertools.islice(rows, most + 1), dtype=(float, 2))
-    if len(samples) > most:
-        raise fitting.FitError(f"{path}: more than {most} samples, the most a synthesis grid holds")
-    return samples.T.copy()
+                     lambda row: (_finite(row[0]), _finite(row[1])),
+                     spectrum.MAX_GRID_SAMPLES, "samples, the most a synthesis grid holds")
+    return np.fromiter(rows, dtype=(float, 2)).T.copy()
 
 
 def _fit_report_payload(report: fitting.FitReport) -> dict:
@@ -378,6 +386,7 @@ def _fit_report_payload(report: fitting.FitReport) -> dict:
         "best_start": report.best_start,
         "starts_run": report.starts_run,
         "jmax": report.jmax,
+        "omega_la_cm1": report.omega_la,
         "identifiability": None if report.rank is None else {
             "rank": report.rank,
             "free_scalars": report.free_scalars,
@@ -408,19 +417,17 @@ def cmd_fit(args) -> int:
                            max_iterations=args.max_iter, tolerance=args.tol,
                            n_starts=args.starts)
     # with the flags valid, a FitError of the fit is about the observed data
-    problems = spec.validate(positions=args.mode == "positions")
+    problems = spec.validate(positions=args.peaks is not None)
     if problems:
         raise fitting.FitError("; ".join(f"{_FIT_FLAGS[f]}: {msg}" for f, msg in problems))
-    if args.mode == "positions":
+    if args.peaks is not None:
         peaks = _read_peaks_csv(args.peaks)
-        model = fitting.TransitionModel(potential=cfg.model.potential,
-                                        jmax=cfg.model.Jmax)
+        model = fitting.TransitionModel(potential=cfg.model.potential, jmax=cfg.model.Jmax)
         with _blaming(args.peaks, fitting.FitError):
             report = fitting.fit_line_positions(peaks, spec, model, seed=args.seed)
     else:
         freqs, amps = _read_envelope_csv(args.envelope)
-        model = fitting.EnvelopeModel(potential=cfg.model.potential,
-                                      jmax=min(cfg.model.Jmax, 8),
+        model = fitting.EnvelopeModel(potential=cfg.model.potential, jmax=cfg.model.Jmax,
                                       pop=cfg.population, shape=cfg.synthesis.shape,
                                       band=cfg.band)
         with _blaming(args.envelope, fitting.FitError):
@@ -433,6 +440,7 @@ def cmd_fit(args) -> int:
               f"starts, best start {report.best_start})\n")
     for name in sorted(report.values):
         out.write(f"  {name:14s} = {_fmt(report.values[name])}\n")
+    out.write(f"omega_LA = {_fmt(report.omega_la)} cm-1\n")
     if report.residuals:
         out.write("residuals (cm-1):\n")
         for n, o, m, r in report.residuals:
@@ -572,9 +580,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="calibrate parameters against peaks or envelope")
     p_fit.add_argument("--config", required=True)
-    p_fit.add_argument("--peaks", help="peak CSV (frequency_cm1,intensity,label)")
-    p_fit.add_argument("--envelope", help="sampled spectrum CSV for mode=envelope")
-    p_fit.add_argument("--mode", default="positions", choices=("positions", "envelope"))
+    data = p_fit.add_mutually_exclusive_group(required=True)
+    data.add_argument("--peaks", help="position fit: peak CSV (frequency_cm1,intensity,label)")
+    data.add_argument("--envelope", help="envelope fit: sampled spectrum CSV "
+                                         "(frequency_cm1,amplitude)")
     p_fit.add_argument("--free", default="B,beta,nu0,extra_offsets")
     fit_defaults = fitting.FitSpec(free_params=())
     for name, kind in (("n_starts", int), ("max_iterations", int), ("tolerance", float)):
@@ -611,13 +620,6 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return EXIT_INVALID
-    if args.command == "fit":
-        if args.mode == "positions" and not args.peaks:
-            sys.stderr.write("fit --mode positions requires --peaks\n")
-            return EXIT_INVALID
-        if args.mode == "envelope" and not args.envelope:
-            sys.stderr.write("fit --mode envelope requires --envelope\n")
-            return EXIT_INVALID
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # every input error type is a ValueError

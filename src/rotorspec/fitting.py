@@ -14,7 +14,9 @@ form, least squares held at 0 from below.  The search
 is lsq.least_squares, a box-bounded Levenberg-Marquardt solver, under the
 seeded multistart of _minimize, the one driver both fits hand their
 residuals to, which builds the FitReport; the position fit adds its linear
-values, peak assignment, residual rows and its Jacobian's rank.  Both
+values, peak assignment, residual rows and its Jacobian's rank.  Each fit
+reports the tunneling gap omega_LA = B * (E(L1)1 - E(A1)1) at its solution
+(FitReport.omega_la), read from the levels it solved there.  Both
 models keep the eigenvalue work of their last two betas, so a fit at fixed
 beta costs one solve per label, and a solver iteration one more for its beta
 difference and one per trial point.  A position fit reads each level by
@@ -216,6 +218,7 @@ class FitReport:
     rank: int | None = None     # numerical rank of the position fit's Jacobian
     unfixed: tuple[str, ...] = ()   # free scalars the peaks do not fix one by one
     jmax: int | None = None     # the Jmax the model's levels were solved at
+    omega_la: float | None = None   # B * (E(L1)1 - E(A1)1) at the solution, cm^-1
 
     @property
     def free_scalars(self) -> int:
@@ -348,17 +351,19 @@ class EnvelopeModel:
     of the fit parameters, with its lines and levels classified up to 15 B.
     `band` supplies the lattice sum bands; the fit parameters the rest.
 
-    The unit-B levels of the last two betas are kept, a solver iterate's
-    and its beta difference's; B rescales their energies, so fits over (B,
-    nu0, fwhm, offsets) at fixed beta reuse one eigen-solve.
+    The levels are solved at Jmax min(`jmax`, 8), the envelope fit's cap:
+    every beta of the search is a dense eigen-solve and classification.  The
+    unit-B levels of the last two betas are kept, a solver iterate's and its
+    beta difference's; B rescales their energies, so fits over (B, nu0,
+    fwhm, offsets) at fixed beta reuse one eigen-solve.
     """
 
-    def __init__(self, potential=rotor.DEFAULT_POTENTIAL, jmax: int = 8,
+    def __init__(self, potential=rotor.DEFAULT_POTENTIAL, jmax: int = rotor.DEFAULT_JMAX,
                  pop: PopulationModel | None = None,
                  shape: str = spectrum.SpectrumConfig.shape,
                  band: VibrationBandModel = _DEFAULT_BAND):
         self.potential = potential
-        self.jmax = jmax
+        self.jmax = min(jmax, 8)
         self.pop = pop or PopulationModel()
         self.shape = shape
         self.band = band
@@ -376,6 +381,11 @@ class EnvelopeModel:
     def amplitude(self, params: dict, freqs: np.ndarray) -> np.ndarray:
         return spectrum.profile_sum(self.lines(params), freqs, self.shape,
                                     params.get("fwhm", PARAM_DEFAULTS["fwhm"]))
+
+    def omega_la(self, params: dict) -> float:
+        levels = self._unit_levels(float(params["beta"]))
+        return params["B"] * (rotor.find_level(levels, "L1").energy
+                              - rotor.find_level(levels, "A1").energy)
 
 
 # ----------------------------------------------------------------------------
@@ -515,8 +525,9 @@ def _identifiability(jacobian: np.ndarray, free) -> tuple[int, tuple[str, ...]]:
 # ----------------------------------------------------------------------------
 
 def _assign_peaks(observed: PeakList, model: TransitionModel, params0: dict):
-    """Peak -> transition-name assignment; unlabeled peaks fall back to the
-    nearest model frequency at the starting parameters and are flagged."""
+    """Peak -> transition-name assignment; a label names one peak at most,
+    and unlabeled peaks fall back to the nearest model frequency at the
+    starting parameters and are flagged."""
     assigned, fallback = [], []
     taken = set()
     for peak in observed.peaks:
@@ -526,6 +537,8 @@ def _assign_peaks(observed: PeakList, model: TransitionModel, params0: dict):
                     f"peak label {peak.label!r} matches no model transition; "
                     f"known: {', '.join(model.NAMES)}"
                 )
+            if peak.label in taken:
+                raise FitError(f"peak label {peak.label!r} is given to more than one peak")
             assigned.append((peak, peak.label))
             taken.add(peak.label)
         else:
@@ -556,7 +569,7 @@ def fit_line_positions(observed: PeakList, spec: FitSpec,
     the free beta and excited_scale, and at each of its points the free
     linear scalars take their least-squares values in their box, stepping
     from their start values (_box_lstsq).  The report gives the rank of the
-    Jacobian over the free scalars at the solution."""
+    Jacobian over the free scalars at the solution, and omega_LA there."""
     model = model or TransitionModel()
     spec.require_valid(n_peaks=len(observed.peaks))
     initial = spec.resolved_initial()
@@ -580,13 +593,15 @@ def fit_line_positions(observed: PeakList, spec: FitSpec,
                  for name, o, m in zip(names, obs, modeled))
     rank, unfixed = _identifiability(model.jacobian(names, params, free), free)
     return replace(report, values={k: float(v) for k, v in params.items()}, residuals=rows,
-                   nearest_assigned=fallback_notes, rank=rank, unfixed=unfixed, jmax=model.jmax)
+                   nearest_assigned=fallback_notes, rank=rank, unfixed=unfixed, jmax=model.jmax,
+                   omega_la=model.omega_la(params))
 
 
 def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,
                  model: EnvelopeModel | None = None, seed: int = 0) -> FitReport:
     """Least-squares fit of a sampled envelope over the free parameters,
-    fwhm included, its intensity scale solved at each point in closed form."""
+    fwhm included, its intensity scale solved at each point in closed form;
+    the report gives omega_LA from the classified levels of the solution."""
     model = model or EnvelopeModel()
     spec.require_valid()
     freqs = np.asarray(observed_freqs, dtype=float)
@@ -613,7 +628,7 @@ def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,
         return FitReport(
             values={k: float(v) for k, v in params0.items()},
             free=spec.free_params, residuals=(), objective=float(np.sum(amps**2)),
-            iterations=0, converged=False, jmax=model.jmax,
+            iterations=0, converged=False, jmax=model.jmax, omega_la=model.omega_la(params0),
             message=(
                 "no model line overlaps the observed grid "
                 f"[{freqs[0]:g}, {freqs[-1]:g}]; nearest line at "
@@ -633,4 +648,4 @@ def fit_envelope(observed_freqs, observed_amps, spec: FitSpec,
 
     report = _minimize(spec, seed, lambda p: solve(p)[1])
     return replace(report, values={**report.values, "scale": solve(report.values)[0]},
-                   jmax=model.jmax)
+                   jmax=model.jmax, omega_la=model.omega_la(report.values))

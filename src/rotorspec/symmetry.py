@@ -43,7 +43,6 @@ __all__ = [
     "correlate",
     "raman_active_count",
     "spin_decomposition",
-    "selection_allowed",
     "LEVEL_LABELS",
     "SPIN_OF_MOL",
     "LevelLabel",
@@ -368,24 +367,6 @@ def spin_decomposition() -> list[SpinSpecies]:
     ]
     assert sum(s.total_count for s in species) == 16
     return species
-
-
-# ----------------------------------------------------------------------------
-# selection rules
-# ----------------------------------------------------------------------------
-
-def selection_allowed(group: str, initial: str, final: str, operator: str) -> bool:
-    """True iff conj(final) x operator x initial contains the totally
-    symmetric irrep of `group`, the three being irrep labels of it."""
-    table = character_table(group)
-    chi = (np.conj(table.characters(final))
-           * table.characters(operator)
-           * table.characters(initial))
-    n = np.sum(table.class_sizes * chi) / table.order
-    ni = round(n.real)
-    if abs(n - ni) > 1e-9:
-        raise GroupError(f"selection-rule projection is not integral: {n}")
-    return ni >= 1
 
 
 # ----------------------------------------------------------------------------

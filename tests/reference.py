@@ -59,6 +59,21 @@ def trivial_label(table: symmetry.GroupTable) -> str:
     raise AssertionError(f"{table.name}: no totally symmetric irrep found")
 
 
+def selection_allowed(group: str, initial: str, final: str, operator: str) -> bool:
+    """True iff conj(final) x operator x initial contains the totally
+    symmetric irrep of `group`, the three being irrep labels of it: the
+    selection-rule oracle of the line gate."""
+    table = symmetry.character_table(group)
+    chi = (np.conj(table.characters(final))
+           * table.characters(operator)
+           * table.characters(initial))
+    n = np.sum(table.class_sizes * chi) / table.order
+    ni = round(n.real)
+    if abs(n - ni) > 1e-9:
+        raise symmetry.GroupError(f"selection-rule projection is not integral: {n}")
+    return ni >= 1
+
+
 def site_characters(label: symmetry.LevelLabel) -> np.ndarray:
     """Characters over T classes of a level label's site factor (molecular
     factor traced), the counterpart of LevelLabel.mol_characters."""

@@ -38,16 +38,14 @@ def paper_fit():
             (3235.0, "(L1)1->(E3)1*"),
         ]))
     spec = fitting.FitSpec(free_params=("B", "beta", "nu0", "extra_offsets"))
-    model = fitting.TransitionModel(jmax=JMAX)
     start = time.perf_counter()
-    report = fitting.fit_line_positions(peaks, spec, model, seed=0)
-    elapsed = time.perf_counter() - start
-    return report, model, elapsed
+    report = fitting.fit_line_positions(peaks, spec, fitting.TransitionModel(jmax=JMAX), seed=0)
+    return report, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
 def fitted_levels(paper_fit):
-    report, _, _ = paper_fit
+    report, _ = paper_fit
     model = rotor.RotorModel.create(B=report.values["B"], beta=report.values["beta"],
                                     Jmax=JMAX)
     system = rotor.diagonalize(model)
@@ -57,8 +55,8 @@ def fitted_levels(paper_fit):
 # ---------------------------------------------------------------- criteria
 
 def test_criterion_1_band_positions(paper_fit, capsys):
-    report, model, elapsed = paper_fit
-    w_la = model.omega_la(report.values)
+    report, elapsed = paper_fit
+    w_la = report.omega_la
     ok = (max_abs_residual(report) <= 2.0
           and abs(w_la - 11.0) <= 1.0
           and elapsed <= 60.0
@@ -92,8 +90,8 @@ def test_criterion_2_free_rotor_oracle(capsys):
 
 
 def test_criterion_3_orientation_gap(paper_fit, capsys):
-    report, model, _ = paper_fit
-    w_la = model.omega_la(report.values)
+    report, _ = paper_fit
+    w_la = report.omega_la
     ok = abs(w_la - 12.0) <= 2.0
     _report(capsys, 3, ok, f"first orientation gap {w_la:.3f} cm-1 within 2 of the "
                    "directly observed 12 cm-1")

@@ -567,17 +567,24 @@ def test_cli_fit_starts_from_the_config(workdir):
     assert {k: v for k, v in values.items() if k != "nu0"} == given
 
 
-def test_readme_fit_reports_starts_run(workdir):
-    # the README's `rotorspec fit` example, its shipped inputs as absolute paths
+def test_readme_fit_reports_starts_run(workdir, capsys):
+    # the README's `rotorspec fit` example, its shipped inputs as absolute
+    # paths.  Its omega_LA = B * gap(beta) is the spacing of the two bands
+    # that end on (L1)1*, the number the four bands fix (criterion 1)
     text = (REPO / "README.md").read_text().replace("\\\n", " ")
     line = next(l for l in text.splitlines() if l.startswith("rotorspec fit "))
     args = [str(REPO / a) if a.startswith("configs/") else a for a in shlex.split(line)[1:]]
     starts = cli._build_parser().parse_args(args).starts
     assert cli.main(args) == 0
+    assert "\nomega_LA = 11 cm-1\nresiduals (cm-1):\n" in capsys.readouterr().out
     payload = json.loads((workdir / "fit.json").read_text())
     jsonschema.validate(payload, _schema("fit_report.schema.json"))
     assert payload["converged"] is True
     assert 1 <= payload["starts_run"] <= starts
+    modeled = {r["transition"]: r["modeled_cm1"] for r in payload["residuals"]}
+    spacing = modeled["(A1)1->(L1)1*"] - modeled["(L1)1->(L1)1*"]
+    assert abs(payload["omega_la_cm1"] - spacing) <= 1e-9
+    assert abs(payload["omega_la_cm1"] - 11.0) <= 1.0
 
 
 def test_cli_fit_bad_header_exits_1(workdir, capsys):
@@ -587,8 +594,41 @@ def test_cli_fit_bad_header_exits_1(workdir, capsys):
 
 
 def test_cli_fit_requires_input(workdir, capsys):
-    assert cli.main(["fit", "--config", "run.cfg"]) == 1
-    assert cli.main(["fit", "--config", "run.cfg", "--mode", "envelope"]) == 1
+    # the data file picks the fit: exactly one of --peaks and --envelope,
+    # and the error names both; there is no --mode
+    for data in ([], ["--peaks", "p.csv", "--envelope", "e.csv"]):
+        assert cli.main(["fit", "--config", "run.cfg", *data]) == 1
+        err = capsys.readouterr().err
+        assert "--peaks" in err and "--envelope" in err
+    assert cli.main(["fit", "--config", "run.cfg", "--mode", "envelope",
+                     "--envelope", "e.csv"]) == 1
+    assert "unrecognized arguments: --mode envelope" in capsys.readouterr().err
+
+
+def test_cli_peak_label_given_twice_exits_1(workdir, capsys):
+    (workdir / "obs.csv").write_text((REPO / "configs/atpb_peaks.csv").read_text()
+                                     + "3240.0,,(L1)1->(L1)1*\n")
+    assert cli.main(["fit", "--config", "run.cfg", "--peaks", "obs.csv"]) == 1
+    assert capsys.readouterr().err == ("error: obs.csv: peak label '(L1)1->(L1)1*' is given "
+                                       "to more than one peak\n")
+
+
+def test_cli_peak_list_stops_at_its_eleventh_peak(workdir, capsys, monkeypatch):
+    # a label names one peak and unlabeled peaks take the transitions left,
+    # so a valid list holds one peak per model transition at most: the
+    # reader parses 10 rows of a 10^6-row file and stops at the next
+    with open(workdir / "obs.csv", "w", encoding="utf-8") as fh:
+        fh.write(cli.PEAKS_CSV_HEADER + "\n")
+        fh.writelines(f"{3000 + 1e-3 * i!r},,\n" for i in range(10**6))
+    parse, parsed = cli._peak_row, []
+    monkeypatch.setattr(cli, "_peak_row", lambda row: parsed.append(row) or parse(row))
+    assert cli.main(["fit", "--config", "run.cfg", "--peaks", "obs.csv"]) == 1
+    assert capsys.readouterr().err == ("error: obs.csv:12: more than 10 peaks, one per model "
+                                       "transition\n")
+    assert len(parsed) == len(fitting.TransitionModel.NAMES) == 10
+    with open(workdir / "obs.csv", "w", encoding="utf-8") as fh:
+        fh.write(cli.PEAKS_CSV_HEADER + "\n\n" + "".join(f"{3200 + i},,\n" for i in range(10)))
+    assert len(cli._read_peaks_csv("obs.csv").peaks) == 10
 
 
 def test_cli_plan_pipeline(workdir):
@@ -614,8 +654,8 @@ def test_cli_fit_nonconvergence_exits_2(workdir):
     (workdir / "flat.csv").write_text(
         "frequency_cm1,amplitude\n" +
         "".join(f"{500.0 + i},1.0\n" for i in range(40)))
-    rc = cli.main(["fit", "--config", "run.cfg", "--mode", "envelope",
-                   "--envelope", "flat.csv", "--free", "nu0", "--starts", "1"])
+    rc = cli.main(["fit", "--config", "run.cfg", "--envelope", "flat.csv",
+                   "--free", "nu0", "--starts", "1"])
     assert rc == 2
 
 
@@ -625,7 +665,7 @@ def test_cli_envelope_fit_reports_the_jmax_it_solved_at(workdir, capsys, jmax):
     (workdir / "j.cfg").write_text(FAST_CONFIG.replace("Jmax = 6", f"Jmax = {jmax}"))
     (workdir / "flat.csv").write_text(
         "frequency_cm1,amplitude\n" + "".join(f"{500.0 + i},1.0\n" for i in range(40)))
-    rc = cli.main(["fit", "--config", "j.cfg", "--mode", "envelope", "--envelope", "flat.csv",
+    rc = cli.main(["fit", "--config", "j.cfg", "--envelope", "flat.csv",
                    "--free", "nu0", "--starts", "1", "--out", "fit.json"])
     assert rc == 2
     payload = json.loads((workdir / "fit.json").read_text())
@@ -642,7 +682,7 @@ def test_cli_fit_beta_box_narrower_than_the_difference_step(workdir, capsys):
                                     .replace("Jmax = 10", "Jmax = 4"))
     assert cli.main(["spectrum", "--config", "j4.cfg", "--out-spectrum", "env.csv"]) == 0
     capsys.readouterr()
-    rc = cli.main(["fit", "--config", "j4.cfg", "--mode", "envelope", "--envelope", "env.csv",
+    rc = cli.main(["fit", "--config", "j4.cfg", "--envelope", "env.csv",
                    "--free", "beta", "--bound", "beta", "0", "1e-8", "--starts", "1"])
     out, err = capsys.readouterr()
     assert (rc, err) == (0, "")
@@ -658,7 +698,7 @@ def test_cli_fit_rejects_an_overflowing_input(workdir, capsys, mode):
     else:
         (workdir / "obs.csv").write_text("frequency_cm1,amplitude\n" + "".join(
             f"{3200.0 + i},{1e200 if i == 17 else 0.0}\n" for i in range(40)))
-        args = ["--mode", "envelope", "--envelope", "obs.csv"]
+        args = ["--envelope", "obs.csv"]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rc = cli.main(["fit", "--config", "run.cfg", *args, "--free", "nu0", "--starts", "1"])
@@ -671,7 +711,7 @@ def test_cli_envelope_fit_rejects_fwhm_box_below_sample_spacing(workdir, capsys)
     # the default box starts at 0.05, between the samples of a 0.5 grid
     (workdir / "obs.csv").write_text("frequency_cm1,amplitude\n" + "".join(
         f"{3190.0 + 0.5 * i},{1.0 if i == 32 else 0.0}\n" for i in range(120)))
-    rc = cli.main(["fit", "--config", "run.cfg", "--mode", "envelope", "--envelope", "obs.csv",
+    rc = cli.main(["fit", "--config", "run.cfg", "--envelope", "obs.csv",
                    "--free", "nu0,fwhm", "--starts", "1"])
     err = capsys.readouterr().err
     assert rc == 1 and err.startswith("error: obs.csv: --bound fwhm: the low end 0.05 is below")
@@ -689,7 +729,7 @@ def test_cli_envelope_fit_rejects_fixed_fwhm_below_sample_spacing(workdir, capsy
     header, *rows = (workdir / "env.csv").read_text().splitlines()
     (workdir / "obs.csv").write_text("\n".join([header, *rows[::5]]) + "\n")
     capsys.readouterr()
-    rc = cli.main(["fit", "--config", "narrow.cfg", "--mode", "envelope", "--envelope", "obs.csv",
+    rc = cli.main(["fit", "--config", "narrow.cfg", "--envelope", "obs.csv",
                    "--free", "nu0"])
     err = capsys.readouterr().err
     assert rc == 1
@@ -708,15 +748,15 @@ def test_cli_position_fit_rejects_envelope_only_parameters(workdir, capsys, name
     err = capsys.readouterr().err
     start = {"fwhm": "error: --free: fwhm ", "scale": "error: --free: unknown parameter 'scale'"}
     assert rc == 1 and err.startswith(start[name]) and "missing" not in err
-    rc = cli.main(["fit", "--config", "run.cfg", "--mode", "envelope",
-                   "--envelope", "missing.csv", "--free", f"nu0,{name}"])
+    rc = cli.main(["fit", "--config", "run.cfg", "--envelope", "missing.csv",
+                   "--free", f"nu0,{name}"])
     err = capsys.readouterr().err
     if name == "fwhm":
         assert rc == 1 and "missing.csv" in err and "--free" not in err
     else:
         assert rc == 1 and err == "error: --free: unknown parameter 'scale'\n"
-        rc = cli.main(["fit", "--config", "run.cfg", "--mode", "envelope", "--envelope",
-                       "missing.csv", "--free", "B", "--bound", "scale", "0", "1"])
+        rc = cli.main(["fit", "--config", "run.cfg", "--envelope", "missing.csv",
+                       "--free", "B", "--bound", "scale", "0", "1"])
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("error: --bound: 'scale' is not a free scalar")
 
@@ -798,7 +838,7 @@ def test_each_command_scans_the_potential_at_most_once(tmp_path, potential, scan
         "spectrum": ["spectrum", "--config", cfg, "--sticks", sticks, "--out-spectrum", envelope],
         "fit positions": ["fit", "--config", cfg, "--peaks", REPO / "configs" / "atpb_peaks.csv",
                           "--starts", "1", "--max-iter", "20"],
-        "fit envelope": ["fit", "--config", cfg, "--mode", "envelope", "--envelope", envelope,
+        "fit envelope": ["fit", "--config", cfg, "--envelope", envelope,
                          "--free", "nu0,fwhm", "--starts", "1", "--max-iter", "5"],
         "plan": ["plan", "--config", cfg, "--lines", sticks, "--mc-samples", "0"],
     }
@@ -935,7 +975,7 @@ def test_cli_spectrum_fwhm_below_grid_step_exits_1(workdir, capsys, fwhm):
 CSV_READERS = {
     "peaks": (["fit", "--config", "run.cfg", "--peaks", "in.csv"],
               "frequency_cm1,intensity,label\n3206,1,x\n"),
-    "envelope": (["fit", "--config", "run.cfg", "--mode", "envelope", "--envelope", "in.csv"],
+    "envelope": (["fit", "--config", "run.cfg", "--envelope", "in.csv"],
                  "frequency_cm1,amplitude\n3206,0.5\n"),
     "lines": (["plan", "--config", "run.cfg", "--lines", "in.csv"],
               "frequency_cm1,intensity,lower,upper,activity\n3206,1,(A1)1,(L1)1*,IR\n"),
@@ -1243,7 +1283,7 @@ def test_cli_envelope_longer_than_a_synthesis_grid_exits_1(workdir, capsys, monk
     (workdir / "run.cfg").write_text(FAST_CONFIG.replace("start = 3150", "start = 3200")
                                      .replace("stop = 3300", "stop = 3209")
                                      .replace("step = 0.2", "step = 1.0"))
-    argv = ["fit", "--config", "run.cfg", "--mode", "envelope", "--envelope", "obs.csv",
+    argv = ["fit", "--config", "run.cfg", "--envelope", "obs.csv",
             "--free", "nu0", "--starts", "1", "--max-iter", "1"]
     for rows in (11, 10):
         (workdir / "obs.csv").write_text("frequency_cm1,amplitude\n" + "".join(
@@ -1252,7 +1292,7 @@ def test_cli_envelope_longer_than_a_synthesis_grid_exits_1(workdir, capsys, monk
         err = capsys.readouterr().err
         if rows == 11:
             assert rc == 1
-            assert err == ("error: obs.csv: more than 10 samples, the most a synthesis "
+            assert err == ("error: obs.csv:12: more than 10 samples, the most a synthesis "
                            "grid holds\n")
         else:
             assert rc in (0, 2) and err == ""
@@ -1286,8 +1326,8 @@ def _csv_texts(draw, header):
 _CSV_ARGV = {
     "peaks": (["fit", "--free", "nu0", "--starts", "1", "--max-iter", "40", "--peaks"],
               cli.PEAKS_CSV_HEADER),
-    "envelope": (["fit", "--mode", "envelope", "--free", "nu0", "--starts", "1",
-                  "--max-iter", "40", "--envelope"], cli.SPECTRUM_CSV_HEADER),
+    "envelope": (["fit", "--free", "nu0", "--starts", "1", "--max-iter", "40", "--envelope"],
+                 cli.SPECTRUM_CSV_HEADER),
     "lines": (["plan", "--lines"], cli.STICKS_CSV_HEADER),
 }
 

@@ -429,6 +429,24 @@ def test_envelope_round_trip(emodel):
     assert report.values["scale"] == pytest.approx(3.0, rel=1e-3)
 
 
+def test_envelope_fit_reports_omega_la_of_its_levels(emodel):
+    # read from the classified levels it fitted with, at the solution's B
+    # and beta; the label blocks give the same gap
+    truth = dict(TRUTH, beta=1.0)
+    freqs = np.arange(3180.0, 3260.0, 0.25)
+    spec = FitSpec(free_params=("B", "nu0"), initial=dict(truth, B=5.4), n_starts=1)
+    report = fit_envelope(freqs, emodel.amplitude(truth, freqs), spec, emodel)
+    B, beta = report.values["B"], report.values["beta"]
+    assert report.converged and B == pytest.approx(TRUTH["B"], rel=1e-6)
+    gap = rotor.LevelGapCache(emodel.potential, JMAX).gap(beta)
+    assert abs(report.omega_la - B * gap) <= 1e-9 * B
+
+
+def test_envelope_model_caps_jmax():
+    assert EnvelopeModel().jmax == EnvelopeModel(jmax=14).jmax == 8
+    assert EnvelopeModel(jmax=JMAX).jmax == JMAX
+
+
 def test_envelope_flat_zero_drives_scale_to_zero(emodel):
     freqs = np.arange(3150.0, 3300.0, 0.5)
     amps = np.zeros_like(freqs)
@@ -527,7 +545,7 @@ def _fit_models(cfg):
                   if (v := getattr(cfg.band, k)) is not None}}
     params = FitSpec(free_params=("B", "beta", "nu0"), initial=initial).resolved_initial()
     tmodel = TransitionModel(cfg.model.potential, jmax=cfg.model.Jmax)
-    emodel = EnvelopeModel(cfg.model.potential, jmax=min(cfg.model.Jmax, 8),
+    emodel = EnvelopeModel(cfg.model.potential, jmax=cfg.model.Jmax,
                            pop=cfg.population, shape=cfg.synthesis.shape, band=cfg.band)
     return params, tmodel, emodel
 
@@ -614,8 +632,8 @@ def test_five_parameter_envelope_fit(tmp_path, capsys, monkeypatch):
     assert cli.main(["spectrum", "--config", str(tmp_path / "truth.cfg"), "--sticks",
                      str(tmp_path / "sticks.csv"), "--out-spectrum", str(envelope)]) == 0
     solves = _counting(monkeypatch, rotor, "diagonalize")
-    assert cli.main(["fit", "--config", str(tmp_path / "start.cfg"), "--mode", "envelope",
-                     "--envelope", str(envelope), "--free", "B,beta,nu0,fwhm",
+    assert cli.main(["fit", "--config", str(tmp_path / "start.cfg"), "--envelope",
+                     str(envelope), "--free", "B,beta,nu0,fwhm",
                      "--starts", "1", "--out", str(out)]) == 0
     capsys.readouterr()
     report = json.loads(out.read_text())
@@ -641,8 +659,8 @@ def test_envelope_fit_solves_the_intensity_scale(tmp_path, capsys):
     capsys.readouterr()
     start = re.sub(r"(?m)^B = .*$", "B = 5.6", SHIPPED)
     (tmp_path / "start.cfg").write_text(start)
-    assert cli.main(["fit", "--config", str(tmp_path / "start.cfg"), "--mode", "envelope",
-                     "--envelope", str(envelope), "--starts", "1", "--out", str(out)]) == 0
+    assert cli.main(["fit", "--config", str(tmp_path / "start.cfg"), "--envelope",
+                     str(envelope), "--starts", "1", "--out", str(out)]) == 0
     capsys.readouterr()
     report = json.loads(out.read_text())
     assert report["converged"] and report["starts_run"] == 1

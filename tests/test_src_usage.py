@@ -9,12 +9,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: definitions kept with no caller, each with its reason
-ALLOWED = {
-    "selection_allowed": "the product-group selection rule that the Raman line gate will call",
-}
-
-
 def _references(tree) -> Counter:
     """Names read in `tree`: identifiers, attributes, and string constants
     that are identifiers (perfbench's tracer patches functions by name)."""
@@ -61,7 +55,7 @@ def test_every_src_definition_has_a_caller_outside_tests():
             continue
         for qualified, node in _definitions(tree.body):
             name = node.name
-            if name.startswith("__") and name.endswith("__") or name in ALLOWED:
+            if name.startswith("__") and name.endswith("__"):
                 continue
             if references[name] - _references(node)[name] <= 0:
                 unused.append(f"{path.name}: {qualified}")

